@@ -146,6 +146,18 @@ def parse_config(path: str) -> experiments.ExperimentConfig:
     if covariates not in (UNIFORM, GRID):
         errors.append(("$.covariates", f"must be '{UNIFORM}' or '{GRID}'"))
 
+    dim = data.get("dim", 1)
+    if type(dim) is not int or dim < 1:
+        errors.append(("$.dim", "must be a positive integer"))
+    elif mean_function is not None and mean_function.dim != dim:
+        errors.append(
+            ("$.dim", f"the mean function is {mean_function.dim}-dimensional, not {dim}")
+        )
+
+    threshold_resolution = data.get("threshold_resolution", 10**6)
+    if type(threshold_resolution) is not int or threshold_resolution < 1000:
+        errors.append(("$.threshold_resolution", "must be an integer of at least 1000"))
+
     if errors:
         raise ConfigError(errors)
     try:
@@ -159,9 +171,9 @@ def parse_config(path: str) -> experiments.ExperimentConfig:
             master_seed=master_seed,
             k_rule=k_rule,
             covariates=covariates,
-            dim=data.get("dim", 1),
+            dim=dim,
             bin_means_mode=data.get("bin_means", "quadrature"),
-            threshold_resolution=data.get("threshold_resolution", 10**6),
+            threshold_resolution=threshold_resolution,
         )
     except ValueError as exc:
         raise ConfigError([("$", str(exc))])

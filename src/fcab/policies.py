@@ -5,7 +5,11 @@ bin as a finite-capacity arm of a multi-armed bandit, and plays an upper
 confidence bound index over the bins that still hold unpulled arms.  Bins
 that start with fewer than two arms are never alive and their arms are
 unreachable; a budget that cannot be met from alive bins is a
-configuration error, not a silent under-pull.
+configuration error, not a silent under-pull.  Each arm is pulled at most
+once and a pull takes a uniformly random unpulled arm of its bin, so a run
+shuffles each alive bin once up front and takes the bin's arms in that
+order; the pull order then follows from a stable sort, with no per-pull
+loop (see ``ucbf_run``).
 
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by supplied bin
@@ -92,10 +96,6 @@ class Partition:
     def arms_in_bin(self, b: int) -> np.ndarray:
         return self._order[self._offsets[b] : self._offsets[b + 1]]
 
-    def fresh_remaining(self) -> list[list[int]]:
-        """Per-bin mutable lists of unpulled arm indices for one run."""
-        return [self.arms_in_bin(b).tolist() for b in range(self.bin_count)]
-
     def bin_bounds(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         digits = np.array(np.unravel_index(b, (self.k_per_axis,) * self.dim))
         lo = digits / self.k_per_axis
@@ -179,17 +179,19 @@ def corollary_parameters(t: int, alpha: float) -> int:
     return max(k, 1)
 
 
-def ucbf_index(sum_rewards: float, n_k: int, t_budget: int, delta: float) -> float:
+def ucbf_index(sum_rewards, n_k, t_budget: int, delta: float):
     """Empirical bin mean plus the exploration bonus sqrt(log(T/delta)/(2n)).
 
-    Never-pulled bins have no index; callers must initialise them with a
-    forced pull instead.
+    Works elementwise on arrays of reward sums and pull counts as well as
+    on scalars.  Never-pulled bins have no index; callers must initialise
+    them with a forced pull instead.
     """
-    if n_k < 1:
+    n_k = np.asarray(n_k)
+    if np.any(n_k < 1):
         raise ValueError("index undefined for an unpulled bin")
     if not 0.0 < delta < t_budget:
         raise ValueError("delta must lie in (0, T)")
-    return sum_rewards / n_k + math.sqrt(math.log(t_budget / delta) / (2.0 * n_k))
+    return sum_rewards / n_k + np.sqrt(math.log(t_budget / delta) / (2.0 * n_k))
 
 
 def argmax_lowest(values: Sequence[float]) -> int:
@@ -250,13 +252,11 @@ def write_trace_jsonl(trace: PolicyTrace, path, partition: Optional[Partition] =
 # ---------------------------------------------------------------------------
 
 
-def _run_streams(seed: int) -> tuple[np.random.Generator, random.Random]:
-    """Independent reward and selection streams derived from one seed."""
-    ss = np.random.SeedSequence(seed)
-    s_rewards, s_select = ss.spawn(2)
-    reward_rng = np.random.default_rng(s_rewards)
-    select = random.Random(int(s_select.generate_state(1, np.uint64)[0]))
-    return reward_rng, select
+def _run_streams(seed: int) -> tuple[np.random.Generator, np.random.SeedSequence]:
+    """Independent reward and selection streams derived from one seed: the
+    reward generator and the seed sequence of the selection stream."""
+    s_rewards, s_select = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(s_rewards), s_select
 
 
 def ucbf_run(
@@ -268,84 +268,57 @@ def ucbf_run(
 ) -> PolicyTrace:
     """Run the confidence-bound policy over alive bins for T pulls.
 
-    Initialisation pulls one uniformly-random arm from each alive bin in
-    ascending bin order (stopping early if the budget runs out); the main
-    loop then pulls a uniformly-random arm from the bin with the highest
-    index, ties to the lowest bin id.  A bin leaves the alive set in the
-    same step its last arm is pulled.
+    Initialisation pulls one arm from each alive bin in ascending bin order
+    (stopping early if the budget runs out); every later pull takes an arm
+    from the bin with the highest index, ties to the lowest bin id.  A bin
+    leaves the alive set in the same step its last arm is pulled.
+
+    Stream layout: the selection stream draws one uniform permutation of
+    each alive bin's arms, in ascending bin order, and the reward stream
+    draws each arm's reward in that order.  The n-th pull from a bin takes
+    the n-th arm of its permutation, so every index value a bin can take is
+    known before the run.  Pulling the largest current index is then a
+    stable sort: replace each bin's index sequence by its running minimum
+    (a bin whose index rises after a pull is still the largest and is
+    pulled again at once), concatenate in (bin, pull count) order, and sort
+    descending; ties fall to the lower bin as in the greedy rule.
     """
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     t_budget = instance.T
-    reward_rng, select = _run_streams(seed)
-    # Each arm is pulled at most once, so its reward can be drawn up front.
-    rew = instance.rewards.sample(instance.true_means, reward_rng).tolist()
-
-    counts = partition.counts
-    alive = [int(b) for b in partition.initial_alive()]
-    reachable = int(counts[alive].sum()) if alive else 0
+    alive = partition.initial_alive()
+    sizes = partition.counts[alive]
+    reachable = int(sizes.sum())
     if t_budget > reachable:
         raise ValueError(
             f"budget {t_budget} exceeds the {reachable} arms reachable through "
             "alive bins (bins holding fewer than two arms are never pulled)"
         )
-    remaining = partition.fresh_remaining()
-    max_pulls = int(counts[alive].max())
-    log_c = math.log(t_budget / delta)
-    bonus = np.sqrt(log_c / (2.0 * np.arange(1, max_pulls + 1))).tolist()
-    bonus.insert(0, math.inf)  # index 0 never used after initialisation
+    reward_rng, s_select = _run_streams(seed)
+    select = np.random.default_rng(s_select)
+    stream = np.concatenate([select.permutation(partition.arms_in_bin(b)) for b in alive])
+    rewards = instance.rewards.sample(instance.true_means[stream], reward_rng)
 
-    n_pulled = [0] * partition.bin_count
-    sums = [0.0] * partition.bin_count
-    index_of = [0.0] * partition.bin_count
-    pulled: list[int] = []
-    obs: list[float] = []
-    randrange = select.randrange
-
-    t = 0
-    for b in alive:
-        if t == t_budget:
-            break
-        lst = remaining[b]
-        j = randrange(len(lst))
-        lst[j], lst[-1] = lst[-1], lst[j]
-        arm = lst.pop()
-        y = rew[arm]
-        n_pulled[b] = 1
-        sums[b] = y
-        index_of[b] = y + bonus[1]
-        pulled.append(arm)
-        obs.append(y)
-        t += 1
-
-    while t < t_budget:
-        best = -1
-        best_v = -math.inf
-        for b in alive:
-            v = index_of[b]
-            if v > best_v:
-                best_v = v
-                best = b
-        lst = remaining[best]
-        m = len(lst)
-        j = randrange(m) if m > 1 else 0
-        lst[j], lst[-1] = lst[-1], lst[j]
-        arm = lst.pop()
-        y = rew[arm]
-        n = n_pulled[best] + 1
-        n_pulled[best] = n
-        s = sums[best] + y
-        sums[best] = s
-        index_of[best] = s / n + bonus[n]
-        pulled.append(arm)
-        obs.append(y)
-        if not lst:
-            alive.remove(best)
-        t += 1
-
-    return PolicyTrace(np.array(pulled, dtype=np.int64), np.array(obs), policy_id, seed)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    # keys[i] holds the running-minimum index of bin alive[i] after n = 1 ..
+    # size-1 pulls.  A cumsum per bin adds the rewards in pull order, as a
+    # per-pull loop does; one cumsum over all bins minus offsets would not.
+    keys = [
+        np.minimum.accumulate(
+            ucbf_index(np.cumsum(rewards[s : s + m - 1]), np.arange(1, m), t_budget, delta)
+        )
+        for s, m in zip(starts.tolist(), sizes.tolist())
+    ]
+    n_init = min(t_budget, alive.size)
+    later = np.argsort(-np.concatenate(keys), kind="stable")[: t_budget - n_init]
+    # Key q of bin i (its index after n = q - key_starts[i] + 1 pulls) picks
+    # the bin's next arm, at stream position starts[i] + n = q + i + 1.
+    key_starts = starts - np.arange(alive.size)
+    later += np.searchsorted(key_starts, later, side="right")
+    order = np.concatenate((starts[:n_init], later))
+    return PolicyTrace(stream[order], rewards[order], policy_id, seed)
 
 
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
@@ -376,8 +349,9 @@ def oracle_discrete(
     parts = [partition.arms_in_bin(int(b)) for b in order[:f_hat]]
     taken = sum(p.size for p in parts)
     remainder = instance.T - taken
-    reward_rng, select = _run_streams(seed)
+    reward_rng, s_select = _run_streams(seed)
     if remainder > 0:
+        select = random.Random(int(s_select.generate_state(1, np.uint64)[0]))
         pool = partition.arms_in_bin(int(order[f_hat])).tolist()
         parts.append(np.array(select.sample(pool, remainder), dtype=np.int64))
     pulled = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

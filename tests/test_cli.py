@@ -129,6 +129,22 @@ class TestDispatch:
         path = write_json(tmp_path / "bad.json", minimal_experiment(N_grid=[5]))
         assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, json_path",
+        [
+            ({"dim": 2}, "$.dim"),  # the sinusoid is one-dimensional
+            ({"dim": "2"}, "$.dim"),
+            ({"threshold_resolution": 1e6}, "$.threshold_resolution"),
+        ],
+    )
+    def test_bad_dim_and_resolution_are_config_errors(
+        self, tmp_path, capsys, overrides, json_path
+    ):
+        path = write_json(tmp_path / "bad.json", minimal_experiment(**overrides))
+        assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
+        assert f"config error at {json_path}:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert run(["sweep", "--config", "/no/such.json", "--out", str(tmp_path)]) == 1
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcab.analysis import regret_total
@@ -11,6 +11,7 @@ from fcab.environment import (
     Constant,
     PiecewiseLinear,
     RewardModel,
+    Sinusoid,
     grid_arms,
     make_instance,
     sample_arms_uniform,
@@ -163,6 +164,37 @@ class TestArgmax:
         assert argmax_lowest(values) == argmax_lowest(mapped)
 
 
+def reference_ucbf(inst, part, delta, seed):
+    """Per-pull loop over the stream layout ucbf_run documents: one
+    permutation of each alive bin's arms from the selection stream, rewards
+    drawn in that order, then forced pulls and argmax pulls of ucbf_index."""
+    s_rewards, s_select = np.random.SeedSequence(seed).spawn(2)
+    select = np.random.default_rng(s_select)
+    alive = [int(b) for b in part.initial_alive()]
+    queues = {b: select.permutation(part.arms_in_bin(b)).tolist() for b in alive}
+    stream = [arm for b in alive for arm in queues[b]]
+    drawn = inst.rewards.sample(inst.true_means[stream], np.random.default_rng(s_rewards))
+    reward_of = dict(zip(stream, drawn.tolist()))
+    n_pulled = dict.fromkeys(alive, 0)
+    sums = dict.fromkeys(alive, 0.0)
+    pulled = []
+
+    def pull(b):
+        arm = queues[b][n_pulled[b]]
+        n_pulled[b] += 1
+        sums[b] += reward_of[arm]
+        pulled.append(arm)
+        if n_pulled[b] == len(queues[b]):
+            alive.remove(b)
+
+    for b in alive[: inst.T]:
+        pull(b)
+    while len(pulled) < inst.T:
+        values = [ucbf_index(sums[b], n_pulled[b], inst.T, delta) for b in alive]
+        pull(alive[argmax_lowest(values)])
+    return pulled, [reward_of[arm] for arm in pulled]
+
+
 class TestUcbfRun:
     def test_init_only_when_budget_is_two(self):
         # Two alive bins and T = 2: the trace is exactly the two forced
@@ -249,59 +281,52 @@ class TestUcbfRun:
         assert pulled_bins <= alive
 
     def test_matches_uncached_reference(self):
-        # The run keeps per-bin indices cached; a straight reimplementation
-        # that recomputes every index through ucbf_index each step (same
-        # stream layout) must produce bit-identical traces.
-        import random as pyrandom
-
-        def reference(inst, part, delta, seed):
-            ss = np.random.SeedSequence(seed)
-            s_rewards, s_select = ss.spawn(2)
-            rew = inst.rewards.sample(
-                inst.true_means, np.random.default_rng(s_rewards)
-            ).tolist()
-            select = pyrandom.Random(int(s_select.generate_state(1, np.uint64)[0]))
-            alive = [int(b) for b in part.initial_alive()]
-            remaining = part.fresh_remaining()
-            n_pulled = [0] * part.bin_count
-            sums = [0.0] * part.bin_count
-            pulled = []
-            t = 0
-            for b in alive:
-                if t == inst.T:
-                    break
-                lst = remaining[b]
-                j = select.randrange(len(lst))
-                lst[j], lst[-1] = lst[-1], lst[j]
-                arm = lst.pop()
-                n_pulled[b], sums[b] = 1, rew[arm]
-                pulled.append(arm)
-                t += 1
-            while t < inst.T:
-                values = [
-                    ucbf_index(sums[b], n_pulled[b], inst.T, delta) for b in alive
-                ]
-                best = alive[argmax_lowest(values)]
-                lst = remaining[best]
-                j = select.randrange(len(lst)) if len(lst) > 1 else 0
-                lst[j], lst[-1] = lst[-1], lst[j]
-                arm = lst.pop()
-                n_pulled[best] += 1
-                sums[best] += rew[arm]
-                pulled.append(arm)
-                if not lst:
-                    alive.remove(best)
-                t += 1
-            return pulled
-
+        # The run orders its pulls by one stable sort; a straight per-pull
+        # loop on the same stream layout that recomputes every index through
+        # ucbf_index each step must produce bit-identical traces.
         for seed in range(6):
             inst = make_instance(
                 sample_arms_uniform(120, 1, 40 + seed), identity(), BERN, 70, 10**4
             )
             part = build_partition(inst.arms, 4)
             fast = ucbf_run(inst, part, 0.01, seed=seed)
-            slow = reference(inst, part, 0.01, seed=seed)
-            np.testing.assert_array_equal(fast.pulled, slow)
+            pulled, rewards = reference_ucbf(inst, part, 0.01, seed)
+            np.testing.assert_array_equal(fast.pulled, pulled)
+            np.testing.assert_array_equal(fast.rewards, rewards)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        dim=st.sampled_from([1, 2]),
+        k=st.integers(1, 7),
+        value=st.sampled_from([None, 0.0, 0.5, 1.0]),
+        gaussian=st.booleans(),
+        delta=st.sampled_from([1e-4, 0.01, 0.5]),
+        arm_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_matches_reference_on_random_instances(
+        self, n, dim, k, value, gaussian, delta, arm_seed, seed, data
+    ):
+        # Constant means (value) under 0/1 rewards give equal indices; small
+        # N with many bins gives singleton bins; T is drawn down to 1, below
+        # the number of alive bins.
+        arms = sample_arms_uniform(n, dim, arm_seed)
+        if value is not None:
+            mean_fn = Constant(value, dim=dim)
+        else:
+            mean_fn = identity() if dim == 1 else Sinusoid(0.4, 1.0, 0.5, dim=dim)
+        part = build_partition(arms, k)
+        reachable = int(part.counts[part.initial_alive()].sum())
+        assume(reachable >= 1)
+        t = data.draw(st.integers(1, reachable), label="T")
+        rewards = RewardModel("clipped_gaussian", 0.25) if gaussian else BERN
+        inst = make_instance(arms, mean_fn, rewards, t, 10**4)
+        fast = ucbf_run(inst, part, delta, seed=seed)
+        pulled, obs = reference_ucbf(inst, part, delta, seed)
+        np.testing.assert_array_equal(fast.pulled, pulled)
+        np.testing.assert_array_equal(fast.rewards, obs)
 
     def test_k1_matches_random_baseline_distribution(self):
         # With a single interval the run is sampling without replacement;
