@@ -251,7 +251,7 @@ def regret_decompose(
         r_boundary=r_boundary,
         f_hat=f_hat,
         f=math.floor(instance.p * partition.bin_count + 1e-9),
-        m_hat=float(means[instance.star_order()[t_budget - 1]]),
+        m_hat=instance.m_hat,
         threshold_M=m_thresh,
     )
 
@@ -311,7 +311,7 @@ def diagnostics(instance: Instance, partition, bin_means) -> DiagnosticsReport:
     order = np.argsort(-bin_means, kind="stable")
     f_hat = compute_f_hat(partition.counts[order], instance.T)
     f = math.floor(instance.p * partition.bin_count + 1e-9)
-    m_hat = float(instance.true_means[instance.star_order()[instance.T - 1]])
+    m_hat = instance.m_hat
     max_dev = float(
         np.max(np.abs(partition.counts - instance.n / partition.bin_count))
     )

@@ -72,6 +72,13 @@ def _check_schema(data: dict, errors: list) -> None:
         errors.append(("$.schema", f"unsupported schema version {data['schema']!r}"))
 
 
+def _master_seed(data: dict, errors: list):
+    master_seed = data.get("master_seed", 0)
+    if not isinstance(master_seed, int) or master_seed < 0:
+        errors.append(("$.master_seed", "must be a nonnegative integer"))
+    return master_seed
+
+
 def parse_config(path: str) -> experiments.ExperimentConfig:
     """Parse and validate an experiment config, reporting every schema
     problem with its JSON path."""
@@ -138,9 +145,7 @@ def parse_config(path: str) -> experiments.ExperimentConfig:
     if not isinstance(replications, int) or replications < 1:
         errors.append(("$.replications", "must be a positive integer"))
 
-    master_seed = data.get("master_seed", 0)
-    if not isinstance(master_seed, int) or master_seed < 0:
-        errors.append(("$.master_seed", "must be a nonnegative integer"))
+    master_seed = _master_seed(data, errors)
 
     covariates = data.get("covariates", UNIFORM)
     if covariates not in (UNIFORM, GRID):
@@ -198,7 +203,20 @@ def parse_lowerbound_config(path: str) -> dict:
     out["replications"] = data.get("replications", 100)
     if not isinstance(out["replications"], int) or out["replications"] < 1:
         errors.append(("$.replications", "must be a positive integer"))
-    out["master_seed"] = data.get("master_seed", 0)
+    out["master_seed"] = _master_seed(data, errors)
+    if out.get("N", 1) < 1:
+        errors.append(("$.N", "must be positive"))
+    if not 0.0 < out.get("p", 0.5) < 1.0:
+        errors.append(("$.p", "must lie in (0, 1)"))
+    if not out.get("L", 1.0) > 0.0:
+        errors.append(("$.L", "must be positive"))
+    if not errors:
+        try:
+            make_lower_bound_pair(out["p"], out["L"], out["alpha_lb"], out["N"])
+        except ValueError as exc:
+            # N, p and L are valid here: what fails is alpha_lb's window or
+            # the bump width it sets.
+            errors.append(("$.alpha_lb", str(exc)))
     if errors:
         raise ConfigError(errors)
     return out

@@ -553,9 +553,10 @@ class Instance:
     """A fully-specified budgeted bandit problem.
 
     ``true_means`` caches the mean function evaluated at every covariate;
-    ``star_order`` is the greedy-oracle permutation (decreasing true mean,
-    ties by ascending arm index), computed lazily and reused by both the
-    oracle policy and the regret computations.
+    ``star_order`` is the greedy oracle's pull set (the T arms with the
+    largest true means, ties to the lower arm index) in ascending arm
+    index, computed lazily by selection and reused by the oracle policy
+    and the regret computations.
     """
 
     arms: ArmSet
@@ -565,7 +566,7 @@ class Instance:
     p: float
     threshold_M: float
     true_means: np.ndarray
-    _star_order: Optional[np.ndarray] = field(default=None, repr=False)
+    _star: Optional[np.ndarray] = field(default=None, repr=False)
     _top_sum: Optional[float] = field(default=None, repr=False)
 
     @property
@@ -573,19 +574,29 @@ class Instance:
         return self.arms.n
 
     def star_order(self) -> np.ndarray:
-        if self._star_order is None:
-            # Stable sort on negated means: ties resolve to the lower index.
-            self._star_order = np.argsort(-self.true_means, kind="stable")
-        return self._star_order
+        """The T arms with the largest true means, in ascending arm index;
+        of the arms whose mean equals the T-th largest, the lowest indices
+        are taken.  O(N): no sort of the means."""
+        if self._star is None:
+            m, cut = self.true_means, self.n - self.T
+            v = np.partition(m, cut)[cut]
+            take = m > v
+            ties = np.flatnonzero(m == v)
+            take[ties[: self.T - np.count_nonzero(take)]] = True
+            self._star = np.flatnonzero(take)
+        return self._star
 
     def top_mean_sum(self) -> float:
         """Sum of the T largest true means, accumulated in ascending arm
         index order so that identical pull sets reproduce it bitwise."""
         if self._top_sum is None:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[self.star_order()[: self.T]] = True
-            self._top_sum = float(self.true_means[mask].sum())
+            self._top_sum = float(self.true_means[self.star_order()].sum())
         return self._top_sum
+
+    @property
+    def m_hat(self) -> float:
+        """Empirical threshold: the T-th largest true mean."""
+        return float(self.true_means[self.star_order()].min())
 
 
 def make_instance(

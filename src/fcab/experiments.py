@@ -141,12 +141,6 @@ def krule_from_json(spec: dict) -> KRule:
     return KRule(kind=spec.get("kind", "paper_default"), k=spec.get("k"))
 
 
-def _default_delta(n: int, dim: int) -> float:
-    if dim == 1:
-        return float(n) ** (-4.0 / 3.0)
-    return float(n) ** (-(2.0 * dim + 2.0) / (dim + 2.0))
-
-
 def choose_k(k_rule: KRule, regime: Regime, n: int, t: int, p: float, dim: int) -> int:
     if k_rule.kind == "explicit":
         return int(k_rule.k)
@@ -327,7 +321,7 @@ def run_trial(
     k = choose_k(config.k_rule, config.regime, n, t_budget, p, config.dim)
     if policy_id == "ucbf-cab-k":
         k = policies.cab_parameters(t_budget)
-    delta = _default_delta(n, config.dim)
+    delta = policies.default_parameters(n, p, config.dim).delta
     partition = policies.build_partition(arms, k)
     if config.bin_means_mode == "empirical":
         bin_means = analysis.bin_means_empirical(instance, partition)

@@ -77,8 +77,12 @@ class Partition:
 
     def __post_init__(self):
         if self._order is None:
-            # Stable sort groups arms by bin in ascending arm order.
-            self._order = np.argsort(self.assignment, kind="stable")
+            # Stable sort groups arms by bin in ascending arm order.  Keys of
+            # the narrowest unsigned type that holds every bin id let numpy
+            # radix-sort up to 2^16 bins; a stable sort has one result
+            # whatever the key type.
+            keys = self.assignment.astype(np.min_scalar_type(self.bin_count - 1))
+            self._order = np.argsort(keys, kind="stable")
             self._offsets = np.concatenate(([0], np.cumsum(self.counts)))
 
     @property
@@ -324,7 +328,10 @@ def ucbf_run(
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Greedy oracle: pulls the T arms with the largest true means, in
     decreasing-mean order with ties broken by ascending arm index."""
-    pulled = instance.star_order()[: instance.T].copy()
+    star = instance.star_order()
+    # The star set is in ascending index, so a stable sort of its T means
+    # breaks ties by index.
+    pulled = star[np.argsort(-instance.true_means[star], kind="stable")]
     reward_rng, _ = _run_streams(seed)
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
     return PolicyTrace(pulled, obs, "oracle-star", seed)

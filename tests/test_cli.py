@@ -177,6 +177,29 @@ class TestDispatch:
         assert report["kl"] <= report["kl_bound"]
         assert report["replications"] == 4
 
+    @pytest.mark.parametrize(
+        "overrides, json_path",
+        [
+            ({"alpha_lb": 0.9}, "$.alpha_lb"),  # above the (20 N^(-2/3), 0.5] window
+            ({"alpha_lb": 0.1}, "$.alpha_lb"),  # below it: 20 * 1000^(-2/3) = 0.2
+            ({"p": 0.05, "alpha_lb": 0.5}, "$.alpha_lb"),  # bumps wider than p
+            ({"p": 1.5}, "$.p"),
+            ({"L": 0.0}, "$.L"),
+            ({"master_seed": -5}, "$.master_seed"),
+            ({"master_seed": "abc"}, "$.master_seed"),
+        ],
+    )
+    def test_bad_lowerbound_config_is_config_error(
+        self, tmp_path, capsys, overrides, json_path
+    ):
+        cfg = {"schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,
+               "replications": 2}
+        cfg.update(overrides)
+        path = write_json(tmp_path / "lb.json", cfg)
+        assert run(["lowerbound", "--config", path, "--out", str(tmp_path)]) == 1
+        assert f"config error at {json_path}:" in capsys.readouterr().err
+        assert not (tmp_path / "lb_report.json").exists()
+
     def test_validate_lower_bound_pair(self, tmp_path):
         cfg = write_json(
             tmp_path / "val.json",

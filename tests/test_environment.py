@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fcab.environment import (
     Constant,
+    Instance,
     LowerBoundMember,
     PiecewiseLinear,
     RewardModel,
@@ -26,6 +27,7 @@ from fcab.environment import (
     verify_margin,
     verify_weak_lipschitz,
 )
+from fcab.policies import oracle_star
 
 
 def identity():
@@ -394,4 +396,28 @@ class TestInstances:
     def test_star_order_ties_break_by_index(self):
         arms = grid_arms(4)
         inst = make_instance(arms, Constant(0.5), RewardModel("bernoulli"), 2)
-        np.testing.assert_array_equal(inst.star_order(), [0, 1, 2, 3])
+        np.testing.assert_array_equal(inst.star_order(), [0, 1])
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                st.integers(0, 2),
+                st.booleans(),
+                st.integers(1, n),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_star_set_matches_full_stable_sort(self, case):
+        # Means rounded to 0-2 decimals, or all equal, so ties fall at the cut.
+        values, decimals, constant, t_budget = case
+        means = np.full(len(values), values[0]) if constant else np.round(values, decimals)
+        n = means.size
+        inst = Instance(grid_arms(n), Constant(0.5), RewardModel("bernoulli"),
+                        t_budget, t_budget / n, 0.5, means)
+        prefix = np.argsort(-means, kind="stable")[:t_budget]
+        np.testing.assert_array_equal(inst.star_order(), np.sort(prefix))
+        np.testing.assert_array_equal(oracle_star(inst, 0).pulled, prefix)
+        assert inst.m_hat == means[prefix[-1]]
+        assert inst.top_mean_sum() == float(means[np.sort(prefix)].sum())

@@ -57,6 +57,24 @@ class TestPartition:
         # per-axis digits floor(0.4*3)=1, floor(0.9*3)=2; row-major id 1*3+2
         assert part.assignment[0] == 5
 
+    @pytest.mark.parametrize(
+        "dim, k", [(1, 255), (1, 256), (1, 257), (2, 256), (2, 257)]
+    )
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000))
+    @settings(max_examples=20, deadline=None)
+    def test_grouping_matches_int64_stable_sort(self, dim, k, seed, n):
+        # k^dim bins on both sides of the uint8 and uint16 key limits.
+        rng = np.random.default_rng(seed)
+        cov = rng.random((n, dim))
+        # Every other arm sits on one of four points, so some bins hold
+        # many arms with interleaved indices.
+        cov[::2] = rng.random((4, dim))[rng.integers(0, 4, cov[::2].shape[0])]
+        cov[0] = 1.0  # occupies the last bin, id k^dim - 1
+        part = build_partition(ArmSet(cov, "uniform"), k)
+        np.testing.assert_array_equal(
+            part._order, np.argsort(part.assignment, kind="stable")
+        )
+
     def test_counts_match_assignment(self):
         arms = sample_arms_uniform(500, 2, 3)
         part = build_partition(arms, 4)
