@@ -22,13 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import (
-    Constant,
-    Instance,
-    LowerBoundMember,
-    MeanFunction,
-    PiecewiseLinear,
-)
+from .environment import Constant, Instance, MeanFunction, PiecewiseLinear, Record
 
 __all__ = [
     "RegretDecomposition",
@@ -61,7 +55,7 @@ def _piecewise_bin_mean(breakpoints, values, lo: float, hi: float) -> float:
 def bin_mean(f: MeanFunction, lo, hi, nodes: int = 10**4) -> float:
     """Average of the mean function over an axis-aligned bin.
 
-    Piecewise-linear functions (including the lower-bound members) and
+    Piecewise-linear functions (the lower-bound members among them) and
     constants integrate in closed form.  Everything else uses composite
     midpoint quadrature with ``nodes`` points along each axis in one
     dimension, and roughly ``nodes`` points total above (error at most
@@ -73,9 +67,6 @@ def bin_mean(f: MeanFunction, lo, hi, nodes: int = 10**4) -> float:
         raise ValueError("bin bounds must satisfy 0 <= lo < hi <= 1")
     if isinstance(f, Constant):
         return float(f.value)
-    if isinstance(f, LowerBoundMember):
-        xs, ys = f._knots()
-        return _piecewise_bin_mean(xs, ys, float(lo[0]), float(hi[0]))
     if isinstance(f, PiecewiseLinear):
         return _piecewise_bin_mean(f.breakpoints, f.values, float(lo[0]), float(hi[0]))
     dim = lo.size
@@ -165,7 +156,7 @@ def regret_total(instance: Instance, trace) -> float:
 
 
 @dataclass(frozen=True)
-class RegretDecomposition:
+class RegretDecomposition(Record):
     """Exact split of one run's regret.
 
     r_total = r_disc + r_fmab and r_fmab = r_opt + r_boundary + r_subopt,
@@ -183,20 +174,6 @@ class RegretDecomposition:
     f: int
     m_hat: float
     threshold_M: float
-
-    def to_json(self) -> dict:
-        return {
-            "r_total": self.r_total,
-            "r_disc": self.r_disc,
-            "r_fmab": self.r_fmab,
-            "r_opt": self.r_opt,
-            "r_subopt": self.r_subopt,
-            "r_boundary": self.r_boundary,
-            "f_hat": self.f_hat,
-            "f": self.f,
-            "m_hat": self.m_hat,
-            "threshold_M": self.threshold_M,
-        }
 
 
 def regret_decompose(
@@ -262,7 +239,7 @@ def regret_decompose(
 
 
 @dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(Record):
     """Runtime quantities tracked against their concentration scales.
 
     ``m_hat_gap_scaled`` is |M_hat - M| * K / L (None when no Lipschitz
@@ -285,24 +262,6 @@ class DiagnosticsReport:
     m_hat_gap_scaled: Optional[float]
     max_count_dev: float
     count_dev_scaled: float
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "t_budget": self.t_budget,
-            "p": self.p,
-            "k_per_axis": self.k_per_axis,
-            "dim": self.dim,
-            "bin_count": self.bin_count,
-            "f": self.f,
-            "f_hat": self.f_hat,
-            "f_gap": self.f_gap,
-            "threshold_M": self.threshold_M,
-            "m_hat": self.m_hat,
-            "m_hat_gap_scaled": self.m_hat_gap_scaled,
-            "max_count_dev": self.max_count_dev,
-            "count_dev_scaled": self.count_dev_scaled,
-        }
 
 
 def diagnostics(instance: Instance, partition, bin_means) -> DiagnosticsReport:

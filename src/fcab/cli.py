@@ -15,26 +15,11 @@ import os
 import sys
 import tempfile
 
-from . import experiments, policies
-from .environment import (
-    GRID,
-    UNIFORM,
-    make_lower_bound_pair,
-    mean_function_from_json,
-    reward_model_from_json,
-    verify_margin,
-    verify_weak_lipschitz,
-)
+from . import experiments
+from .environment import make_lower_bound_pair, verify_margin, verify_weak_lipschitz
+from .experiments import ConfigError
 
 log = logging.getLogger("fcab")
-
-
-class ConfigError(Exception):
-    """Invalid configuration; carries (json_path, message) pairs."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -52,198 +37,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     if not os.path.exists(path):
         raise ConfigError([("$", f"config file not found: {path}")])
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError([("$", f"invalid JSON: {exc}")])
-    if not isinstance(data, dict):
-        raise ConfigError([("$", "config must be a JSON object")])
-    return data
-
-
-def _check_schema(data: dict, errors: list) -> None:
-    if "schema" not in data:
-        errors.append(("$.schema", "missing schema version"))
-    elif data["schema"] != 1:
-        errors.append(("$.schema", f"unsupported schema version {data['schema']!r}"))
-
-
-def _master_seed(data: dict, errors: list):
-    master_seed = data.get("master_seed", 0)
-    if not isinstance(master_seed, int) or master_seed < 0:
-        errors.append(("$.master_seed", "must be a nonnegative integer"))
-    return master_seed
 
 
 def parse_config(path: str) -> experiments.ExperimentConfig:
     """Parse and validate an experiment config, reporting every schema
     problem with its JSON path."""
-    data = _load_json(path)
-    errors: list = []
-    _check_schema(data, errors)
-
-    mean_function = None
-    if "mean_function" not in data:
-        errors.append(("$.mean_function", "missing"))
-    else:
-        try:
-            mean_function = mean_function_from_json(data["mean_function"])
-        except (ValueError, KeyError, TypeError) as exc:
-            errors.append(("$.mean_function", str(exc)))
-
-    reward_model = None
-    try:
-        reward_model = reward_model_from_json(data.get("reward_model", {"kind": "bernoulli"}))
-    except ValueError as exc:
-        errors.append(("$.reward_model", str(exc)))
-
-    regime = None
-    if "regime" not in data:
-        errors.append(("$.regime", "missing"))
-    else:
-        try:
-            regime = experiments.regime_from_json(data["regime"])
-        except (ValueError, KeyError, TypeError) as exc:
-            if isinstance(exc, ValueError) and "alpha" in str(exc):
-                errors.append(("$.regime.alpha", "alpha must lie in the (2/3, 1] window"))
-            else:
-                errors.append(("$.regime", str(exc)))
-
-    k_rule = experiments.KRule()
-    if "K_rule" in data:
-        try:
-            k_rule = experiments.krule_from_json(data["K_rule"])
-        except (ValueError, TypeError) as exc:
-            errors.append(("$.K_rule", str(exc)))
-
-    policy_list = data.get("policies")
-    if not isinstance(policy_list, list) or not policy_list:
-        errors.append(("$.policies", "must be a non-empty list of policy ids"))
-        policy_list = []
-    else:
-        unknown = [p for p in policy_list if p not in policies.POLICY_IDS]
-        if unknown:
-            errors.append(
-                (
-                    "$.policies",
-                    f"unknown ids {unknown}; valid ids: {list(policies.POLICY_IDS)}",
-                )
-            )
-
-    n_grid = data.get("N_grid")
-    if not isinstance(n_grid, list) or not n_grid:
-        errors.append(("$.N_grid", "must be a non-empty list of integers"))
-        n_grid = []
-    elif any((not isinstance(n, int)) or n < 30 for n in n_grid):
-        errors.append(("$.N_grid", "every N must be an integer of at least 30"))
-
-    replications = data.get("replications", 1)
-    if not isinstance(replications, int) or replications < 1:
-        errors.append(("$.replications", "must be a positive integer"))
-
-    master_seed = _master_seed(data, errors)
-
-    covariates = data.get("covariates", UNIFORM)
-    if covariates not in (UNIFORM, GRID):
-        errors.append(("$.covariates", f"must be '{UNIFORM}' or '{GRID}'"))
-
-    dim = data.get("dim", 1)
-    if type(dim) is not int or dim < 1:
-        errors.append(("$.dim", "must be a positive integer"))
-    elif mean_function is not None and mean_function.dim != dim:
-        errors.append(
-            ("$.dim", f"the mean function is {mean_function.dim}-dimensional, not {dim}")
-        )
-
-    threshold_resolution = data.get("threshold_resolution", 10**6)
-    if type(threshold_resolution) is not int or threshold_resolution < 1000:
-        errors.append(("$.threshold_resolution", "must be an integer of at least 1000"))
-
-    if errors:
-        raise ConfigError(errors)
-    try:
-        return experiments.ExperimentConfig(
-            mean_function=mean_function,
-            reward_model=reward_model,
-            policies=tuple(policy_list),
-            n_grid=tuple(n_grid),
-            regime=regime,
-            replications=replications,
-            master_seed=master_seed,
-            k_rule=k_rule,
-            covariates=covariates,
-            dim=dim,
-            bin_means_mode=data.get("bin_means", "quadrature"),
-            threshold_resolution=threshold_resolution,
-        )
-    except ValueError as exc:
-        raise ConfigError([("$", str(exc))])
+    return experiments.ExperimentConfig.from_json(_load_json(path))
 
 
 def parse_lowerbound_config(path: str) -> dict:
-    data = _load_json(path)
-    errors: list = []
-    _check_schema(data, errors)
-    out = {}
-    for key, kind in (("N", int), ("p", float), ("L", float), ("alpha_lb", float)):
-        if key not in data:
-            errors.append((f"$.{key}", "missing"))
-        else:
-            try:
-                out[key] = kind(data[key])
-            except (TypeError, ValueError):
-                errors.append((f"$.{key}", f"must be a {kind.__name__}"))
-    out["policy"] = data.get("policy", "ucbf")
-    if out["policy"] not in ("ucbf", "ucbf-cab-k", "oracle-star", "random"):
-        errors.append(("$.policy", "unsupported policy for the protocol"))
-    out["replications"] = data.get("replications", 100)
-    if not isinstance(out["replications"], int) or out["replications"] < 1:
-        errors.append(("$.replications", "must be a positive integer"))
-    out["master_seed"] = _master_seed(data, errors)
-    if out.get("N", 1) < 1:
-        errors.append(("$.N", "must be positive"))
-    if not 0.0 < out.get("p", 0.5) < 1.0:
-        errors.append(("$.p", "must lie in (0, 1)"))
-    if not out.get("L", 1.0) > 0.0:
-        errors.append(("$.L", "must be positive"))
-    if not errors:
-        try:
-            make_lower_bound_pair(out["p"], out["L"], out["alpha_lb"], out["N"])
-        except ValueError as exc:
-            # N, p and L are valid here: what fails is alpha_lb's window or
-            # the bump width it sets.
-            errors.append(("$.alpha_lb", str(exc)))
-    if errors:
-        raise ConfigError(errors)
-    return out
+    return experiments.lower_bound_config_from_json(_load_json(path))
 
 
 def parse_validate_config(path: str) -> dict:
-    data = _load_json(path)
-    errors: list = []
-    _check_schema(data, errors)
-    pair = data.get("pair")
-    if not isinstance(pair, dict):
-        errors.append(("$.pair", "missing lower-bound pair parameters"))
-        pair = {}
-    out = {"pair": {}}
-    for key in ("N", "p", "L", "alpha_lb"):
-        if key not in pair:
-            errors.append((f"$.pair.{key}", "missing"))
-        else:
-            out["pair"][key] = pair[key]
-    out["lipschitz_grid"] = data.get("lipschitz_grid", 2000)
-    out["margin_grid"] = data.get("margin_grid", 10**5)
-    out["eps_factors"] = data.get("eps_factors", [1.5, 2.0, 4.0])
-    if not isinstance(out["eps_factors"], list) or not out["eps_factors"]:
-        errors.append(("$.eps_factors", "must be a non-empty list"))
-    if errors:
-        raise ConfigError(errors)
-    return out
+    return experiments.validate_config_from_json(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +70,34 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _experiment_config(args) -> experiments.ExperimentConfig:
     config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    if args.seed is None:
+        return config
+    return dataclasses.replace(config, master_seed=args.seed)
+
+
+def _cmd_sweep(args) -> int:
+    config = _experiment_config(args)
     result = experiments.run_sweep(config, threads=args.threads)
-    out = os.path.join(args.out, "sweep.csv")
-    _atomic_write(out, experiments.sweep_csv_text(result))
     for row in result.rows:
         log.info(
             "cell policy=%s N=%d regret_mean=%.4f wall_ms=%.1f",
             row.policy_id, row.n, row.regret_mean, row.wall_ms,
         )
     if result.errors:
+        # A sweep.csv without its failed cells would read as complete.
         for policy_id, n, message in result.errors:
             log.error("cell policy=%s N=%d failed: %s", policy_id, n, message)
         return 2
+    out = os.path.join(args.out, "sweep.csv")
+    _atomic_write(out, experiments.sweep_csv_text(result))
     log.info("wrote %s (%d rows)", out, len(result.rows))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    config = _experiment_config(args)
     lines = []
     for n in config.n_grid:
         for policy_id in config.policies:
@@ -330,7 +149,7 @@ def _cmd_validate(args) -> int:
     cfg = parse_validate_config(args.config)
     p = cfg["pair"]
     pair = make_lower_bound_pair(p["p"], p["L"], p["alpha_lb"], p["N"])
-    q = 6.0 * max(1.0 / p["L"], 2.0)
+    q = pair.m0.margin_Q
     eps = [f * pair.L_tilde * pair.lb_half_width for f in cfg["eps_factors"]]
     result = {
         "pair": {
@@ -407,6 +226,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 0:
         print("error: --threads must be nonnegative", file=sys.stderr)
+        return 1
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
         return 1
     if not os.path.isdir(args.out):
         print(f"error: output directory does not exist: {args.out}", file=sys.stderr)

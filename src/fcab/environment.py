@@ -15,6 +15,8 @@ validators for the weak-Lipschitz and margin regularity conditions.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +24,8 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "ConfigError",
+    "Record",
     "ArmSet",
     "MeanFunction",
     "Constant",
@@ -48,6 +52,30 @@ __all__ = [
 
 UNIFORM = "uniform"
 GRID = "grid"
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; carries every (json_path, message) pair found.
+
+    A config type reports paths rooted at its own JSON object (``$.p``);
+    the parser of an enclosing object moves them under its own path with
+    ``under``.
+    """
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
+
+    def under(self, path: str) -> "ConfigError":
+        """The same errors with their root ``$`` replaced by ``path``."""
+        return ConfigError([(path + p[1:], m) for p, m in self.errors])
+
+
+class Record:
+    """Result record whose JSON form is its dataclass fields."""
+
+    def to_json(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +186,10 @@ class MeanFunction:
         return self.evaluate(x)
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """``kind`` plus the constructor fields, which
+        ``mean_function_from_json`` takes back."""
+        fields = dataclasses.fields(self)
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields if f.init}}
 
 
 @dataclass(frozen=True)
@@ -180,9 +211,6 @@ class Constant(MeanFunction):
         pts, scalar = _as_points(x, self.dim)
         out = np.full(pts.shape[0], self.value, dtype=np.float64)
         return float(out[0]) if scalar else out
-
-    def to_json(self):
-        return {"kind": self.kind, "value": self.value, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -224,21 +252,6 @@ class PiecewiseLinear(MeanFunction):
         out = np.interp(pts[:, 0], self.breakpoints, self.values)
         return float(out[0]) if scalar else out
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
-            "lipschitz_L": self.lipschitz_L,
-            "margin_Q": self.margin_Q,
-            "analytic_M": self.analytic_M,
-        }
-
-
-def identity_mean() -> PiecewiseLinear:
-    """The linear mean m(x) = x."""
-    return PiecewiseLinear((0.0, 1.0), (0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class Sinusoid(MeanFunction):
@@ -274,17 +287,6 @@ class Sinusoid(MeanFunction):
         out = self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * u)
         return float(out[0]) if scalar else out
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "offset": self.offset,
-            "dim": self.dim,
-            "margin_Q": self.margin_Q,
-            "analytic_M": self.analytic_M,
-        }
-
 
 @dataclass(frozen=True)
 class Tabulated(MeanFunction):
@@ -316,92 +318,43 @@ class Tabulated(MeanFunction):
         out = np.interp(pts[:, 0], self._knots, self.grid_values)
         return float(out[0]) if scalar else out
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "grid_values": list(self.grid_values),
-            "margin_Q": self.margin_Q,
-            "analytic_M": self.analytic_M,
-        }
 
-
-@dataclass(frozen=True)
-class LowerBoundMember(MeanFunction):
+def LowerBoundMember(
+    role: int = 0,
+    p: float = 0.5,
+    l_tilde: float = 0.5,
+    half_width: float = 0.01,
+    margin_Q: Optional[float] = None,
+) -> PiecewiseLinear:
     """One member of the adversarial pair around the threshold 1/2.
 
     Both members climb linearly with slope ``l_tilde`` towards 1/2 at
-    ``x0``, then carry two bump segments of half-width ``half_width`` on
-    [x0, 1-p] and [1-p, x1], and climb away from 1/2 after ``x1``.  The
-    role decides the bump orientation: role 0 dips below 1/2 on the left
-    bump and rises on the right one, role 1 is the mirror image.  The two
-    roles agree pointwise outside [x0, x1] and share the exact threshold
-    level 1/2.
+    x0 = 1-p-2*half_width, then carry two bump segments of half-width
+    ``half_width`` on [x0, 1-p] and [1-p, x1], x1 = 1-p+2*half_width, and
+    climb away from 1/2 after x1.  The role decides the bump orientation:
+    role 0 dips below 1/2 on the left bump and rises on the right one,
+    role 1 is the mirror image.  The two roles agree pointwise outside
+    [x0, x1] and share the exact threshold level 1/2.
     """
-
-    role: int = 0
-    p: float = 0.5
-    l_tilde: float = 0.5
-    half_width: float = 0.01
-    margin_Q: Optional[float] = None
-    dim: int = field(default=1, init=False)
-    kind: str = field(default="lower_bound_member", init=False)
-
-    def __post_init__(self):
-        if self.role not in (0, 1):
-            raise ValueError("role must be 0 or 1")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
-        if self.half_width <= 0 or 2.0 * self.half_width >= min(self.p, 1.0 - self.p):
-            raise ValueError("bump width too large for this budget fraction")
-        if not 0.0 < self.l_tilde <= 0.5:
-            raise ValueError("slope must lie in (0, 0.5]")
-        object.__setattr__(self, "lipschitz_L", self.l_tilde)
-        object.__setattr__(self, "analytic_M", 0.5)
-
-    @property
-    def x0(self) -> float:
-        return 1.0 - self.p - 2.0 * self.half_width
-
-    @property
-    def x1(self) -> float:
-        return 1.0 - self.p + 2.0 * self.half_width
-
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        lt, d = self.l_tilde, self.half_width
-        xs = np.array([0.0, self.x0, self.x0 + d, 1.0 - self.p, 1.0 - self.p + d, self.x1, 1.0])
-        bump = lt * d
-        if self.role == 0:
-            mids = (0.5 - bump, 0.5, 0.5 + bump)
-        else:
-            mids = (0.5 + bump, 0.5, 0.5 - bump)
-        ys = np.array([0.5 - lt * self.x0, 0.5, mids[0], mids[1], mids[2], 0.5, 0.5 + lt * (1.0 - self.x1)])
-        return xs, ys
-
-    def evaluate(self, x):
-        pts, scalar = _as_points(x, 1)
-        xs, ys = self._knots()
-        out = np.interp(pts[:, 0], xs, ys)
-        return float(out[0]) if scalar else out
-
-    def as_piecewise_linear(self) -> PiecewiseLinear:
-        xs, ys = self._knots()
-        return PiecewiseLinear(
-            tuple(xs.tolist()),
-            tuple(ys.tolist()),
-            lipschitz_L=self.lipschitz_L,
-            margin_Q=self.margin_Q,
-            analytic_M=0.5,
-        )
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "role": self.role,
-            "p": self.p,
-            "l_tilde": self.l_tilde,
-            "half_width": self.half_width,
-            "margin_Q": self.margin_Q,
-        }
+    if role not in (0, 1):
+        raise ValueError("role must be 0 or 1")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if half_width <= 0 or 2.0 * half_width >= min(p, 1.0 - p):
+        raise ValueError("bump width too large for this budget fraction")
+    if not 0.0 < l_tilde <= 0.5:
+        raise ValueError("slope must lie in (0, 0.5]")
+    x0 = 1.0 - p - 2.0 * half_width
+    x1 = 1.0 - p + 2.0 * half_width
+    bump = l_tilde * half_width
+    mids = (0.5 - bump, 0.5, 0.5 + bump) if role == 0 else (0.5 + bump, 0.5, 0.5 - bump)
+    return PiecewiseLinear(
+        (0.0, x0, x0 + half_width, 1.0 - p, 1.0 - p + half_width, x1, 1.0),
+        (0.5 - l_tilde * x0, 0.5, *mids, 0.5, 0.5 + l_tilde * (1.0 - x1)),
+        lipschitz_L=l_tilde,
+        margin_Q=margin_Q,
+        analytic_M=0.5,
+    )
 
 
 _MEAN_KINDS = {
@@ -421,11 +374,6 @@ def mean_function_from_json(spec: dict) -> MeanFunction:
     if kind not in _MEAN_KINDS:
         raise ValueError(f"unknown mean function kind {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    if kind in ("piecewise_linear",):
-        kwargs["breakpoints"] = tuple(kwargs["breakpoints"])
-        kwargs["values"] = tuple(kwargs["values"])
-    if kind == "tabulated":
-        kwargs["grid_values"] = tuple(kwargs["grid_values"])
     return _MEAN_KINDS[kind](**kwargs)
 
 
@@ -464,9 +412,9 @@ class RewardModel:
 
     def __post_init__(self):
         if self.kind not in (BERNOULLI, CLIPPED_GAUSSIAN):
-            raise ValueError(f"unknown reward model {self.kind!r}")
+            raise ConfigError([("$.kind", f"unknown reward model {self.kind!r}")])
         if self.kind == CLIPPED_GAUSSIAN and self.sigma <= 0:
-            raise ValueError("clipped gaussian needs a positive sigma")
+            raise ConfigError([("$.sigma", "clipped gaussian needs a positive sigma")])
 
     def sample(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one reward per entry of ``means``."""
@@ -477,18 +425,6 @@ class RewardModel:
             return (rng.random(means.shape) < means).astype(np.float64)
         draw = means + self.sigma * rng.standard_normal(means.shape)
         return np.clip(draw, 0.0, 1.0)
-
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.kind == CLIPPED_GAUSSIAN:
-            out["sigma"] = self.sigma
-        return out
-
-
-def reward_model_from_json(spec: dict) -> RewardModel:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("reward model description must be an object with a 'kind' tag")
-    return RewardModel(kind=spec["kind"], sigma=float(spec.get("sigma", 0.0)))
 
 
 def sample_reward(model: RewardModel, mean: float, rng: np.random.Generator) -> float:
@@ -513,6 +449,8 @@ def _threshold_grid(dim: int, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+# Cached: every trial of a sweep cell asks for the same threshold.
+@functools.lru_cache(maxsize=128)
 def compute_threshold_M(
     f: MeanFunction,
     p: float,
@@ -521,17 +459,18 @@ def compute_threshold_M(
 ) -> float:
     """Threshold level M = inf{A : measure{m >= A} < p}.
 
-    Returns the declared analytic value when available.  Otherwise takes
-    the empirical (1 - p)-quantile of ``f`` over a uniform left-endpoint
-    grid, with the infimum convention on plateaus: the result is the
-    smallest grid value whose exceedance fraction drops below ``p``.  The
-    grid error is at most L * dim / resolution for an L-Lipschitz mean.
+    Returns the declared analytic value when available and p < 1.
+    Otherwise takes the empirical (1 - p)-quantile of ``f`` over a uniform
+    left-endpoint grid, with the infimum convention on plateaus: the
+    result is the smallest grid value whose exceedance fraction drops
+    below ``p``; at p = 1 that is the grid minimum.  The grid error is at
+    most L * dim / resolution for an L-Lipschitz mean.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
     if resolution < 1000:
         raise ValueError("resolution below 1000 rejected")
-    if use_analytic and f.analytic_M is not None:
+    if use_analytic and f.analytic_M is not None and p < 1.0:
         return float(f.analytic_M)
     values = f.evaluate(_threshold_grid(f.dim, resolution))
     r = values.shape[0]
@@ -611,11 +550,7 @@ def make_instance(
     if mean.dim != arms.dim:
         raise ValueError("mean function dimension must match the covariates")
     p = T / arms.n
-    if p < 1.0:
-        threshold = compute_threshold_M(mean, p, threshold_resolution)
-    else:
-        # T = N pulls everything; the threshold is the smallest mean.
-        threshold = float(np.min(mean.evaluate(arms.covariates)))
+    threshold = compute_threshold_M(mean, p, threshold_resolution)
     means = np.asarray(mean.evaluate(arms.covariates), dtype=np.float64)
     return Instance(arms, mean, rewards, T, p, threshold, means)
 
@@ -629,8 +564,8 @@ def make_instance(
 class InstancePair:
     """Adversarial pair of mean functions for the lower-bound protocol."""
 
-    m0: LowerBoundMember
-    m1: LowerBoundMember
+    m0: PiecewiseLinear
+    m1: PiecewiseLinear
     lb_half_width: float
     x0: float
     x1: float
@@ -647,35 +582,37 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
     The bump half-width is alpha_lb * (N * L~^2)^(-1/3) with L~ = min(L, 0.5).
     ``alpha_lb`` must lie in (20 N^(-2/3), 0.5] and the bumps must fit
     strictly between 0 and 1; violating either signals that N is too small
-    for this (p, L).
+    for this (p, L).  Errors carry the JSON path of the parameter at fault.
     """
+    errors = []
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if N < 1:
-        raise ValueError("N must be positive")
+        errors.append(("$.p", "must lie in (0, 1)"))
+    if not L > 0:
+        errors.append(("$.L", "must be positive"))
+    if not N >= 1:
+        errors.append(("$.N", "must be positive"))
+    if errors:
+        raise ConfigError(errors)
     lo = 20.0 * N ** (-2.0 / 3.0)
     if not lo < alpha_lb <= 0.5:
-        raise ValueError(
-            f"alpha_lb must lie in ({lo:.6g}, 0.5]; N is too small for this choice"
+        raise ConfigError(
+            [("$.alpha_lb", f"must lie in ({lo:.6g}, 0.5]; N is too small for this choice")]
         )
     l_tilde = min(L, 0.5)
     half_width = alpha_lb * (N * l_tilde**2) ** (-1.0 / 3.0)
     if 2.0 * half_width >= min(p, 1.0 - p):
-        raise ValueError(
+        raise ConfigError([(
+            "$.alpha_lb",
             "bump width does not fit between the budget fraction and its "
-            "complement; N is too small for this (p, L)"
-        )
+            "complement; N is too small for this (p, L)",
+        )])
     q = 6.0 * max(1.0 / L, 2.0)
-    m0 = LowerBoundMember(role=0, p=p, l_tilde=l_tilde, half_width=half_width, margin_Q=q)
-    m1 = LowerBoundMember(role=1, p=p, l_tilde=l_tilde, half_width=half_width, margin_Q=q)
     return InstancePair(
-        m0=m0,
-        m1=m1,
+        m0=LowerBoundMember(role=0, p=p, l_tilde=l_tilde, half_width=half_width, margin_Q=q),
+        m1=LowerBoundMember(role=1, p=p, l_tilde=l_tilde, half_width=half_width, margin_Q=q),
         lb_half_width=half_width,
-        x0=m0.x0,
-        x1=m0.x1,
+        x0=1.0 - p - 2.0 * half_width,
+        x1=1.0 - p + 2.0 * half_width,
         alpha_lb=alpha_lb,
         L_tilde=l_tilde,
         p=p,
@@ -689,7 +626,7 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of a grid-based regularity check.
 
     Violations are content, not errors: ``passed`` is False when the worst
@@ -701,15 +638,6 @@ class ValidationReport:
     worst_violation: float
     slack: float
     details: dict
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": bool(self.passed),
-            "worst_violation": self.worst_violation,
-            "slack": self.slack,
-            "details": self.details,
-        }
 
 
 def _validator_points(f: MeanFunction, grid: int, seed: int) -> np.ndarray:

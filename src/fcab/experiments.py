@@ -9,12 +9,12 @@ can run in any order on any number of workers and aggregate identically.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
-import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -23,20 +23,21 @@ from . import analysis, policies
 from .environment import (
     GRID,
     UNIFORM,
-    ArmSet,
+    ConfigError,
     Instance,
     MeanFunction,
+    Record,
     RewardModel,
     compute_threshold_M,
     grid_arms,
     instance_kl,
     make_lower_bound_pair,
     mean_function_from_json,
-    reward_model_from_json,
     sample_arms_uniform,
 )
 
 __all__ = [
+    "ConfigError",
     "FixedP",
     "PowerLaw",
     "KRule",
@@ -50,9 +51,10 @@ __all__ = [
     "run_trial",
     "run_sweep",
     "sweep_csv_text",
-    "write_sweep_csv",
     "fit_exponent",
     "lower_bound_protocol",
+    "lower_bound_config_from_json",
+    "validate_config_from_json",
 ]
 
 SWEEP_CSV_HEADER = (
@@ -63,6 +65,87 @@ SWEEP_CSV_HEADER = (
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+# ---------------------------------------------------------------------------
+# JSON fields
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+}
+
+
+def _is(value, kind: type) -> bool:
+    # Python's bool is an int, JSON's is not a number.
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, item=None):
+    """``data[key]`` when it has the JSON type ``kind`` and, for a list,
+    every entry the type ``item``; else None with the error added to
+    ``errors``.  An absent key gives ``default``, or a "missing" error when
+    there is none.  Integers are numbers (``float``) and come back as
+    floats; booleans are nothing but booleans."""
+    if key not in data:
+        if default is _REQUIRED:
+            errors.append((f"$.{key}", "missing"))
+            return None
+        return default
+    value = data[key]
+    if not _is(value, kind):
+        errors.append((f"$.{key}", f"must be {_TYPE_NAMES[kind]}"))
+        return None
+    if item is not None and not all(_is(v, item) for v in value):
+        errors.append((f"$.{key}", f"every entry must be {_TYPE_NAMES[item]}"))
+        return None
+    return float(value) if kind is float else value
+
+
+def _typed(spec: dict, fields) -> dict:
+    """The entries of ``spec`` that ``fields`` names, as (key, JSON type,
+    default) triples, each checked by ``_field``; raises a ConfigError
+    listing every entry at fault."""
+    errors: list = []
+    out = {key: _field(spec, key, kind, errors, default) for key, kind, default in fields}
+    if errors:
+        raise ConfigError(errors)
+    return out
+
+
+def _build(errors: list, path: str, parse, spec):
+    """``parse(spec)`` for the JSON object at ``path``, or None with its
+    errors added to ``errors`` under that path."""
+    try:
+        return parse(spec)
+    except ConfigError as exc:
+        errors.extend(exc.under(path).errors)
+    except (ValueError, KeyError, TypeError) as exc:  # mean functions report no path
+        errors.append((path, str(exc)))
+    return None
+
+
+def _root(data) -> list:
+    """The error list of a config file's top-level object, after checking
+    that it is an object of schema version 1."""
+    if not isinstance(data, dict):
+        raise ConfigError([("$", "config must be a JSON object")])
+    errors: list = []
+    schema = _field(data, "schema", int, errors)
+    if schema not in (None, 1):
+        errors.append(("$.schema", f"unsupported schema version {schema!r}"))
+    return errors
+
+
+def _run_errors(replications: int, master_seed: int) -> list:
+    """Range errors of the fields every protocol config has."""
+    errors = []
+    if replications < 1:
+        errors.append(("$.replications", "must be positive"))
+    if master_seed < 0:
+        errors.append(("$.master_seed", "must be nonnegative"))
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +161,10 @@ class FixedP:
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
+            raise ConfigError([("$.p", "must lie in (0, 1]")])
 
     def budget_for(self, n: int) -> int:
         return min(max(_round_half_up(self.p * n), 1), n)
-
-    def to_json(self):
-        return {"kind": "fixed_p", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -95,25 +175,23 @@ class PowerLaw:
 
     def __post_init__(self):
         if not 2.0 / 3.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (2/3, 1]")
+            raise ConfigError([("$.alpha", "alpha must lie in the (2/3, 1] window")])
 
     def budget_for(self, n: int) -> int:
         return min(max(_round_half_up(0.5 * n**self.alpha), 1), n)
 
-    def to_json(self):
-        return {"kind": "power_law", "alpha": self.alpha}
-
 
 Regime = Union[FixedP, PowerLaw]
+_REGIMES = {"fixed_p": (FixedP, "p"), "power_law": (PowerLaw, "alpha")}
 
 
 def regime_from_json(spec: dict) -> Regime:
-    kind = spec.get("kind")
-    if kind == "fixed_p":
-        return FixedP(float(spec["p"]))
-    if kind == "power_law":
-        return PowerLaw(float(spec["alpha"]))
-    raise ValueError(f"unknown regime kind {kind!r}")
+    """A regime from its JSON object; error paths start at that object."""
+    kind = _typed(spec, [("kind", str, _REQUIRED)])["kind"]
+    if kind not in _REGIMES:
+        raise ConfigError([("$.kind", f"unknown regime kind {kind!r}; valid: {list(_REGIMES)}")])
+    cls, key = _REGIMES[kind]
+    return cls(_typed(spec, [(key, float, _REQUIRED)])[key])
 
 
 @dataclass(frozen=True)
@@ -126,19 +204,18 @@ class KRule:
 
     def __post_init__(self):
         if self.kind not in ("paper_default", "cab", "explicit"):
-            raise ValueError(f"unknown K rule {self.kind!r}")
+            raise ConfigError([("$.kind", f"unknown K rule {self.kind!r}")])
         if self.kind == "explicit" and (self.k is None or self.k < 1):
-            raise ValueError("explicit K rule needs a positive k")
-
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.kind == "explicit":
-            out["k"] = self.k
-        return out
+            raise ConfigError([("$.k", "explicit K rule needs a positive k")])
 
 
 def krule_from_json(spec: dict) -> KRule:
-    return KRule(kind=spec.get("kind", "paper_default"), k=spec.get("k"))
+    """A K rule from its JSON object; error paths start at that object."""
+    return KRule(**_typed(spec, [("kind", str, "paper_default"), ("k", int, None)]))
+
+
+def _reward_model_from_json(spec: dict) -> RewardModel:
+    return RewardModel(**_typed(spec, [("kind", str, _REQUIRED), ("sigma", float, 0.0)]))
 
 
 def choose_k(k_rule: KRule, regime: Regime, n: int, t: int, p: float, dim: int) -> int:
@@ -147,8 +224,6 @@ def choose_k(k_rule: KRule, regime: Regime, n: int, t: int, p: float, dim: int) 
     if k_rule.kind == "cab":
         return policies.cab_parameters(t)
     if isinstance(regime, PowerLaw):
-        if dim != 1:
-            raise ValueError("power-law regime is one-dimensional")
         return policies.corollary_parameters(t, regime.alpha)
     return policies.default_parameters(n, p, dim).k
 
@@ -162,13 +237,17 @@ _BIN_MEAN_MODES = ("quadrature", "empirical")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep or simulate config.  ``from_json`` checks the JSON shape and
+    types; the range checks are here, for direct construction too, and
+    report the JSON path of the field at fault."""
+
     mean_function: MeanFunction
     reward_model: RewardModel
     policies: tuple
     n_grid: tuple
     regime: Regime
-    replications: int
-    master_seed: int
+    replications: int = 1
+    master_seed: int = 0
     k_rule: KRule = KRule()
     covariates: str = UNIFORM
     dim: int = 1
@@ -177,45 +256,68 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        unknown = [p for p in self.policies if p not in policies.POLICY_IDS]
-        if unknown:
-            raise ValueError(
-                f"unknown policy ids {unknown}; valid ids: {list(policies.POLICY_IDS)}"
-            )
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        errors = _run_errors(self.replications, self.master_seed)
+        unknown = [p for p in self.policies if p not in policies.POLICIES]
         if not self.policies:
-            raise ValueError("need at least one policy")
-        if not self.n_grid or any(n < 30 for n in self.n_grid):
-            raise ValueError("every N in the grid must be at least 30")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
+            errors.append(("$.policies", "need at least one policy id"))
+        elif unknown:
+            errors.append(
+                ("$.policies", f"unknown ids {unknown}; valid ids: {list(policies.POLICIES)}")
+            )
+        if not self.n_grid or min(self.n_grid) < 30:
+            errors.append(("$.N_grid", "every N must be at least 30"))
         if self.covariates not in (UNIFORM, GRID):
-            raise ValueError(f"unknown covariates origin {self.covariates!r}")
-        if self.covariates == GRID and self.dim != 1:
-            raise ValueError("grid covariates are one-dimensional")
+            errors.append(("$.covariates", f"must be '{UNIFORM}' or '{GRID}'"))
         if self.dim < 1:
-            raise ValueError("dimension must be positive")
+            errors.append(("$.dim", "must be positive"))
+        elif self.dim != self.mean_function.dim:
+            errors.append(
+                ("$.dim", f"the mean function is {self.mean_function.dim}-dimensional, "
+                 f"not {self.dim}")
+            )
+        elif self.dim != 1 and (self.covariates == GRID or isinstance(self.regime, PowerLaw)):
+            errors.append(("$.dim", "grid covariates and the power-law regime are 1-d"))
         if self.bin_means_mode not in _BIN_MEAN_MODES:
-            raise ValueError(f"bin_means_mode must be one of {_BIN_MEAN_MODES}")
+            errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
         if self.threshold_resolution < 1000:
-            raise ValueError("threshold resolution below 1000 rejected")
+            errors.append(("$.threshold_resolution", "must be at least 1000"))
+        if errors:
+            raise ConfigError(errors)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "mean_function": self.mean_function.to_json(),
-            "reward_model": self.reward_model.to_json(),
-            "policies": list(self.policies),
-            "N_grid": list(self.n_grid),
-            "regime": self.regime.to_json(),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "K_rule": self.k_rule.to_json(),
-            "covariates": self.covariates,
-            "dim": self.dim,
-            "bin_means": self.bin_means_mode,
-            "threshold_resolution": self.threshold_resolution,
+    @classmethod
+    def from_json(cls, data) -> "ExperimentConfig":
+        """A config from its JSON object.  Every shape and type error is
+        reported at once; range errors come after, from the constructors."""
+        errors = _root(data)
+        kw = {
+            "policies": _field(data, "policies", list, errors, item=str),
+            "n_grid": _field(data, "N_grid", list, errors, item=int),
+            "reward_model": RewardModel(),
         }
+        for key, name, kind in (
+            ("replications", "replications", int),
+            ("master_seed", "master_seed", int),
+            ("covariates", "covariates", str),
+            ("dim", "dim", int),
+            ("bin_means", "bin_means_mode", str),
+            ("threshold_resolution", "threshold_resolution", int),
+        ):
+            if key in data:
+                kw[name] = _field(data, key, kind, errors)
+        for key, name, parse, required in (
+            ("mean_function", "mean_function", mean_function_from_json, True),
+            ("reward_model", "reward_model", _reward_model_from_json, False),
+            ("regime", "regime", regime_from_json, True),
+            ("K_rule", "k_rule", krule_from_json, False),
+        ):
+            if required or key in data:
+                spec = _field(data, key, dict, errors)
+                if spec is not None:
+                    kw[name] = _build(errors, f"$.{key}", parse, spec)
+        if errors:
+            raise ConfigError(errors)
+        return cls(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +325,26 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _hash64(*parts) -> int:
+    key = ":".join(str(part) for part in parts).encode()
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
 def derive_seed(master_seed: int, n: int, policy_id: str, rep: int) -> int:
     """Stable 64-bit per-trial seed; independent of execution order."""
-    key = f"{master_seed}:{n}:{policy_id}:{rep}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    return _hash64(master_seed, n, policy_id, rep)
 
 
-def _subseed(seed: int, tag: str) -> int:
-    key = f"{seed}:{tag}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+def _map(fn, tasks: list, threads: int) -> list:
+    """``fn`` over ``tasks``, results in task order: on a pool of
+    ``threads`` worker processes (0: one per core), or in this process
+    for one worker or one task."""
+    if threads == 0:
+        threads = os.cpu_count() or 1
+    if threads > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks, chunksize=4))
+    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +368,13 @@ class TrialResult:
     trace: Optional[policies.PolicyTrace] = None
 
 
-# Per-process caches for quantities shared across trials of one sweep.
-_THRESHOLD_CACHE: dict = {}
-_BIN_MEANS_CACHE: dict = {}
-
-
-def _config_digest(config: ExperimentConfig) -> str:
-    text = json.dumps(config.to_json(), sort_keys=True)
-    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
-
-
-def _threshold_for(config: ExperimentConfig, p: float) -> float:
-    if p >= 1.0:
-        # The budget covers every arm; the threshold is the global minimum.
-        key = (_config_digest(config), "min")
-        if key not in _THRESHOLD_CACHE:
-            grid = np.linspace(0.0, 1.0, 10**4).reshape(-1, 1)
-            if config.dim > 1:
-                grid = np.random.default_rng(0).random((10**4, config.dim))
-            _THRESHOLD_CACHE[key] = float(np.min(config.mean_function.evaluate(grid)))
-        return _THRESHOLD_CACHE[key]
-    key = (_config_digest(config), round(p, 12))
-    if key not in _THRESHOLD_CACHE:
-        _THRESHOLD_CACHE[key] = compute_threshold_M(
-            config.mean_function, p, config.threshold_resolution
-        )
-    return _THRESHOLD_CACHE[key]
-
-
-def _quadrature_bin_means(config: ExperimentConfig, partition) -> np.ndarray:
-    key = (_config_digest(config), partition.k_per_axis, partition.dim)
-    if key not in _BIN_MEANS_CACHE:
-        _BIN_MEANS_CACHE[key] = analysis.bin_means_quadrature(
-            config.mean_function, partition
-        )
-    return _BIN_MEANS_CACHE[key]
+@functools.lru_cache(maxsize=32)
+def _quadrature_bin_means(mean_function: MeanFunction, k: int, dim: int) -> np.ndarray:
+    # Bin means depend on the bins alone, so a partition without arms serves.
+    bins = policies.Partition(k, dim, np.empty(0, np.int64), np.zeros(k**dim, np.int64))
+    out = analysis.bin_means_quadrature(mean_function, bins)
+    out.setflags(write=False)  # every trial of the cell shares this array
+    return out
 
 
 def run_trial(
@@ -303,46 +388,36 @@ def run_trial(
     attach regret, decomposition and diagnostics."""
     if policy_id not in config.policies:
         raise ValueError(f"policy {policy_id!r} is not part of this experiment")
+    spec = policies.POLICIES[policy_id]
     start = time.perf_counter()
     seed = derive_seed(config.master_seed, n, policy_id, rep)
 
     if config.covariates == GRID:
         arms = grid_arms(n)
     else:
-        arms = sample_arms_uniform(n, config.dim, _subseed(seed, "arms"))
+        arms = sample_arms_uniform(n, config.dim, _hash64(seed, "arms"))
     t_budget = config.regime.budget_for(n)
     p = t_budget / n
-    threshold = _threshold_for(config, p)
+    threshold = compute_threshold_M(config.mean_function, p, config.threshold_resolution)
     means = np.asarray(config.mean_function.evaluate(arms.covariates), dtype=np.float64)
     instance = Instance(
         arms, config.mean_function, config.reward_model, t_budget, p, threshold, means
     )
-
-    k = choose_k(config.k_rule, config.regime, n, t_budget, p, config.dim)
-    if policy_id == "ucbf-cab-k":
-        k = policies.cab_parameters(t_budget)
+    k_rule = KRule("cab") if spec.cab_k else config.k_rule
+    k = choose_k(k_rule, config.regime, n, t_budget, p, config.dim)
     delta = policies.default_parameters(n, p, config.dim).delta
     partition = policies.build_partition(arms, k)
     if config.bin_means_mode == "empirical":
         bin_means = analysis.bin_means_empirical(instance, partition)
     else:
-        bin_means = _quadrature_bin_means(config, partition)
+        bin_means = _quadrature_bin_means(config.mean_function, k, config.dim)
 
-    run_seed = _subseed(seed, "run")
-    if policy_id in ("ucbf", "ucbf-cab-k"):
-        trace = policies.ucbf_run(instance, partition, delta, run_seed, policy_id=policy_id)
-    elif policy_id == "oracle-star":
-        trace = policies.oracle_star(instance, run_seed)
-    elif policy_id == "oracle-discrete":
-        trace = policies.oracle_discrete(instance, partition, bin_means, run_seed)
-    else:
-        trace = policies.baseline_random(instance, run_seed)
-
+    trace = spec.run(instance, partition, bin_means, delta, _hash64(seed, "run"))
     if policy_id == "oracle-discrete":
         discrete_trace = trace
     else:
         discrete_trace = policies.oracle_discrete(
-            instance, partition, bin_means, _subseed(seed, "phid")
+            instance, partition, bin_means, _hash64(seed, "phid")
         )
     decomposition = analysis.regret_decompose(
         instance, partition, bin_means, trace, discrete_trace
@@ -396,31 +471,11 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def _trial_summary(config: ExperimentConfig, n: int, policy_id: str, rep: int) -> dict:
-    r = run_trial(config, n, policy_id, rep, keep_trace=False)
-    d = r.decomposition
-    return {
-        "policy": policy_id,
-        "n": n,
-        "t": r.t_budget,
-        "k": r.k,
-        "p": r.p,
-        "rep": rep,
-        "regret": r.regret,
-        "r_disc": d.r_disc,
-        "r_opt": d.r_opt,
-        "r_subopt": d.r_subopt,
-        "r_boundary": d.r_boundary,
-        "wall_ms": r.wall_ms,
-    }
-
-
 def _trial_task(args):
-    config, n, policy_id, rep = args
     try:
-        return ("ok", n, policy_id, rep, _trial_summary(config, n, policy_id, rep))
+        return True, run_trial(*args, keep_trace=False)
     except Exception as exc:  # error recorded against the cell
-        return ("err", n, policy_id, rep, f"{type(exc).__name__}: {exc}")
+        return False, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
@@ -429,25 +484,18 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     Trials execute in any order (process pool when threads > 1); per-trial
     seeding makes the aggregates independent of scheduling.
     """
-    if threads == 0:
-        threads = os.cpu_count() or 1
     tasks = [
         (config, n, policy_id, rep)
         for n in config.n_grid
         for policy_id in config.policies
         for rep in range(config.replications)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=4))
-    else:
-        outcomes = [_trial_task(t) for t in tasks]
-
-    by_cell: dict = {}
+    # Outcomes come in task order, so each cell's trials in replication order.
+    trials: dict = {}
     errors: dict = {}
-    for status, n, policy_id, rep, payload in outcomes:
-        if status == "ok":
-            by_cell.setdefault((n, policy_id), {})[rep] = payload
+    for (_, n, policy_id, _), (ok, payload) in zip(tasks, _map(_trial_task, tasks, threads)):
+        if ok:
+            trials.setdefault((n, policy_id), []).append(payload)
         else:
             errors.setdefault((n, policy_id), payload)
 
@@ -459,69 +507,46 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             if cell in errors:
                 error_list.append((policy_id, n, errors[cell]))
                 continue
-            reps = by_cell.get(cell, {})
-            ordered = [reps[i] for i in sorted(reps)]
-            regs = np.array([r["regret"] for r in ordered])
+            cell_trials = trials[cell]
+            regs = np.array([r.regret for r in cell_trials])
             q10, q50, q90 = np.quantile(regs, [0.1, 0.5, 0.9])
+            terms = {
+                term: float(np.mean([getattr(r.decomposition, term) for r in cell_trials]))
+                for term in ("r_disc", "r_opt", "r_subopt", "r_boundary")
+            }
             rows.append(
                 SweepRow(
                     policy_id=policy_id,
                     n=n,
-                    t_budget=ordered[0]["t"],
-                    k=ordered[0]["k"],
-                    p=ordered[0]["p"],
+                    t_budget=cell_trials[0].t_budget,
+                    k=cell_trials[0].k,
+                    p=cell_trials[0].p,
                     regret_mean=float(regs.mean()),
                     regret_std=float(regs.std()),
                     q10=float(q10),
                     q50=float(q50),
                     q90=float(q90),
-                    r_disc=float(np.mean([r["r_disc"] for r in ordered])),
-                    r_opt=float(np.mean([r["r_opt"] for r in ordered])),
-                    r_subopt=float(np.mean([r["r_subopt"] for r in ordered])),
-                    r_boundary=float(np.mean([r["r_boundary"] for r in ordered])),
-                    wall_ms=float(np.sum([r["wall_ms"] for r in ordered])),
+                    wall_ms=float(np.sum([r.wall_ms for r in cell_trials])),
+                    **terms,
                 )
             )
     return SweepResult(rows=rows, errors=error_list, config=config)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def sweep_csv_text(result: SweepResult) -> str:
-    """Fixed-schema CSV; floats carry 17 significant digits.  The wall_ms
-    column is pinned to 0 so identical (config, seed) runs are
-    byte-identical regardless of thread count."""
+    """Fixed-schema CSV, one column per ``SweepRow`` field; floats carry 17
+    significant digits.  The wall_ms column is pinned to 0 so identical
+    (config, seed) runs are byte-identical regardless of thread count."""
     lines = [SWEEP_CSV_HEADER]
     for r in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.policy_id,
-                    str(r.n),
-                    str(r.t_budget),
-                    str(r.k),
-                    _fmt(r.p),
-                    _fmt(r.regret_mean),
-                    _fmt(r.regret_std),
-                    _fmt(r.q10),
-                    _fmt(r.q50),
-                    _fmt(r.q90),
-                    _fmt(r.r_disc),
-                    _fmt(r.r_opt),
-                    _fmt(r.r_subopt),
-                    _fmt(r.r_boundary),
-                    "0",
-                ]
-            )
-        )
+        lines.append(",".join([_csv_cell(v) for v in astuple(r)[:-1]] + ["0"]))
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(sweep_csv_text(result))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +584,7 @@ def fit_exponent(points) -> ExponentFit:
 
 
 @dataclass
-class LBReport:
+class LBReport(Record):
     """Outcome of the two-instance protocol.
 
     The minimax statement behind the 0.01 T^(1/3) p^(-1/3) threshold also
@@ -589,71 +614,33 @@ class LBReport:
     regret_mean_m1: float
     size_precondition: str = "unverified (constant unspecified); alpha window checked"
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "lipschitz_L": self.lipschitz_L,
-            "alpha_lb": self.alpha_lb,
-            "l_tilde": self.l_tilde,
-            "lb_half_width": self.lb_half_width,
-            "policy_id": self.policy_id,
-            "replications": self.replications,
-            "t_budget": self.t_budget,
-            "k": self.k,
-            "threshold": self.threshold,
-            "frequency_m0": self.frequency_m0,
-            "frequency_m1": self.frequency_m1,
-            "max_frequency": self.max_frequency,
-            "frequency_target": self.frequency_target,
-            "kl": self.kl,
-            "kl_bound": self.kl_bound,
-            "regret_mean_m0": self.regret_mean_m0,
-            "regret_mean_m1": self.regret_mean_m1,
-            "size_precondition": self.size_precondition,
-        }
+
+@functools.lru_cache(maxsize=4)
+def _lb_cell(n: int, p: float, lips: float, alpha_lb: float):
+    """Both members' instances, the default and cab partitions, and delta:
+    what every trial of one protocol run shares, built once per process."""
+    pair = make_lower_bound_pair(p, lips, alpha_lb, n)
+    arms = grid_arms(n)
+    t_budget = _round_half_up(p * n)
+    model = RewardModel("bernoulli")
+    instances = []
+    for member in (pair.m0, pair.m1):
+        means = np.asarray(member.evaluate(arms.covariates), dtype=np.float64)
+        instances.append(Instance(arms, member, model, t_budget, t_budget / n, 0.5, means))
+    pc = policies.default_parameters(n, p, 1)
+    partitions = {
+        False: policies.build_partition(arms, pc.k),
+        True: policies.build_partition(arms, policies.cab_parameters(t_budget)),
+    }
+    return instances, partitions, pc.delta
 
 
 def _lb_trial(args):
     n, p, lips, alpha_lb, role, policy_id, seed = args
-    key = (n, p, lips, alpha_lb)
-    cached = _LB_CACHE.get(key)
-    if cached is None:
-        pair = make_lower_bound_pair(p, lips, alpha_lb, n)
-        arms = grid_arms(n)
-        t_budget = _round_half_up(p * n)
-        model = RewardModel("bernoulli")
-        instances = []
-        for member in (pair.m0, pair.m1):
-            means = np.asarray(member.evaluate(arms.covariates), dtype=np.float64)
-            instances.append(
-                Instance(arms, member, model, t_budget, t_budget / n, 0.5, means)
-            )
-        pc = policies.default_parameters(n, p, 1)
-        partitions = {
-            "default": policies.build_partition(arms, pc.k),
-            "cab": policies.build_partition(arms, policies.cab_parameters(t_budget)),
-        }
-        cached = (instances, partitions, pc.delta)
-        _LB_CACHE[key] = cached
-    instances, partitions, delta = cached
-    inst = instances[role]
-    if policy_id == "ucbf":
-        trace = policies.ucbf_run(inst, partitions["default"], delta, seed)
-    elif policy_id == "ucbf-cab-k":
-        trace = policies.ucbf_run(
-            inst, partitions["cab"], delta, seed, policy_id="ucbf-cab-k"
-        )
-    elif policy_id == "oracle-star":
-        trace = policies.oracle_star(inst, seed)
-    elif policy_id == "random":
-        trace = policies.baseline_random(inst, seed)
-    else:
-        raise ValueError(f"policy {policy_id!r} not supported by the protocol")
-    return role, analysis.regret_total(inst, trace)
-
-
-_LB_CACHE: dict = {}
+    instances, partitions, delta = _lb_cell(n, p, lips, alpha_lb)
+    spec = policies.POLICIES[policy_id]
+    trace = spec.run(instances[role], partitions[spec.cab_k], None, delta, seed)
+    return role, analysis.regret_total(instances[role], trace)
 
 
 def lower_bound_protocol(
@@ -671,8 +658,9 @@ def lower_bound_protocol(
     budget of the pair."""
     if replications < 1:
         raise ValueError("need at least one replication")
-    if threads == 0:
-        threads = os.cpu_count() or 1
+    spec = policies.POLICIES.get(policy_id)
+    if spec is None or not spec.lower_bound:
+        raise ValueError(f"policy {policy_id!r} not supported by the protocol")
     pair = make_lower_bound_pair(p, lipschitz_L, alpha_lb, n)
     t_budget = _round_half_up(p * n)
     threshold = 0.01 * t_budget ** (1.0 / 3.0) * p ** (-1.0 / 3.0)
@@ -682,13 +670,8 @@ def lower_bound_protocol(
         for role in (0, 1)
         for rep in range(replications)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_lb_trial, tasks, chunksize=4))
-    else:
-        outcomes = [_lb_trial(t) for t in tasks]
     regrets = {0: [], 1: []}
-    for role, regret in outcomes:
+    for role, regret in _map(_lb_trial, tasks, threads):
         regrets[role].append(regret)
     freq = {
         role: float(np.mean([r >= threshold for r in vals]))
@@ -706,7 +689,7 @@ def lower_bound_protocol(
         policy_id=policy_id,
         replications=replications,
         t_budget=t_budget,
-        k=policies.cab_parameters(t_budget) if policy_id == "ucbf-cab-k" else pc.k,
+        k=policies.cab_parameters(t_budget) if spec.cab_k else pc.k,
         threshold=threshold,
         frequency_m0=freq[0],
         frequency_m1=freq[1],
@@ -717,3 +700,56 @@ def lower_bound_protocol(
         regret_mean_m0=float(np.mean(regrets[0])),
         regret_mean_m1=float(np.mean(regrets[1])),
     )
+
+
+def _lower_bound_pair_from_json(spec: dict) -> dict:
+    """N, p, L and alpha_lb of a lower-bound pair, checked by building it."""
+    out = _typed(spec, [("N", int, _REQUIRED), ("p", float, _REQUIRED),
+                        ("L", float, _REQUIRED), ("alpha_lb", float, _REQUIRED)])
+    make_lower_bound_pair(out["p"], out["L"], out["alpha_lb"], out["N"])
+    return out
+
+
+def lower_bound_config_from_json(data) -> dict:
+    """The lowerbound config: a pair's N, p, L and alpha_lb, the policy,
+    replications and master_seed.  Errors carry JSON paths."""
+    errors = _root(data)
+    out = _build(errors, "$", _lower_bound_pair_from_json, data) or {}
+    out["policy"] = _field(data, "policy", str, errors, default="ucbf")
+    out["replications"] = _field(data, "replications", int, errors, default=100)
+    out["master_seed"] = _field(data, "master_seed", int, errors, default=0)
+    valid = [i for i, spec in policies.POLICIES.items() if spec.lower_bound]
+    if out["policy"] is not None and out["policy"] not in valid:
+        errors.append(("$.policy", f"unsupported by the protocol; valid ids: {valid}"))
+    if out["replications"] is not None and out["master_seed"] is not None:
+        errors += _run_errors(out["replications"], out["master_seed"])
+    if errors:
+        raise ConfigError(errors)
+    return out
+
+
+def validate_config_from_json(data) -> dict:
+    """The validate config: a lower-bound pair under ``pair``, the grid of
+    each validator, and the margin check's epsilons as multiples of
+    L~ * lb_half_width.  Errors carry JSON paths."""
+    errors = _root(data)
+    spec = _field(data, "pair", dict, errors)
+    pair = None if spec is None else _build(errors, "$.pair", _lower_bound_pair_from_json, spec)
+    lip_grid = _field(data, "lipschitz_grid", int, errors, default=2000)
+    margin_grid = _field(data, "margin_grid", int, errors, default=10**5)
+    factors = _field(data, "eps_factors", list, errors, default=[1.5, 2.0, 4.0], item=float)
+    if lip_grid is not None and lip_grid < 1000:
+        errors.append(("$.lipschitz_grid", "must be at least 1000"))
+    if margin_grid is not None and margin_grid < 1:
+        errors.append(("$.margin_grid", "must be positive"))
+    if factors is not None and (not factors or min(factors) <= 0):
+        errors.append(("$.eps_factors", "must be a non-empty list of positive numbers"))
+    elif factors is not None and pair is not None:
+        built = make_lower_bound_pair(pair["p"], pair["L"], pair["alpha_lb"], pair["N"])
+        if max(factors) * built.L_tilde * built.lb_half_width >= 1.0:
+            errors.append(("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
+                           "must stay below 1"))
+    if errors:
+        raise ConfigError(errors)
+    return {"pair": pair, "lipschitz_grid": lip_grid, "margin_grid": margin_grid,
+            "eps_factors": factors}

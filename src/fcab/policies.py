@@ -23,7 +23,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .analysis import compute_f_hat
 from .environment import ArmSet, Instance
 
 __all__ = [
-    "POLICY_IDS",
+    "POLICIES",
+    "PolicySpec",
     "Partition",
     "ParameterChoice",
     "PolicyTrace",
@@ -47,8 +48,6 @@ __all__ = [
     "baseline_random",
     "write_trace_jsonl",
 ]
-
-POLICY_IDS = ("ucbf", "ucbf-cab-k", "oracle-star", "oracle-discrete", "random")
 
 _MAX_BINS = 50_000_000
 
@@ -372,3 +371,42 @@ def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     pulled = reward_rng.permutation(instance.n)[: instance.T].astype(np.int64)
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
     return PolicyTrace(pulled, obs, "random", seed)
+
+
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """How the experiments run one policy.
+
+    ``run(instance, partition, bin_means, delta, seed)`` returns the trace.
+    It looks its policy function up in this module at call time, so a
+    wrapper set on the module attribute sees every call.  ``cab_k``: the
+    policy bins with K = ``cab_parameters(T)`` whatever the experiment's K
+    rule.  ``lower_bound``: the lower-bound protocol may run the policy,
+    which it can only when the policy needs no bin means.
+    """
+
+    run: Callable[..., PolicyTrace]
+    cab_k: bool = False
+    lower_bound: bool = True
+
+
+POLICIES = {
+    "ucbf": PolicySpec(lambda inst, part, bm, delta, seed: ucbf_run(inst, part, delta, seed)),
+    "ucbf-cab-k": PolicySpec(
+        lambda inst, part, bm, delta, seed: ucbf_run(
+            inst, part, delta, seed, policy_id="ucbf-cab-k"
+        ),
+        cab_k=True,
+    ),
+    "oracle-star": PolicySpec(lambda inst, part, bm, delta, seed: oracle_star(inst, seed)),
+    "oracle-discrete": PolicySpec(
+        lambda inst, part, bm, delta, seed: oracle_discrete(inst, part, bm, seed),
+        lower_bound=False,
+    ),
+    "random": PolicySpec(lambda inst, part, bm, delta, seed: baseline_random(inst, seed)),
+}

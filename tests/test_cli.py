@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcab.cli import ConfigError, parse_config, parse_lowerbound_config, run
 
@@ -135,6 +141,10 @@ class TestDispatch:
             ({"dim": 2}, "$.dim"),  # the sinusoid is one-dimensional
             ({"dim": "2"}, "$.dim"),
             ({"threshold_resolution": 1e6}, "$.threshold_resolution"),
+            ({"replications": True}, "$.replications"),
+            ({"master_seed": True}, "$.master_seed"),
+            ({"regime": {"kind": "fixed_p", "p": "0.5"}}, "$.regime.p"),
+            ({"K_rule": {"kind": "explicit", "k": "3"}}, "$.K_rule.k"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -159,6 +169,14 @@ class TestDispatch:
             ),
         )
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()  # never without its failed cells
+
+    @pytest.mark.parametrize("command", ["sweep", "lowerbound"])
+    def test_negative_seed_override_rejected(self, tmp_path, command):
+        cfg = minimal_experiment() if command == "sweep" else {
+            "schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3}
+        path = write_json(tmp_path / "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path), "--seed", "-1"]) == 1
 
     def test_missing_out_dir(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment())
@@ -187,6 +205,11 @@ class TestDispatch:
             ({"L": 0.0}, "$.L"),
             ({"master_seed": -5}, "$.master_seed"),
             ({"master_seed": "abc"}, "$.master_seed"),
+            ({"N": 1000.7}, "$.N"),
+            ({"p": "0.5"}, "$.p"),
+            ({"replications": True}, "$.replications"),
+            ({"master_seed": True}, "$.master_seed"),
+            ({"policy": "oracle-discrete"}, "$.policy"),  # needs bin means
         ],
     )
     def test_bad_lowerbound_config_is_config_error(
@@ -216,6 +239,34 @@ class TestDispatch:
             assert report["members"][member]["weak_lipschitz"]["passed"]
             assert report["members"][member]["margin"]["passed"]
 
+    @pytest.mark.parametrize(
+        "overrides, json_path",
+        [
+            ({"pair": {"N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.9}}, "$.pair.alpha_lb"),
+            ({"pair": {"N": 1000, "p": 1.5, "L": 0.5, "alpha_lb": 0.3}}, "$.pair.p"),
+            ({"pair": {"N": 1000, "p": 0.5, "L": 0.5}}, "$.pair.alpha_lb"),
+            ({"pair": {"N": "1000", "p": 0.5, "L": 0.5, "alpha_lb": 0.3}}, "$.pair.N"),
+            ({"pair": None}, "$.pair"),
+            ({"lipschitz_grid": 10}, "$.lipschitz_grid"),
+            ({"lipschitz_grid": 2000.0}, "$.lipschitz_grid"),
+            ({"margin_grid": 0}, "$.margin_grid"),
+            ({"margin_grid": True}, "$.margin_grid"),
+            ({"eps_factors": []}, "$.eps_factors"),
+            ({"eps_factors": [1.5, -2.0]}, "$.eps_factors"),
+            ({"eps_factors": ["2"]}, "$.eps_factors"),
+            ({"eps_factors": [1e6]}, "$.eps_factors"),  # an epsilon of 1 or more
+        ],
+    )
+    def test_bad_validate_config_is_config_error(
+        self, tmp_path, capsys, overrides, json_path
+    ):
+        cfg = {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3}}
+        cfg.update(overrides)
+        path = write_json(tmp_path / "val.json", cfg)
+        assert run(["validate", "--config", path, "--out", str(tmp_path)]) == 1
+        assert f"config error at {json_path}:" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
+
     def test_simulate_byte_deterministic(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(N_grid=[64]))
         out1 = tmp_path / "a"
@@ -231,3 +282,114 @@ class TestDispatch:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".fcab-tmp-")]
         assert leftovers == []
+
+
+# A tiny valid config of each protocol, and per JSON path in it: the JSON
+# type the value must have, values out of range, and whether the key is
+# required.  Integer path parts index lists.
+SWEEP_CONFIG = {
+    "schema": 1,
+    "mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": 1.15},
+    "reward_model": {"kind": "bernoulli"},
+    "policies": ["ucbf", "oracle-star"],
+    "N_grid": [30],
+    "regime": {"kind": "fixed_p", "p": 0.5},
+    "K_rule": {"kind": "explicit", "k": 1},
+    "replications": 1,
+    "master_seed": 3,
+    "covariates": "uniform",
+    "dim": 1,
+    "bin_means": "quadrature",
+    "threshold_resolution": 1000,
+}
+SWEEP_FIELDS = {
+    ("schema",): (int, [0, 2], True),
+    ("mean_function",): (dict, [], True),
+    ("mean_function", "kind"): (str, ["cubic"], True),
+    ("reward_model",): (dict, [], False),
+    ("reward_model", "kind"): (str, ["poisson", "clipped_gaussian"], True),
+    ("policies",): (list, [[], ["thompson"]], True),
+    ("policies", 0): (str, ["thompson"], False),
+    ("N_grid",): (list, [[], [29], [64, 10]], True),
+    ("N_grid", 0): (int, [29, 0, -64], False),
+    ("regime",): (dict, [], True),
+    ("regime", "kind"): (str, ["linear"], True),
+    ("regime", "p"): (float, [0.0, -0.5, 1.5], True),
+    ("K_rule",): (dict, [], False),
+    ("K_rule", "kind"): (str, ["magic"], False),
+    ("K_rule", "k"): (int, [0, -3], True),
+    ("replications",): (int, [0, -1], False),
+    ("master_seed",): (int, [-1], False),
+    ("covariates",): (str, ["sobol"], False),
+    ("dim",): (int, [0, 2], False),
+    ("bin_means",): (str, ["exact"], False),
+    ("threshold_resolution",): (int, [999, 0], False),
+}
+LOWERBOUND_CONFIG = {
+    "schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,
+    "policy": "oracle-star", "replications": 1, "master_seed": 0,
+}
+LOWERBOUND_FIELDS = {
+    ("schema",): (int, [0, 2], True),
+    ("N",): (int, [0, -5, 100], True),
+    ("p",): (float, [0.0, 1.0, 1.5, 0.05], True),
+    ("L",): (float, [0.0, -1.0], True),
+    ("alpha_lb",): (float, [0.0, 0.1, 0.9], True),
+    ("policy",): (str, ["oracle-discrete", "thompson"], False),
+    ("replications",): (int, [0], False),
+    ("master_seed",): (int, [-1], False),
+}
+WRONG_TYPE = {
+    int: [True, "7", 1.5, None, [1]],
+    float: [False, "0.5", None, [0.5]],
+    str: [True, 1.5, None, ["x"]],
+    list: [True, "x", 1.5, None],
+    dict: [True, "x", 1.5, None, [1]],
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    command, config, fields = draw(st.sampled_from([
+        ("sweep", SWEEP_CONFIG, SWEEP_FIELDS),
+        ("lowerbound", LOWERBOUND_CONFIG, LOWERBOUND_FIELDS),
+    ]))
+    path = draw(st.sampled_from(list(fields)))
+    kind, out_of_range, required = fields[path]
+    mutations = [("set", v) for v in WRONG_TYPE[kind] + out_of_range]
+    if required:
+        mutations.append(("delete", None))
+    how, value = draw(st.sampled_from(mutations))
+    cfg = copy.deepcopy(config)
+    parent = cfg
+    for part in path[:-1]:
+        parent = parent[part]
+    if how == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return command, cfg
+
+
+def _run_config(command, cfg):
+    with tempfile.TemporaryDirectory() as out:
+        path = write_json(os.path.join(out, "config.json"), cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run([command, "--config", path, "--out", out])
+        return rc, err.getvalue()
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize(
+        "command, config", [("sweep", SWEEP_CONFIG), ("lowerbound", LOWERBOUND_CONFIG)]
+    )
+    def test_unmutated_config_runs(self, command, config):
+        assert _run_config(command, config) == (0, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_configs())
+    def test_every_mutation_is_a_config_error(self, case):
+        rc, err = _run_config(*case)
+        assert rc == 1, err
+        assert "config error at $." in err

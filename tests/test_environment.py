@@ -135,6 +135,13 @@ class TestThreshold:
         for member in (pair.m0, pair.m1):
             assert compute_threshold_M(member, 0.5) == 0.5
 
+    def test_full_budget_is_grid_minimum(self):
+        # At p = 1 the declared analytic level (1/2 here) does not apply:
+        # the threshold is the smallest mean on the grid.
+        f = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6).m0
+        grid_min = f.evaluate(np.arange(10**4) / 10**4).min()
+        assert compute_threshold_M(f, 1.0, resolution=10**4) == grid_min < 0.5
+
     def test_lower_bound_member_grid_path(self):
         # Bypassing the analytic value, the grid quantile lands within the
         # documented L/resolution error of 1/2.

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fcab.environment import PiecewiseLinear, RewardModel, Sinusoid
+from fcab import policies
+from fcab.environment import (
+    PiecewiseLinear,
+    RewardModel,
+    Sinusoid,
+    compute_threshold_M,
+    grid_arms,
+    make_instance,
+)
 from fcab.experiments import (
     ExperimentConfig,
     FixedP,
@@ -110,6 +118,17 @@ class TestTrials:
         for policy in cfg.policies:
             for rep in range(2):
                 assert run_trial(cfg, 60, policy, rep).regret == 0.0
+
+    def test_full_budget_threshold_is_one_rule(self):
+        # At p = 1 the trial, make_instance and the threshold
+        # function all take the minimum of the mean on the threshold grid.
+        f = Sinusoid(amplitude=0.35, frequency=1.15, offset=0.5)
+        cfg = small_config(mean_function=f, regime=FixedP(1.0), n_grid=(64,))
+        trial = run_trial(cfg, 64, "ucbf", 0)
+        expected = compute_threshold_M(f, 1.0, 10**4)
+        assert trial.decomposition.threshold_M == expected
+        assert make_instance(grid_arms(64), f, BERN, 64, 10**4).threshold_M == expected
+        assert trial.regret == 0.0
 
     def test_oracle_star_zero_for_all_reps(self):
         cfg = small_config(policies=("oracle-star",), replications=5)
@@ -297,3 +316,45 @@ class TestLowerBoundProtocol:
         b = lower_bound_protocol(threads=2, **kw)
         assert (a.frequency_m0, a.frequency_m1) == (b.frequency_m0, b.frequency_m1)
         assert a.regret_mean_m0 == b.regret_mean_m0
+
+
+class TestPolicyRegistry:
+    RUNNERS = {
+        "ucbf": "ucbf_run",
+        "ucbf-cab-k": "ucbf_run",
+        "oracle-star": "oracle_star",
+        "oracle-discrete": "oracle_discrete",
+        "random": "baseline_random",
+    }
+
+    def test_runners_are_looked_up_at_call_time(self, monkeypatch):
+        # Wrappers set on the module attributes, as a tracer sets them, must
+        # see the registry's calls.
+        assert set(policies.POLICIES) == set(self.RUNNERS)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                trace = fn(*args, **kwargs)
+                calls.append((name, trace.policy_id))
+                return trace
+
+            return wrapper
+
+        for name in set(self.RUNNERS.values()):
+            monkeypatch.setattr(policies, name, counting(name, getattr(policies, name)))
+        cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(512,))
+        for policy_id, name in self.RUNNERS.items():
+            calls.clear()
+            run_trial(cfg, 512, policy_id, 0)
+            assert calls[0] == (name, policy_id)  # the policy's run comes first
+        for policy_id, spec in policies.POLICIES.items():
+            kw = dict(n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3, policy_id=policy_id,
+                      replications=1, master_seed=0)
+            calls.clear()
+            if spec.lower_bound:
+                lower_bound_protocol(**kw)
+                assert calls == [(self.RUNNERS[policy_id], policy_id)] * 2
+            else:
+                with pytest.raises(ValueError, match="not supported"):
+                    lower_bound_protocol(**kw)

@@ -17,7 +17,7 @@ from fcab.environment import (
     sample_arms_uniform,
 )
 from fcab.policies import (
-    POLICY_IDS,
+    POLICIES,
     argmax_lowest,
     baseline_random,
     build_partition,
@@ -443,7 +443,7 @@ class TestRandomBaseline:
 
 class TestTraces:
     def test_policy_ids(self):
-        assert set(POLICY_IDS) == {
+        assert set(POLICIES) == {
             "ucbf",
             "ucbf-cab-k",
             "oracle-star",
