@@ -31,7 +31,7 @@ __all__ = [
     "bin_means_quadrature",
     "bin_means_empirical",
     "compute_f_hat",
-    "pulls_per_bin",
+    "rank_bins",
     "regret_total",
     "regret_decompose",
     "diagnostics",
@@ -128,10 +128,15 @@ def compute_f_hat(ordered_counts, t_budget: int) -> int:
     return int(np.searchsorted(cum, t_budget, side="left"))
 
 
-def pulls_per_bin(partition, trace) -> np.ndarray:
-    """How many pulls a trace spent in each bin of the partition."""
-    pulled = np.asarray(trace.pulled)
-    return np.bincount(partition.assignment[pulled], minlength=partition.bin_count)
+def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
+    """The discretised oracle's ranking: bin ids by decreasing bin mean,
+    ties to the lower id, and f_hat, the number of leading bins a budget
+    of T empties."""
+    bin_means = np.asarray(bin_means, dtype=np.float64)
+    if bin_means.size != partition.bin_count:
+        raise ValueError("one bin mean per bin required")
+    order = np.argsort(-bin_means, kind="stable")
+    return order, compute_f_hat(partition.counts[order], t_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +199,9 @@ def regret_decompose(
         raise ValueError("both traces must have exactly T pulls")
     if partition.n_arms != instance.n:
         raise ValueError("partition does not match the instance")
-    bin_means = np.asarray(bin_means, dtype=np.float64)
-    order = np.argsort(-bin_means, kind="stable")
+    order, f_hat = rank_bins(partition, bin_means, t_budget)
     rank = np.empty(partition.bin_count, dtype=np.int64)
     rank[order] = np.arange(partition.bin_count)
-    f_hat = compute_f_hat(partition.counts[order], t_budget)
 
     means = instance.true_means
     m_thresh = instance.threshold_M
@@ -266,9 +269,7 @@ class DiagnosticsReport(Record):
 
 def diagnostics(instance: Instance, partition, bin_means) -> DiagnosticsReport:
     """Pure report of boundary, threshold and occupancy diagnostics."""
-    bin_means = np.asarray(bin_means, dtype=np.float64)
-    order = np.argsort(-bin_means, kind="stable")
-    f_hat = compute_f_hat(partition.counts[order], instance.T)
+    _, f_hat = rank_bins(partition, bin_means, instance.T)
     f = math.floor(instance.p * partition.bin_count + 1e-9)
     m_hat = instance.m_hat
     max_dev = float(

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,12 +41,10 @@ __all__ = [
     "ValidationReport",
     "sample_arms_uniform",
     "grid_arms",
-    "eval_mean",
     "compute_threshold_M",
     "make_lower_bound_pair",
     "verify_weak_lipschitz",
     "verify_margin",
-    "sample_reward",
     "bernoulli_kl",
     "instance_kl",
     "mean_function_from_json",
@@ -69,6 +69,49 @@ class ConfigError(ValueError):
     def under(self, path: str) -> "ConfigError":
         """The same errors with their root ``$`` replaced by ``path``."""
         return ConfigError([(path + p[1:], m) for p, m in self.errors])
+
+
+_REQUIRED = object()
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
+}
+
+
+def _is(value, kind: type) -> bool:
+    # Python's bool is an int, JSON's is not a number.
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, item=None):
+    """``data[key]`` when it has the JSON type ``kind`` and, for a list,
+    every entry the type ``item``; else None with the error added to
+    ``errors``.  An absent key gives ``default``, or a "missing" error when
+    there is none.  Integers are numbers (``float``) and come back as
+    floats; booleans are nothing but booleans."""
+    if key not in data:
+        if default is _REQUIRED:
+            errors.append((f"$.{key}", "missing"))
+            return None
+        return default
+    value = data[key]
+    if not _is(value, kind):
+        errors.append((f"$.{key}", f"must be {_TYPE_NAMES[kind]}"))
+        return None
+    if item is not None and not all(_is(v, item) for v in value):
+        errors.append((f"$.{key}", f"every entry must be {_TYPE_NAMES[item]}"))
+        return None
+    return float(value) if kind is float else value
+
+
+def _typed(spec: dict, fields) -> dict:
+    """The entries of ``spec`` that ``fields`` names, as (key, JSON type,
+    default) triples, each checked by ``_field``; raises a ConfigError
+    listing every entry at fault."""
+    errors: list = []
+    out = {key: _field(spec, key, kind, errors, default) for key, kind, default in fields}
+    if errors:
+        raise ConfigError(errors)
+    return out
 
 
 class Record:
@@ -123,19 +166,15 @@ class ArmSet:
 
 
 def sample_arms_uniform(n: int, dim: int, seed: int) -> ArmSet:
-    """Draw ``n`` covariates i.i.d. uniform on [0, 1]^dim, reproducibly."""
-    if n < 1:
-        raise ValueError("need at least one arm")
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    """Draw ``n`` covariates i.i.d. uniform on [0, 1]^dim, reproducibly;
+    ``ArmSet`` rejects an empty draw."""
     rng = np.random.default_rng(seed)
     return ArmSet(rng.random((n, dim)), UNIFORM)
 
 
 def grid_arms(n: int) -> ArmSet:
-    """Deterministic one-dimensional arms at i/n for i = 1..n."""
-    if n < 1:
-        raise ValueError("need at least one arm")
+    """Deterministic one-dimensional arms at i/n for i = 1..n; ``ArmSet``
+    rejects n < 1."""
     x = np.arange(1, n + 1, dtype=np.float64) / n
     return ArmSet(x.reshape(n, 1), GRID)
 
@@ -181,9 +220,6 @@ class MeanFunction:
 
     def evaluate(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def to_json(self) -> dict:
         """``kind`` plus the constructor fields, which
@@ -273,6 +309,8 @@ class Sinusoid(MeanFunction):
     def __post_init__(self):
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
+        if self.dim < 1:
+            raise ValueError("dimension must be positive")
         lo = self.offset - abs(self.amplitude)
         hi = self.offset + abs(self.amplitude)
         if lo < 0.0 or hi > 1.0:
@@ -367,24 +405,28 @@ _MEAN_KINDS = {
 
 
 def mean_function_from_json(spec: dict) -> MeanFunction:
-    """Rebuild a mean function from its JSON description."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("mean function description must be an object with a 'kind' tag")
-    kind = spec["kind"]
+    """A mean function from its JSON object.  Each parameter must have the
+    JSON type its constructor declares: a tuple is a list of numbers, and
+    an Optional may be null.  Error paths start at that object."""
+    kind = _typed(spec, [("kind", str, _REQUIRED)])["kind"]
     if kind not in _MEAN_KINDS:
-        raise ValueError(f"unknown mean function kind {kind!r}")
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    return _MEAN_KINDS[kind](**kwargs)
-
-
-def eval_mean(f: MeanFunction, x) -> float:
-    """Evaluate ``f`` at a single point, rejecting points outside the cube."""
-    pts, _ = _as_points(x, f.dim)
-    if pts.shape[0] != 1:
-        raise ValueError("eval_mean takes a single point")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("point outside the unit cube")
-    return float(f.evaluate(pts)[0])
+        raise ConfigError(
+            [("$.kind", f"unknown mean function kind {kind!r}; valid: {list(_MEAN_KINDS)}")]
+        )
+    params = inspect.signature(_MEAN_KINDS[kind], eval_str=True).parameters
+    args = {key: value for key, value in spec.items() if key != "kind"}
+    errors: list = []
+    for key, value in args.items():
+        if key not in params:
+            errors.append((f"$.{key}", f"not a parameter of {kind}"))
+            continue
+        types = typing.get_args(params[key].annotation) or (params[key].annotation,)
+        if value is not None or type(None) not in types:
+            _field(args, key, list if types[0] is tuple else types[0], errors,
+                   item=float if types[0] is tuple else None)
+    if errors:
+        raise ConfigError(errors)
+    return _MEAN_KINDS[kind](**args)
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +469,6 @@ class RewardModel:
         return np.clip(draw, 0.0, 1.0)
 
 
-def sample_reward(model: RewardModel, mean: float, rng: np.random.Generator) -> float:
-    """Draw a single reward with the given conditional mean."""
-    if not 0.0 <= mean <= 1.0:
-        raise ValueError("mean must lie in [0, 1]")
-    return float(model.sample(np.array([mean]), rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # Threshold
 # ---------------------------------------------------------------------------
@@ -455,7 +490,6 @@ def compute_threshold_M(
     f: MeanFunction,
     p: float,
     resolution: int = 10**6,
-    use_analytic: bool = True,
 ) -> float:
     """Threshold level M = inf{A : measure{m >= A} < p}.
 
@@ -470,7 +504,7 @@ def compute_threshold_M(
         raise ValueError("p must lie in (0, 1]")
     if resolution < 1000:
         raise ValueError("resolution below 1000 rejected")
-    if use_analytic and f.analytic_M is not None and p < 1.0:
+    if f.analytic_M is not None and p < 1.0:
         return float(f.analytic_M)
     values = f.evaluate(_threshold_grid(f.dim, resolution))
     r = values.shape[0]

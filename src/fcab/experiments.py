@@ -24,13 +24,17 @@ from .environment import (
     GRID,
     UNIFORM,
     ConfigError,
-    Instance,
+    InstancePair,
     MeanFunction,
     Record,
     RewardModel,
-    compute_threshold_M,
+    _REQUIRED,
+    _field,
+    _typed,
+    compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
     grid_arms,
     instance_kl,
+    make_instance,
     make_lower_bound_pair,
     mean_function_from_json,
     sample_arms_uniform,
@@ -68,50 +72,8 @@ def _round_half_up(x: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON fields
+# JSON objects
 # ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-_TYPE_NAMES = {
-    int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
-}
-
-
-def _is(value, kind: type) -> bool:
-    # Python's bool is an int, JSON's is not a number.
-    return type(value) is kind or (kind is float and type(value) is int)
-
-
-def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, item=None):
-    """``data[key]`` when it has the JSON type ``kind`` and, for a list,
-    every entry the type ``item``; else None with the error added to
-    ``errors``.  An absent key gives ``default``, or a "missing" error when
-    there is none.  Integers are numbers (``float``) and come back as
-    floats; booleans are nothing but booleans."""
-    if key not in data:
-        if default is _REQUIRED:
-            errors.append((f"$.{key}", "missing"))
-            return None
-        return default
-    value = data[key]
-    if not _is(value, kind):
-        errors.append((f"$.{key}", f"must be {_TYPE_NAMES[kind]}"))
-        return None
-    if item is not None and not all(_is(v, item) for v in value):
-        errors.append((f"$.{key}", f"every entry must be {_TYPE_NAMES[item]}"))
-        return None
-    return float(value) if kind is float else value
-
-
-def _typed(spec: dict, fields) -> dict:
-    """The entries of ``spec`` that ``fields`` names, as (key, JSON type,
-    default) triples, each checked by ``_field``; raises a ConfigError
-    listing every entry at fault."""
-    errors: list = []
-    out = {key: _field(spec, key, kind, errors, default) for key, kind, default in fields}
-    if errors:
-        raise ConfigError(errors)
-    return out
 
 
 def _build(errors: list, path: str, parse, spec):
@@ -121,7 +83,7 @@ def _build(errors: list, path: str, parse, spec):
         return parse(spec)
     except ConfigError as exc:
         errors.extend(exc.under(path).errors)
-    except (ValueError, KeyError, TypeError) as exc:  # mean functions report no path
+    except ValueError as exc:  # a mean function's range checks report no path
         errors.append((path, str(exc)))
     return None
 
@@ -218,14 +180,17 @@ def _reward_model_from_json(spec: dict) -> RewardModel:
     return RewardModel(**_typed(spec, [("kind", str, _REQUIRED), ("sigma", float, 0.0)]))
 
 
-def choose_k(k_rule: KRule, regime: Regime, n: int, t: int, p: float, dim: int) -> int:
+def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim: int) -> int:
+    """Bins per axis for one cell, in sweeps and the lower-bound protocol
+    alike: the cab K of the budget T for a ``cab_k`` policy whatever the K
+    rule, else the rule's K."""
+    if policies.POLICIES[policy_id].cab_k or k_rule.kind == "cab":
+        return policies.cab_parameters(t)
     if k_rule.kind == "explicit":
         return int(k_rule.k)
-    if k_rule.kind == "cab":
-        return policies.cab_parameters(t)
     if isinstance(regime, PowerLaw):
         return policies.corollary_parameters(t, regime.alpha)
-    return policies.default_parameters(n, p, dim).k
+    return policies.default_parameters(n, t / n, dim).k
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +232,13 @@ class ExperimentConfig:
             )
         if not self.n_grid or min(self.n_grid) < 30:
             errors.append(("$.N_grid", "every N must be at least 30"))
+        elif self.k_rule.kind == "cab" or any(
+            policies.POLICIES[p].cab_k for p in self.policies if p not in unknown
+        ):
+            t = min(self.regime.budget_for(n) for n in self.n_grid)
+            if t < 8:
+                errors.append(("$.N_grid", f"the cab K rule needs T >= 8; the smallest N "
+                               f"gives T = {t}"))
         if self.covariates not in (UNIFORM, GRID):
             errors.append(("$.covariates", f"must be '{UNIFORM}' or '{GRID}'"))
         if self.dim < 1:
@@ -396,15 +368,12 @@ def run_trial(
         arms = grid_arms(n)
     else:
         arms = sample_arms_uniform(n, config.dim, _hash64(seed, "arms"))
-    t_budget = config.regime.budget_for(n)
-    p = t_budget / n
-    threshold = compute_threshold_M(config.mean_function, p, config.threshold_resolution)
-    means = np.asarray(config.mean_function.evaluate(arms.covariates), dtype=np.float64)
-    instance = Instance(
-        arms, config.mean_function, config.reward_model, t_budget, p, threshold, means
+    instance = make_instance(
+        arms, config.mean_function, config.reward_model, config.regime.budget_for(n),
+        config.threshold_resolution,
     )
-    k_rule = KRule("cab") if spec.cab_k else config.k_rule
-    k = choose_k(k_rule, config.regime, n, t_budget, p, config.dim)
+    t_budget, p = instance.T, instance.p
+    k = choose_k(policy_id, config.k_rule, config.regime, n, t_budget, config.dim)
     delta = policies.default_parameters(n, p, config.dim).delta
     partition = policies.build_partition(arms, k)
     if config.bin_means_mode == "empirical":
@@ -616,30 +585,23 @@ class LBReport(Record):
 
 
 @functools.lru_cache(maxsize=4)
-def _lb_cell(n: int, p: float, lips: float, alpha_lb: float):
-    """Both members' instances, the default and cab partitions, and delta:
-    what every trial of one protocol run shares, built once per process."""
-    pair = make_lower_bound_pair(p, lips, alpha_lb, n)
+def _lb_cell(pair: InstancePair, policy_id: str):
+    """Both members' instances, the policy's partition and delta: what
+    every trial of one protocol run shares, built once per process."""
+    n, regime = pair.n_design, FixedP(pair.p)
     arms = grid_arms(n)
-    t_budget = _round_half_up(p * n)
+    t_budget = regime.budget_for(n)
     model = RewardModel("bernoulli")
-    instances = []
-    for member in (pair.m0, pair.m1):
-        means = np.asarray(member.evaluate(arms.covariates), dtype=np.float64)
-        instances.append(Instance(arms, member, model, t_budget, t_budget / n, 0.5, means))
-    pc = policies.default_parameters(n, p, 1)
-    partitions = {
-        False: policies.build_partition(arms, pc.k),
-        True: policies.build_partition(arms, policies.cab_parameters(t_budget)),
-    }
-    return instances, partitions, pc.delta
+    instances = [make_instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
+    k = choose_k(policy_id, KRule(), regime, n, t_budget, 1)
+    delta = policies.default_parameters(n, pair.p, 1).delta
+    return instances, policies.build_partition(arms, k), delta
 
 
 def _lb_trial(args):
-    n, p, lips, alpha_lb, role, policy_id, seed = args
-    instances, partitions, delta = _lb_cell(n, p, lips, alpha_lb)
-    spec = policies.POLICIES[policy_id]
-    trace = spec.run(instances[role], partitions[spec.cab_k], None, delta, seed)
+    pair, role, policy_id, seed = args
+    instances, partition, delta = _lb_cell(pair, policy_id)
+    trace = policies.POLICIES[policy_id].run(instances[role], partition, None, delta, seed)
     return role, analysis.regret_total(instances[role], trace)
 
 
@@ -662,11 +624,11 @@ def lower_bound_protocol(
     if spec is None or not spec.lower_bound:
         raise ValueError(f"policy {policy_id!r} not supported by the protocol")
     pair = make_lower_bound_pair(p, lipschitz_L, alpha_lb, n)
-    t_budget = _round_half_up(p * n)
+    regime = FixedP(p)
+    t_budget = regime.budget_for(n)
     threshold = 0.01 * t_budget ** (1.0 / 3.0) * p ** (-1.0 / 3.0)
     tasks = [
-        (n, p, lipschitz_L, alpha_lb, role, policy_id,
-         derive_seed(master_seed, n, f"lb{role}:{policy_id}", rep))
+        (pair, role, policy_id, derive_seed(master_seed, n, f"lb{role}:{policy_id}", rep))
         for role in (0, 1)
         for rep in range(replications)
     ]
@@ -678,7 +640,6 @@ def lower_bound_protocol(
         for role, vals in regrets.items()
     }
     kl = instance_kl(pair, grid_arms(n))
-    pc = policies.default_parameters(n, p, 1)
     return LBReport(
         n=n,
         p=p,
@@ -689,7 +650,7 @@ def lower_bound_protocol(
         policy_id=policy_id,
         replications=replications,
         t_budget=t_budget,
-        k=policies.cab_parameters(t_budget) if spec.cab_k else pc.k,
+        k=choose_k(policy_id, KRule(), regime, n, t_budget, 1),
         threshold=threshold,
         frequency_m0=freq[0],
         frequency_m1=freq[1],

@@ -23,11 +23,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import compute_f_hat
+from .analysis import rank_bins
 from .environment import ArmSet, Instance
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "cab_parameters",
     "corollary_parameters",
     "ucbf_index",
-    "argmax_lowest",
     "ucbf_run",
     "oracle_star",
     "oracle_discrete",
@@ -125,18 +124,16 @@ def build_partition(arms: ArmSet, k: int) -> Partition:
 
 @dataclass(frozen=True)
 class ParameterChoice:
-    """Bin count per axis and confidence level, with a flag raised when K
-    is too small relative to the budget fraction for the regret guarantee
-    to be meaningful."""
+    """Bin count per axis and confidence level."""
 
     k: int
     delta: float
-    small_k_warning: bool
 
 
 def default_parameters(n: int, p: float, dim: int = 1) -> ParameterChoice:
     """Budget-balanced schedule: K ~ N^(1/3) log(N)^(-2/3) in one dimension
-    (floor), K ~ N^(1/(d+2)) log(N)^(-2/(d+2)) above (ceiling)."""
+    (floor), K ~ N^(1/(d+2)) log(N)^(-2/(d+2)) above (ceiling).  Neither K
+    nor delta depends on the budget fraction ``p``."""
     if n < 3:
         raise ValueError("need n >= 3 for a positive logarithm")
     if dim < 1:
@@ -150,12 +147,7 @@ def default_parameters(n: int, p: float, dim: int = 1) -> ParameterChoice:
     else:
         k = math.ceil(n ** (1.0 / (dim + 2)) * ln ** (-2.0 / (dim + 2)) - 1e-9)
         delta = float(n) ** (-(2.0 * dim + 2.0) / (dim + 2.0))
-    k = max(k, 1)
-    if 0.0 < p < 1.0:
-        bound = max(1.0 / p, 1.0 / (1.0 - p))
-    else:
-        bound = math.inf
-    return ParameterChoice(k=k, delta=delta, small_k_warning=k <= bound)
+    return ParameterChoice(k=max(k, 1), delta=delta)
 
 
 def cab_parameters(t: int) -> int:
@@ -192,21 +184,9 @@ def ucbf_index(sum_rewards, n_k, t_budget: int, delta: float):
     n_k = np.asarray(n_k)
     if np.any(n_k < 1):
         raise ValueError("index undefined for an unpulled bin")
-    if not 0.0 < delta < t_budget:
-        raise ValueError("delta must lie in (0, T)")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     return sum_rewards / n_k + np.sqrt(math.log(t_budget / delta) / (2.0 * n_k))
-
-
-def argmax_lowest(values: Sequence[float]) -> int:
-    """Index of the maximum, ties resolved to the lowest index."""
-    best = 0
-    best_v = values[0]
-    for i in range(1, len(values)):
-        v = values[i]
-        if v > best_v:
-            best_v = v
-            best = i
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +268,6 @@ def ucbf_run(
     """
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
     t_budget = instance.T
     alive = partition.initial_alive()
     sizes = partition.counts[alive]
@@ -345,13 +323,9 @@ def oracle_discrete(
     """Discretised oracle: empties the best bins by the supplied bin means
     (ties to the lower bin id), then fills the remaining budget uniformly
     at random from the first bin that straddles it."""
-    bin_means = np.asarray(bin_means, dtype=np.float64)
-    if bin_means.size != partition.bin_count:
-        raise ValueError("one bin mean per bin required")
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
-    order = np.argsort(-bin_means, kind="stable")
-    f_hat = compute_f_hat(partition.counts[order], instance.T)
+    order, f_hat = rank_bins(partition, bin_means, instance.T)
     parts = [partition.arms_in_bin(int(b)) for b in order[:f_hat]]
     taken = sum(p.size for p in parts)
     remainder = instance.T - taken
@@ -385,9 +359,9 @@ class PolicySpec:
     ``run(instance, partition, bin_means, delta, seed)`` returns the trace.
     It looks its policy function up in this module at call time, so a
     wrapper set on the module attribute sees every call.  ``cab_k``: the
-    policy bins with K = ``cab_parameters(T)`` whatever the experiment's K
-    rule.  ``lower_bound``: the lower-bound protocol may run the policy,
-    which it can only when the policy needs no bin means.
+    policy bins with the cab K of the budget (``cab_parameters``) whatever
+    the experiment's K rule.  ``lower_bound``: the lower-bound protocol may
+    run the policy, which it can only when the policy needs no bin means.
     """
 
     run: Callable[..., PolicyTrace]

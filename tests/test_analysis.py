@@ -11,6 +11,7 @@ from fcab.analysis import (
     bin_means_quadrature,
     compute_f_hat,
     diagnostics,
+    rank_bins,
     regret_decompose,
     regret_total,
 )
@@ -144,6 +145,15 @@ class TestFHat:
             return
         f = compute_f_hat(counts, t)
         assert sum(counts[:f]) < t <= sum(counts[: f + 1])
+
+    def test_rank_bins_breaks_ties_to_lower_id(self):
+        # grid_arms(8) in K = 4 bins holds 1, 2, 2, 3 arms.
+        part = build_partition(grid_arms(8), 4)
+        order, f_hat = rank_bins(part, [0.2, 0.7, 0.2, 0.7], 6)
+        assert order.tolist() == [1, 3, 0, 2]
+        assert f_hat == 2  # 2 + 3 arms < 6 <= 2 + 3 + 1
+        with pytest.raises(ValueError, match="one bin mean per bin"):
+            rank_bins(part, [0.5, 0.5], 6)
 
 
 class TestRegretTotal:
@@ -280,8 +290,7 @@ class TestDecomposition:
         inst = make_instance(grid_arms(100), identity(), BERN, 40, 10**4)
         part = build_partition(inst.arms, 5)
         bm = bin_means_quadrature(identity(), part)
-        order = np.argsort(-np.asarray(bm), kind="stable")
-        f_hat = compute_f_hat(part.counts[order], inst.T)
+        order, f_hat = rank_bins(part, bm, inst.T)
         ordered_means = np.asarray(bm)[order]
         assert f_hat >= 1
         assert ordered_means[f_hat - 1] >= inst.threshold_M >= ordered_means[f_hat + 1]
@@ -290,18 +299,6 @@ class TestDecomposition:
             dec, _ = _decompose_for(inst, part, bm, trace, seed=100 + seed)
             assert dec.r_opt >= 0.0
             assert dec.r_subopt >= 0.0
-
-
-class TestPullsPerBin:
-    def test_counts_every_pull(self):
-        from fcab.analysis import pulls_per_bin
-
-        inst = make_instance(grid_arms(60), identity(), BERN, 30, 10**4)
-        part = build_partition(inst.arms, 4)
-        trace = ucbf_run(inst, part, 0.01, seed=6)
-        per_bin = pulls_per_bin(part, trace)
-        assert per_bin.sum() == inst.T
-        assert np.all(per_bin <= part.counts)
 
 
 class TestDiagnostics:

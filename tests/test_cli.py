@@ -145,6 +145,25 @@ class TestDispatch:
             ({"master_seed": True}, "$.master_seed"),
             ({"regime": {"kind": "fixed_p", "p": "0.5"}}, "$.regime.p"),
             ({"K_rule": {"kind": "explicit", "k": "3"}}, "$.K_rule.k"),
+            # The cab K rule needs T >= 8; N = 30 at p = 0.2 gives T = 6.
+            ({"policies": ["ucbf-cab-k"], "N_grid": [30], "regime": {"kind": "fixed_p", "p": 0.2}},
+             "$.N_grid"),
+            ({"K_rule": {"kind": "cab"}, "N_grid": [30, 640],
+              "regime": {"kind": "fixed_p", "p": 0.2}}, "$.N_grid"),
+            # Mean-function parameters have the JSON types of their constructor.
+            ({"mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": True}},
+             "$.mean_function.frequency"),
+            ({"mean_function": {"kind": "sinusoid", "amplitude": "0.35"}},
+             "$.mean_function.amplitude"),
+            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 1.0}},
+             "$.mean_function.dim"),
+            ({"mean_function": {"kind": "piecewise_linear", "breakpoints": [0, "1"],
+                                "values": [0.2, 0.8]}}, "$.mean_function.breakpoints"),
+            ({"mean_function": {"kind": "piecewise_linear", "breakpoints": [0, 1],
+                                "values": [0.2, None]}}, "$.mean_function.values"),
+            ({"mean_function": {"kind": "tabulated", "grid_values": 0.5}},
+             "$.mean_function.grid_values"),
+            ({"mean_function": {"kind": "sinusoid", "phase": 0.1}}, "$.mean_function.phase"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -289,7 +308,8 @@ class TestDispatch:
 # required.  Integer path parts index lists.
 SWEEP_CONFIG = {
     "schema": 1,
-    "mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": 1.15},
+    "mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": 1.15, "dim": 1,
+                      "margin_Q": None},
     "reward_model": {"kind": "bernoulli"},
     "policies": ["ucbf", "oracle-star"],
     "N_grid": [30],
@@ -306,6 +326,9 @@ SWEEP_FIELDS = {
     ("schema",): (int, [0, 2], True),
     ("mean_function",): (dict, [], True),
     ("mean_function", "kind"): (str, ["cubic"], True),
+    ("mean_function", "amplitude"): (float, [0.6, -0.7], False),
+    ("mean_function", "frequency"): (float, [0.0, -1.15], False),
+    ("mean_function", "dim"): (int, [0, -1, 2], False),
     ("reward_model",): (dict, [], False),
     ("reward_model", "kind"): (str, ["poisson", "clipped_gaussian"], True),
     ("policies",): (list, [[], ["thompson"]], True),

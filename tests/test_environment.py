@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,14 +17,12 @@ from fcab.environment import (
     Tabulated,
     bernoulli_kl,
     compute_threshold_M,
-    eval_mean,
     grid_arms,
     instance_kl,
     make_instance,
     make_lower_bound_pair,
     mean_function_from_json,
     sample_arms_uniform,
-    sample_reward,
     verify_margin,
     verify_weak_lipschitz,
 )
@@ -69,14 +68,14 @@ class TestMeanFunctions:
     def test_constant(self):
         f = Constant(0.5)
         for x in (0.0, 0.3, 1.0):
-            assert eval_mean(f, x) == 0.5
+            assert f.evaluate(x) == 0.5
 
     def test_piecewise_identity(self):
-        assert eval_mean(identity(), 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert identity().evaluate(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_piecewise_interpolates(self):
         f = PiecewiseLinear((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
-        assert eval_mean(f, 0.25) == pytest.approx(0.5)
+        assert f.evaluate(0.25) == pytest.approx(0.5)
         assert f.lipschitz_L == pytest.approx(2.0)
 
     def test_piecewise_rejects_bad_breakpoints(self):
@@ -91,20 +90,16 @@ class TestMeanFunctions:
         with pytest.raises(ValueError):
             Sinusoid(amplitude=0.7, offset=0.5)
 
-    def test_eval_mean_rejects_outside_cube(self):
-        with pytest.raises(ValueError):
-            eval_mean(identity(), 1.5)
-
     def test_sinusoid_range(self):
         f = Sinusoid(amplitude=0.4, frequency=1.0, offset=0.5)
         xs = np.linspace(0, 1, 1001)
         v = f.evaluate(xs)
         assert v.min() >= 0.0 and v.max() <= 1.0
-        assert eval_mean(f, 0.25) == pytest.approx(0.9)
+        assert f.evaluate(0.25) == pytest.approx(0.9)
 
     def test_tabulated_interpolates(self):
         f = Tabulated((0.0, 1.0, 0.0))
-        assert eval_mean(f, 0.25) == pytest.approx(0.5)
+        assert f.evaluate(0.25) == pytest.approx(0.5)
 
     def test_json_round_trip(self):
         originals = [
@@ -146,7 +141,8 @@ class TestThreshold:
         # Bypassing the analytic value, the grid quantile lands within the
         # documented L/resolution error of 1/2.
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
-        m = compute_threshold_M(pair.m0, 0.5, resolution=10**6, use_analytic=False)
+        grid_only = dataclasses.replace(pair.m0, analytic_M=None)
+        m = compute_threshold_M(grid_only, 0.5, resolution=10**6)
         assert m == pytest.approx(0.5, abs=1e-5)
 
     def test_sinusoid_symmetry(self):
@@ -207,8 +203,8 @@ class TestLowerBoundPair:
 
     def test_value_at_x0_is_half(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
-        assert eval_mean(pair.m0, pair.x0) == pytest.approx(0.5, abs=1e-12)
-        assert eval_mean(pair.m1, pair.x0) == pytest.approx(0.5, abs=1e-12)
+        assert pair.m0.evaluate(pair.x0) == pytest.approx(0.5, abs=1e-12)
+        assert pair.m1.evaluate(pair.x0) == pytest.approx(0.5, abs=1e-12)
 
     def test_bounded_in_unit_interval(self):
         for p in (0.3, 0.5, 0.7):
@@ -287,8 +283,8 @@ class TestRewards:
     def test_bernoulli_degenerate(self):
         rng = np.random.default_rng(0)
         model = RewardModel("bernoulli")
-        assert all(sample_reward(model, 0.0, rng) == 0.0 for _ in range(50))
-        assert all(sample_reward(model, 1.0, rng) == 1.0 for _ in range(50))
+        assert np.all(model.sample(np.zeros(50), rng) == 0.0)
+        assert np.all(model.sample(np.ones(50), rng) == 1.0)
 
     def test_bernoulli_frequency(self):
         # Binomial z-test at significance 1e-6 (two-sided z about 4.89).
@@ -318,7 +314,7 @@ class TestRewards:
     def test_mean_outside_unit_interval_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_reward(RewardModel("bernoulli"), 1.2, rng)
+            RewardModel("bernoulli").sample(np.array([1.2]), rng)
 
 
 class TestBernoulliKl:

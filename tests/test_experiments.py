@@ -358,3 +358,20 @@ class TestPolicyRegistry:
             else:
                 with pytest.raises(ValueError, match="not supported"):
                     lower_bound_protocol(**kw)
+
+    @pytest.mark.parametrize("policy_id", ["ucbf", "ucbf-cab-k"])
+    def test_lower_bound_report_k_is_the_runs_k(self, monkeypatch, policy_id):
+        # The report's K must be the bins per axis the policy's runs got.
+        seen = []
+        run = policies.ucbf_run
+
+        def counting(instance, partition, delta, seed, policy_id="ucbf"):
+            seen.append(partition.k_per_axis)
+            return run(instance, partition, delta, seed, policy_id)
+
+        monkeypatch.setattr(policies, "ucbf_run", counting)
+        report = lower_bound_protocol(n=3000, p=0.3, lipschitz_L=0.5, alpha_lb=0.3,
+                                      policy_id=policy_id, replications=2, master_seed=1)
+        assert len(seen) == 4
+        assert set(seen) == {report.k}
+        assert report.t_budget == 900

@@ -18,7 +18,6 @@ from fcab.environment import (
 )
 from fcab.policies import (
     POLICIES,
-    argmax_lowest,
     baseline_random,
     build_partition,
     cab_parameters,
@@ -36,6 +35,16 @@ BERN = RewardModel("bernoulli")
 
 def identity():
     return PiecewiseLinear((0.0, 1.0), (0.0, 1.0))
+
+
+def argmax_lowest(values):
+    """Index of the maximum, ties resolved to the lowest index: the greedy
+    rule ``reference_ucbf`` applies at every pull."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best]:
+            best = i
+    return best
 
 
 class TestPartition:
@@ -108,11 +117,6 @@ class TestParameterSchedules:
         assert choice.k == 17
         assert choice.delta == pytest.approx(1e-8, rel=1e-12)
 
-    def test_warning_flag(self):
-        # K=2 is not above max(1/0.4, 1/0.6) = 2.5, so the flag is set.
-        assert default_parameters(1000, 0.4, 1).small_k_warning
-        assert not default_parameters(10**6, 0.5, 1).small_k_warning
-
     def test_higher_dim_uses_ceiling(self):
         choice = default_parameters(10**4, 0.5, 2)
         expected = math.ceil((10**4) ** 0.25 * math.log(10**4) ** -0.5)
@@ -151,8 +155,9 @@ class TestUcbfIndex:
         assert ucbf_index(1.2, 2, 100, 0.01) == pytest.approx(expected, rel=1e-12)
 
     def test_unit_bonus(self):
-        # log(T/delta) = 2 makes the one-pull bonus exactly 1.
-        t = 739
+        # log(T/delta) = 2 makes the one-pull bonus exactly 1; delta = T/e^2
+        # stays below 1 for T <= 7.
+        t = 7
         assert ucbf_index(0.0, 1, t, t / math.e**2) == pytest.approx(1.0, rel=1e-12)
 
     def test_many_pulls(self):
@@ -162,6 +167,12 @@ class TestUcbfIndex:
     def test_rejects_unpulled(self):
         with pytest.raises(ValueError):
             ucbf_index(0.0, 0, 100, 0.01)
+
+    def test_rejects_delta_outside_unit_interval(self):
+        # One rule for delta, (0, 1); 50 < T = 100 passed the old (0, T) rule.
+        for delta in (0.0, 1.0, 50.0):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                ucbf_index(0.0, 1, 100, delta)
 
 
 class TestArgmax:
