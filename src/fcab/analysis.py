@@ -30,7 +30,6 @@ __all__ = [
     "bin_mean",
     "bin_means_quadrature",
     "bin_means_empirical",
-    "compute_f_hat",
     "rank_bins",
     "regret_total",
     "regret_decompose",
@@ -108,35 +107,19 @@ def bin_means_empirical(instance: Instance, partition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def compute_f_hat(ordered_counts, t_budget: int) -> int:
-    """Number of bins fully consumed by a budget of T, given per-bin arm
-    counts already ordered by decreasing bin mean.
-
-    Returns the unique f with N_1 + ... + N_f < T <= N_1 + ... + N_{f+1},
-    which is 0 when the first bin alone covers the budget.
-    """
-    counts = np.asarray(ordered_counts)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("counts must be a non-empty vector")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    if t_budget < 1:
-        raise ValueError("budget must be positive")
-    cum = np.cumsum(counts)
-    if cum[-1] < t_budget:
-        raise ValueError("total arm count is below the budget")
-    return int(np.searchsorted(cum, t_budget, side="left"))
-
-
 def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
     """The discretised oracle's ranking: bin ids by decreasing bin mean,
     ties to the lower id, and f_hat, the number of leading bins a budget
-    of T empties."""
+    of T empties.  With N_i the arm count of the i-th ranked bin, f_hat is
+    the unique f with N_1 + ... + N_f < T <= N_1 + ... + N_{f+1}, which is
+    0 when the first bin alone covers the budget."""
     bin_means = np.asarray(bin_means, dtype=np.float64)
     if bin_means.size != partition.bin_count:
         raise ValueError("one bin mean per bin required")
+    if not 1 <= t_budget <= partition.n_arms:
+        raise ValueError("the budget must lie in [1, arm count]")
     order = np.argsort(-bin_means, kind="stable")
-    return order, compute_f_hat(partition.counts[order], t_budget)
+    return order, int(np.searchsorted(np.cumsum(partition.counts[order]), t_budget))
 
 
 # ---------------------------------------------------------------------------

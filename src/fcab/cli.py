@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import experiments
-from .environment import make_lower_bound_pair, verify_margin, verify_weak_lipschitz
+from .environment import verify_margin, verify_weak_lipschitz
 from .experiments import ConfigError
 
 log = logging.getLogger("fcab")
@@ -57,10 +57,6 @@ def parse_lowerbound_config(path: str) -> dict:
     return experiments.lower_bound_config_from_json(_load_json(path))
 
 
-def parse_validate_config(path: str) -> dict:
-    return experiments.validate_config_from_json(_load_json(path))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -77,49 +73,46 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
     return dataclasses.replace(config, master_seed=args.seed)
 
 
-def _cmd_sweep(args) -> int:
-    config = _experiment_config(args)
-    result = experiments.run_sweep(config, threads=args.threads)
+def _write_sweep(args, name: str, text) -> int:
+    """Run the config's sweep on ``--threads`` workers and write
+    ``text(result)`` to ``name``.  When a cell fails, log it, write
+    nothing (a file without the failed cells would read as complete) and
+    return 2."""
+    result = experiments.run_sweep(_experiment_config(args), threads=args.threads)
     for row in result.rows:
         log.info(
             "cell policy=%s N=%d regret_mean=%.4f wall_ms=%.1f",
             row.policy_id, row.n, row.regret_mean, row.wall_ms,
         )
+    for policy_id, n, message in result.errors:
+        log.error("cell policy=%s N=%d failed: %s", policy_id, n, message)
     if result.errors:
-        # A sweep.csv without its failed cells would read as complete.
-        for policy_id, n, message in result.errors:
-            log.error("cell policy=%s N=%d failed: %s", policy_id, n, message)
         return 2
-    out = os.path.join(args.out, "sweep.csv")
-    _atomic_write(out, experiments.sweep_csv_text(result))
-    log.info("wrote %s (%d rows)", out, len(result.rows))
+    out = os.path.join(args.out, name)
+    _atomic_write(out, text(result))
+    log.info("wrote %s (%d cells, %d trials)", out, len(result.rows), len(result.trials))
     return 0
+
+
+def _trials_jsonl_text(result: experiments.SweepResult) -> str:
+    """One JSON line per trial, in task order: its cell, replication,
+    seed, regret, decomposition and diagnostics."""
+    lines = [
+        json.dumps({"policy": r.policy_id, "N": r.n, "T": r.t_budget, "K": r.k, "p": r.p,
+                    "rep": r.rep, "seed": r.seed, "regret": r.regret,
+                    **r.decomposition.to_json(), "diagnostics": r.diagnostics.to_json()},
+                   sort_keys=True)
+        for r in result.trials
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_sweep(args) -> int:
+    return _write_sweep(args, "sweep.csv", experiments.sweep_csv_text)
 
 
 def _cmd_simulate(args) -> int:
-    config = _experiment_config(args)
-    lines = []
-    for n in config.n_grid:
-        for policy_id in config.policies:
-            for rep in range(config.replications):
-                r = experiments.run_trial(config, n, policy_id, rep, keep_trace=False)
-                record = {
-                    "policy": policy_id,
-                    "N": n,
-                    "T": r.t_budget,
-                    "K": r.k,
-                    "p": r.p,
-                    "rep": rep,
-                    "seed": r.seed,
-                    "regret": r.regret,
-                }
-                record.update(r.decomposition.to_json())
-                record["diagnostics"] = r.diagnostics.to_json()
-                lines.append(json.dumps(record, sort_keys=True))
-    out = os.path.join(args.out, "trials.jsonl")
-    _atomic_write(out, "\n".join(lines) + "\n")
-    log.info("wrote %s (%d trials)", out, len(lines))
-    return 0
+    return _write_sweep(args, "trials.jsonl", _trials_jsonl_text)
 
 
 def _cmd_lowerbound(args) -> int:
@@ -146,9 +139,9 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = parse_validate_config(args.config)
+    cfg = experiments.validate_config_from_json(_load_json(args.config))
     p = cfg["pair"]
-    pair = make_lower_bound_pair(p["p"], p["L"], p["alpha_lb"], p["N"])
+    pair = p["pair"]
     q = pair.m0.margin_Q
     eps = [f * pair.L_tilde * pair.lb_half_width for f in cfg["eps_factors"]]
     result = {

@@ -103,11 +103,17 @@ def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, it
     return float(value) if kind is float else value
 
 
-def _typed(spec: dict, fields) -> dict:
+def _unknown(spec: dict, known) -> list:
+    """An error for each key of the JSON object ``spec`` outside ``known``:
+    a key no parser reads would be ignored silently."""
+    return [(f"$.{key}", "unknown key") for key in spec if key not in known]
+
+
+def _typed(spec: dict, fields, closed: bool = True) -> dict:
     """The entries of ``spec`` that ``fields`` names, as (key, JSON type,
     default) triples, each checked by ``_field``; raises a ConfigError
-    listing every entry at fault."""
-    errors: list = []
+    listing every entry at fault, and, when ``closed``, every other key."""
+    errors = _unknown(spec, [key for key, _, _ in fields]) if closed else []
     out = {key: _field(spec, key, kind, errors, default) for key, kind, default in fields}
     if errors:
         raise ConfigError(errors)
@@ -184,21 +190,14 @@ def grid_arms(n: int) -> ArmSet:
 # ---------------------------------------------------------------------------
 
 
-def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Normalise input to an (n, dim) array; returns (points, was_scalar)."""
+def _as_points(x, dim: int) -> np.ndarray:
+    """Input as an (n, dim) array of points; in one dimension a flat array
+    of n covariates is accepted too."""
     a = np.asarray(x, dtype=np.float64)
-    if dim == 1:
-        if a.ndim == 0:
-            return a.reshape(1, 1), True
-        if a.ndim == 1:
-            return a.reshape(-1, 1), False
-        if a.ndim == 2 and a.shape[1] == 1:
-            return a, False
-    else:
-        if a.ndim == 1 and a.shape[0] == dim:
-            return a.reshape(1, dim), True
-        if a.ndim == 2 and a.shape[1] == dim:
-            return a, False
+    if dim == 1 and a.ndim == 1:
+        return a.reshape(-1, 1)
+    if a.ndim == 2 and a.shape[1] == dim:
+        return a
     raise ValueError(f"expected points of dimension {dim}, got shape {a.shape}")
 
 
@@ -219,6 +218,8 @@ class MeanFunction:
     analytic_M: Optional[float] = None
 
     def evaluate(self, x) -> np.ndarray:
+        """The means at an (n, dim) array of points, or in one dimension at
+        a flat array of n covariates: an array of n values."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -244,9 +245,7 @@ class Constant(MeanFunction):
         object.__setattr__(self, "analytic_M", self.value)
 
     def evaluate(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        out = np.full(pts.shape[0], self.value, dtype=np.float64)
-        return float(out[0]) if scalar else out
+        return np.full(_as_points(x, self.dim).shape[0], self.value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -284,9 +283,7 @@ class PiecewiseLinear(MeanFunction):
             object.__setattr__(self, "lipschitz_L", float(np.max(np.abs(slopes))))
 
     def evaluate(self, x):
-        pts, scalar = _as_points(x, 1)
-        out = np.interp(pts[:, 0], self.breakpoints, self.values)
-        return float(out[0]) if scalar else out
+        return np.interp(_as_points(x, 1)[:, 0], self.breakpoints, self.values)
 
 
 @dataclass(frozen=True)
@@ -320,41 +317,21 @@ class Sinusoid(MeanFunction):
         object.__setattr__(self, "lipschitz_L", lip)
 
     def evaluate(self, x):
-        pts, scalar = _as_points(x, self.dim)
+        pts = _as_points(x, self.dim)
         u = pts[:, 0] if self.dim == 1 else pts.mean(axis=1)
-        out = self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * u)
-        return float(out[0]) if scalar else out
+        return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * u)
 
 
-@dataclass(frozen=True)
-class Tabulated(MeanFunction):
+def Tabulated(
+    grid_values: tuple = (),
+    margin_Q: Optional[float] = None,
+    analytic_M: Optional[float] = None,
+) -> PiecewiseLinear:
     """Values on a uniform grid over [0, 1] (endpoints included), with
-    linear interpolation in between."""
-
-    grid_values: tuple = ()
-    margin_Q: Optional[float] = None
-    analytic_M: Optional[float] = None
-    dim: int = field(default=1, init=False)
-    kind: str = field(default="tabulated", init=False)
-
-    def __post_init__(self):
-        vv = np.asarray(self.grid_values, dtype=np.float64)
-        if vv.ndim != 1 or vv.size < 2:
-            raise ValueError("need at least two tabulated values")
-        if np.any(vv < 0.0) or np.any(vv > 1.0):
-            raise ValueError("tabulated values must lie in [0, 1]")
-        object.__setattr__(self, "grid_values", tuple(vv.tolist()))
-        h = 1.0 / (vv.size - 1)
-        object.__setattr__(self, "lipschitz_L", float(np.max(np.abs(np.diff(vv))) / h))
-
-    @property
-    def _knots(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, len(self.grid_values))
-
-    def evaluate(self, x):
-        pts, scalar = _as_points(x, 1)
-        out = np.interp(pts[:, 0], self._knots, self.grid_values)
-        return float(out[0]) if scalar else out
+    linear interpolation in between: the piecewise-linear function with a
+    breakpoint at each grid point."""
+    knots = np.linspace(0.0, 1.0, np.size(grid_values))
+    return PiecewiseLinear(tuple(knots), grid_values, margin_Q=margin_Q, analytic_M=analytic_M)
 
 
 def LowerBoundMember(
@@ -408,7 +385,7 @@ def mean_function_from_json(spec: dict) -> MeanFunction:
     """A mean function from its JSON object.  Each parameter must have the
     JSON type its constructor declares: a tuple is a list of numbers, and
     an Optional may be null.  Error paths start at that object."""
-    kind = _typed(spec, [("kind", str, _REQUIRED)])["kind"]
+    kind = _typed(spec, [("kind", str, _REQUIRED)], closed=False)["kind"]
     if kind not in _MEAN_KINDS:
         raise ConfigError(
             [("$.kind", f"unknown mean function kind {kind!r}; valid: {list(_MEAN_KINDS)}")]
@@ -585,8 +562,7 @@ def make_instance(
         raise ValueError("mean function dimension must match the covariates")
     p = T / arms.n
     threshold = compute_threshold_M(mean, p, threshold_resolution)
-    means = np.asarray(mean.evaluate(arms.covariates), dtype=np.float64)
-    return Instance(arms, mean, rewards, T, p, threshold, means)
+    return Instance(arms, mean, rewards, T, p, threshold, mean.evaluate(arms.covariates))
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +650,6 @@ class ValidationReport(Record):
     details: dict
 
 
-def _validator_points(f: MeanFunction, grid: int, seed: int) -> np.ndarray:
-    if f.dim == 1:
-        return np.linspace(0.0, 1.0, grid).reshape(-1, 1)
-    return np.random.default_rng(seed).random((grid, f.dim))
-
-
 def verify_weak_lipschitz(
     f: MeanFunction,
     M: float,
@@ -687,15 +657,18 @@ def verify_weak_lipschitz(
     grid: int = 2000,
     seed: int = 0,
 ) -> ValidationReport:
-    """Check |m(x) - m(y)| <= max(|M - m(x)|, L * dist(x, y)) on grid pairs.
+    """Check |m(x) - m(y)| <= max(|M - m(x)|, L * |x - y|) on pairs of an
+    evenly spaced grid over [0, 1], for a one-dimensional mean.
 
     All ordered pairs are tested when grid <= 2000; above that, 10^6
-    seeded random ordered pairs.  Distance is Euclidean in dimension > 1.
+    seeded random ordered pairs.
     """
+    if f.dim != 1:
+        raise ValueError("the validators take a one-dimensional mean")
     if grid < 1000:
         raise ValueError("grid below 1000 rejected")
-    pts = _validator_points(f, grid, seed)
-    vals = np.asarray(f.evaluate(pts), dtype=np.float64)
+    x = np.linspace(0.0, 1.0, grid)
+    vals = f.evaluate(x)
     slack = 2.0 / grid
     worst = -math.inf
     worst_pair = (0, 0)
@@ -707,11 +680,7 @@ def verify_weak_lipschitz(
         for lo in range(0, grid, block):
             hi = min(lo + block, grid)
             dv = np.abs(vals[lo:hi, None] - vals[None, :])
-            if f.dim == 1:
-                dx = np.abs(pts[lo:hi, 0:1] - pts[None, :, 0])
-            else:
-                diff = pts[lo:hi, None, :] - pts[None, :, :]
-                dx = np.sqrt((diff**2).sum(axis=2))
+            dx = np.abs(x[lo:hi, None] - x[None, :])
             bound = np.maximum(np.abs(M - vals[lo:hi])[:, None], L * dx)
             viol = dv - bound
             i, j = np.unravel_index(np.argmax(viol), viol.shape)
@@ -725,15 +694,10 @@ def verify_weak_lipschitz(
         ii = rng.integers(0, grid, checked)
         jj = rng.integers(0, grid, checked)
         dv = np.abs(vals[ii] - vals[jj])
-        if f.dim == 1:
-            dx = np.abs(pts[ii, 0] - pts[jj, 0])
-        else:
-            dx = np.sqrt(((pts[ii] - pts[jj]) ** 2).sum(axis=1))
-        viol = dv - np.maximum(np.abs(M - vals[ii]), L * dx)
+        viol = dv - np.maximum(np.abs(M - vals[ii]), L * np.abs(x[ii] - x[jj]))
         k = int(np.argmax(viol))
         worst = float(viol[k])
         worst_pair = (int(ii[k]), int(jj[k]))
-    xi, xj = pts[worst_pair[0]], pts[worst_pair[1]]
     return ValidationReport(
         check="weak_lipschitz",
         passed=worst <= slack,
@@ -744,8 +708,8 @@ def verify_weak_lipschitz(
             "pairs_checked": checked,
             "L": L,
             "M": M,
-            "worst_x": xi.tolist() if f.dim > 1 else float(xi[0]),
-            "worst_y": xj.tolist() if f.dim > 1 else float(xj[0]),
+            "worst_x": float(x[worst_pair[0]]),
+            "worst_y": float(x[worst_pair[1]]),
         },
     )
 
@@ -756,22 +720,20 @@ def verify_margin(
     Q: float,
     eps_values,
     grid: int = 10**6,
-    seed: int = 0,
 ) -> ValidationReport:
-    """Check measure{x : |M - m(x)| <= eps} <= Q * eps by grid fraction.
+    """Check measure{x : |M - m(x)| <= eps} <= Q * eps by the fraction of
+    a midpoint grid over [0, 1], for a one-dimensional mean.
 
     Passes when every estimate stays within Q*eps plus the 2/grid slack.
     """
+    if f.dim != 1:
+        raise ValueError("the validators take a one-dimensional mean")
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("need at least one epsilon")
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("each epsilon must lie in (0, 1)")
-    if f.dim == 1:
-        pts = ((np.arange(grid, dtype=np.float64) + 0.5) / grid).reshape(-1, 1)
-    else:
-        pts = np.random.default_rng(seed).random((grid, f.dim))
-    dist = np.abs(M - np.asarray(f.evaluate(pts), dtype=np.float64))
+    dist = np.abs(M - f.evaluate((np.arange(grid, dtype=np.float64) + 0.5) / grid))
     slack = 2.0 / grid
     rows = []
     worst = -math.inf
@@ -795,33 +757,27 @@ def verify_margin(
 
 
 def bernoulli_kl(p, q):
-    """KL divergence between Bernoulli(p) and Bernoulli(q), elementwise.
+    """KL divergence between Bernoulli(p) and Bernoulli(q), elementwise
+    over arrays.
 
     Endpoint arguments are rejected; the divergence is only finite on the
     open interval.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0) or np.any(q <= 0.0) or np.any(q >= 1.0):
         raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
     out = p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))
     # the divergence is nonnegative; clamp the few-ulp rounding residue
     # that appears when p and q nearly coincide
-    out = np.maximum(out, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(out, 0.0)
 
 
 def instance_kl(pair: InstancePair, arms: ArmSet) -> float:
     """Sum of per-arm Bernoulli KL divergences between the two members,
-    over the arms where they disagree."""
-    if arms.dim != 1:
-        raise ValueError("instance KL requires one-dimensional covariates")
+    over the (one-dimensional, grid) arms where they disagree."""
     if arms.origin != GRID:
         raise ValueError("instance KL requires grid covariates")
     x = arms.x
     v0 = pair.m0.evaluate(x)
     v1 = pair.m1.evaluate(x)
     mask = v0 != v1
-    if not np.any(mask):
-        return 0.0
     return float(np.sum(bernoulli_kl(v0[mask], v1[mask])))

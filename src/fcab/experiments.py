@@ -31,6 +31,7 @@ from .environment import (
     _REQUIRED,
     _field,
     _typed,
+    _unknown,
     compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
     grid_arms,
     instance_kl,
@@ -88,12 +89,13 @@ def _build(errors: list, path: str, parse, spec):
     return None
 
 
-def _root(data) -> list:
+def _root(data, known) -> list:
     """The error list of a config file's top-level object, after checking
-    that it is an object of schema version 1."""
+    that it is an object of schema version 1 with no key outside ``schema``
+    and ``known``."""
     if not isinstance(data, dict):
         raise ConfigError([("$", "config must be a JSON object")])
-    errors: list = []
+    errors = _unknown(data, ["schema", *known])
     schema = _field(data, "schema", int, errors)
     if schema not in (None, 1):
         errors.append(("$.schema", f"unsupported schema version {schema!r}"))
@@ -149,11 +151,11 @@ _REGIMES = {"fixed_p": (FixedP, "p"), "power_law": (PowerLaw, "alpha")}
 
 def regime_from_json(spec: dict) -> Regime:
     """A regime from its JSON object; error paths start at that object."""
-    kind = _typed(spec, [("kind", str, _REQUIRED)])["kind"]
+    kind = _typed(spec, [("kind", str, _REQUIRED)], closed=False)["kind"]
     if kind not in _REGIMES:
         raise ConfigError([("$.kind", f"unknown regime kind {kind!r}; valid: {list(_REGIMES)}")])
     cls, key = _REGIMES[kind]
-    return cls(_typed(spec, [(key, float, _REQUIRED)])[key])
+    return cls(_typed(spec, [("kind", str, _REQUIRED), (key, float, _REQUIRED)])[key])
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,22 @@ def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim:
 # ---------------------------------------------------------------------------
 
 _BIN_MEAN_MODES = ("quadrature", "empirical")
+# JSON key -> (ExperimentConfig field, JSON type) of the optional scalars,
+# and -> (field, parser, required) of the objects.
+_SCALAR_KEYS = {
+    "replications": ("replications", int),
+    "master_seed": ("master_seed", int),
+    "covariates": ("covariates", str),
+    "dim": ("dim", int),
+    "bin_means": ("bin_means_mode", str),
+    "threshold_resolution": ("threshold_resolution", int),
+}
+_OBJECT_KEYS = {
+    "mean_function": ("mean_function", mean_function_from_json, True),
+    "reward_model": ("reward_model", _reward_model_from_json, False),
+    "regime": ("regime", regime_from_json, True),
+    "K_rule": ("k_rule", krule_from_json, False),
+}
 
 
 @dataclass(frozen=True)
@@ -261,28 +279,16 @@ class ExperimentConfig:
     def from_json(cls, data) -> "ExperimentConfig":
         """A config from its JSON object.  Every shape and type error is
         reported at once; range errors come after, from the constructors."""
-        errors = _root(data)
+        errors = _root(data, ["policies", "N_grid", *_SCALAR_KEYS, *_OBJECT_KEYS])
         kw = {
             "policies": _field(data, "policies", list, errors, item=str),
             "n_grid": _field(data, "N_grid", list, errors, item=int),
             "reward_model": RewardModel(),
         }
-        for key, name, kind in (
-            ("replications", "replications", int),
-            ("master_seed", "master_seed", int),
-            ("covariates", "covariates", str),
-            ("dim", "dim", int),
-            ("bin_means", "bin_means_mode", str),
-            ("threshold_resolution", "threshold_resolution", int),
-        ):
+        for key, (name, kind) in _SCALAR_KEYS.items():
             if key in data:
                 kw[name] = _field(data, key, kind, errors)
-        for key, name, parse, required in (
-            ("mean_function", "mean_function", mean_function_from_json, True),
-            ("reward_model", "reward_model", _reward_model_from_json, False),
-            ("regime", "regime", regime_from_json, True),
-            ("K_rule", "k_rule", krule_from_json, False),
-        ):
+        for key, (name, parse, required) in _OBJECT_KEYS.items():
             if required or key in data:
                 spec = _field(data, key, dict, errors)
                 if spec is not None:
@@ -309,12 +315,12 @@ def derive_seed(master_seed: int, n: int, policy_id: str, rep: int) -> int:
 
 def _map(fn, tasks: list, threads: int) -> list:
     """``fn`` over ``tasks``, results in task order: on a pool of
-    ``threads`` worker processes (0: one per core), or in this process
-    for one worker or one task."""
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    ``threads`` worker processes (0: one per core), never more than there
+    are tasks, or in this process for one worker or one task."""
+    workers = min(threads or os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        # Forked pools start every worker at once, so do not ask for idle ones.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=4))
     return [fn(t) for t in tasks]
 
@@ -437,7 +443,7 @@ class SweepRow:
 class SweepResult:
     rows: list
     errors: list  # (policy_id, n, message)
-    config: ExperimentConfig
+    trials: list  # the TrialResults that ran, in task order
 
 
 def _trial_task(args):
@@ -460,10 +466,12 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
         for rep in range(config.replications)
     ]
     # Outcomes come in task order, so each cell's trials in replication order.
+    done: list = []
     trials: dict = {}
     errors: dict = {}
     for (_, n, policy_id, _), (ok, payload) in zip(tasks, _map(_trial_task, tasks, threads)):
         if ok:
+            done.append(payload)
             trials.setdefault((n, policy_id), []).append(payload)
         else:
             errors.setdefault((n, policy_id), payload)
@@ -499,7 +507,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
                     **terms,
                 )
             )
-    return SweepResult(rows=rows, errors=error_list, config=config)
+    return SweepResult(rows=rows, errors=error_list, trials=done)
 
 
 def _csv_cell(value) -> str:
@@ -663,19 +671,21 @@ def lower_bound_protocol(
     )
 
 
-def _lower_bound_pair_from_json(spec: dict) -> dict:
-    """N, p, L and alpha_lb of a lower-bound pair, checked by building it."""
+def _lower_bound_pair_from_json(spec: dict, closed: bool = True) -> dict:
+    """N, p, L and alpha_lb of a lower-bound pair, and under ``pair`` the
+    InstancePair they build; ``closed``: no other key is allowed."""
     out = _typed(spec, [("N", int, _REQUIRED), ("p", float, _REQUIRED),
-                        ("L", float, _REQUIRED), ("alpha_lb", float, _REQUIRED)])
-    make_lower_bound_pair(out["p"], out["L"], out["alpha_lb"], out["N"])
+                        ("L", float, _REQUIRED), ("alpha_lb", float, _REQUIRED)], closed)
+    out["pair"] = make_lower_bound_pair(out["p"], out["L"], out["alpha_lb"], out["N"])
     return out
 
 
 def lower_bound_config_from_json(data) -> dict:
-    """The lowerbound config: a pair's N, p, L and alpha_lb, the policy,
-    replications and master_seed.  Errors carry JSON paths."""
-    errors = _root(data)
-    out = _build(errors, "$", _lower_bound_pair_from_json, data) or {}
+    """The lowerbound config: a pair's N, p, L and alpha_lb (and the pair
+    under ``pair``), the policy, replications and master_seed.  Errors
+    carry JSON paths."""
+    errors = _root(data, ["N", "p", "L", "alpha_lb", "policy", "replications", "master_seed"])
+    out = _build(errors, "$", lambda d: _lower_bound_pair_from_json(d, closed=False), data) or {}
     out["policy"] = _field(data, "policy", str, errors, default="ucbf")
     out["replications"] = _field(data, "replications", int, errors, default=100)
     out["master_seed"] = _field(data, "master_seed", int, errors, default=0)
@@ -690,10 +700,11 @@ def lower_bound_config_from_json(data) -> dict:
 
 
 def validate_config_from_json(data) -> dict:
-    """The validate config: a lower-bound pair under ``pair``, the grid of
-    each validator, and the margin check's epsilons as multiples of
+    """The validate config: a lower-bound pair under ``pair`` (as
+    ``_lower_bound_pair_from_json`` returns it), the grid of each
+    validator, and the margin check's epsilons as multiples of
     L~ * lb_half_width.  Errors carry JSON paths."""
-    errors = _root(data)
+    errors = _root(data, ["pair", "lipschitz_grid", "margin_grid", "eps_factors"])
     spec = _field(data, "pair", dict, errors)
     pair = None if spec is None else _build(errors, "$.pair", _lower_bound_pair_from_json, spec)
     lip_grid = _field(data, "lipschitz_grid", int, errors, default=2000)
@@ -706,8 +717,7 @@ def validate_config_from_json(data) -> dict:
     if factors is not None and (not factors or min(factors) <= 0):
         errors.append(("$.eps_factors", "must be a non-empty list of positive numbers"))
     elif factors is not None and pair is not None:
-        built = make_lower_bound_pair(pair["p"], pair["L"], pair["alpha_lb"], pair["N"])
-        if max(factors) * built.L_tilde * built.lb_half_width >= 1.0:
+        if max(factors) * pair["pair"].L_tilde * pair["pair"].lb_half_width >= 1.0:
             errors.append(("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
                            "must stay below 1"))
     if errors:

@@ -9,7 +9,6 @@ from fcab.analysis import (
     bin_mean,
     bin_means_empirical,
     bin_means_quadrature,
-    compute_f_hat,
     diagnostics,
     rank_bins,
     regret_decompose,
@@ -27,6 +26,7 @@ from fcab.environment import (
     sample_arms_uniform,
 )
 from fcab.policies import (
+    Partition,
     PolicyTrace,
     baseline_random,
     build_partition,
@@ -103,15 +103,28 @@ class TestBinMean:
         assert means[1] == 0.0
 
 
+def f_hat(counts, t):
+    """rank_bins' f_hat on a partition with these arm counts per bin, bin
+    means falling with the bin id so that the ranking keeps the order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    assignment = np.repeat(np.arange(counts.size), counts)
+    part = Partition(counts.size, 1, assignment, counts)
+    return rank_bins(part, -np.arange(counts.size, dtype=np.float64), t)[1]
+
+
 class TestFHat:
     def test_examples(self):
-        assert compute_f_hat([3, 2, 4], 6) == 2
-        assert compute_f_hat([5], 3) == 0
-        assert compute_f_hat([2, 2, 2], 6) == 2
+        assert f_hat([3, 2, 4], 6) == 2
+        assert f_hat([5], 3) == 0
+        assert f_hat([2, 2, 2], 6) == 2
 
     def test_budget_exceeds_total(self):
-        with pytest.raises(ValueError):
-            compute_f_hat([2, 2], 5)
+        with pytest.raises(ValueError, match="budget"):
+            f_hat([2, 2], 5)
+
+    def test_budget_below_one(self):
+        with pytest.raises(ValueError, match="budget"):
+            f_hat([2, 2], 0)
 
     def _scan_oracle(self, counts, t):
         total = 0
@@ -130,7 +143,7 @@ class TestFHat:
             if total == 0:
                 continue
             t = int(rng.integers(1, total + 1))
-            assert compute_f_hat(counts, t) == self._scan_oracle(counts, t)
+            assert f_hat(counts, t) == self._scan_oracle(counts, t)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=10),
@@ -141,9 +154,9 @@ class TestFHat:
         total = sum(counts)
         if total == 0 or t > total:
             with pytest.raises(ValueError):
-                compute_f_hat(counts, max(t, 1))
+                f_hat(counts, max(t, 1))
             return
-        f = compute_f_hat(counts, t)
+        f = f_hat(counts, t)
         assert sum(counts[:f]) < t <= sum(counts[: f + 1])
 
     def test_rank_bins_breaks_ties_to_lower_id(self):

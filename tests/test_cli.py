@@ -174,21 +174,49 @@ class TestDispatch:
         assert f"config error at {json_path}:" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, cfg, json_path",
+        [
+            ("sweep", minimal_experiment(replication=50), "$.replication"),
+            ("sweep", minimal_experiment(k_rule={"kind": "explicit", "k": 3}), "$.k_rule"),
+            ("sweep", minimal_experiment(regime={"kind": "fixed_p", "p": 0.5, "alpha": 0.9}),
+             "$.regime.alpha"),
+            ("sweep", minimal_experiment(K_rule={"kind": "cab", "K": 3}), "$.K_rule.K"),
+            ("sweep", minimal_experiment(reward_model={"kind": "bernoulli", "sd": 0.1}),
+             "$.reward_model.sd"),
+            ("lowerbound", {"schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,
+                            "replication": 600}, "$.replication"),
+            ("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5,
+                                                "alpha_lb": 0.3, "policy": "ucbf"}},
+             "$.pair.policy"),
+            ("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5,
+                                                "alpha_lb": 0.3}, "grid": 2000}, "$.grid"),
+        ],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, json_path):
+        path = write_json(tmp_path / "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
+        assert f"config error at {json_path}: unknown key" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_missing_config_exit_code(self, tmp_path):
         assert run(["sweep", "--config", "/no/such.json", "--out", str(tmp_path)]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path):
+        # The ucbf cell fails (K too fine for its budget); the random cell runs.
         cfg = write_json(
             tmp_path / "c.json",
             minimal_experiment(
                 covariates="grid",
-                policies=["ucbf"],
+                policies=["random", "ucbf"],
                 N_grid=[60],
                 K_rule={"kind": "explicit", "k": 55},
             ),
         )
-        assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert not (tmp_path / "sweep.csv").exists()  # never without its failed cells
+        for command, output in (("sweep", "sweep.csv"), ("simulate", "trials.jsonl")):
+            argv = [command, "--config", cfg, "--out", str(tmp_path), "--threads", "2"]
+            assert run(argv) == 2
+            assert not (tmp_path / output).exists()  # never without its failed cells
 
     @pytest.mark.parametrize("command", ["sweep", "lowerbound"])
     def test_negative_seed_override_rejected(self, tmp_path, command):
@@ -288,13 +316,14 @@ class TestDispatch:
 
     def test_simulate_byte_deterministic(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(N_grid=[64]))
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        out1.mkdir()
-        out2.mkdir()
-        assert run(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-        assert run(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "trials.jsonl").read_bytes() == (out2 / "trials.jsonl").read_bytes()
+        outputs = []
+        for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / name
+            out.mkdir()
+            argv = ["simulate", "--config", cfg, "--out", str(out), "--threads", threads]
+            assert run(argv) == 0
+            outputs.append((out / "trials.jsonl").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(N_grid=[64]))
@@ -382,6 +411,8 @@ def mutated_configs(draw):
     mutations = [("set", v) for v in WRONG_TYPE[kind] + out_of_range]
     if required:
         mutations.append(("delete", None))
+    if kind is dict or len(path) == 1:
+        mutations.append(("extra", None))
     how, value = draw(st.sampled_from(mutations))
     cfg = copy.deepcopy(config)
     parent = cfg
@@ -389,6 +420,10 @@ def mutated_configs(draw):
         parent = parent[part]
     if how == "delete":
         del parent[path[-1]]
+    elif how == "extra":
+        # A key no parser reads: inside the object at the path, or beside
+        # a top-level key.
+        (parent[path[-1]] if kind is dict else parent)["unknown_key"] = 1
     else:
         parent[path[-1]] = value
     return command, cfg

@@ -68,14 +68,14 @@ class TestMeanFunctions:
     def test_constant(self):
         f = Constant(0.5)
         for x in (0.0, 0.3, 1.0):
-            assert f.evaluate(x) == 0.5
+            assert f.evaluate([x]) == [0.5]
 
     def test_piecewise_identity(self):
-        assert identity().evaluate(0.3) == pytest.approx(0.3, abs=1e-15)
+        assert identity().evaluate([0.3]) == pytest.approx([0.3], abs=1e-15)
 
     def test_piecewise_interpolates(self):
         f = PiecewiseLinear((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
-        assert f.evaluate(0.25) == pytest.approx(0.5)
+        assert f.evaluate([0.25]) == pytest.approx([0.5])
         assert f.lipschitz_L == pytest.approx(2.0)
 
     def test_piecewise_rejects_bad_breakpoints(self):
@@ -95,11 +95,20 @@ class TestMeanFunctions:
         xs = np.linspace(0, 1, 1001)
         v = f.evaluate(xs)
         assert v.min() >= 0.0 and v.max() <= 1.0
-        assert f.evaluate(0.25) == pytest.approx(0.9)
+        assert f.evaluate([0.25]) == pytest.approx([0.9])
 
     def test_tabulated_interpolates(self):
         f = Tabulated((0.0, 1.0, 0.0))
-        assert f.evaluate(0.25) == pytest.approx(0.5)
+        assert f.evaluate([0.25]) == pytest.approx([0.5])
+        # It is the piecewise-linear function through the grid points.
+        assert f == PiecewiseLinear((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
+        assert f.to_json()["kind"] == "piecewise_linear"
+
+    def test_evaluate_takes_arrays_only(self):
+        for f in (Constant(0.5), identity(), Sinusoid(), Sinusoid(dim=2)):
+            with pytest.raises(ValueError, match="dimension"):
+                f.evaluate(0.3)
+        assert Sinusoid(dim=2).evaluate([[0.25, 0.25]]).shape == (1,)
 
     def test_json_round_trip(self):
         originals = [
@@ -194,17 +203,17 @@ class TestLowerBoundPair:
             (np.linspace(0.0, pair.x0, 200), np.linspace(pair.x1, 1.0, 200))
         )
         np.testing.assert_array_equal(pair.m0.evaluate(xs), pair.m1.evaluate(xs))
-        assert pair.m0.evaluate(0.0) == pair.m1.evaluate(0.0)
+        assert pair.m0.evaluate([0.0]) == pair.m1.evaluate([0.0])
 
     def test_members_differ_inside_window(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
         mid = pair.x0 + pair.lb_half_width / 2
-        assert pair.m0.evaluate(mid) != pair.m1.evaluate(mid)
+        assert pair.m0.evaluate([mid]) != pair.m1.evaluate([mid])
 
     def test_value_at_x0_is_half(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
-        assert pair.m0.evaluate(pair.x0) == pytest.approx(0.5, abs=1e-12)
-        assert pair.m1.evaluate(pair.x0) == pytest.approx(0.5, abs=1e-12)
+        assert pair.m0.evaluate([pair.x0]) == pytest.approx([0.5], abs=1e-12)
+        assert pair.m1.evaluate([pair.x0]) == pytest.approx([0.5], abs=1e-12)
 
     def test_bounded_in_unit_interval(self):
         for p in (0.3, 0.5, 0.7):
@@ -268,15 +277,13 @@ class TestValidators:
         with pytest.raises(ValueError):
             verify_margin(identity(), M=0.5, Q=2.0, eps_values=[1.5])
 
-    def test_two_dimensional_lipschitz_uses_euclidean_distance(self):
-        # m(x) = mean of coordinates is 1/sqrt(2)-Lipschitz in L2; it must
-        # pass at L = 0.75 and fail well below the gradient norm.
-        f = Sinusoid(amplitude=0.45, frequency=0.15, offset=0.5, dim=2)
-        m = compute_threshold_M(f, 0.5, resolution=10**4)
-        good = verify_weak_lipschitz(f, M=m, L=f.lipschitz_L * 1.05, grid=1200, seed=1)
-        assert good.passed
-        bad = verify_weak_lipschitz(f, M=m, L=f.lipschitz_L * 0.25, grid=1200, seed=1)
-        assert not bad.passed
+    def test_validators_reject_a_two_dimensional_mean(self):
+        for f in (Sinusoid(amplitude=0.45, frequency=0.15, offset=0.5, dim=2),
+                  Constant(0.5, dim=2)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                verify_weak_lipschitz(f, M=0.5, L=1.0, grid=1200)
+            with pytest.raises(ValueError, match="one-dimensional"):
+                verify_margin(f, M=0.5, Q=2.0, eps_values=[0.1], grid=10**4)
 
 
 class TestRewards:

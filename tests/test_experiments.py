@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
 
-from fcab import policies
+from fcab import experiments, policies
 from fcab.environment import (
     PiecewiseLinear,
     RewardModel,
@@ -220,6 +222,16 @@ class TestSweep:
         q10, q50, q90 = np.quantile(regs, [0.1, 0.5, 0.9])
         assert (row.q10, row.q50, row.q90) == (float(q10), float(q50), float(q90))
 
+    def test_trials_in_task_order(self):
+        cfg = small_config(replications=2)
+        result = run_sweep(cfg, threads=2)
+        keys = [(r.n, r.policy_id, r.rep) for r in result.trials]
+        assert keys == [(n, p, rep) for n in cfg.n_grid for p in cfg.policies
+                        for rep in range(2)]
+        again = run_trial(cfg, 128, "random", 1, keep_trace=False)
+        assert result.trials[-1].seed == again.seed
+        assert result.trials[-1].decomposition == again.decomposition
+
     def test_all_cores_thread_setting(self):
         cfg = small_config(n_grid=(64,), replications=2)
         a = sweep_csv_text(run_sweep(cfg, threads=0))
@@ -375,3 +387,46 @@ class TestPolicyRegistry:
         assert len(seen) == 4
         assert set(seen) == {report.k}
         assert report.t_budget == 900
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and runs the tasks in this process, starting no worker."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestWorkerPool:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        FakePool.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    @pytest.mark.parametrize(
+        "threads, n_tasks, sizes",
+        [(4, 2, [2]), (2, 5, [2]), (0, 3, [3]), (0, 20, [8]), (4, 1, []), (1, 6, [])],
+    )
+    def test_no_more_workers_than_tasks(self, threads, n_tasks, sizes):
+        assert experiments._map(abs, list(range(-n_tasks, 0)), threads) == list(
+            range(n_tasks, 0, -1)
+        )
+        assert FakePool.sizes == sizes
+
+    def test_lower_bound_run_with_two_tasks(self):
+        # One replication per member is two tasks: two workers, not four.
+        lower_bound_protocol(n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3,
+                             policy_id="ucbf", replications=1, master_seed=0, threads=4)
+        assert FakePool.sizes == [2]
