@@ -461,8 +461,6 @@ def _threshold_grid(dim: int, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-# Cached: every trial of a sweep cell asks for the same threshold.
-@functools.lru_cache(maxsize=128)
 def compute_threshold_M(
     f: MeanFunction,
     p: float,
@@ -470,12 +468,9 @@ def compute_threshold_M(
 ) -> float:
     """Threshold level M = inf{A : measure{m >= A} < p}.
 
-    Returns the declared analytic value when available and p < 1.
-    Otherwise takes the empirical (1 - p)-quantile of ``f`` over a uniform
-    left-endpoint grid, with the infimum convention on plateaus: the
-    result is the smallest grid value whose exceedance fraction drops
-    below ``p``; at p = 1 that is the grid minimum.  The grid error is at
-    most L * dim / resolution for an L-Lipschitz mean.
+    Returns the declared analytic value when available and p < 1, else
+    ``_grid_threshold``.  ``ExperimentConfig`` checks a declared value
+    against the grid at every budget fraction of its sweep.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
@@ -483,6 +478,17 @@ def compute_threshold_M(
         raise ValueError("resolution below 1000 rejected")
     if f.analytic_M is not None and p < 1.0:
         return float(f.analytic_M)
+    return _grid_threshold(f, p, resolution)
+
+
+# Cached: every trial of a sweep cell asks for the same threshold.
+@functools.lru_cache(maxsize=128)
+def _grid_threshold(f: MeanFunction, p: float, resolution: int) -> float:
+    """The empirical (1 - p)-quantile of ``f`` over a uniform left-endpoint
+    grid, with the infimum convention on plateaus: the smallest grid value
+    whose exceedance fraction drops below ``p``; at p = 1 that is the grid
+    minimum.  The grid error is at most L * dim / resolution for an
+    L-Lipschitz mean."""
     values = f.evaluate(_threshold_grid(f.dim, resolution))
     r = values.shape[0]
     # Largest exceedance count still below p*r; the 1e-9 nudge absorbs the

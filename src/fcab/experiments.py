@@ -1,9 +1,11 @@
 """Monte Carlo harness: replicated trials, budget-regime sweeps,
 regret-exponent fits, and the two-instance lower-bound protocol.
 
-Every trial is a pure function of (master seed, N, policy id, replication
-index): the per-trial seed is a stable 64-bit hash of that tuple, so trials
-can run in any order on any number of workers and aggregate identically.
+The unit of work is one (N, replication) task: it builds the instance
+from a stable 64-bit hash of (master seed, N, replication) and runs every
+policy on it, each from a hash of (master seed, N, policy id,
+replication).  Tasks can run in any order on any number of workers and
+aggregate identically.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .environment import (
     RewardModel,
     _REQUIRED,
     _field,
+    _grid_threshold,
     _typed,
     _unknown,
     compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
@@ -272,6 +275,15 @@ class ExperimentConfig:
             errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
         if self.threshold_resolution < 1000:
             errors.append(("$.threshold_resolution", "must be at least 1000"))
+        f = self.mean_function
+        if f.analytic_M is not None and not errors:
+            tol = (f.lipschitz_L or 0.0) * self.dim / self.threshold_resolution
+            for p in sorted({self.regime.budget_for(n) / n for n in self.n_grid} - {1.0}):
+                m = _grid_threshold(f, p, self.threshold_resolution)
+                if abs(f.analytic_M - m) > tol:
+                    errors.append(("$.mean_function.analytic_M", f"{f.analytic_M} is not the "
+                                   f"threshold at p = {p:.6g}; the grid gives {m:.6g}"))
+                    break
         if errors:
             raise ConfigError(errors)
 
@@ -358,61 +370,73 @@ def _quadrature_bin_means(mean_function: MeanFunction, k: int, dim: int) -> np.n
 def run_trial(
     config: ExperimentConfig,
     n: int,
-    policy_id: str,
     rep: int,
     keep_trace: bool = True,
-) -> TrialResult:
-    """One seeded replication: build the instance, run the policy, and
-    attach regret, decomposition and diagnostics."""
-    if policy_id not in config.policies:
-        raise ValueError(f"policy {policy_id!r} is not part of this experiment")
-    spec = policies.POLICIES[policy_id]
-    start = time.perf_counter()
-    seed = derive_seed(config.master_seed, n, policy_id, rep)
+) -> list:
+    """One seeded (N, rep) task: build the instance once, run every policy
+    of the config on it, and attach regret, decomposition and diagnostics.
 
+    Returns one outcome per config policy, in config order: its
+    TrialResult, or the message of the error its run raised.  An error in
+    the shared set-up raises.  Each distinct K (a second one comes only
+    from a ``cab_k`` policy) gets one partition, one set of bin means, one
+    discretised-oracle reference run and one diagnostics report, shared by
+    every policy with that K; the oracle-discrete policy's trace is that
+    reference.  A trial's ``wall_ms`` is its own run and decomposition
+    time plus an equal share of the set-up.
+    """
+    start = time.perf_counter()
+    instance_seed = _hash64(config.master_seed, n, rep)
     if config.covariates == GRID:
         arms = grid_arms(n)
     else:
-        arms = sample_arms_uniform(n, config.dim, _hash64(seed, "arms"))
+        arms = sample_arms_uniform(n, config.dim, _hash64(instance_seed, "arms"))
     instance = make_instance(
         arms, config.mean_function, config.reward_model, config.regime.budget_for(n),
         config.threshold_resolution,
     )
-    t_budget, p = instance.T, instance.p
-    k = choose_k(policy_id, config.k_rule, config.regime, n, t_budget, config.dim)
-    delta = policies.default_parameters(n, p, config.dim).delta
-    partition = policies.build_partition(arms, k)
-    if config.bin_means_mode == "empirical":
-        bin_means = analysis.bin_means_empirical(instance, partition)
-    else:
-        bin_means = _quadrature_bin_means(config.mean_function, k, config.dim)
-
-    trace = spec.run(instance, partition, bin_means, delta, _hash64(seed, "run"))
-    if policy_id == "oracle-discrete":
-        discrete_trace = trace
-    else:
-        discrete_trace = policies.oracle_discrete(
-            instance, partition, bin_means, _hash64(seed, "phid")
+    delta = policies.default_parameters(n, instance.p, config.dim).delta
+    ks = [choose_k(policy_id, config.k_rule, config.regime, n, instance.T, config.dim)
+          for policy_id in config.policies]
+    shared = {}
+    for k in dict.fromkeys(ks):
+        partition = policies.build_partition(arms, k)
+        if config.bin_means_mode == "empirical":
+            bin_means = analysis.bin_means_empirical(instance, partition)
+        else:
+            bin_means = _quadrature_bin_means(config.mean_function, k, config.dim)
+        reference = policies.oracle_discrete(
+            instance, partition, bin_means, _hash64(instance_seed, k, "phid")
         )
-    decomposition = analysis.regret_decompose(
-        instance, partition, bin_means, trace, discrete_trace
-    )
-    diag = analysis.diagnostics(instance, partition, bin_means)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return TrialResult(
-        policy_id=policy_id,
-        n=n,
-        t_budget=t_budget,
-        k=k,
-        p=p,
-        rep=rep,
-        seed=seed,
-        regret=decomposition.r_total,
-        decomposition=decomposition,
-        diagnostics=diag,
-        wall_ms=wall_ms,
-        trace=trace if keep_trace else None,
-    )
+        diag = analysis.diagnostics(instance, partition, bin_means)
+        shared[k] = partition, bin_means, reference, diag
+    setup_ms = (time.perf_counter() - start) * 1000.0 / len(ks)
+
+    outcomes = []
+    for policy_id, k in zip(config.policies, ks):
+        start = time.perf_counter()
+        partition, bin_means, reference, diag = shared[k]
+        seed = derive_seed(config.master_seed, n, policy_id, rep)
+        try:
+            if policy_id == "oracle-discrete":
+                trace = reference
+            else:
+                trace = policies.POLICIES[policy_id].run(
+                    instance, partition, bin_means, delta, _hash64(seed, "run")
+                )
+            decomposition = analysis.regret_decompose(
+                instance, partition, bin_means, trace, reference
+            )
+        except Exception as exc:  # fails this policy's cell only
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            continue
+        outcomes.append(TrialResult(
+            policy_id=policy_id, n=n, t_budget=instance.T, k=k, p=instance.p, rep=rep,
+            seed=seed, regret=decomposition.r_total, decomposition=decomposition,
+            diagnostics=diag, wall_ms=setup_ms + (time.perf_counter() - start) * 1000.0,
+            trace=trace if keep_trace else None,
+        ))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -448,65 +472,50 @@ class SweepResult:
 
 def _trial_task(args):
     try:
-        return True, run_trial(*args, keep_trace=False)
-    except Exception as exc:  # error recorded against the cell
-        return False, f"{type(exc).__name__}: {exc}"
+        return run_trial(*args, keep_trace=False)
+    except Exception as exc:  # a set-up error fails every cell of the N
+        return [f"{type(exc).__name__}: {exc}"] * len(args[0].policies)
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """All (policy, N) cells with `replications` trials each.
 
-    Trials execute in any order (process pool when threads > 1); per-trial
-    seeding makes the aggregates independent of scheduling.
+    (N, rep) tasks execute in any order (process pool when threads > 1);
+    per-task seeding makes the aggregates independent of scheduling.
     """
-    tasks = [
-        (config, n, policy_id, rep)
-        for n in config.n_grid
-        for policy_id in config.policies
-        for rep in range(config.replications)
-    ]
+    tasks = [(config, n, rep) for n in config.n_grid for rep in range(config.replications)]
     # Outcomes come in task order, so each cell's trials in replication order.
-    done: list = []
     trials: dict = {}
     errors: dict = {}
-    for (_, n, policy_id, _), (ok, payload) in zip(tasks, _map(_trial_task, tasks, threads)):
-        if ok:
-            done.append(payload)
-            trials.setdefault((n, policy_id), []).append(payload)
-        else:
-            errors.setdefault((n, policy_id), payload)
+    for (_, n, _), outcomes in zip(tasks, _map(_trial_task, tasks, threads)):
+        for policy_id, outcome in zip(config.policies, outcomes):
+            if isinstance(outcome, str):
+                errors.setdefault((n, policy_id), outcome)
+            else:
+                trials.setdefault((n, policy_id), []).append(outcome)
 
+    cells = [(n, policy_id) for n in config.n_grid for policy_id in config.policies]
     rows = []
     error_list = []
-    for n in config.n_grid:
-        for policy_id in config.policies:
-            cell = (n, policy_id)
-            if cell in errors:
-                error_list.append((policy_id, n, errors[cell]))
-                continue
-            cell_trials = trials[cell]
-            regs = np.array([r.regret for r in cell_trials])
-            q10, q50, q90 = np.quantile(regs, [0.1, 0.5, 0.9])
-            terms = {
-                term: float(np.mean([getattr(r.decomposition, term) for r in cell_trials]))
-                for term in ("r_disc", "r_opt", "r_subopt", "r_boundary")
-            }
-            rows.append(
-                SweepRow(
-                    policy_id=policy_id,
-                    n=n,
-                    t_budget=cell_trials[0].t_budget,
-                    k=cell_trials[0].k,
-                    p=cell_trials[0].p,
-                    regret_mean=float(regs.mean()),
-                    regret_std=float(regs.std()),
-                    q10=float(q10),
-                    q50=float(q50),
-                    q90=float(q90),
-                    wall_ms=float(np.sum([r.wall_ms for r in cell_trials])),
-                    **terms,
-                )
-            )
+    for n, policy_id in cells:
+        if (n, policy_id) in errors:
+            error_list.append((policy_id, n, errors[n, policy_id]))
+            continue
+        cell_trials = trials[n, policy_id]
+        regs = np.array([r.regret for r in cell_trials])
+        q10, q50, q90 = np.quantile(regs, [0.1, 0.5, 0.9])
+        terms = {
+            term: float(np.mean([getattr(r.decomposition, term) for r in cell_trials]))
+            for term in ("r_disc", "r_opt", "r_subopt", "r_boundary")
+        }
+        first = cell_trials[0]
+        rows.append(SweepRow(
+            policy_id=policy_id, n=n, t_budget=first.t_budget, k=first.k, p=first.p,
+            regret_mean=float(regs.mean()), regret_std=float(regs.std()),
+            q10=float(q10), q50=float(q50), q90=float(q90),
+            wall_ms=float(np.sum([r.wall_ms for r in cell_trials])), **terms,
+        ))
+    done = [r for cell in cells for r in trials.get(cell, [])]
     return SweepResult(rows=rows, errors=error_list, trials=done)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -331,9 +330,8 @@ def oracle_discrete(
     remainder = instance.T - taken
     reward_rng, s_select = _run_streams(seed)
     if remainder > 0:
-        select = random.Random(int(s_select.generate_state(1, np.uint64)[0]))
-        pool = partition.arms_in_bin(int(order[f_hat])).tolist()
-        parts.append(np.array(select.sample(pool, remainder), dtype=np.int64))
+        pool = partition.arms_in_bin(int(order[f_hat]))
+        parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
     pulled = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
     return PolicyTrace(pulled, obs, "oracle-discrete", seed)

@@ -175,6 +175,33 @@ class TestDispatch:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
+        "mean_function, p, accepted",
+        [
+            # The identity's threshold at p = 0.5 is 0.5, not the declared 0.95.
+            ({"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0, 1],
+              "analytic_M": 0.95}, 0.5, False),
+            # A lower-bound member's 1/2 holds at its own p; at 0.3 the grid gives 0.59.
+            ({"kind": "lower_bound_member", "p": 0.5}, 0.3, False),
+            ({"kind": "lower_bound_member", "p": 0.5}, 0.5, True),
+            ({"kind": "lower_bound_member", "role": 1, "p": 0.3}, 0.3, True),
+            ({"kind": "constant", "value": 0.3}, 0.5, True),
+        ],
+    )
+    def test_declared_threshold_checked_against_grid(
+        self, tmp_path, capsys, mean_function, p, accepted
+    ):
+        cfg = minimal_experiment(mean_function=mean_function, N_grid=[1000, 2000],
+                                 regime={"kind": "fixed_p", "p": p}, replications=1)
+        path = write_json(tmp_path / "c.json", cfg)
+        rc = run(["simulate", "--config", path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if accepted:
+            assert rc == 0 and (tmp_path / "trials.jsonl").exists()
+        else:
+            assert rc == 1 and not (tmp_path / "trials.jsonl").exists()
+            assert "config error at $.mean_function.analytic_M:" in err
+
+    @pytest.mark.parametrize(
         "command, cfg, json_path",
         [
             ("sweep", minimal_experiment(replication=50), "$.replication"),

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from fcab import experiments, policies
+from fcab import analysis, experiments, policies
 from fcab.environment import (
     PiecewiseLinear,
     RewardModel,
@@ -45,6 +46,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def trial(config, n, policy_id, rep, keep_trace=True):
+    """One policy's TrialResult from the (N, rep) task that runs them all."""
+    return run_trial(config, n, rep, keep_trace)[config.policies.index(policy_id)]
 
 
 class TestConfig:
@@ -93,8 +99,8 @@ class TestSeeds:
 
     def test_trial_is_pure(self):
         cfg = small_config()
-        a = run_trial(cfg, 64, "ucbf", 0, keep_trace=True)
-        b = run_trial(cfg, 64, "ucbf", 0, keep_trace=True)
+        a = trial(cfg, 64, "ucbf", 0, keep_trace=True)
+        b = trial(cfg, 64, "ucbf", 0, keep_trace=True)
         assert a.regret == b.regret
         np.testing.assert_array_equal(a.trace.pulled, b.trace.pulled)
         np.testing.assert_array_equal(a.trace.rewards, b.trace.rewards)
@@ -105,8 +111,8 @@ class TestSeeds:
         c5 = small_config(replications=5)
         for rep in range(3):
             assert (
-                run_trial(c3, 64, "random", rep).regret
-                == run_trial(c5, 64, "random", rep).regret
+                trial(c3, 64, "random", rep).regret
+                == trial(c5, 64, "random", rep).regret
             )
 
 
@@ -119,38 +125,33 @@ class TestTrials:
         )
         for policy in cfg.policies:
             for rep in range(2):
-                assert run_trial(cfg, 60, policy, rep).regret == 0.0
+                assert trial(cfg, 60, policy, rep).regret == 0.0
 
     def test_full_budget_threshold_is_one_rule(self):
         # At p = 1 the trial, make_instance and the threshold
         # function all take the minimum of the mean on the threshold grid.
         f = Sinusoid(amplitude=0.35, frequency=1.15, offset=0.5)
         cfg = small_config(mean_function=f, regime=FixedP(1.0), n_grid=(64,))
-        trial = run_trial(cfg, 64, "ucbf", 0)
+        result = trial(cfg, 64, "ucbf", 0)
         expected = compute_threshold_M(f, 1.0, 10**4)
-        assert trial.decomposition.threshold_M == expected
+        assert result.decomposition.threshold_M == expected
         assert make_instance(grid_arms(64), f, BERN, 64, 10**4).threshold_M == expected
-        assert trial.regret == 0.0
+        assert result.regret == 0.0
 
     def test_oracle_star_zero_for_all_reps(self):
         cfg = small_config(policies=("oracle-star",), replications=5)
         for rep in range(5):
-            assert run_trial(cfg, 128, "oracle-star", rep).regret == 0.0
+            assert trial(cfg, 128, "oracle-star", rep).regret == 0.0
 
     def test_cab_policy_uses_cab_k(self):
         cfg = small_config(policies=("ucbf", "ucbf-cab-k"), n_grid=(512,))
         t = FixedP(0.5).budget_for(512)
-        r = run_trial(cfg, 512, "ucbf-cab-k", 0)
+        r = trial(cfg, 512, "ucbf-cab-k", 0)
         assert r.k == max(1, math.floor(math.sqrt(t) / math.log(t) + 1e-9))
-
-    def test_unknown_policy_rejected(self):
-        cfg = small_config()
-        with pytest.raises(ValueError):
-            run_trial(cfg, 64, "oracle-discrete", 0)
 
     def test_grid_covariates(self):
         cfg = small_config(covariates="grid", n_grid=(64,), policies=("random",))
-        a = run_trial(cfg, 64, "random", 0, keep_trace=True)
+        a = trial(cfg, 64, "random", 0, keep_trace=True)
         assert a.trace is not None
         assert a.p == 0.5
 
@@ -161,12 +162,12 @@ class TestTrials:
             n_grid=(400,),
             policies=("ucbf", "oracle-star"),
         )
-        r = run_trial(cfg, 400, "ucbf", 0)
+        r = trial(cfg, 400, "ucbf", 0)
         assert r.regret >= 0.0
         d = r.decomposition
         assert abs(d.r_total - (d.r_disc + d.r_fmab)) <= 1e-9
         assert abs(d.r_fmab - (d.r_opt + d.r_boundary + d.r_subopt)) <= 1e-9
-        assert run_trial(cfg, 400, "oracle-star", 0).regret == 0.0
+        assert trial(cfg, 400, "oracle-star", 0).regret == 0.0
 
 
 class TestSweep:
@@ -215,7 +216,7 @@ class TestSweep:
         cfg = small_config(policies=("random",), n_grid=(64,), replications=5)
         row = run_sweep(cfg).rows[0]
         regs = np.array(
-            [run_trial(cfg, 64, "random", rep).regret for rep in range(5)]
+            [trial(cfg, 64, "random", rep).regret for rep in range(5)]
         )
         assert row.regret_mean == float(regs.mean())
         assert row.regret_std == float(regs.std())
@@ -228,7 +229,7 @@ class TestSweep:
         keys = [(r.n, r.policy_id, r.rep) for r in result.trials]
         assert keys == [(n, p, rep) for n in cfg.n_grid for p in cfg.policies
                         for rep in range(2)]
-        again = run_trial(cfg, 128, "random", 1, keep_trace=False)
+        again = trial(cfg, 128, "random", 1, keep_trace=False)
         assert result.trials[-1].seed == again.seed
         assert result.trials[-1].decomposition == again.decomposition
 
@@ -255,6 +256,66 @@ class TestSweep:
             )
             assert row.k == max(1, k)
             assert row.k == corollary_parameters(row.t_budget, 0.85)
+
+
+class TestSharedSetUp:
+    """One (N, rep) task builds the instance once, and the partition, bin
+    means, reference oracle and diagnostics once per K, for every policy.
+    N = 4096 gives the default K = 3 and the cab K = 5."""
+
+    COUNTED = [(experiments, "sample_arms_uniform"), (policies, "build_partition"),
+               (policies, "oracle_discrete"), (analysis, "diagnostics")]
+
+    @pytest.mark.parametrize("extra, per_rep", [((), 1), (("ucbf-cab-k",), 2)])
+    def test_set_up_runs_once_per_task_and_k(self, monkeypatch, extra, per_rep):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in self.COUNTED:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cfg = small_config(policies=("ucbf", "oracle-star", "oracle-discrete", "random", *extra),
+                           n_grid=(4096,), replications=2)
+        result = run_sweep(cfg)
+        assert not result.errors
+        assert {r.k for r in result.trials} == ({3, 5} if extra else {3})
+        assert calls == {"sample_arms_uniform": 2, "build_partition": 2 * per_rep,
+                         "oracle_discrete": 2 * per_rep, "diagnostics": 2 * per_rep}
+
+    def test_results_do_not_depend_on_the_other_policies(self):
+        alone = small_config(policies=("ucbf",), n_grid=(4096,))
+        together = small_config(policies=tuple(policies.POLICIES), n_grid=(4096,))
+        for rep in range(2):
+            a, b = trial(alone, 4096, "ucbf", rep), trial(together, 4096, "ucbf", rep)
+            assert (a.seed, a.regret, a.decomposition, a.diagnostics) == (
+                b.seed, b.regret, b.decomposition, b.diagnostics)
+            np.testing.assert_array_equal(a.trace.pulled, b.trace.pulled)
+            np.testing.assert_array_equal(a.trace.rewards, b.trace.rewards)
+
+    def test_policies_of_one_k_share_the_reference(self):
+        cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(4096,), replications=2)
+        groups: dict = {}
+        for r in run_sweep(cfg).trials:
+            groups.setdefault((r.rep, r.k), []).append(r)
+            if r.policy_id == "oracle-discrete":
+                assert r.decomposition.r_fmab == 0.0
+        assert sorted(groups) == [(0, 3), (0, 5), (1, 3), (1, 5)]
+        for group in groups.values():
+            assert len({r.decomposition.r_disc for r in group}) == 1
+            assert len({r.diagnostics for r in group}) == 1
+
+    def test_set_up_error_fails_every_cell(self):
+        # 10^8 bins exceed the partition's limit before any policy runs.
+        cfg = small_config(k_rule=KRule(kind="explicit", k=10**8), n_grid=(64,))
+        result = run_sweep(cfg)
+        assert result.rows == [] and result.trials == []
+        assert [(p, n) for p, n, _ in result.errors] == [(p, 64) for p in cfg.policies]
+        assert all("bin count" in message for _, _, message in result.errors)
 
 
 class TestFitExponent:
@@ -356,10 +417,9 @@ class TestPolicyRegistry:
         for name in set(self.RUNNERS.values()):
             monkeypatch.setattr(policies, name, counting(name, getattr(policies, name)))
         cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(512,))
-        for policy_id, name in self.RUNNERS.items():
-            calls.clear()
-            run_trial(cfg, 512, policy_id, 0)
-            assert calls[0] == (name, policy_id)  # the policy's run comes first
+        run_trial(cfg, 512, 0)
+        # oracle_discrete runs as the shared reference, under its policy id.
+        assert set(calls) == {(name, policy_id) for policy_id, name in self.RUNNERS.items()}
         for policy_id, spec in policies.POLICIES.items():
             kw = dict(n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3, policy_id=policy_id,
                       replications=1, master_seed=0)

@@ -426,6 +426,26 @@ class TestOracles:
         trace = oracle_discrete(inst, part, [0.1, 0.5, 0.9], seed=4)
         assert set(trace.pulled.tolist()) == {4, 5}
 
+    def test_discrete_boundary_fill_is_uniform(self):
+        # Grid arms at K = 4: bin 2 (10 arms) ranks first and is emptied;
+        # bin 0 (9 arms) ranks second and fills the remaining 3 pulls.
+        inst = make_instance(grid_arms(40), identity(), BERN, 13, 10**4)
+        part = build_partition(inst.arms, 4)
+        emptied, boundary = part.arms_in_bin(2), part.arms_in_bin(0)
+        remainder = inst.T - emptied.size
+        picks = np.zeros(inst.n, dtype=np.int64)
+        for seed in range(2000):
+            pulled = oracle_discrete(inst, part, [0.5, 0.1, 0.9, 0.3], seed=seed).pulled
+            assert np.unique(pulled).size == pulled.size == inst.T
+            picks[pulled] += 1
+        assert np.all(picks[emptied] == 2000)
+        outside = np.ones(inst.n, dtype=bool)
+        outside[emptied] = outside[boundary] = False
+        assert not picks[outside].any()
+        q = remainder / boundary.size
+        assert remainder == 3 and boundary.size == 9
+        assert np.all(np.abs(picks[boundary] - 2000 * q) <= 5 * math.sqrt(2000 * q * (1 - q)))
+
 
 class TestRandomBaseline:
     def test_full_budget_covers_all(self):
