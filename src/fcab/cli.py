@@ -120,14 +120,7 @@ def _cmd_lowerbound(args) -> int:
     if args.seed is not None:
         cfg["master_seed"] = args.seed
     report = experiments.lower_bound_protocol(
-        n=cfg["N"],
-        p=cfg["p"],
-        lipschitz_L=cfg["L"],
-        alpha_lb=cfg["alpha_lb"],
-        policy_id=cfg["policy"],
-        replications=cfg["replications"],
-        master_seed=cfg["master_seed"],
-        threads=args.threads,
+        cfg["pair"], cfg["policy"], cfg["replications"], cfg["master_seed"], threads=args.threads
     )
     out = os.path.join(args.out, "lb_report.json")
     _atomic_write(out, _json_dumps(report.to_json()))
@@ -140,21 +133,19 @@ def _cmd_lowerbound(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = experiments.validate_config_from_json(_load_json(args.config))
-    p = cfg["pair"]
-    pair = p["pair"]
-    q = pair.m0.margin_Q
+    pair = cfg["pair"]
     eps = [f * pair.L_tilde * pair.lb_half_width for f in cfg["eps_factors"]]
     result = {
         "pair": {
             "p": pair.p,
-            "L": p["L"],
+            "L": pair.L,
             "alpha_lb": pair.alpha_lb,
-            "N": p["N"],
+            "N": pair.n_design,
             "l_tilde": pair.L_tilde,
             "lb_half_width": pair.lb_half_width,
             "x0": pair.x0,
             "x1": pair.x1,
-            "margin_Q": q,
+            "margin_Q": pair.margin_Q,
         },
         "members": {},
     }
@@ -163,7 +154,9 @@ def _cmd_validate(args) -> int:
         lip = verify_weak_lipschitz(
             member, M=0.5, L=pair.L_tilde, grid=cfg["lipschitz_grid"]
         )
-        margin = verify_margin(member, M=0.5, Q=q, eps_values=eps, grid=cfg["margin_grid"])
+        margin = verify_margin(
+            member, M=0.5, Q=pair.margin_Q, eps_values=eps, grid=cfg["margin_grid"]
+        )
         all_passed = all_passed and lip.passed and margin.passed
         result["members"][name] = {
             "weak_lipschitz": lip.to_json(),

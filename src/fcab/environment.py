@@ -50,10 +50,6 @@ __all__ = [
     "mean_function_from_json",
 ]
 
-UNIFORM = "uniform"
-GRID = "grid"
-
-
 class ConfigError(ValueError):
     """Invalid configuration; carries every (json_path, message) pair found.
 
@@ -134,15 +130,9 @@ class Record:
 
 @dataclass(frozen=True)
 class ArmSet:
-    """Ordered collection of arm covariates in [0, 1]^dim.
-
-    ``origin`` records how the covariates were produced: ``"uniform"`` for
-    i.i.d. uniform draws or ``"grid"`` for the deterministic one-dimensional
-    lattice i/N, i = 1..N.
-    """
+    """Ordered collection of arm covariates in [0, 1]^dim."""
 
     covariates: np.ndarray  # shape (n, dim)
-    origin: str
 
     def __post_init__(self):
         cov = np.asarray(self.covariates, dtype=np.float64)
@@ -150,8 +140,6 @@ class ArmSet:
             raise ValueError("covariates must be a non-empty (n, dim) array")
         if np.any(cov < 0.0) or np.any(cov > 1.0):
             raise ValueError("covariates must lie in the unit cube")
-        if self.origin not in (UNIFORM, GRID):
-            raise ValueError(f"unknown arm origin {self.origin!r}")
         cov.setflags(write=False)
         object.__setattr__(self, "covariates", cov)
 
@@ -163,26 +151,19 @@ class ArmSet:
     def dim(self) -> int:
         return self.covariates.shape[1]
 
-    @property
-    def x(self) -> np.ndarray:
-        """Flat covariate vector; only meaningful for dim = 1."""
-        if self.dim != 1:
-            raise ValueError("flat view requires one-dimensional covariates")
-        return self.covariates[:, 0]
-
 
 def sample_arms_uniform(n: int, dim: int, seed: int) -> ArmSet:
     """Draw ``n`` covariates i.i.d. uniform on [0, 1]^dim, reproducibly;
     ``ArmSet`` rejects an empty draw."""
     rng = np.random.default_rng(seed)
-    return ArmSet(rng.random((n, dim)), UNIFORM)
+    return ArmSet(rng.random((n, dim)))
 
 
 def grid_arms(n: int) -> ArmSet:
     """Deterministic one-dimensional arms at i/n for i = 1..n; ``ArmSet``
     rejects n < 1."""
     x = np.arange(1, n + 1, dtype=np.float64) / n
-    return ArmSet(x.reshape(n, 1), GRID)
+    return ArmSet(x.reshape(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +185,15 @@ def _as_points(x, dim: int) -> np.ndarray:
 class MeanFunction:
     """Evaluable mean-reward map [0, 1]^dim -> [0, 1] with regularity metadata.
 
-    ``lipschitz_L`` and ``margin_Q`` carry the constants of the
-    weak-Lipschitz and margin conditions when they are known for the
-    function; ``analytic_M`` carries the exact threshold level when it is
-    available in closed form (validators and threshold computation fall
-    back to grid estimates otherwise).
+    ``lipschitz_L`` carries the constant of the weak-Lipschitz condition
+    when it is known for the function; ``analytic_M`` carries the exact
+    threshold level when it is available in closed form (validators and
+    threshold computation fall back to grid estimates otherwise).
     """
 
     kind: str = "abstract"
     dim: int = 1
     lipschitz_L: Optional[float] = None
-    margin_Q: Optional[float] = None
     analytic_M: Optional[float] = None
 
     def evaluate(self, x) -> np.ndarray:
@@ -241,7 +220,6 @@ class Constant(MeanFunction):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("constant mean must lie in [0, 1]")
         object.__setattr__(self, "lipschitz_L", 0.0)
-        object.__setattr__(self, "margin_Q", None)
         object.__setattr__(self, "analytic_M", self.value)
 
     def evaluate(self, x):
@@ -260,7 +238,6 @@ class PiecewiseLinear(MeanFunction):
     breakpoints: tuple = ()
     values: tuple = ()
     lipschitz_L: Optional[float] = None
-    margin_Q: Optional[float] = None
     analytic_M: Optional[float] = None
     dim: int = field(default=1, init=False)
     kind: str = field(default="piecewise_linear", init=False)
@@ -299,7 +276,6 @@ class Sinusoid(MeanFunction):
     frequency: float = 1.0
     offset: float = 0.5
     dim: int = 1
-    margin_Q: Optional[float] = None
     analytic_M: Optional[float] = None
     kind: str = field(default="sinusoid", init=False)
 
@@ -322,16 +298,12 @@ class Sinusoid(MeanFunction):
         return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * u)
 
 
-def Tabulated(
-    grid_values: tuple = (),
-    margin_Q: Optional[float] = None,
-    analytic_M: Optional[float] = None,
-) -> PiecewiseLinear:
+def Tabulated(grid_values: tuple = (), analytic_M: Optional[float] = None) -> PiecewiseLinear:
     """Values on a uniform grid over [0, 1] (endpoints included), with
     linear interpolation in between: the piecewise-linear function with a
     breakpoint at each grid point."""
     knots = np.linspace(0.0, 1.0, np.size(grid_values))
-    return PiecewiseLinear(tuple(knots), grid_values, margin_Q=margin_Q, analytic_M=analytic_M)
+    return PiecewiseLinear(tuple(knots), grid_values, analytic_M=analytic_M)
 
 
 def LowerBoundMember(
@@ -339,7 +311,6 @@ def LowerBoundMember(
     p: float = 0.5,
     l_tilde: float = 0.5,
     half_width: float = 0.01,
-    margin_Q: Optional[float] = None,
 ) -> PiecewiseLinear:
     """One member of the adversarial pair around the threshold 1/2.
 
@@ -367,7 +338,6 @@ def LowerBoundMember(
         (0.0, x0, x0 + half_width, 1.0 - p, 1.0 - p + half_width, x1, 1.0),
         (0.5 - l_tilde * x0, 0.5, *mids, 0.5, 0.5 + l_tilde * (1.0 - x1)),
         lipschitz_L=l_tilde,
-        margin_Q=margin_Q,
         analytic_M=0.5,
     )
 
@@ -578,7 +548,10 @@ def make_instance(
 
 @dataclass(frozen=True)
 class InstancePair:
-    """Adversarial pair of mean functions for the lower-bound protocol."""
+    """Adversarial pair of mean functions for the lower-bound protocol,
+    with the design it was built from: the protocol runs at ``n_design``
+    and ``p``, and ``validate`` checks the margin condition with
+    ``margin_Q``."""
 
     m0: PiecewiseLinear
     m1: PiecewiseLinear
@@ -586,7 +559,9 @@ class InstancePair:
     x0: float
     x1: float
     alpha_lb: float
+    L: float  # the requested Lipschitz constant
     L_tilde: float
+    margin_Q: float
     p: float
     n_design: int  # the N the bump width was calibrated against
 
@@ -622,15 +597,16 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
             "bump width does not fit between the budget fraction and its "
             "complement; N is too small for this (p, L)",
         )])
-    q = 6.0 * max(1.0 / L, 2.0)
     return InstancePair(
-        m0=LowerBoundMember(role=0, p=p, l_tilde=l_tilde, half_width=half_width, margin_Q=q),
-        m1=LowerBoundMember(role=1, p=p, l_tilde=l_tilde, half_width=half_width, margin_Q=q),
+        m0=LowerBoundMember(role=0, p=p, l_tilde=l_tilde, half_width=half_width),
+        m1=LowerBoundMember(role=1, p=p, l_tilde=l_tilde, half_width=half_width),
         lb_half_width=half_width,
         x0=1.0 - p - 2.0 * half_width,
         x1=1.0 - p + 2.0 * half_width,
         alpha_lb=alpha_lb,
+        L=L,
         L_tilde=l_tilde,
+        margin_Q=6.0 * max(1.0 / L, 2.0),
         p=p,
         n_design=N,
     )
@@ -777,12 +753,10 @@ def bernoulli_kl(p, q):
     return np.maximum(out, 0.0)
 
 
-def instance_kl(pair: InstancePair, arms: ArmSet) -> float:
+def instance_kl(pair: InstancePair) -> float:
     """Sum of per-arm Bernoulli KL divergences between the two members,
-    over the (one-dimensional, grid) arms where they disagree."""
-    if arms.origin != GRID:
-        raise ValueError("instance KL requires grid covariates")
-    x = arms.x
+    over the grid arms of the pair's design N where they disagree."""
+    x = grid_arms(pair.n_design).covariates
     v0 = pair.m0.evaluate(x)
     v1 = pair.m1.evaluate(x)
     mask = v0 != v1

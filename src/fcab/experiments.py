@@ -23,8 +23,6 @@ import numpy as np
 
 from . import analysis, policies
 from .environment import (
-    GRID,
-    UNIFORM,
     ConfigError,
     InstancePair,
     MeanFunction,
@@ -69,6 +67,11 @@ SWEEP_CSV_HEADER = (
     "policy,N,T,K,p,regret_mean,regret_std,q10,q50,q90,"
     "r_disc,r_opt,r_subopt,r_boundary,wall_ms"
 )
+
+
+# The covariate kinds of a sweep: i.i.d. uniform draws, or the 1-d lattice i/N.
+UNIFORM = "uniform"
+GRID = "grid"
 
 
 def _round_half_up(x: float) -> int:
@@ -251,8 +254,12 @@ class ExperimentConfig:
             errors.append(
                 ("$.policies", f"unknown ids {unknown}; valid ids: {list(policies.POLICIES)}")
             )
+        elif len(set(self.policies)) < len(self.policies):
+            errors.append(("$.policies", "every policy id may appear once"))
         if not self.n_grid or min(self.n_grid) < 30:
             errors.append(("$.N_grid", "every N must be at least 30"))
+        elif len(set(self.n_grid)) < len(self.n_grid):
+            errors.append(("$.N_grid", "every N may appear once"))
         elif self.k_rule.kind == "cab" or any(
             policies.POLICIES[p].cab_k for p in self.policies if p not in unknown
         ):
@@ -333,7 +340,9 @@ def _map(fn, tasks: list, threads: int) -> list:
     if workers > 1:
         # Forked pools start every worker at once, so do not ask for idle ones.
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=4))
+            # Chunks of up to 4, but small enough to give every worker a share.
+            chunk = max(1, min(4, len(tasks) // (4 * workers)))
+            return list(pool.map(fn, tasks, chunksize=chunk))
     return [fn(t) for t in tasks]
 
 
@@ -417,13 +426,11 @@ def run_trial(
         start = time.perf_counter()
         partition, bin_means, reference, diag = shared[k]
         seed = derive_seed(config.master_seed, n, policy_id, rep)
+        run = policies.POLICIES[policy_id].run
         try:
-            if policy_id == "oracle-discrete":
-                trace = reference
-            else:
-                trace = policies.POLICIES[policy_id].run(
-                    instance, partition, bin_means, delta, _hash64(seed, "run")
-                )
+            trace = reference if run is None else run(
+                instance, partition, delta, _hash64(seed, "run")
+            )
             decomposition = analysis.regret_decompose(
                 instance, partition, bin_means, trace, reference
             )
@@ -618,29 +625,26 @@ def _lb_cell(pair: InstancePair, policy_id: str):
 def _lb_trial(args):
     pair, role, policy_id, seed = args
     instances, partition, delta = _lb_cell(pair, policy_id)
-    trace = policies.POLICIES[policy_id].run(instances[role], partition, None, delta, seed)
+    trace = policies.POLICIES[policy_id].run(instances[role], partition, delta, seed)
     return role, analysis.regret_total(instances[role], trace)
 
 
 def lower_bound_protocol(
-    n: int,
-    p: float,
-    lipschitz_L: float,
-    alpha_lb: float,
+    pair: InstancePair,
     policy_id: str,
     replications: int,
     master_seed: int,
     threads: int = 1,
 ) -> LBReport:
-    """Run a policy on both adversarial members and report how often its
-    regret clears 0.01 * T^(1/3) * p^(-1/3), alongside the per-arm KL
-    budget of the pair."""
+    """Run a policy on both adversarial members, at the pair's design N
+    and p, and report how often its regret clears 0.01 * T^(1/3) *
+    p^(-1/3), alongside the per-arm KL budget of the pair."""
     if replications < 1:
         raise ValueError("need at least one replication")
     spec = policies.POLICIES.get(policy_id)
-    if spec is None or not spec.lower_bound:
+    if spec is None or spec.run is None:
         raise ValueError(f"policy {policy_id!r} not supported by the protocol")
-    pair = make_lower_bound_pair(p, lipschitz_L, alpha_lb, n)
+    n, p = pair.n_design, pair.p
     regime = FixedP(p)
     t_budget = regime.budget_for(n)
     threshold = 0.01 * t_budget ** (1.0 / 3.0) * p ** (-1.0 / 3.0)
@@ -656,12 +660,11 @@ def lower_bound_protocol(
         role: float(np.mean([r >= threshold for r in vals]))
         for role, vals in regrets.items()
     }
-    kl = instance_kl(pair, grid_arms(n))
     return LBReport(
         n=n,
         p=p,
-        lipschitz_L=lipschitz_L,
-        alpha_lb=alpha_lb,
+        lipschitz_L=pair.L,
+        alpha_lb=pair.alpha_lb,
         l_tilde=pair.L_tilde,
         lb_half_width=pair.lb_half_width,
         policy_id=policy_id,
@@ -673,8 +676,8 @@ def lower_bound_protocol(
         frequency_m1=freq[1],
         max_frequency=max(freq[0], freq[1]),
         frequency_target=0.1,
-        kl=kl,
-        kl_bound=70.4 * alpha_lb**3,
+        kl=instance_kl(pair),
+        kl_bound=70.4 * pair.alpha_lb**3,
         regret_mean_m0=float(np.mean(regrets[0])),
         regret_mean_m1=float(np.mean(regrets[1])),
     )
@@ -698,7 +701,7 @@ def lower_bound_config_from_json(data) -> dict:
     out["policy"] = _field(data, "policy", str, errors, default="ucbf")
     out["replications"] = _field(data, "replications", int, errors, default=100)
     out["master_seed"] = _field(data, "master_seed", int, errors, default=0)
-    valid = [i for i, spec in policies.POLICIES.items() if spec.lower_bound]
+    valid = [i for i, spec in policies.POLICIES.items() if spec.run is not None]
     if out["policy"] is not None and out["policy"] not in valid:
         errors.append(("$.policy", f"unsupported by the protocol; valid ids: {valid}"))
     if out["replications"] is not None and out["master_seed"] is not None:
@@ -709,13 +712,14 @@ def lower_bound_config_from_json(data) -> dict:
 
 
 def validate_config_from_json(data) -> dict:
-    """The validate config: a lower-bound pair under ``pair`` (as
-    ``_lower_bound_pair_from_json`` returns it), the grid of each
-    validator, and the margin check's epsilons as multiples of
+    """The validate config: the InstancePair under ``pair``, the grid of
+    each validator, and the margin check's epsilons as multiples of
     L~ * lb_half_width.  Errors carry JSON paths."""
     errors = _root(data, ["pair", "lipschitz_grid", "margin_grid", "eps_factors"])
     spec = _field(data, "pair", dict, errors)
-    pair = None if spec is None else _build(errors, "$.pair", _lower_bound_pair_from_json, spec)
+    pair = None if spec is None else _build(
+        errors, "$.pair", lambda d: _lower_bound_pair_from_json(d)["pair"], spec
+    )
     lip_grid = _field(data, "lipschitz_grid", int, errors, default=2000)
     margin_grid = _field(data, "margin_grid", int, errors, default=10**5)
     factors = _field(data, "eps_factors", list, errors, default=[1.5, 2.0, 4.0], item=float)
@@ -726,7 +730,7 @@ def validate_config_from_json(data) -> dict:
     if factors is not None and (not factors or min(factors) <= 0):
         errors.append(("$.eps_factors", "must be a non-empty list of positive numbers"))
     elif factors is not None and pair is not None:
-        if max(factors) * pair["pair"].L_tilde * pair["pair"].lb_half_width >= 1.0:
+        if max(factors) * pair.L_tilde * pair.lb_half_width >= 1.0:
             errors.append(("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
                            "must stay below 1"))
     if errors:

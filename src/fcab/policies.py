@@ -354,31 +354,26 @@ def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
 class PolicySpec:
     """How the experiments run one policy.
 
-    ``run(instance, partition, bin_means, delta, seed)`` returns the trace.
-    It looks its policy function up in this module at call time, so a
-    wrapper set on the module attribute sees every call.  ``cab_k``: the
-    policy bins with the cab K of the budget (``cab_parameters``) whatever
-    the experiment's K rule.  ``lower_bound``: the lower-bound protocol may
-    run the policy, which it can only when the policy needs no bin means.
+    ``run(instance, partition, delta, seed)`` returns the trace.  It looks
+    its policy function up in this module at call time, so a wrapper set
+    on the module attribute sees every call.  ``run`` is None for the
+    discretised oracle: its trace is the trial's reference run, which the
+    lower-bound protocol does not make.  ``cab_k``: the policy bins with
+    the cab K of the budget (``cab_parameters``) whatever the experiment's
+    K rule.
     """
 
-    run: Callable[..., PolicyTrace]
+    run: Optional[Callable[..., PolicyTrace]]
     cab_k: bool = False
-    lower_bound: bool = True
 
 
 POLICIES = {
-    "ucbf": PolicySpec(lambda inst, part, bm, delta, seed: ucbf_run(inst, part, delta, seed)),
+    "ucbf": PolicySpec(lambda inst, part, delta, seed: ucbf_run(inst, part, delta, seed)),
     "ucbf-cab-k": PolicySpec(
-        lambda inst, part, bm, delta, seed: ucbf_run(
-            inst, part, delta, seed, policy_id="ucbf-cab-k"
-        ),
+        lambda inst, part, delta, seed: ucbf_run(inst, part, delta, seed, policy_id="ucbf-cab-k"),
         cab_k=True,
     ),
-    "oracle-star": PolicySpec(lambda inst, part, bm, delta, seed: oracle_star(inst, seed)),
-    "oracle-discrete": PolicySpec(
-        lambda inst, part, bm, delta, seed: oracle_discrete(inst, part, bm, seed),
-        lower_bound=False,
-    ),
-    "random": PolicySpec(lambda inst, part, bm, delta, seed: baseline_random(inst, seed)),
+    "oracle-star": PolicySpec(lambda inst, part, delta, seed: oracle_star(inst, seed)),
+    "oracle-discrete": PolicySpec(None),
+    "random": PolicySpec(lambda inst, part, delta, seed: baseline_random(inst, seed)),
 }

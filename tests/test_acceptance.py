@@ -178,7 +178,7 @@ def test_criterion_05_kl_budget():
     values = []
     for n in (10**4, 10**5, 10**6):
         pair = make_lower_bound_pair(0.5, 0.5, alpha, n)
-        kl = instance_kl(pair, grid_arms(n))
+        kl = instance_kl(pair)
         assert 0.0 < kl <= bound, (n, kl, bound)
         values.append(kl)
     report(5, f"KL values {[f'{v:.4f}' for v in values]} all within {bound:.4f}")
@@ -277,10 +277,7 @@ def test_criterion_08_parameter_advantage():
 
 def test_criterion_09_lower_bound_protocol():
     result = lower_bound_protocol(
-        n=10**5,
-        p=0.5,
-        lipschitz_L=0.5,
-        alpha_lb=0.23,
+        make_lower_bound_pair(0.5, 0.5, 0.23, 10**5),
         policy_id="ucbf",
         replications=200,
         master_seed=SCALING_SEED + 9,

@@ -90,14 +90,14 @@ class TestBinMean:
 
     def test_empirical_bin_means(self):
         cov = np.array([[0.1], [0.3], [0.6], [0.9]])
-        inst = make_instance(ArmSet(cov, "uniform"), identity(), BERN, 2, 10**4)
+        inst = make_instance(ArmSet(cov), identity(), BERN, 2, 10**4)
         part = build_partition(inst.arms, 2)
         means = bin_means_empirical(inst, part)
         np.testing.assert_allclose(means, [0.2, 0.75])
 
     def test_empirical_empty_bin_reports_zero(self):
         cov = np.array([[0.1], [0.2], [0.3]])
-        inst = make_instance(ArmSet(cov, "uniform"), identity(), BERN, 2, 10**4)
+        inst = make_instance(ArmSet(cov), identity(), BERN, 2, 10**4)
         part = build_partition(inst.arms, 2)
         means = bin_means_empirical(inst, part)
         assert means[1] == 0.0
@@ -328,7 +328,7 @@ class TestDiagnostics:
 
     def test_exact_equipartition_with_midpoint_covariates(self):
         cov = ((np.arange(100) + 0.5) / 100).reshape(-1, 1)
-        inst = make_instance(ArmSet(cov, "uniform"), identity(), BERN, 50, 10**4)
+        inst = make_instance(ArmSet(cov), identity(), BERN, 50, 10**4)
         part = build_partition(inst.arms, 4)
         report = diagnostics(inst, part, bin_means_quadrature(identity(), part))
         assert report.max_count_dev == 0.0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcab import experiments
 from fcab.cli import ConfigError, parse_config, parse_lowerbound_config, run
 
 
@@ -164,6 +165,12 @@ class TestDispatch:
             ({"mean_function": {"kind": "tabulated", "grid_values": 0.5}},
              "$.mean_function.grid_values"),
             ({"mean_function": {"kind": "sinusoid", "phase": 0.1}}, "$.mean_function.phase"),
+            # The margin constant belongs to the lower-bound pair, not to a mean.
+            ({"mean_function": {"kind": "sinusoid", "margin_Q": 12.0}},
+             "$.mean_function.margin_Q"),
+            # A repeated N or policy would count the same trials twice in a cell.
+            ({"N_grid": [64, 128, 64]}, "$.N_grid"),
+            ({"policies": ["random", "ucbf", "random"]}, "$.policies"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -269,6 +276,20 @@ class TestDispatch:
         assert report["kl"] <= report["kl_bound"]
         assert report["replications"] == 4
 
+    def test_lowerbound_builds_the_pair_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = experiments.make_lower_bound_pair
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(experiments, "make_lower_bound_pair", counting)
+        cfg = write_json(tmp_path / "lb.json", {"schema": 1, "N": 2000, "p": 0.5, "L": 0.5,
+                                                "alpha_lb": 0.3, "replications": 2})
+        assert run(["lowerbound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert builds == [(0.5, 0.5, 0.3, 2000)]
+
     @pytest.mark.parametrize(
         "overrides, json_path",
         [
@@ -283,7 +304,7 @@ class TestDispatch:
             ({"p": "0.5"}, "$.p"),
             ({"replications": True}, "$.replications"),
             ({"master_seed": True}, "$.master_seed"),
-            ({"policy": "oracle-discrete"}, "$.policy"),  # needs bin means
+            ({"policy": "oracle-discrete"}, "$.policy"),  # the reference, run by sweeps only
         ],
     )
     def test_bad_lowerbound_config_is_config_error(
@@ -365,7 +386,7 @@ class TestDispatch:
 SWEEP_CONFIG = {
     "schema": 1,
     "mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": 1.15, "dim": 1,
-                      "margin_Q": None},
+                      "analytic_M": None},
     "reward_model": {"kind": "bernoulli"},
     "policies": ["ucbf", "oracle-star"],
     "N_grid": [30],
@@ -387,9 +408,9 @@ SWEEP_FIELDS = {
     ("mean_function", "dim"): (int, [0, -1, 2], False),
     ("reward_model",): (dict, [], False),
     ("reward_model", "kind"): (str, ["poisson", "clipped_gaussian"], True),
-    ("policies",): (list, [[], ["thompson"]], True),
+    ("policies",): (list, [[], ["thompson"], ["ucbf", "ucbf"]], True),
     ("policies", 0): (str, ["thompson"], False),
-    ("N_grid",): (list, [[], [29], [64, 10]], True),
+    ("N_grid",): (list, [[], [29], [64, 10], [64, 64]], True),
     ("N_grid", 0): (int, [29, 0, -64], False),
     ("regime",): (dict, [], True),
     ("regime", "kind"): (str, ["linear"], True),

@@ -42,7 +42,7 @@ class TestArmSets:
         # CLT oracle: |mean - 0.5| should be far within 0.002 at n = 1e6
         # (3 sigma / sqrt(n) with sigma^2 = 1/12 is about 0.00087).
         arms = sample_arms_uniform(10**6, 1, 42)
-        assert abs(arms.x.mean() - 0.5) < 0.002
+        assert abs(arms.covariates[:, 0].mean() - 0.5) < 0.002
 
     def test_uniform_is_deterministic(self):
         a = sample_arms_uniform(100, 2, 9)
@@ -55,11 +55,11 @@ class TestArmSets:
         assert arms.covariates.max() <= 1.0
 
     def test_grid_small(self):
-        np.testing.assert_allclose(grid_arms(4).x, [0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_allclose(grid_arms(1).x, [1.0])
+        np.testing.assert_allclose(grid_arms(4).covariates[:, 0], [0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_allclose(grid_arms(1).covariates[:, 0], [1.0])
 
     def test_grid_ten_equally_spaced(self):
-        x = grid_arms(10).x
+        x = grid_arms(10).covariates[:, 0]
         assert x[-1] == 1.0
         np.testing.assert_allclose(np.diff(x), 0.1)
 
@@ -116,7 +116,7 @@ class TestMeanFunctions:
             identity(),
             Sinusoid(amplitude=0.25, frequency=2.0, offset=0.5),
             Tabulated((0.1, 0.9, 0.4)),
-            LowerBoundMember(role=1, p=0.4, l_tilde=0.5, half_width=0.02, margin_Q=12.0),
+            LowerBoundMember(role=1, p=0.4, l_tilde=0.5, half_width=0.02),
         ]
         xs = np.linspace(0, 1, 101)
         for f in originals:
@@ -196,6 +196,13 @@ class TestLowerBoundPair:
         assert pair.x0 == pytest.approx(0.4926980, abs=1e-6)
         assert pair.x1 == pytest.approx(0.5073020, abs=1e-6)
         assert lt * hw == pytest.approx(0.0018255, abs=1e-6)
+
+    @pytest.mark.parametrize("L", [0.2, 2.0])
+    def test_pair_carries_its_design(self, L):
+        pair = make_lower_bound_pair(0.5, L, 0.23, 10**5)
+        assert pair.L == L
+        assert pair.margin_Q == 6.0 * max(1.0 / L, 2.0)
+        assert (pair.n_design, pair.p, pair.alpha_lb) == (10**5, 0.5, 0.23)
 
     def test_members_agree_outside_window(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
@@ -357,7 +364,7 @@ class TestInstanceKl:
 
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**5)
         twin = dataclasses.replace(pair, m1=pair.m0)
-        assert instance_kl(twin, grid_arms(10**4)) == 0.0
+        assert instance_kl(twin) == 0.0
 
     def test_kl_budget(self):
         # Sum of per-arm divergences stays under 70.4 alpha^3 once the bump
@@ -366,25 +373,20 @@ class TestInstanceKl:
         for n in (10**4, 10**5, 10**6):
             pair = make_lower_bound_pair(0.5, 0.5, alpha, n)
             assert n * pair.lb_half_width >= 31
-            kl = instance_kl(pair, grid_arms(n))
+            kl = instance_kl(pair)
             assert kl <= 70.4 * alpha**3
             assert kl > 0.0
 
     def test_order_invariance(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**4)
         arms = grid_arms(10**4)
-        v0 = pair.m0.evaluate(arms.x)
-        v1 = pair.m1.evaluate(arms.x)
+        v0 = pair.m0.evaluate(arms.covariates)
+        v1 = pair.m1.evaluate(arms.covariates)
         mask = v0 != v1
         forward = float(np.sum(bernoulli_kl(v0[mask], v1[mask])))
         backward = float(np.sum(bernoulli_kl(v0[mask][::-1], v1[mask][::-1])))
         assert forward == pytest.approx(backward, rel=1e-12)
-        assert instance_kl(pair, arms) == pytest.approx(forward, rel=1e-12)
-
-    def test_requires_grid_arms(self):
-        pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**4)
-        with pytest.raises(ValueError):
-            instance_kl(pair, sample_arms_uniform(100, 1, 0))
+        assert instance_kl(pair) == pytest.approx(forward, rel=1e-12)
 
 
 class TestInstances:
@@ -401,7 +403,7 @@ class TestInstances:
                              threshold_resolution=10**4)
         assert inst.p == pytest.approx(0.3)
         assert inst.threshold_M == pytest.approx(0.7, abs=1e-3)
-        np.testing.assert_allclose(inst.true_means, arms.x)
+        np.testing.assert_allclose(inst.true_means, arms.covariates[:, 0])
 
     def test_star_order_ties_break_by_index(self):
         arms = grid_arms(4)

@@ -14,6 +14,7 @@ from fcab.environment import (
     compute_threshold_M,
     grid_arms,
     make_instance,
+    make_lower_bound_pair,
 )
 from fcab.experiments import (
     ExperimentConfig,
@@ -347,7 +348,7 @@ class TestFitExponent:
 class TestLowerBoundProtocol:
     def test_report_fields(self):
         report = lower_bound_protocol(
-            n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3,
+            make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
             policy_id="ucbf", replications=5, master_seed=3,
         )
         t = 1000
@@ -360,29 +361,22 @@ class TestLowerBoundProtocol:
 
     def test_reference_threshold_value(self):
         report = lower_bound_protocol(
-            n=10**5, p=0.5, lipschitz_L=0.5, alpha_lb=0.23,
+            make_lower_bound_pair(0.5, 0.5, 0.23, 10**5),
             policy_id="oracle-star", replications=2, master_seed=1,
         )
         assert report.threshold == pytest.approx(0.46416, abs=1e-5)
 
     def test_oracle_never_clears_threshold(self):
         report = lower_bound_protocol(
-            n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3,
+            make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
             policy_id="oracle-star", replications=10, master_seed=5,
         )
         assert report.frequency_m0 == 0.0
         assert report.frequency_m1 == 0.0
 
-    def test_parameter_window_violation(self):
-        with pytest.raises(ValueError):
-            lower_bound_protocol(
-                n=100, p=0.5, lipschitz_L=0.5, alpha_lb=0.23,
-                policy_id="ucbf", replications=2, master_seed=0,
-            )
-
     def test_threads_do_not_change_frequencies(self):
         kw = dict(
-            n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3,
+            pair=make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
             policy_id="ucbf", replications=6, master_seed=9,
         )
         a = lower_bound_protocol(threads=1, **kw)
@@ -421,10 +415,10 @@ class TestPolicyRegistry:
         # oracle_discrete runs as the shared reference, under its policy id.
         assert set(calls) == {(name, policy_id) for policy_id, name in self.RUNNERS.items()}
         for policy_id, spec in policies.POLICIES.items():
-            kw = dict(n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3, policy_id=policy_id,
+            kw = dict(pair=make_lower_bound_pair(0.5, 0.5, 0.3, 2000), policy_id=policy_id,
                       replications=1, master_seed=0)
             calls.clear()
-            if spec.lower_bound:
+            if spec.run is not None:
                 lower_bound_protocol(**kw)
                 assert calls == [(self.RUNNERS[policy_id], policy_id)] * 2
             else:
@@ -442,7 +436,7 @@ class TestPolicyRegistry:
             return run(instance, partition, delta, seed, policy_id)
 
         monkeypatch.setattr(policies, "ucbf_run", counting)
-        report = lower_bound_protocol(n=3000, p=0.3, lipschitz_L=0.5, alpha_lb=0.3,
+        report = lower_bound_protocol(make_lower_bound_pair(0.3, 0.5, 0.3, 3000),
                                       policy_id=policy_id, replications=2, master_seed=1)
         assert len(seen) == 4
         assert set(seen) == {report.k}
@@ -450,10 +444,12 @@ class TestPolicyRegistry:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records the worker count it is
-    asked for and runs the tasks in this process, starting no worker."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunk size it is asked for and runs the tasks in this process,
+    starting no worker."""
 
     sizes: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         FakePool.sizes.append(max_workers)
@@ -465,6 +461,7 @@ class FakePool:
         return False
 
     def map(self, fn, tasks, chunksize=1):
+        FakePool.chunks.append(chunksize)
         return map(fn, tasks)
 
 
@@ -472,6 +469,7 @@ class TestWorkerPool:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         FakePool.sizes = []
+        FakePool.chunks = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
@@ -485,8 +483,14 @@ class TestWorkerPool:
         )
         assert FakePool.sizes == sizes
 
+    @pytest.mark.parametrize("n_tasks, chunk", [(6, 1), (20, 2), (31, 3), (32, 4), (200, 4)])
+    def test_chunks_give_every_worker_a_share(self, n_tasks, chunk):
+        # Fixed chunks of 4 split oracles-large's 6 tasks 4/2 over two workers.
+        experiments._map(abs, list(range(n_tasks)), 2)
+        assert FakePool.chunks == [chunk]
+
     def test_lower_bound_run_with_two_tasks(self):
         # One replication per member is two tasks: two workers, not four.
-        lower_bound_protocol(n=2000, p=0.5, lipschitz_L=0.5, alpha_lb=0.3,
+        lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
                              policy_id="ucbf", replications=1, master_seed=0, threads=4)
         assert FakePool.sizes == [2]

@@ -49,7 +49,7 @@ def argmax_lowest(values):
 
 class TestPartition:
     def test_one_dim_assignment(self):
-        arms = ArmSet(np.array([[0.2], [0.999], [1.0], [0.0]]), "uniform")
+        arms = ArmSet(np.array([[0.2], [0.999], [1.0], [0.0]]))
         part = build_partition(arms, 5)
         # [0.2, 0.4) is the second of five bins; 1.0 closes the last bin.
         np.testing.assert_array_equal(part.assignment, [1, 4, 4, 0])
@@ -60,7 +60,7 @@ class TestPartition:
         assert part.assignment[-1] == 1
 
     def test_two_dim_digits(self):
-        arms = ArmSet(np.array([[0.4, 0.9]]), "uniform")
+        arms = ArmSet(np.array([[0.4, 0.9]]))
         part = build_partition(arms, 3)
         assert part.bin_count == 9
         # per-axis digits floor(0.4*3)=1, floor(0.9*3)=2; row-major id 1*3+2
@@ -79,7 +79,7 @@ class TestPartition:
         # many arms with interleaved indices.
         cov[::2] = rng.random((4, dim))[rng.integers(0, 4, cov[::2].shape[0])]
         cov[0] = 1.0  # occupies the last bin, id k^dim - 1
-        part = build_partition(ArmSet(cov, "uniform"), k)
+        part = build_partition(ArmSet(cov), k)
         np.testing.assert_array_equal(
             part._order, np.argsort(part.assignment, kind="stable")
         )
@@ -230,7 +230,7 @@ class TestUcbfRun:
         # initialisation pulls, one per bin in ascending bin order.  (Grid
         # arms at N=4, K=2 would put the arm at 0.5 into the upper half-open
         # bin, so the two-per-bin layout needs explicit covariates.)
-        arms = ArmSet(np.array([[0.2], [0.4], [0.6], [0.8]]), "uniform")
+        arms = ArmSet(np.array([[0.2], [0.4], [0.6], [0.8]]))
         inst = make_instance(arms, identity(), BERN, 2, 10**4)
         part = build_partition(inst.arms, 2)
         np.testing.assert_array_equal(part.counts, [2, 2])
@@ -244,7 +244,7 @@ class TestUcbfRun:
         # initialisation, pulls 3..5 exhaust the paying bin, pull 6 falls
         # back to the dead-end bin.
         cov = np.array([[0.1], [0.2], [0.3], [0.4], [0.6], [0.7], [0.8], [0.9]])
-        arms = ArmSet(cov, "uniform")
+        arms = ArmSet(cov)
         mean = PiecewiseLinear((0.0, 0.4, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0))
         inst = make_instance(arms, mean, BERN, 6, 10**4)
         part = build_partition(arms, 2)
@@ -399,7 +399,7 @@ class TestOracles:
     def _three_bin_instance(self, t):
         # two arms per bin at K=3, keeping covariates off the bin edges
         cov = np.array([[0.1], [0.2], [0.4], [0.5], [0.7], [0.8]])
-        inst = make_instance(ArmSet(cov, "uniform"), identity(), BERN, t, 10**4)
+        inst = make_instance(ArmSet(cov), identity(), BERN, t, 10**4)
         part = build_partition(inst.arms, 3)
         np.testing.assert_array_equal(part.counts, [2, 2, 2])
         return inst, part
