@@ -23,14 +23,17 @@ from typing import Optional
 import numpy as np
 
 from .environment import Constant, Instance, MeanFunction, PiecewiseLinear, Record
+from .policies import PolicyTrace
 
 __all__ = [
     "RegretDecomposition",
     "DiagnosticsReport",
+    "Baseline",
     "bin_mean",
     "bin_means_quadrature",
     "bin_means_empirical",
     "rank_bins",
+    "make_baseline",
     "regret_total",
     "regret_decompose",
     "diagnostics",
@@ -127,8 +130,12 @@ def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _pull_mask(n: int, pulled: np.ndarray) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
+def _pull_mask(instance: Instance, trace) -> np.ndarray:
+    """The arms a trace pulled, as a mask; it must pull T distinct arms."""
+    pulled = np.asarray(trace.pulled)
+    if pulled.size != instance.T:
+        raise ValueError(f"trace length {pulled.size} != budget {instance.T}")
+    mask = np.zeros(instance.n, dtype=bool)
     mask[pulled] = True
     if int(mask.sum()) != pulled.size:
         raise ValueError("trace contains duplicate arm indices")
@@ -137,9 +144,7 @@ def _pull_mask(n: int, pulled: np.ndarray) -> np.ndarray:
 
 def regret_total(instance: Instance, trace) -> float:
     """Sum of the T largest true means minus the true means of the pulls."""
-    if len(trace.pulled) != instance.T:
-        raise ValueError(f"trace length {len(trace.pulled)} != budget {instance.T}")
-    mask = _pull_mask(instance.n, np.asarray(trace.pulled))
+    mask = _pull_mask(instance, trace)
     return instance.top_mean_sum() - float(instance.true_means[mask].sum())
 
 
@@ -164,57 +169,36 @@ class RegretDecomposition(Record):
     threshold_M: float
 
 
-def regret_decompose(
-    instance: Instance,
-    partition,
-    bin_means,
-    trace,
-    discrete_trace,
-) -> RegretDecomposition:
-    """Arm-level decomposition of a trace against the discretised oracle.
-
-    Both traces must cover the same instance, and the discrete trace must
-    come from the discretised oracle under the same bin ordering (the one
-    induced by ``bin_means`` with ties to the lower bin id).
-    """
-    t_budget = instance.T
-    if len(trace.pulled) != t_budget or len(discrete_trace.pulled) != t_budget:
-        raise ValueError("both traces must have exactly T pulls")
-    if partition.n_arms != instance.n:
-        raise ValueError("partition does not match the instance")
-    order, f_hat = rank_bins(partition, bin_means, t_budget)
-    rank = np.empty(partition.bin_count, dtype=np.int64)
-    rank[order] = np.arange(partition.bin_count)
-
+def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDecomposition:
+    """Arm-level decomposition of a trace against the discretised oracle's
+    reference run in ``baseline``, which must come from the same instance."""
     means = instance.true_means
-    m_thresh = instance.threshold_M
-    in_phi = _pull_mask(instance.n, np.asarray(trace.pulled))
-    in_phid = _pull_mask(instance.n, np.asarray(discrete_trace.pulled))
-    arm_rank = rank[partition.assignment]
+    report = baseline.report
+    m_thresh = report.threshold_M
+    in_phi = _pull_mask(instance, trace)
 
-    top = arm_rank < f_hat
-    boundary = arm_rank == f_hat
-    low = arm_rank > f_hat
+    top = baseline.arm_rank < report.f_hat
+    boundary = baseline.arm_rank == report.f_hat
+    low = baseline.arm_rank > report.f_hat
     r_opt = float(np.sum(means[top & ~in_phi] - m_thresh))
-    r_boundary = float(np.sum(means[boundary & in_phid & ~in_phi] - m_thresh)) + float(
-        np.sum(m_thresh - means[boundary & in_phi & ~in_phid])
+    r_boundary = float(np.sum(means[boundary & baseline.in_phid & ~in_phi] - m_thresh)) + float(
+        np.sum(m_thresh - means[boundary & in_phi & ~baseline.in_phid])
     )
     r_subopt = float(np.sum(m_thresh - means[low & in_phi]))
 
     s_star = instance.top_mean_sum()
     s_phi = float(means[in_phi].sum())
-    s_phid = float(means[in_phid].sum())
 
     return RegretDecomposition(
         r_total=s_star - s_phi,
-        r_disc=s_star - s_phid,
-        r_fmab=s_phid - s_phi,
+        r_disc=s_star - baseline.s_phid,
+        r_fmab=baseline.s_phid - s_phi,
         r_opt=r_opt,
         r_subopt=r_subopt,
         r_boundary=r_boundary,
-        f_hat=f_hat,
-        f=math.floor(instance.p * partition.bin_count + 1e-9),
-        m_hat=instance.m_hat,
+        f_hat=report.f_hat,
+        f=report.f,
+        m_hat=report.m_hat,
         threshold_M=m_thresh,
     )
 
@@ -250,11 +234,10 @@ class DiagnosticsReport(Record):
     count_dev_scaled: float
 
 
-def diagnostics(instance: Instance, partition, bin_means) -> DiagnosticsReport:
+def diagnostics(instance: Instance, partition, f_hat: int) -> DiagnosticsReport:
     """Pure report of boundary, threshold and occupancy diagnostics."""
-    _, f_hat = rank_bins(partition, bin_means, instance.T)
     f = math.floor(instance.p * partition.bin_count + 1e-9)
-    m_hat = instance.m_hat
+    m_hat = float(instance.true_means[instance.star_order()].min())  # the T-th largest mean
     max_dev = float(
         np.max(np.abs(partition.counts - instance.n / partition.bin_count))
     )
@@ -279,3 +262,26 @@ def diagnostics(instance: Instance, partition, bin_means) -> DiagnosticsReport:
         max_count_dev=max_dev,
         count_dev_scaled=max_dev * 2.0 * partition.bin_count / instance.n,
     )
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """The discretised oracle's reference run at one (N, rep, K) and what
+    every policy's decomposition reads from it: its pull mask and
+    pulled-mean sum, each arm's bin rank, and the diagnostics report."""
+
+    reference: PolicyTrace
+    in_phid: np.ndarray
+    s_phid: float
+    arm_rank: np.ndarray
+    report: DiagnosticsReport
+
+
+def make_baseline(instance: Instance, partition, order, f_hat: int, reference) -> Baseline:
+    """The baseline of ``policies.oracle_discrete``'s run under the ranking
+    ``order, f_hat`` that ``rank_bins`` gives for this partition."""
+    rank = np.empty(partition.bin_count, dtype=np.int64)
+    rank[order] = np.arange(partition.bin_count)
+    in_phid = _pull_mask(instance, reference)
+    return Baseline(reference, in_phid, float(instance.true_means[in_phid].sum()),
+                    rank[partition.assignment], diagnostics(instance, partition, f_hat))

@@ -83,7 +83,8 @@ def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, it
     every entry the type ``item``; else None with the error added to
     ``errors``.  An absent key gives ``default``, or a "missing" error when
     there is none.  Integers are numbers (``float``) and come back as
-    floats; booleans are nothing but booleans."""
+    floats; a number must be finite (JSON parsing reads NaN and Infinity);
+    booleans are nothing but booleans."""
     if key not in data:
         if default is _REQUIRED:
             errors.append((f"$.{key}", "missing"))
@@ -95,6 +96,9 @@ def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, it
         return None
     if item is not None and not all(_is(v, item) for v in value):
         errors.append((f"$.{key}", f"every entry must be {_TYPE_NAMES[item]}"))
+        return None
+    if float in (kind, item) and not all(map(math.isfinite, value if item else [value])):
+        errors.append((f"$.{key}", "must be finite"))
         return None
     return float(value) if kind is float else value
 
@@ -518,11 +522,6 @@ class Instance:
         if self._top_sum is None:
             self._top_sum = float(self.true_means[self.star_order()].sum())
         return self._top_sum
-
-    @property
-    def m_hat(self) -> float:
-        """Empirical threshold: the T-th largest true mean."""
-        return float(self.true_means[self.star_order()].min())
 
 
 def make_instance(

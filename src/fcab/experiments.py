@@ -278,6 +278,9 @@ class ExperimentConfig:
             )
         elif self.dim != 1 and (self.covariates == GRID or isinstance(self.regime, PowerLaw)):
             errors.append(("$.dim", "grid covariates and the power-law regime are 1-d"))
+        k = self.k_rule.k if self.k_rule.kind == "explicit" else 1
+        if k ** min(self.dim, 64) > policies._MAX_BINS:  # min: any K > 1 exceeds it at dim 64
+            errors.append(("$.K_rule.k", f"K^dim may not exceed {policies._MAX_BINS} bins"))
         if self.bin_means_mode not in _BIN_MEAN_MODES:
             errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
         if self.threshold_resolution < 1000:
@@ -388,8 +391,8 @@ def run_trial(
     Returns one outcome per config policy, in config order: its
     TrialResult, or the message of the error its run raised.  An error in
     the shared set-up raises.  Each distinct K (a second one comes only
-    from a ``cab_k`` policy) gets one partition, one set of bin means, one
-    discretised-oracle reference run and one diagnostics report, shared by
+    from a ``cab_k`` policy) gets one partition, bin means, ranking,
+    discretised-oracle reference run and ``analysis.Baseline``, shared by
     every policy with that K; the oracle-discrete policy's trace is that
     reference.  A trial's ``wall_ms`` is its own run and decomposition
     time plus an equal share of the set-up.
@@ -414,33 +417,33 @@ def run_trial(
             bin_means = analysis.bin_means_empirical(instance, partition)
         else:
             bin_means = _quadrature_bin_means(config.mean_function, k, config.dim)
+        order, f_hat = analysis.rank_bins(partition, bin_means, instance.T)
         reference = policies.oracle_discrete(
-            instance, partition, bin_means, _hash64(instance_seed, k, "phid")
+            instance, partition, order, f_hat, _hash64(instance_seed, k, "phid")
         )
-        diag = analysis.diagnostics(instance, partition, bin_means)
-        shared[k] = partition, bin_means, reference, diag
+        shared[k] = partition, analysis.make_baseline(
+            instance, partition, order, f_hat, reference
+        )
     setup_ms = (time.perf_counter() - start) * 1000.0 / len(ks)
 
     outcomes = []
     for policy_id, k in zip(config.policies, ks):
         start = time.perf_counter()
-        partition, bin_means, reference, diag = shared[k]
+        partition, baseline = shared[k]
         seed = derive_seed(config.master_seed, n, policy_id, rep)
         run = policies.POLICIES[policy_id].run
         try:
-            trace = reference if run is None else run(
+            trace = baseline.reference if run is None else run(
                 instance, partition, delta, _hash64(seed, "run")
             )
-            decomposition = analysis.regret_decompose(
-                instance, partition, bin_means, trace, reference
-            )
+            decomposition = analysis.regret_decompose(instance, baseline, trace)
         except Exception as exc:  # fails this policy's cell only
             outcomes.append(f"{type(exc).__name__}: {exc}")
             continue
         outcomes.append(TrialResult(
             policy_id=policy_id, n=n, t_budget=instance.T, k=k, p=instance.p, rep=rep,
             seed=seed, regret=decomposition.r_total, decomposition=decomposition,
-            diagnostics=diag, wall_ms=setup_ms + (time.perf_counter() - start) * 1000.0,
+            diagnostics=baseline.report, wall_ms=setup_ms + (time.perf_counter() - start) * 1000.0,
             trace=trace if keep_trace else None,
         ))
     return outcomes

@@ -12,8 +12,8 @@ order; the pull order then follows from a stable sort, with no per-pull
 loop (see ``ucbf_run``).
 
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
-order; the discretised oracle empties the best bins (by supplied bin
-means) and fills the remainder from the first bin that straddles the
+order; the discretised oracle empties the best bins (by a supplied
+ranking) and fills the remainder from the first bin that straddles the
 budget.
 """
 
@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import rank_bins
 from .environment import ArmSet, Instance
 
 __all__ = [
@@ -199,8 +198,6 @@ class PolicyTrace:
 
     pulled: np.ndarray
     rewards: np.ndarray
-    policy_id: str
-    seed: int
 
     def __post_init__(self):
         pulled = np.asarray(self.pulled, dtype=np.int64)
@@ -246,7 +243,6 @@ def ucbf_run(
     partition: Partition,
     delta: float,
     seed: int,
-    policy_id: str = "ucbf",
 ) -> PolicyTrace:
     """Run the confidence-bound policy over alive bins for T pulls.
 
@@ -298,7 +294,7 @@ def ucbf_run(
     key_starts = starts - np.arange(alive.size)
     later += np.searchsorted(key_starts, later, side="right")
     order = np.concatenate((starts[:n_init], later))
-    return PolicyTrace(stream[order], rewards[order], policy_id, seed)
+    return PolicyTrace(stream[order], rewards[order])
 
 
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
@@ -310,31 +306,30 @@ def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     pulled = star[np.argsort(-instance.true_means[star], kind="stable")]
     reward_rng, _ = _run_streams(seed)
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
-    return PolicyTrace(pulled, obs, "oracle-star", seed)
+    return PolicyTrace(pulled, obs)
 
 
 def oracle_discrete(
     instance: Instance,
     partition: Partition,
-    bin_means,
+    order: np.ndarray,
+    f_hat: int,
     seed: int = 0,
 ) -> PolicyTrace:
-    """Discretised oracle: empties the best bins by the supplied bin means
-    (ties to the lower bin id), then fills the remaining budget uniformly
-    at random from the first bin that straddles it."""
+    """Discretised oracle: empties the first ``f_hat`` bins of the ranking
+    ``order`` (``analysis.rank_bins``), then fills the remaining budget,
+    at least one pull by the definition of f_hat, uniformly at random from
+    the next bin."""
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
-    order, f_hat = rank_bins(partition, bin_means, instance.T)
     parts = [partition.arms_in_bin(int(b)) for b in order[:f_hat]]
-    taken = sum(p.size for p in parts)
-    remainder = instance.T - taken
+    remainder = instance.T - sum(p.size for p in parts)
     reward_rng, s_select = _run_streams(seed)
-    if remainder > 0:
-        pool = partition.arms_in_bin(int(order[f_hat]))
-        parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
-    pulled = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    pool = partition.arms_in_bin(int(order[f_hat]))
+    parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
+    pulled = np.concatenate(parts)
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
-    return PolicyTrace(pulled, obs, "oracle-discrete", seed)
+    return PolicyTrace(pulled, obs)
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
@@ -342,7 +337,7 @@ def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     reward_rng, _ = _run_streams(seed)
     pulled = reward_rng.permutation(instance.n)[: instance.T].astype(np.int64)
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
-    return PolicyTrace(pulled, obs, "random", seed)
+    return PolicyTrace(pulled, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +362,13 @@ class PolicySpec:
     cab_k: bool = False
 
 
+def _ucbf(inst, part, delta, seed):
+    return ucbf_run(inst, part, delta, seed)
+
+
 POLICIES = {
-    "ucbf": PolicySpec(lambda inst, part, delta, seed: ucbf_run(inst, part, delta, seed)),
-    "ucbf-cab-k": PolicySpec(
-        lambda inst, part, delta, seed: ucbf_run(inst, part, delta, seed, policy_id="ucbf-cab-k"),
-        cab_k=True,
-    ),
+    "ucbf": PolicySpec(_ucbf),
+    "ucbf-cab-k": PolicySpec(_ucbf, cab_k=True),
     "oracle-star": PolicySpec(lambda inst, part, delta, seed: oracle_star(inst, seed)),
     "oracle-discrete": PolicySpec(None),
     "random": PolicySpec(lambda inst, part, delta, seed: baseline_random(inst, seed)),

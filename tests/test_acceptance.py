@@ -8,7 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from fcab.analysis import bin_means_quadrature, regret_decompose, regret_total
+from fcab.analysis import (
+    bin_means_quadrature,
+    make_baseline,
+    rank_bins,
+    regret_decompose,
+    regret_total,
+)
 from fcab.environment import (
     PiecewiseLinear,
     RewardModel,
@@ -98,6 +104,7 @@ def test_criterion_01_decomposition_identities():
         )
         part = build_partition(inst.arms, k)
         bm = bin_means_quadrature(inst.mean, part, nodes=2000)
+        order, f_hat = rank_bins(part, bm, inst.T)
         policy = cycle[i % 4]
         if policy == "ucbf":
             trace = ucbf_run(inst, part, 0.01, seed=i)
@@ -106,12 +113,12 @@ def test_criterion_01_decomposition_identities():
         elif policy == "oracle-star":
             trace = oracle_star(inst, seed=i)
         else:
-            trace = oracle_discrete(inst, part, bm, seed=i)
+            trace = oracle_discrete(inst, part, order, f_hat, seed=i)
         if policy == "oracle-discrete":
             disc = trace
         else:
-            disc = oracle_discrete(inst, part, bm, seed=500_000 + i)
-        dec = regret_decompose(inst, part, bm, trace, disc)
+            disc = oracle_discrete(inst, part, order, f_hat, seed=500_000 + i)
+        dec = regret_decompose(inst, make_baseline(inst, part, order, f_hat, disc), trace)
         gap_a = abs(dec.r_total - (dec.r_disc + dec.r_fmab))
         gap_b = abs(dec.r_fmab - (dec.r_opt + dec.r_boundary + dec.r_subopt))
         assert gap_a <= 1e-9, (i, policy, gap_a)
@@ -136,7 +143,7 @@ def test_criterion_02_oracle_and_degenerate():
         assert regret_total(grid, ucbf_run(grid, part, 0.01, seed)) == 0.0
         assert regret_total(uniform, oracle_star(uniform, seed)) == 0.0
         assert regret_total(uniform, baseline_random(uniform, seed)) == 0.0
-        assert regret_total(grid, oracle_discrete(grid, part, bm, seed)) == 0.0
+        assert regret_total(grid, oracle_discrete(grid, part, *rank_bins(part, bm, n), seed)) == 0.0
         # greedy oracle is exact at partial budgets too
         partial = make_instance(
             sample_arms_uniform(n, 1, seed + 1), mean, BERN, n // 2,

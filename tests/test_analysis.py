@@ -10,6 +10,7 @@ from fcab.analysis import (
     bin_means_empirical,
     bin_means_quadrature,
     diagnostics,
+    make_baseline,
     rank_bins,
     regret_decompose,
     regret_total,
@@ -172,7 +173,7 @@ class TestFHat:
 class TestRegretTotal:
     def test_small_grid(self):
         inst = make_instance(grid_arms(4), identity(), BERN, 2, 10**4)
-        trace = PolicyTrace(np.array([0, 3]), np.zeros(2), "manual", 0)
+        trace = PolicyTrace(np.array([0, 3]), np.zeros(2))
         # top means 1.0 + 0.75 against pulled 0.25 + 1.0
         assert regret_total(inst, trace) == pytest.approx(0.5, abs=1e-12)
 
@@ -191,12 +192,12 @@ class TestRegretTotal:
     def test_wrong_length(self):
         inst = make_instance(grid_arms(4), identity(), BERN, 2, 10**4)
         with pytest.raises(ValueError):
-            regret_total(inst, PolicyTrace(np.array([0]), np.zeros(1), "m", 0))
+            regret_total(inst, PolicyTrace(np.array([0]), np.zeros(1)))
 
     def test_duplicates_detected(self):
         inst = make_instance(grid_arms(4), identity(), BERN, 2, 10**4)
         with pytest.raises(ValueError):
-            regret_total(inst, PolicyTrace(np.array([3, 3]), np.zeros(2), "m", 0))
+            regret_total(inst, PolicyTrace(np.array([3, 3]), np.zeros(2)))
 
     def test_nonnegative_across_policies(self):
         rng = np.random.default_rng(4)
@@ -217,8 +218,9 @@ class TestRegretTotal:
 
 
 def _decompose_for(inst, part, means, trace, seed=0):
-    disc = oracle_discrete(inst, part, means, seed)
-    return regret_decompose(inst, part, means, trace, disc), disc
+    order, f_hat = rank_bins(part, means, inst.T)
+    disc = oracle_discrete(inst, part, order, f_hat, seed)
+    return regret_decompose(inst, make_baseline(inst, part, order, f_hat, disc), trace), disc
 
 
 class TestDecomposition:
@@ -226,8 +228,9 @@ class TestDecomposition:
         inst = make_instance(grid_arms(60), identity(), BERN, 30, 10**4)
         part = build_partition(inst.arms, 4)
         bm = bin_means_quadrature(identity(), part)
-        disc = oracle_discrete(inst, part, bm, 3)
-        dec = regret_decompose(inst, part, bm, disc, disc)
+        order, f_hat = rank_bins(part, bm, inst.T)
+        disc = oracle_discrete(inst, part, order, f_hat, 3)
+        dec = regret_decompose(inst, make_baseline(inst, part, order, f_hat, disc), disc)
         assert dec.r_fmab == 0.0
         assert dec.r_total == dec.r_disc
         assert dec.r_opt == dec.r_subopt == dec.r_boundary == 0.0
@@ -281,7 +284,7 @@ class TestDecomposition:
             elif pid == "oracle-star":
                 trace = oracle_star(inst, seed=i)
             else:
-                trace = oracle_discrete(inst, part, bm, seed=i)
+                trace = oracle_discrete(inst, part, *rank_bins(part, bm, inst.T), seed=i)
             dec, _ = _decompose_for(inst, part, bm, trace, seed=9000 + i)
             assert abs(dec.r_total - (dec.r_disc + dec.r_fmab)) <= 1e-9
             assert abs(dec.r_fmab - (dec.r_opt + dec.r_boundary + dec.r_subopt)) <= 1e-9
@@ -322,7 +325,7 @@ class TestDiagnostics:
         part = build_partition(inst.arms, 4)
         np.testing.assert_array_equal(part.counts, [24, 25, 25, 26])
         bm = bin_means_quadrature(identity(), part)
-        report = diagnostics(inst, part, bm)
+        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
         assert report.max_count_dev == 1.0
         assert report.f == 2  # floor(p K) at p = 0.5, K = 4
 
@@ -330,7 +333,8 @@ class TestDiagnostics:
         cov = ((np.arange(100) + 0.5) / 100).reshape(-1, 1)
         inst = make_instance(ArmSet(cov), identity(), BERN, 50, 10**4)
         part = build_partition(inst.arms, 4)
-        report = diagnostics(inst, part, bin_means_quadrature(identity(), part))
+        _, f_hat = rank_bins(part, bin_means_quadrature(identity(), part), inst.T)
+        report = diagnostics(inst, part, f_hat)
         assert report.max_count_dev == 0.0
         assert report.count_dev_scaled == 0.0
 
@@ -338,13 +342,13 @@ class TestDiagnostics:
         inst = make_instance(grid_arms(4), identity(), BERN, 2, 10**4)
         part = build_partition(inst.arms, 2)
         bm = bin_means_quadrature(identity(), part)
-        report = diagnostics(inst, part, bm)
+        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
         assert report.m_hat == 0.75
 
     def test_constant_mean_has_no_lipschitz_scale(self):
         inst = make_instance(grid_arms(50), Constant(0.5), BERN, 25, 10**4)
         part = build_partition(inst.arms, 5)
-        report = diagnostics(inst, part, [0.5] * 5)
+        report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1])
         assert report.m_hat_gap_scaled is None
 
     def test_json_round_trip(self):
@@ -353,7 +357,7 @@ class TestDiagnostics:
         inst = make_instance(grid_arms(50), identity(), BERN, 25, 10**4)
         part = build_partition(inst.arms, 5)
         bm = bin_means_quadrature(identity(), part)
-        report = diagnostics(inst, part, bm)
+        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
         data = json.loads(json.dumps(report.to_json()))
         assert data["f"] == report.f
         assert data["f_gap"] == abs(report.f_hat - report.f)

@@ -171,6 +171,15 @@ class TestDispatch:
             # A repeated N or policy would count the same trials twice in a cell.
             ({"N_grid": [64, 128, 64]}, "$.N_grid"),
             ({"policies": ["random", "ucbf", "random"]}, "$.policies"),
+            # JSON parsing reads NaN and Infinity; a number must be finite.
+            ({"mean_function": {"kind": "sinusoid", "amplitude": float("nan")}},
+             "$.mean_function.amplitude"),
+            ({"mean_function": {"kind": "piecewise_linear", "breakpoints": [0, 1],
+                                "values": [0.2, 0.8], "lipschitz_L": float("nan")}},
+             "$.mean_function.lipschitz_L"),
+            # 10^4 bins per axis in two dimensions exceed the partition's limit.
+            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2,
+              "K_rule": {"kind": "explicit", "k": 10**4}}, "$.K_rule.k"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -350,6 +359,7 @@ class TestDispatch:
             ({"eps_factors": [1.5, -2.0]}, "$.eps_factors"),
             ({"eps_factors": ["2"]}, "$.eps_factors"),
             ({"eps_factors": [1e6]}, "$.eps_factors"),  # an epsilon of 1 or more
+            ({"eps_factors": [float("nan")]}, "$.eps_factors"),
         ],
     )
     def test_bad_validate_config_is_config_error(
@@ -417,7 +427,7 @@ SWEEP_FIELDS = {
     ("regime", "p"): (float, [0.0, -0.5, 1.5], True),
     ("K_rule",): (dict, [], False),
     ("K_rule", "kind"): (str, ["magic"], False),
-    ("K_rule", "k"): (int, [0, -3], True),
+    ("K_rule", "k"): (int, [0, -3, 10**8], True),
     ("replications",): (int, [0, -1], False),
     ("master_seed",): (int, [-1], False),
     ("covariates",): (str, ["sobol"], False),
@@ -441,7 +451,7 @@ LOWERBOUND_FIELDS = {
 }
 WRONG_TYPE = {
     int: [True, "7", 1.5, None, [1]],
-    float: [False, "0.5", None, [0.5]],
+    float: [False, "0.5", None, [0.5], float("nan"), float("inf")],
     str: [True, 1.5, None, ["x"]],
     list: [True, "x", 1.5, None],
     dict: [True, "x", 1.5, None, [1]],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcab.analysis import diagnostics
 from fcab.environment import (
     Constant,
     Instance,
@@ -26,7 +27,7 @@ from fcab.environment import (
     verify_margin,
     verify_weak_lipschitz,
 )
-from fcab.policies import oracle_star
+from fcab.policies import build_partition, oracle_star
 
 
 def identity():
@@ -431,5 +432,6 @@ class TestInstances:
         prefix = np.argsort(-means, kind="stable")[:t_budget]
         np.testing.assert_array_equal(inst.star_order(), np.sort(prefix))
         np.testing.assert_array_equal(oracle_star(inst, 0).pulled, prefix)
-        assert inst.m_hat == means[prefix[-1]]
+        # One bin holds every arm, so the budget empties no bin: f_hat = 0.
+        assert diagnostics(inst, build_partition(inst.arms, 1), 0).m_hat == means[prefix[-1]]
         assert inst.top_mean_sum() == float(means[np.sort(prefix)].sum())

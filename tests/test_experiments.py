@@ -261,11 +261,12 @@ class TestSweep:
 
 class TestSharedSetUp:
     """One (N, rep) task builds the instance once, and the partition, bin
-    means, reference oracle and diagnostics once per K, for every policy.
-    N = 4096 gives the default K = 3 and the cab K = 5."""
+    means, ranking, reference oracle and diagnostics once per K, for every
+    policy.  N = 4096 gives the default K = 3 and the cab K = 5."""
 
     COUNTED = [(experiments, "sample_arms_uniform"), (policies, "build_partition"),
-               (policies, "oracle_discrete"), (analysis, "diagnostics")]
+               (analysis, "rank_bins"), (policies, "oracle_discrete"),
+               (analysis, "diagnostics")]
 
     @pytest.mark.parametrize("extra, per_rep", [((), 1), (("ucbf-cab-k",), 2)])
     def test_set_up_runs_once_per_task_and_k(self, monkeypatch, extra, per_rep):
@@ -286,7 +287,8 @@ class TestSharedSetUp:
         assert not result.errors
         assert {r.k for r in result.trials} == ({3, 5} if extra else {3})
         assert calls == {"sample_arms_uniform": 2, "build_partition": 2 * per_rep,
-                         "oracle_discrete": 2 * per_rep, "diagnostics": 2 * per_rep}
+                         "rank_bins": 2 * per_rep, "oracle_discrete": 2 * per_rep,
+                         "diagnostics": 2 * per_rep}
 
     def test_results_do_not_depend_on_the_other_policies(self):
         alone = small_config(policies=("ucbf",), n_grid=(4096,))
@@ -310,9 +312,13 @@ class TestSharedSetUp:
             assert len({r.decomposition.r_disc for r in group}) == 1
             assert len({r.diagnostics for r in group}) == 1
 
-    def test_set_up_error_fails_every_cell(self):
-        # 10^8 bins exceed the partition's limit before any policy runs.
-        cfg = small_config(k_rule=KRule(kind="explicit", k=10**8), n_grid=(64,))
+    def test_set_up_error_fails_every_cell(self, monkeypatch):
+        # The partition is built before any policy runs.
+        def failing(arms, k):
+            raise ValueError(f"bin count {k} exceeds the supported maximum")
+
+        monkeypatch.setattr(policies, "build_partition", failing)
+        cfg = small_config(n_grid=(64,))
         result = run_sweep(cfg)
         assert result.rows == [] and result.trials == []
         assert [(p, n) for p, n, _ in result.errors] == [(p, 64) for p in cfg.policies]
@@ -398,29 +404,29 @@ class TestPolicyRegistry:
         # Wrappers set on the module attributes, as a tracer sets them, must
         # see the registry's calls.
         assert set(policies.POLICIES) == set(self.RUNNERS)
-        calls = []
+        calls = collections.Counter()
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
-                trace = fn(*args, **kwargs)
-                calls.append((name, trace.policy_id))
-                return trace
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
             return wrapper
 
         for name in set(self.RUNNERS.values()):
             monkeypatch.setattr(policies, name, counting(name, getattr(policies, name)))
+        # N = 512 gives the default and the cab K the same value, 2, so
+        # oracle_discrete runs once, as the shared reference.
         cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(512,))
         run_trial(cfg, 512, 0)
-        # oracle_discrete runs as the shared reference, under its policy id.
-        assert set(calls) == {(name, policy_id) for policy_id, name in self.RUNNERS.items()}
+        assert calls == collections.Counter(self.RUNNERS.values())
         for policy_id, spec in policies.POLICIES.items():
             kw = dict(pair=make_lower_bound_pair(0.5, 0.5, 0.3, 2000), policy_id=policy_id,
                       replications=1, master_seed=0)
             calls.clear()
             if spec.run is not None:
                 lower_bound_protocol(**kw)
-                assert calls == [(self.RUNNERS[policy_id], policy_id)] * 2
+                assert calls == {self.RUNNERS[policy_id]: 2}
             else:
                 with pytest.raises(ValueError, match="not supported"):
                     lower_bound_protocol(**kw)
@@ -431,9 +437,9 @@ class TestPolicyRegistry:
         seen = []
         run = policies.ucbf_run
 
-        def counting(instance, partition, delta, seed, policy_id="ucbf"):
+        def counting(instance, partition, delta, seed):
             seen.append(partition.k_per_axis)
-            return run(instance, partition, delta, seed, policy_id)
+            return run(instance, partition, delta, seed)
 
         monkeypatch.setattr(policies, "ucbf_run", counting)
         report = lower_bound_protocol(make_lower_bound_pair(0.3, 0.5, 0.3, 3000),

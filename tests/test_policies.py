@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fcab.analysis import regret_total
+from fcab.analysis import rank_bins, regret_total
 from fcab.environment import (
     ArmSet,
     Constant,
@@ -406,24 +406,24 @@ class TestOracles:
 
     def test_discrete_partial_boundary(self):
         inst, part = self._three_bin_instance(3)
-        trace = oracle_discrete(inst, part, [0.9, 0.5, 0.1], seed=4)
+        trace = oracle_discrete(inst, part, *rank_bins(part, [0.9, 0.5, 0.1], inst.T), seed=4)
         pulled = set(trace.pulled.tolist())
         assert {0, 1} <= pulled  # both arms of the best bin
         assert len(pulled & {2, 3}) == 1  # one random arm of the middle bin
 
     def test_discrete_full_budget(self):
         inst, part = self._three_bin_instance(6)
-        trace = oracle_discrete(inst, part, [0.9, 0.5, 0.1], seed=4)
+        trace = oracle_discrete(inst, part, *rank_bins(part, [0.9, 0.5, 0.1], inst.T), seed=4)
         assert set(trace.pulled.tolist()) == set(range(6))
 
     def test_discrete_exact_cover(self):
         inst, part = self._three_bin_instance(2)
-        trace = oracle_discrete(inst, part, [0.9, 0.5, 0.1], seed=4)
+        trace = oracle_discrete(inst, part, *rank_bins(part, [0.9, 0.5, 0.1], inst.T), seed=4)
         assert set(trace.pulled.tolist()) == {0, 1}
 
     def test_discrete_orders_by_means_not_position(self):
         inst, part = self._three_bin_instance(2)
-        trace = oracle_discrete(inst, part, [0.1, 0.5, 0.9], seed=4)
+        trace = oracle_discrete(inst, part, *rank_bins(part, [0.1, 0.5, 0.9], inst.T), seed=4)
         assert set(trace.pulled.tolist()) == {4, 5}
 
     def test_discrete_boundary_fill_is_uniform(self):
@@ -434,8 +434,9 @@ class TestOracles:
         emptied, boundary = part.arms_in_bin(2), part.arms_in_bin(0)
         remainder = inst.T - emptied.size
         picks = np.zeros(inst.n, dtype=np.int64)
+        ranking = rank_bins(part, [0.5, 0.1, 0.9, 0.3], inst.T)
         for seed in range(2000):
-            pulled = oracle_discrete(inst, part, [0.5, 0.1, 0.9, 0.3], seed=seed).pulled
+            pulled = oracle_discrete(inst, part, *ranking, seed=seed).pulled
             assert np.unique(pulled).size == pulled.size == inst.T
             picks[pulled] += 1
         assert np.all(picks[emptied] == 2000)
