@@ -145,7 +145,7 @@ def _pull_mask(instance: Instance, trace) -> np.ndarray:
 def regret_total(instance: Instance, trace) -> float:
     """Sum of the T largest true means minus the true means of the pulls."""
     mask = _pull_mask(instance, trace)
-    return instance.top_mean_sum() - float(instance.true_means[mask].sum())
+    return instance.top_mean_sum() - float(np.compress(mask, instance.true_means).sum())
 
 
 @dataclass(frozen=True)
@@ -177,17 +177,15 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
     m_thresh = report.threshold_M
     in_phi = _pull_mask(instance, trace)
 
-    top = baseline.arm_rank < report.f_hat
-    boundary = baseline.arm_rank == report.f_hat
-    low = baseline.arm_rank > report.f_hat
-    r_opt = float(np.sum(means[top & ~in_phi] - m_thresh))
-    r_boundary = float(np.sum(means[boundary & baseline.in_phid & ~in_phi] - m_thresh)) + float(
-        np.sum(m_thresh - means[boundary & in_phi & ~baseline.in_phid])
+    # np.compress picks the masked means in ascending arm order, as means[mask] does.
+    r_opt = float(np.sum(np.compress(baseline.top & ~in_phi, means) - m_thresh))
+    r_boundary = float(np.sum(np.compress(baseline.kept & ~in_phi, means) - m_thresh)) + float(
+        np.sum(m_thresh - np.compress(baseline.left & in_phi, means))
     )
-    r_subopt = float(np.sum(m_thresh - means[low & in_phi]))
+    r_subopt = float(np.sum(m_thresh - np.compress(baseline.low & in_phi, means)))
 
     s_star = instance.top_mean_sum()
-    s_phi = float(means[in_phi].sum())
+    s_phi = float(np.compress(in_phi, means).sum())
 
     return RegretDecomposition(
         r_total=s_star - s_phi,
@@ -267,21 +265,28 @@ def diagnostics(instance: Instance, partition, f_hat: int) -> DiagnosticsReport:
 @dataclass(frozen=True)
 class Baseline:
     """The discretised oracle's reference run at one (N, rep, K) and what
-    every policy's decomposition reads from it: its pull mask and
-    pulled-mean sum, each arm's bin rank, and the diagnostics report."""
+    every policy's decomposition reads from it: its pulled-mean sum, arm
+    masks of the f_hat best bins (``top``), the bins ranked below the
+    boundary bin (``low``) and the boundary bin's arms the reference
+    pulled (``kept``) and left (``left``), and the diagnostics report."""
 
     reference: PolicyTrace
-    in_phid: np.ndarray
     s_phid: float
-    arm_rank: np.ndarray
+    top: np.ndarray
+    low: np.ndarray
+    kept: np.ndarray
+    left: np.ndarray
     report: DiagnosticsReport
 
 
 def make_baseline(instance: Instance, partition, order, f_hat: int, reference) -> Baseline:
     """The baseline of ``policies.oracle_discrete``'s run under the ranking
     ``order, f_hat`` that ``rank_bins`` gives for this partition."""
-    rank = np.empty(partition.bin_count, dtype=np.int64)
-    rank[order] = np.arange(partition.bin_count)
+    top_bins = np.zeros(partition.bin_count, dtype=bool)
+    top_bins[order[:f_hat]] = True
+    top = top_bins[partition.assignment]
+    boundary = partition.assignment == order[f_hat]
     in_phid = _pull_mask(instance, reference)
-    return Baseline(reference, in_phid, float(instance.true_means[in_phid].sum()),
-                    rank[partition.assignment], diagnostics(instance, partition, f_hat))
+    return Baseline(reference, float(np.compress(in_phid, instance.true_means).sum()), top,
+                    ~(top | boundary), boundary & in_phid, boundary & ~in_phid,
+                    diagnostics(instance, partition, f_hat))

@@ -425,11 +425,16 @@ class RewardModel:
 # ---------------------------------------------------------------------------
 
 
+def _grid_per_axis(dim: int, resolution: int) -> int:
+    """Points per axis of the threshold lattice above one dimension."""
+    return max(2, int(round(resolution ** (1.0 / dim))))
+
+
 def _threshold_grid(dim: int, resolution: int) -> np.ndarray:
     """Left-endpoint lattice used for the empirical quantile."""
     if dim == 1:
         return (np.arange(resolution, dtype=np.float64) / resolution).reshape(-1, 1)
-    per_axis = max(2, int(round(resolution ** (1.0 / dim))))
+    per_axis = _grid_per_axis(dim, resolution)
     axes = [np.arange(per_axis, dtype=np.float64) / per_axis] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

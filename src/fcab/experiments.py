@@ -30,6 +30,7 @@ from .environment import (
     RewardModel,
     _REQUIRED,
     _field,
+    _grid_per_axis,
     _grid_threshold,
     _typed,
     _unknown,
@@ -206,6 +207,7 @@ def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim:
 # ---------------------------------------------------------------------------
 
 _BIN_MEAN_MODES = ("quadrature", "empirical")
+_MAX_GRID_POINTS = 10**7  # of the threshold lattice, ten times the default resolution
 # JSON key -> (ExperimentConfig field, JSON type) of the optional scalars,
 # and -> (field, parser, required) of the objects.
 _SCALAR_KEYS = {
@@ -283,8 +285,13 @@ class ExperimentConfig:
             errors.append(("$.K_rule.k", f"K^dim may not exceed {policies._MAX_BINS} bins"))
         if self.bin_means_mode not in _BIN_MEAN_MODES:
             errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
-        if self.threshold_resolution < 1000:
+        res = self.threshold_resolution
+        if res < 1000:
             errors.append(("$.threshold_resolution", "must be at least 1000"))
+        elif res > _MAX_GRID_POINTS:
+            errors.append(("$.threshold_resolution", f"may not exceed {_MAX_GRID_POINTS}"))
+        elif self.dim > 1 and _grid_per_axis(self.dim, res) ** min(self.dim, 64) > _MAX_GRID_POINTS:
+            errors.append(("$.dim", f"the threshold grid would exceed {_MAX_GRID_POINTS} points"))
         f = self.mean_function
         if f.analytic_M is not None and not errors:
             tol = (f.lipschitz_L or 0.0) * self.dim / self.threshold_resolution

@@ -112,7 +112,7 @@ def build_partition(arms: ArmSet, k: int) -> Partition:
     digits = np.minimum((arms.covariates * k).astype(np.int64), k - 1)
     flat = np.ravel_multi_index(tuple(digits.T), (k,) * arms.dim)
     counts = np.bincount(flat, minlength=bin_count)
-    return Partition(k, arms.dim, flat.astype(np.int64), counts)
+    return Partition(k, arms.dim, flat.astype(np.int64, copy=False), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +301,15 @@ def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Greedy oracle: pulls the T arms with the largest true means, in
     decreasing-mean order with ties broken by ascending arm index."""
     star = instance.star_order()
-    # The star set is in ascending index, so a stable sort of its T means
-    # breaks ties by index.
-    pulled = star[np.argsort(-instance.true_means[star], kind="stable")]
+    # A stable sort of the star set (ascending index) breaks ties by index;
+    # without ties the faster default sort gives that same, unique order.
+    pulled = star[np.argsort(-instance.true_means[star])]
+    means = instance.true_means[pulled]
+    if np.any(means[1:] == means[:-1]):
+        pulled = star[np.argsort(-instance.true_means[star], kind="stable")]
+        means = instance.true_means[pulled]
     reward_rng, _ = _run_streams(seed)
-    obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
-    return PolicyTrace(pulled, obs)
+    return PolicyTrace(pulled, instance.rewards.sample(means, reward_rng))
 
 
 def oracle_discrete(
@@ -335,7 +338,8 @@ def oracle_discrete(
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Uniformly random size-T subset, pulled in random order."""
     reward_rng, _ = _run_streams(seed)
-    pulled = reward_rng.permutation(instance.n)[: instance.T].astype(np.int64)
+    # A copy: a view of the prefix would keep the N-long permutation alive.
+    pulled = reward_rng.permutation(instance.n)[: instance.T].copy()
     obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
     return PolicyTrace(pulled, obs)
 

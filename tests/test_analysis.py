@@ -27,10 +27,13 @@ from fcab.environment import (
     sample_arms_uniform,
 )
 from fcab.policies import (
+    POLICIES,
     Partition,
     PolicyTrace,
     baseline_random,
     build_partition,
+    cab_parameters,
+    default_parameters,
     oracle_discrete,
     oracle_star,
     ucbf_run,
@@ -315,6 +318,59 @@ class TestDecomposition:
             dec, _ = _decompose_for(inst, part, bm, trace, seed=100 + seed)
             assert dec.r_opt >= 0.0
             assert dec.r_subopt >= 0.0
+
+
+def _indexed_regret(inst, part, order, f_hat, reference, trace):
+    """The decomposition's terms by boolean indexing over each arm's int64
+    bin rank: the formulas the masked-sum kernels must reproduce bit for bit."""
+    means, m = inst.true_means, inst.threshold_M
+    rank = np.empty(part.bin_count, dtype=np.int64)
+    rank[order] = np.arange(part.bin_count)
+    arm_rank = rank[part.assignment]
+    in_phi = np.zeros(inst.n, dtype=bool)
+    in_phi[trace.pulled] = True
+    in_phid = np.zeros(inst.n, dtype=bool)
+    in_phid[reference.pulled] = True
+    top, boundary, low = arm_rank < f_hat, arm_rank == f_hat, arm_rank > f_hat
+    s_star, s_phi = inst.top_mean_sum(), float(means[in_phi].sum())
+    s_phid = float(means[in_phid].sum())
+    return {
+        "r_total": s_star - s_phi,
+        "r_disc": s_star - s_phid,
+        "r_fmab": s_phid - s_phi,
+        "r_opt": float(np.sum(means[top & ~in_phi] - m)),
+        "r_boundary": float(np.sum(means[boundary & in_phid & ~in_phi] - m))
+        + float(np.sum(m - means[boundary & in_phi & ~in_phid])),
+        "r_subopt": float(np.sum(m - means[low & in_phi])),
+    }
+
+
+class TestExactKernels:
+    @pytest.mark.parametrize(
+        "arms, mean, empirical",
+        [
+            (sample_arms_uniform(3000, 1, 11), Sinusoid(0.35, 1.15, 0.5), False),
+            # Grid arms on a plateau: many tied means, and bins of equal mean.
+            (grid_arms(4000), PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3)),
+             False),
+            (sample_arms_uniform(3000, 2, 12), Sinusoid(0.3, 1.3, 0.5, dim=2), True),
+        ],
+    )
+    def test_masked_sums_match_boolean_indexing(self, arms, mean, empirical):
+        inst = make_instance(arms, mean, BERN, arms.n * 2 // 5, 10**4)
+        default = default_parameters(inst.n, inst.p, arms.dim)
+        for policy_id, spec in POLICIES.items():
+            k = cab_parameters(inst.T) if spec.cab_k else default.k
+            part = build_partition(arms, k)
+            bm = bin_means_empirical(inst, part) if empirical else bin_means_quadrature(mean, part)
+            order, f_hat = rank_bins(part, bm, inst.T)
+            reference = oracle_discrete(inst, part, order, f_hat, seed=k)
+            trace = reference if spec.run is None else spec.run(inst, part, default.delta, 21)
+            dec = regret_decompose(inst, make_baseline(inst, part, order, f_hat, reference), trace)
+            expected = _indexed_regret(inst, part, order, f_hat, reference, trace)
+            for term, value in expected.items():
+                assert getattr(dec, term) == value, (policy_id, term)
+            assert regret_total(inst, trace) == expected["r_total"]
 
 
 class TestDiagnostics:

@@ -180,6 +180,10 @@ class TestDispatch:
             # 10^4 bins per axis in two dimensions exceed the partition's limit.
             ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2,
               "K_rule": {"kind": "explicit", "k": 10**4}}, "$.K_rule.k"),
+            # The threshold lattice may not exceed 10^7 points: 2^30 at dim 30.
+            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 30}, "dim": 30},
+             "$.dim"),
+            ({"threshold_resolution": 10**7 + 1}, "$.threshold_resolution"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(

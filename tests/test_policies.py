@@ -18,6 +18,7 @@ from fcab.environment import (
 )
 from fcab.policies import (
     POLICIES,
+    _run_streams,
     baseline_random,
     build_partition,
     cab_parameters,
@@ -395,6 +396,30 @@ class TestOracles:
         inst = make_instance(grid_arms(7), identity(), BERN, 7, 10**4)
         trace = oracle_star(inst, seed=0)
         assert set(trace.pulled.tolist()) == set(range(7))
+
+    @pytest.mark.parametrize(
+        "arms, mean, ties",
+        [
+            (sample_arms_uniform(2**12, 1, 5), Sinusoid(0.35, 1.15, 0.5), False),
+            (grid_arms(2**13), PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3)), True),
+        ],
+    )
+    def test_star_order_is_the_stable_order_at_scale(self, arms, mean, ties):
+        # numpy's default sort takes another path on small arrays; at these
+        # sizes its order among equal keys is not the index order, and the
+        # plateau's tied means must still come out in ascending index.
+        inst = make_instance(arms, mean, RewardModel("clipped_gaussian", 0.1), arms.n // 2, 10**4)
+        star = inst.star_order()
+        expected = star[np.argsort(-inst.true_means[star], kind="stable")]
+        sorted_means = inst.true_means[expected]
+        assert bool(np.any(sorted_means[1:] == sorted_means[:-1])) == ties
+        for seed in (0, 3):
+            trace = oracle_star(inst, seed)
+            np.testing.assert_array_equal(trace.pulled, expected)
+            reward_rng, _ = _run_streams(seed)
+            np.testing.assert_array_equal(
+                trace.rewards, inst.rewards.sample(sorted_means, reward_rng)
+            )
 
     def _three_bin_instance(self, t):
         # two arms per bin at K=3, keeping covariates off the bin edges
