@@ -8,6 +8,6 @@ harness), ``cli`` (command-line front end).
 
 from . import analysis, environment, experiments, policies
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = ["analysis", "environment", "experiments", "policies", "__version__"]

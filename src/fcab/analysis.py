@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import Constant, Instance, MeanFunction, PiecewiseLinear, Record
+from .environment import Instance, MeanFunction, Record
 from .policies import PolicyTrace
 
 __all__ = [
@@ -45,52 +45,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_bin_mean(breakpoints, values, lo: float, hi: float) -> float:
-    """Exact average of a piecewise-linear function over [lo, hi]."""
-    inner = [b for b in breakpoints if lo < b < hi]
-    knots = np.array([lo] + inner + [hi])
-    vals = np.interp(knots, breakpoints, values)
-    total = float(np.trapezoid(vals, knots))
-    return total / (hi - lo)
-
-
-def bin_mean(f: MeanFunction, lo, hi, nodes: int = 10**4) -> float:
-    """Average of the mean function over an axis-aligned bin.
-
-    Piecewise-linear functions (the lower-bound members among them) and
-    constants integrate in closed form.  Everything else uses composite
-    midpoint quadrature with ``nodes`` points along each axis in one
-    dimension, and roughly ``nodes`` points total above (error at most
-    L * diag / (2 * nodes_per_axis) for an L-Lipschitz mean).
-    """
+def bin_mean(f: MeanFunction, lo, hi) -> float:
+    """Average of the mean function over an axis-aligned bin, exact for
+    every kind (``MeanFunction.box_mean``)."""
     lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    if lo.shape != hi.shape or np.any(lo < 0) or np.any(hi > 1) or np.any(lo >= hi):
-        raise ValueError("bin bounds must satisfy 0 <= lo < hi <= 1")
-    if isinstance(f, Constant):
-        return float(f.value)
-    if isinstance(f, PiecewiseLinear):
-        return _piecewise_bin_mean(f.breakpoints, f.values, float(lo[0]), float(hi[0]))
-    dim = lo.size
-    per_axis = nodes if dim == 1 else max(2, int(round(nodes ** (1.0 / dim))))
-    axes = [
-        lo[a] + (hi[a] - lo[a]) * (np.arange(per_axis) + 0.5) / per_axis
-        for a in range(dim)
-    ]
-    if dim == 1:
-        pts = axes[0].reshape(-1, 1)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return float(np.mean(f.evaluate(pts)))
+    if lo.shape != (f.dim,) or hi.shape != lo.shape or not np.all(
+        (0 <= lo) & (lo < hi) & (hi <= 1)
+    ):
+        raise ValueError("bin bounds must be dim values with 0 <= lo < hi <= 1")
+    return float(f.box_mean(lo, hi))
 
 
-def bin_means_quadrature(f: MeanFunction, partition, nodes: int = 10**4) -> np.ndarray:
+def bin_means_quadrature(f: MeanFunction, partition) -> np.ndarray:
     """Bin means of the true mean function for every bin of a partition."""
     out = np.empty(partition.bin_count)
     for b in range(partition.bin_count):
-        lo, hi = partition.bin_bounds(b)
-        out[b] = bin_mean(f, lo, hi, nodes)
+        out[b] = bin_mean(f, *partition.bin_bounds(b))
     return out
 
 

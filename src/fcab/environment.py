@@ -5,7 +5,8 @@ the unit cube, a mean-reward function mapping covariates to [0, 1], a
 reward model with that conditional mean, and a pull budget T.  The
 difficulty of an instance is organised around the threshold M, the
 (1 - T/N)-level of the mean function: arms with mean at or above M are the
-ones worth spending budget on.
+ones worth spending budget on.  Every mean kind gives M, and its average
+over an axis-aligned box, in closed form.
 
 The module also constructs the adversarial two-function instance pair used
 by the lower-bound protocol (two piecewise-linear means differing only on
@@ -21,6 +22,7 @@ import inspect
 import math
 import typing
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -187,22 +189,31 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 
 class MeanFunction:
-    """Evaluable mean-reward map [0, 1]^dim -> [0, 1] with regularity metadata.
+    """Evaluable mean-reward map [0, 1]^dim -> [0, 1] with regularity
+    metadata and two exact integrals.
 
     ``lipschitz_L`` carries the constant of the weak-Lipschitz condition
-    when it is known for the function; ``analytic_M`` carries the exact
-    threshold level when it is available in closed form (validators and
-    threshold computation fall back to grid estimates otherwise).
+    when it is known for the function.  ``threshold`` and ``box_mean`` are
+    closed forms, not numerical estimates, for every kind.
     """
 
     kind: str = "abstract"
     dim: int = 1
     lipschitz_L: Optional[float] = None
-    analytic_M: Optional[float] = None
 
     def evaluate(self, x) -> np.ndarray:
         """The means at an (n, dim) array of points, or in one dimension at
         a flat array of n covariates: an array of n values."""
+        raise NotImplementedError
+
+    def threshold(self, p: float) -> float:
+        """M = inf{A : measure{m >= A} < p} for p in (0, 1], the measure
+        uniform on the cube: a plateau straddling p gives its value, p = 1
+        the minimum."""
+        raise NotImplementedError
+
+    def box_mean(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        """The mean over the box of axis bounds lo < hi, arrays of dim values."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -224,10 +235,15 @@ class Constant(MeanFunction):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("constant mean must lie in [0, 1]")
         object.__setattr__(self, "lipschitz_L", 0.0)
-        object.__setattr__(self, "analytic_M", self.value)
 
     def evaluate(self, x):
         return np.full(_as_points(x, self.dim).shape[0], self.value, dtype=np.float64)
+
+    def threshold(self, p):
+        return self.value
+
+    def box_mean(self, lo, hi):
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -242,7 +258,6 @@ class PiecewiseLinear(MeanFunction):
     breakpoints: tuple = ()
     values: tuple = ()
     lipschitz_L: Optional[float] = None
-    analytic_M: Optional[float] = None
     dim: int = field(default=1, init=False)
     kind: str = field(default="piecewise_linear", init=False)
 
@@ -266,6 +281,32 @@ class PiecewiseLinear(MeanFunction):
     def evaluate(self, x):
         return np.interp(_as_points(x, 1)[:, 0], self.breakpoints, self.values)
 
+    def threshold(self, p):
+        # measure{m >= A} is linear in A between the sorted values u_j and
+        # drops by a plateau's length at its value: tabulate it at and just
+        # above each u_j, and invert the piece that brackets p.
+        v = np.asarray(self.values)
+        width = np.diff(self.breakpoints)
+        lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+        levels = np.array(sorted(set(self.values)))  # np.unique would import numpy.ma
+        flat = hi == lo
+        with np.errstate(divide="ignore", invalid="ignore"):  # the flat pieces' ramps
+            ramp = np.clip((hi - levels[:, None]) / (hi - lo), 0.0, 1.0)
+        at_or_above = np.sum(np.where(flat, hi >= levels[:, None], ramp) * width, axis=1)
+        above = np.sum(np.where(flat, hi > levels[:, None], ramp) * width, axis=1)
+        j = int(np.argmax(above < p))  # the last level has nothing above it
+        if j == 0 or at_or_above[j] >= p:
+            return float(levels[j])
+        # Linear on (u_{j-1}, u_j], from above[j-1] >= p to at_or_above[j] < p.
+        share = (above[j - 1] - p) / (above[j - 1] - at_or_above[j])
+        return float(levels[j - 1] + share * (levels[j] - levels[j - 1]))
+
+    def box_mean(self, lo, hi):
+        lo, hi = float(lo[0]), float(hi[0])
+        knots = np.array([lo, *(b for b in self.breakpoints if lo < b < hi), hi])
+        vals = np.interp(knots, self.breakpoints, self.values)
+        return float(np.trapezoid(vals, knots)) / (hi - lo)
+
 
 @dataclass(frozen=True)
 class Sinusoid(MeanFunction):
@@ -280,7 +321,6 @@ class Sinusoid(MeanFunction):
     frequency: float = 1.0
     offset: float = 0.5
     dim: int = 1
-    analytic_M: Optional[float] = None
     kind: str = field(default="sinusoid", init=False)
 
     def __post_init__(self):
@@ -301,13 +341,60 @@ class Sinusoid(MeanFunction):
         u = pts[:, 0] if self.dim == 1 else pts.mean(axis=1)
         return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * u)
 
+    # Cached: every trial of a sweep cell asks for the same threshold, and
+    # above one dimension one costs milliseconds.
+    @functools.lru_cache(maxsize=128)
+    def threshold(self, p):
+        """Bisection on the level, down to adjacent floats."""
+        a = abs(self.amplitude)
+        if a == 0.0:
+            return self.offset
+        lo, hi = self.offset - a, self.offset + a  # exceedance 1 >= p, and 0 < p
+        while lo < (mid := (lo + hi) / 2.0) < hi:
+            lo, hi = (lo, mid) if self._exceedance(mid) < p else (mid, hi)
+        return hi
 
-def Tabulated(grid_values: tuple = (), analytic_M: Optional[float] = None) -> PiecewiseLinear:
+    def _exceedance(self, level):
+        """measure{m >= level}: the chance that the phase y = frequency * u
+        lies where the sine reaches s = (level - offset) / |amplitude|, on
+        k + t <= y + c <= k + 1/2 - t with t = arcsin(s) / (2 pi), where c
+        is 1/2 for a negative amplitude and 0 else."""
+        a, c, f = abs(self.amplitude), 0.5 * (self.amplitude < 0), self.frequency
+        t = math.asin(min(max((level - self.offset) / a, -1.0), 1.0)) / (2.0 * math.pi)
+        total = 0.0
+        for k in range(math.ceil(f) + 2):
+            u0, u1 = max((k - c + t) / f, 0.0), min((k - c + 0.5 - t) / f, 1.0)
+            if u0 < u1:
+                total += _mean_cdf(u1, self.dim) - _mean_cdf(u0, self.dim)
+        return total
+
+    def box_mean(self, lo, hi):
+        # The mean of e^(i theta x) over [lo, hi] is e^(i theta c) sin(h) / h,
+        # c the midpoint, h = theta (hi - lo) / 2; m's mean takes the imaginary
+        # part of the product over the axes, theta = 2 pi frequency / dim.
+        theta = 2.0 * math.pi * self.frequency / self.dim
+        h = theta * (hi - lo) / 2.0
+        phase = math.sin(theta * float(np.sum(lo + hi)) / 2.0)
+        return self.offset + self.amplitude * phase * float(np.prod(np.sin(h) / h))
+
+
+def _mean_cdf(u: float, dim: int):
+    """P(coordinate mean of ``dim`` uniforms <= u): u in one dimension, else
+    the Irwin-Hall law as an exact Fraction (its alternating sum cancels in
+    floats as dim grows)."""
+    if dim == 1:
+        return u
+    s = Fraction(u) * dim
+    terms = ((-1) ** k * math.comb(dim, k) * (s - k) ** dim for k in range(math.floor(s) + 1))
+    return sum(terms) / math.factorial(dim)
+
+
+def Tabulated(grid_values: tuple = ()) -> PiecewiseLinear:
     """Values on a uniform grid over [0, 1] (endpoints included), with
     linear interpolation in between: the piecewise-linear function with a
     breakpoint at each grid point."""
     knots = np.linspace(0.0, 1.0, np.size(grid_values))
-    return PiecewiseLinear(tuple(knots), grid_values, analytic_M=analytic_M)
+    return PiecewiseLinear(tuple(knots), grid_values)
 
 
 def LowerBoundMember(
@@ -324,7 +411,7 @@ def LowerBoundMember(
     climb away from 1/2 after x1.  The role decides the bump orientation:
     role 0 dips below 1/2 on the left bump and rises on the right one,
     role 1 is the mirror image.  The two roles agree pointwise outside
-    [x0, x1] and share the exact threshold level 1/2.
+    [x0, x1] and share the threshold level 1/2 at the budget fraction p.
     """
     if role not in (0, 1):
         raise ValueError("role must be 0 or 1")
@@ -342,7 +429,6 @@ def LowerBoundMember(
         (0.0, x0, x0 + half_width, 1.0 - p, 1.0 - p + half_width, x1, 1.0),
         (0.5 - l_tilde * x0, 0.5, *mids, 0.5, 0.5 + l_tilde * (1.0 - x1)),
         lipschitz_L=l_tilde,
-        analytic_M=0.5,
     )
 
 
@@ -425,57 +511,13 @@ class RewardModel:
 # ---------------------------------------------------------------------------
 
 
-def _grid_per_axis(dim: int, resolution: int) -> int:
-    """Points per axis of the threshold lattice above one dimension."""
-    return max(2, int(round(resolution ** (1.0 / dim))))
-
-
-def _threshold_grid(dim: int, resolution: int) -> np.ndarray:
-    """Left-endpoint lattice used for the empirical quantile."""
-    if dim == 1:
-        return (np.arange(resolution, dtype=np.float64) / resolution).reshape(-1, 1)
-    per_axis = _grid_per_axis(dim, resolution)
-    axes = [np.arange(per_axis, dtype=np.float64) / per_axis] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def compute_threshold_M(
-    f: MeanFunction,
-    p: float,
-    resolution: int = 10**6,
-) -> float:
-    """Threshold level M = inf{A : measure{m >= A} < p}.
-
-    Returns the declared analytic value when available and p < 1, else
-    ``_grid_threshold``.  ``ExperimentConfig`` checks a declared value
-    against the grid at every budget fraction of its sweep.
-    """
+def compute_threshold_M(f: MeanFunction, p: float, resolution=None) -> float:
+    """Threshold level M = inf{A : measure{m >= A} < p}, in closed form
+    (``MeanFunction.threshold``).  ``resolution`` is accepted and ignored:
+    ``bench/probe.py`` still passes one."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if resolution < 1000:
-        raise ValueError("resolution below 1000 rejected")
-    if f.analytic_M is not None and p < 1.0:
-        return float(f.analytic_M)
-    return _grid_threshold(f, p, resolution)
-
-
-# Cached: every trial of a sweep cell asks for the same threshold.
-@functools.lru_cache(maxsize=128)
-def _grid_threshold(f: MeanFunction, p: float, resolution: int) -> float:
-    """The empirical (1 - p)-quantile of ``f`` over a uniform left-endpoint
-    grid, with the infimum convention on plateaus: the smallest grid value
-    whose exceedance fraction drops below ``p``; at p = 1 that is the grid
-    minimum.  The grid error is at most L * dim / resolution for an
-    L-Lipschitz mean."""
-    values = f.evaluate(_threshold_grid(f.dim, resolution))
-    r = values.shape[0]
-    # Largest exceedance count still below p*r; the 1e-9 nudge absorbs the
-    # float error of p*r when it is mathematically an integer.
-    m_star = math.ceil(p * r - 1e-9) - 1
-    m_star = min(max(m_star, 0), r - 1)
-    pos = r - 1 - m_star
-    return float(np.partition(values, pos)[pos])
+    return float(f.threshold(p))
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +576,13 @@ def make_instance(
     mean: MeanFunction,
     rewards: RewardModel,
     T: int,
-    threshold_resolution: int = 10**6,
 ) -> Instance:
     if not 0 < T <= arms.n:
         raise ValueError("budget must satisfy 0 < T <= N")
     if mean.dim != arms.dim:
         raise ValueError("mean function dimension must match the covariates")
     p = T / arms.n
-    threshold = compute_threshold_M(mean, p, threshold_resolution)
+    threshold = compute_threshold_M(mean, p)
     return Instance(arms, mean, rewards, T, p, threshold, mean.evaluate(arms.covariates))
 
 

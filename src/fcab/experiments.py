@@ -17,7 +17,7 @@ import math
 import os
 import time
 from dataclasses import astuple, dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .environment import (
     RewardModel,
     _REQUIRED,
     _field,
-    _grid_per_axis,
-    _grid_threshold,
     _typed,
     _unknown,
     compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
@@ -207,7 +205,6 @@ def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim:
 # ---------------------------------------------------------------------------
 
 _BIN_MEAN_MODES = ("quadrature", "empirical")
-_MAX_GRID_POINTS = 10**7  # of the threshold lattice, ten times the default resolution
 # JSON key -> (ExperimentConfig field, JSON type) of the optional scalars,
 # and -> (field, parser, required) of the objects.
 _SCALAR_KEYS = {
@@ -216,7 +213,6 @@ _SCALAR_KEYS = {
     "covariates": ("covariates", str),
     "dim": ("dim", int),
     "bin_means": ("bin_means_mode", str),
-    "threshold_resolution": ("threshold_resolution", int),
 }
 _OBJECT_KEYS = {
     "mean_function": ("mean_function", mean_function_from_json, True),
@@ -243,7 +239,8 @@ class ExperimentConfig:
     covariates: str = UNIFORM
     dim: int = 1
     bin_means_mode: str = "quadrature"
-    threshold_resolution: int = 10**6
+    # Not a field: thresholds are exact.  bench/probe.py still reads it.
+    threshold_resolution: ClassVar[int] = 10**6
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
@@ -280,27 +277,15 @@ class ExperimentConfig:
             )
         elif self.dim != 1 and (self.covariates == GRID or isinstance(self.regime, PowerLaw)):
             errors.append(("$.dim", "grid covariates and the power-law regime are 1-d"))
-        k = self.k_rule.k if self.k_rule.kind == "explicit" else 1
-        if k ** min(self.dim, 64) > policies._MAX_BINS:  # min: any K > 1 exceeds it at dim 64
-            errors.append(("$.K_rule.k", f"K^dim may not exceed {policies._MAX_BINS} bins"))
         if self.bin_means_mode not in _BIN_MEAN_MODES:
             errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
-        res = self.threshold_resolution
-        if res < 1000:
-            errors.append(("$.threshold_resolution", "must be at least 1000"))
-        elif res > _MAX_GRID_POINTS:
-            errors.append(("$.threshold_resolution", f"may not exceed {_MAX_GRID_POINTS}"))
-        elif self.dim > 1 and _grid_per_axis(self.dim, res) ** min(self.dim, 64) > _MAX_GRID_POINTS:
-            errors.append(("$.dim", f"the threshold grid would exceed {_MAX_GRID_POINTS} points"))
-        f = self.mean_function
-        if f.analytic_M is not None and not errors:
-            tol = (f.lipschitz_L or 0.0) * self.dim / self.threshold_resolution
-            for p in sorted({self.regime.budget_for(n) / n for n in self.n_grid} - {1.0}):
-                m = _grid_threshold(f, p, self.threshold_resolution)
-                if abs(f.analytic_M - m) > tol:
-                    errors.append(("$.mean_function.analytic_M", f"{f.analytic_M} is not the "
-                                   f"threshold at p = {p:.6g}; the grid gives {m:.6g}"))
-                    break
+        if not errors:
+            k = max(choose_k(policy_id, self.k_rule, self.regime, n, self.regime.budget_for(n),
+                             self.dim) for n in self.n_grid for policy_id in self.policies)
+            if k ** min(self.dim, 64) > policies._MAX_BINS:  # any K > 1 exceeds it at dim 64
+                path = "$.K_rule.k" if self.k_rule.kind == "explicit" else "$.dim"
+                errors.append((path, f"K^dim may not exceed {policies._MAX_BINS} bins; "
+                               f"K = {k} at dim {self.dim}"))
         if errors:
             raise ConfigError(errors)
 
@@ -411,8 +396,7 @@ def run_trial(
     else:
         arms = sample_arms_uniform(n, config.dim, _hash64(instance_seed, "arms"))
     instance = make_instance(
-        arms, config.mean_function, config.reward_model, config.regime.budget_for(n),
-        config.threshold_resolution,
+        arms, config.mean_function, config.reward_model, config.regime.budget_for(n)
     )
     delta = policies.default_parameters(n, instance.p, config.dim).delta
     ks = [choose_k(policy_id, config.k_rule, config.regime, n, instance.T, config.dim)

@@ -100,10 +100,9 @@ def test_criterion_01_decomposition_identities():
             random_piecewise(rng, int(rng.integers(2, 7))),
             BERN,
             max(t, 1),
-            threshold_resolution=1000,
         )
         part = build_partition(inst.arms, k)
-        bm = bin_means_quadrature(inst.mean, part, nodes=2000)
+        bm = bin_means_quadrature(inst.mean, part)
         order, f_hat = rank_bins(part, bm, inst.T)
         policy = cycle[i % 4]
         if policy == "ucbf":
@@ -133,22 +132,17 @@ def test_criterion_02_oracle_and_degenerate():
         n = 24 + 3 * (seed % 6)
         rng = np.random.default_rng(seed)
         mean = random_piecewise(rng, 3)
-        uniform = make_instance(
-            sample_arms_uniform(n, 1, seed), mean, BERN, n, threshold_resolution=1000
-        )
-        grid = make_instance(grid_arms(n), mean, BERN, n, threshold_resolution=1000)
+        uniform = make_instance(sample_arms_uniform(n, 1, seed), mean, BERN, n)
+        grid = make_instance(grid_arms(n), mean, BERN, n)
         # full budget: every policy must pull every arm
         part = build_partition(grid.arms, 2 + (seed % 2))
-        bm = bin_means_quadrature(mean, part, nodes=200)
+        bm = bin_means_quadrature(mean, part)
         assert regret_total(grid, ucbf_run(grid, part, 0.01, seed)) == 0.0
         assert regret_total(uniform, oracle_star(uniform, seed)) == 0.0
         assert regret_total(uniform, baseline_random(uniform, seed)) == 0.0
         assert regret_total(grid, oracle_discrete(grid, part, *rank_bins(part, bm, n), seed)) == 0.0
         # greedy oracle is exact at partial budgets too
-        partial = make_instance(
-            sample_arms_uniform(n, 1, seed + 1), mean, BERN, n // 2,
-            threshold_resolution=1000,
-        )
+        partial = make_instance(sample_arms_uniform(n, 1, seed + 1), mean, BERN, n // 2)
         assert regret_total(partial, oracle_star(partial, seed)) == 0.0
     report(2, "10^4 seeds: oracle regret 0 exactly; all policies 0 at T = N")
 

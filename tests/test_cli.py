@@ -30,7 +30,6 @@ def minimal_experiment(**overrides):
         "regime": {"kind": "fixed_p", "p": 0.5},
         "replications": 2,
         "master_seed": 7,
-        "threshold_resolution": 10**4,
     }
     cfg.update(overrides)
     return cfg
@@ -180,10 +179,19 @@ class TestDispatch:
             # 10^4 bins per axis in two dimensions exceed the partition's limit.
             ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2,
               "K_rule": {"kind": "explicit", "k": 10**4}}, "$.K_rule.k"),
-            # The threshold lattice may not exceed 10^7 points: 2^30 at dim 30.
+            # The default K is 2 at dim 30: 2^30 bins exceed the partition's limit.
             ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 30}, "dim": 30},
              "$.dim"),
             ({"threshold_resolution": 10**7 + 1}, "$.threshold_resolution"),
+            # Thresholds are exact; no kind takes a declared one.
+            *[({"mean_function": {**spec, "analytic_M": 0.5}}, "$.mean_function.analytic_M")
+              for spec in ({"kind": "constant"}, {"kind": "sinusoid"},
+                           {"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0, 1]},
+                           {"kind": "tabulated", "grid_values": [0, 1]},
+                           {"kind": "lower_bound_member"})],
+            # 2^26 bins at dim 26.
+            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 26}, "dim": 26},
+             "$.dim"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -194,32 +202,16 @@ class TestDispatch:
         assert f"config error at {json_path}:" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize(
-        "mean_function, p, accepted",
-        [
-            # The identity's threshold at p = 0.5 is 0.5, not the declared 0.95.
-            ({"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0, 1],
-              "analytic_M": 0.95}, 0.5, False),
-            # A lower-bound member's 1/2 holds at its own p; at 0.3 the grid gives 0.59.
-            ({"kind": "lower_bound_member", "p": 0.5}, 0.3, False),
-            ({"kind": "lower_bound_member", "p": 0.5}, 0.5, True),
-            ({"kind": "lower_bound_member", "role": 1, "p": 0.3}, 0.3, True),
-            ({"kind": "constant", "value": 0.3}, 0.5, True),
-        ],
-    )
-    def test_declared_threshold_checked_against_grid(
-        self, tmp_path, capsys, mean_function, p, accepted
-    ):
-        cfg = minimal_experiment(mean_function=mean_function, N_grid=[1000, 2000],
-                                 regime={"kind": "fixed_p", "p": p}, replications=1)
+    def test_member_swept_off_its_own_p_reports_its_threshold(self, tmp_path):
+        # Right of its bumps a lower-bound member built for p = 0.5 climbs
+        # as 0.5 + l_tilde (x - x1), x1 = 0.52; at p = 0.3 its threshold is
+        # that ramp's value at x = 0.7: 0.5 + 0.5 * 0.18 = 0.59.
+        cfg = minimal_experiment(mean_function={"kind": "lower_bound_member", "p": 0.5},
+                                 N_grid=[1000], regime={"kind": "fixed_p", "p": 0.3})
         path = write_json(tmp_path / "c.json", cfg)
-        rc = run(["simulate", "--config", path, "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        if accepted:
-            assert rc == 0 and (tmp_path / "trials.jsonl").exists()
-        else:
-            assert rc == 1 and not (tmp_path / "trials.jsonl").exists()
-            assert "config error at $.mean_function.analytic_M:" in err
+        assert run(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+        assert rows and all(row["threshold_M"] == pytest.approx(0.59, abs=1e-12) for row in rows)
 
     @pytest.mark.parametrize(
         "command, cfg, json_path",
@@ -399,8 +391,7 @@ class TestDispatch:
 # required.  Integer path parts index lists.
 SWEEP_CONFIG = {
     "schema": 1,
-    "mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": 1.15, "dim": 1,
-                      "analytic_M": None},
+    "mean_function": {"kind": "sinusoid", "amplitude": 0.35, "frequency": 1.15, "dim": 1},
     "reward_model": {"kind": "bernoulli"},
     "policies": ["ucbf", "oracle-star"],
     "N_grid": [30],
@@ -411,7 +402,6 @@ SWEEP_CONFIG = {
     "covariates": "uniform",
     "dim": 1,
     "bin_means": "quadrature",
-    "threshold_resolution": 1000,
 }
 SWEEP_FIELDS = {
     ("schema",): (int, [0, 2], True),
@@ -437,7 +427,6 @@ SWEEP_FIELDS = {
     ("covariates",): (str, ["sobol"], False),
     ("dim",): (int, [0, 2], False),
     ("bin_means",): (str, ["exact"], False),
-    ("threshold_resolution",): (int, [999, 0], False),
 }
 LOWERBOUND_CONFIG = {
     "schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,

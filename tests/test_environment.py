@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -125,49 +126,116 @@ class TestMeanFunctions:
             np.testing.assert_allclose(g.evaluate(xs), f.evaluate(xs))
 
 
+def exceedance(f, level):
+    """measure{m >= level} of a piecewise-linear mean, piece by piece."""
+    total = 0.0
+    for (x0, x1), (v0, v1) in zip(itertools.pairwise(f.breakpoints),
+                                  itertools.pairwise(f.values)):
+        if v0 == v1:
+            total += (x1 - x0) * (v0 >= level)
+        else:
+            total += (x1 - x0) * min(max((max(v0, v1) - level) / abs(v1 - v0), 0.0), 1.0)
+    return total
+
+
+def grid_quantile(f, p, r=10**5):
+    """Reference threshold of a 1-d mean: the smallest of its values at the
+    left endpoints i/r whose exceedance count drops below p * r (the 1e-9
+    absorbs the float error of an integral p * r).  It lies within
+    lipschitz_L / r of the exact level."""
+    return np.sort(f.evaluate(np.arange(r) / r))[r - math.ceil(p * r - 1e-9)]
+
+
 class TestThreshold:
     def test_linear_mean_exact(self):
         # measure{x >= A} = 1 - A < 0.3 exactly at A = 0.7
         assert compute_threshold_M(identity(), 0.3) == 0.7
 
     def test_linear_mean_other_p(self):
-        assert compute_threshold_M(identity(), 0.5, resolution=10**5) == pytest.approx(
-            0.5, abs=1e-9
-        )
+        assert compute_threshold_M(identity(), 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_analytic_short_circuit(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
         for member in (pair.m0, pair.m1):
             assert compute_threshold_M(member, 0.5) == 0.5
 
+    def test_lower_bound_members_share_one_half(self):
+        for p in (0.3, 0.5, 0.7):
+            for lips in (0.3, 0.5, 1.0):
+                pair = make_lower_bound_pair(p, lips, 0.23, 10**6)
+                for member in (pair.m0, pair.m1):
+                    assert abs(compute_threshold_M(member, p) - 0.5) <= 1e-12
+
     def test_full_budget_is_grid_minimum(self):
-        # At p = 1 the declared analytic level (1/2 here) does not apply:
-        # the threshold is the smallest mean on the grid.
+        # At p = 1 the threshold is the smallest mean, here the value at 0,
+        # which a grid from 0 finds too.
         f = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6).m0
         grid_min = f.evaluate(np.arange(10**4) / 10**4).min()
-        assert compute_threshold_M(f, 1.0, resolution=10**4) == grid_min < 0.5
+        assert compute_threshold_M(f, 1.0) == grid_min < 0.5
 
-    def test_lower_bound_member_grid_path(self):
-        # Bypassing the analytic value, the grid quantile lands within the
-        # documented L/resolution error of 1/2.
-        pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
-        grid_only = dataclasses.replace(pair.m0, analytic_M=None)
-        m = compute_threshold_M(grid_only, 0.5, resolution=10**6)
-        assert m == pytest.approx(0.5, abs=1e-5)
+    def test_full_budget_is_minimum_for_every_kind(self):
+        assert Constant(0.3).threshold(1.0) == 0.3
+        assert Tabulated((0.6, 0.2, 0.9)).threshold(1.0) == 0.2
+        # A sinusoid reaches offset - |amplitude| once its phase passes the
+        # trough, whatever the sign of the amplitude or the dimension...
+        for f in (Sinusoid(0.35, 1.15), Sinusoid(-0.35, 1.15), Sinusoid(0.35, 1.15, dim=3)):
+            assert f.threshold(1.0) == pytest.approx(0.15, abs=1e-12)
+        # ...and stays at or above its offset on half a period.
+        assert Sinusoid(0.3, 0.5, 0.5).threshold(1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_sinusoid_symmetry(self):
+        # Over one full period the sine is nonnegative on exactly half.
         f = Sinusoid(amplitude=0.4, frequency=1.0, offset=0.5)
-        m = compute_threshold_M(f, 0.5)
-        # Lipschitz constant 0.8*pi bounds the grid error at resolution 1e6.
-        assert m == pytest.approx(0.5, abs=3e-6)
+        assert compute_threshold_M(f, 0.5) == pytest.approx(0.5, abs=1e-12)
 
-    def test_resolution_rejected(self):
+    def test_negative_amplitude_mirrors_positive(self):
+        # With offset 1/2, m_- = 1 - m_+, so M_-(p) = 1 - M_+(1 - p).
+        for d in (1, 2):
+            for p in (0.2, 0.5, 0.9):
+                pos, neg = Sinusoid(0.35, 1.15, dim=d), Sinusoid(-0.35, 1.15, dim=d)
+                assert neg.threshold(p) == pytest.approx(1.0 - pos.threshold(1.0 - p), abs=1e-12)
+
+    def test_zero_amplitude_is_its_offset(self):
+        f = Sinusoid(amplitude=0.0, frequency=1.15, offset=0.4, dim=2)
+        for p in (0.3, 1.0):
+            assert f.threshold(p) == 0.4
+        assert f.box_mean(np.array([0.1, 0.2]), np.array([0.3, 0.9])) == 0.4
+
+    def test_resolution_is_ignored(self):
+        assert compute_threshold_M(identity(), 0.3, 100) == 0.7
         with pytest.raises(ValueError):
-            compute_threshold_M(identity(), 0.3, resolution=100)
+            compute_threshold_M(identity(), 0.0)
+
+    def test_one_dimensional_thresholds_match_a_grid(self):
+        r = 10**5
+        rng = np.random.default_rng(17)
+        means = [Sinusoid(0.35, 1.15), Sinusoid(-0.35, 1.15), Sinusoid(0.2, 3.7, 0.4),
+                 Tabulated((0.1, 0.9, 0.4, 0.6))]
+        for f in means:
+            for p in (0.1, 0.3, 0.5, 0.77, 1.0):
+                assert abs(f.threshold(p) - grid_quantile(f, p, r)) <= f.lipschitz_L / r
+        for _ in range(10):
+            f = PiecewiseLinear(tuple(np.linspace(0.0, 1.0, 6)), tuple(rng.random(6)))
+            p = float(rng.uniform(0.05, 0.95))
+            assert abs(f.threshold(p) - grid_quantile(f, p, r)) <= f.lipschitz_L / r
+
+    @pytest.mark.parametrize("dim, expected", [(2, 0.4087098), (3, 0.3694791), (5, 0.3464148)])
+    def test_sinusoid_threshold_matches_monte_carlo(self, dim, expected):
+        f = Sinusoid(amplitude=0.35, frequency=1.15, offset=0.5, dim=dim)
+        p, n, h = 0.5, 4 * 10**5, 0.01
+        m = f.threshold(p)
+        assert m == pytest.approx(expected, abs=1e-7)
+        values = f.evaluate(np.random.default_rng(dim).random((n, dim)))
+        q = float(np.quantile(values, 1.0 - p))
+        # The sample quantile has sd sqrt(p (1 - p) / n) / g(M), with g the
+        # density of the mean's law at M, estimated as the sample fraction
+        # within h of q over 2 h.
+        density = np.mean(np.abs(values - q) <= h) / (2.0 * h)
+        assert abs(m - q) <= 5.0 * math.sqrt(p * (1.0 - p) / n) / density
 
     def test_quantile_sandwich(self):
-        # Defining property on the grid itself: exceeding M + 1/R drops the
-        # fraction below p, exceeding M - 1/R keeps it at p - 2/R or more.
+        # Defining property, from the exact exceedance: just above M the
+        # measure falls below p, just below it it is at least p.
         rng = np.random.default_rng(5)
         for _ in range(20):
             k = rng.integers(3, 8)
@@ -178,11 +246,37 @@ class TestThreshold:
             vals = rng.random(k)
             f = PiecewiseLinear(tuple(bps), tuple(vals))
             p = float(rng.uniform(0.1, 0.9))
-            r = 10**4
-            m = compute_threshold_M(f, p, resolution=r)
-            grid_vals = f.evaluate(np.arange(r) / r)
-            assert np.mean(grid_vals >= m + 1.0 / r) < p
-            assert np.mean(grid_vals >= m - 1.0 / r) >= p - 2.0 / r
+            m = compute_threshold_M(f, p)
+            assert exceedance(f, m + 1e-9) < p <= exceedance(f, m - 1e-9)
+
+    def test_plateau_keeps_the_infimum(self):
+        # A plateau at 0.8 of length 0.4: every p in (0, 0.4] lands on it.
+        f = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
+        for p in (0.05, 0.3, 0.39):
+            assert f.threshold(p) == 0.8
+        # A plateau at the bottom holds the threshold of every p above the
+        # measure that climbs off it.
+        g = PiecewiseLinear((0.0, 0.5, 1.0), (0.2, 0.2, 0.9))
+        for p in (0.6, 0.9, 1.0):
+            assert g.threshold(p) == 0.2
+        assert g.threshold(0.25) == pytest.approx(0.55, abs=1e-12)
+
+
+class TestBoxMean:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_sinusoid_matches_gauss_legendre(self, dim):
+        # A 10-point Gauss-Legendre rule per axis integrates this smooth
+        # mean over boxes of width <= 1 to about machine precision.
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        rng = np.random.default_rng(dim)
+        for f in (Sinusoid(0.35, 1.15, 0.5, dim), Sinusoid(-0.2, 2.5, 0.4, dim)):
+            for _ in range(3):
+                lo = rng.random(dim) * 0.5
+                hi = lo + 0.05 + rng.random(dim) * 0.45
+                axes = [lo[a] + (hi[a] - lo[a]) * (nodes + 1.0) / 2.0 for a in range(dim)]
+                pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+                w = np.prod(np.meshgrid(*[weights / 2.0] * dim, indexing="ij"), axis=0).ravel()
+                assert f.box_mean(lo, hi) == pytest.approx(float(w @ f.evaluate(pts)), abs=1e-12)
 
 
 class TestLowerBoundPair:
@@ -400,8 +494,7 @@ class TestInstances:
 
     def test_fields(self):
         arms = grid_arms(100)
-        inst = make_instance(arms, identity(), RewardModel("bernoulli"), 30,
-                             threshold_resolution=10**4)
+        inst = make_instance(arms, identity(), RewardModel("bernoulli"), 30)
         assert inst.p == pytest.approx(0.3)
         assert inst.threshold_M == pytest.approx(0.7, abs=1e-3)
         np.testing.assert_allclose(inst.true_means, arms.covariates[:, 0])

@@ -43,7 +43,6 @@ def small_config(**overrides):
         regime=FixedP(0.5),
         replications=3,
         master_seed=11,
-        threshold_resolution=10**4,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -130,13 +129,13 @@ class TestTrials:
 
     def test_full_budget_threshold_is_one_rule(self):
         # At p = 1 the trial, make_instance and the threshold
-        # function all take the minimum of the mean on the threshold grid.
+        # function all take the minimum of the mean.
         f = Sinusoid(amplitude=0.35, frequency=1.15, offset=0.5)
         cfg = small_config(mean_function=f, regime=FixedP(1.0), n_grid=(64,))
         result = trial(cfg, 64, "ucbf", 0)
-        expected = compute_threshold_M(f, 1.0, 10**4)
+        expected = compute_threshold_M(f, 1.0)
         assert result.decomposition.threshold_M == expected
-        assert make_instance(grid_arms(64), f, BERN, 64, 10**4).threshold_M == expected
+        assert make_instance(grid_arms(64), f, BERN, 64).threshold_M == expected
         assert result.regret == 0.0
 
     def test_oracle_star_zero_for_all_reps(self):
