@@ -2,7 +2,8 @@
 validate subcommands with deterministic, atomically-written outputs.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.  The log
-level comes from the FCAB_LOG environment variable (error, info, debug).
+level comes from the FCAB_LOG environment variable (error, info, debug);
+at info, the last line gives the run's page faults and peak memory.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import resource
 import sys
 import tempfile
 
@@ -206,7 +208,22 @@ def _setup_logging() -> None:
     )
 
 
+def _log_resources(allocator_kept: bool) -> None:
+    """One info line: whether glibc took the setting that keeps freed
+    memory, and the minor page faults and peak resident memory of this
+    process and of its finished worker processes."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
+    log.info(
+        "resources keep_freed_memory=%s minflt=%d children_minflt=%d "
+        "peak_rss_mb=%.1f children_peak_rss_mb=%.1f",
+        allocator_kept, own.ru_minflt, workers.ru_minflt,
+        own.ru_maxrss / 1024, workers.ru_maxrss / 1024,
+    )
+
+
 def run(argv=None) -> int:
+    allocator_kept = experiments._keep_freed_memory()
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -229,6 +246,8 @@ def run(argv=None) -> int:
         log.debug("unhandled error", exc_info=True)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _log_resources(allocator_kept)
 
 
 def main() -> None:

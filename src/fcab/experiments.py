@@ -11,6 +11,7 @@ aggregate identically.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import functools
 import hashlib
 import math
@@ -327,6 +328,36 @@ def derive_seed(master_seed: int, n: int, policy_id: str, rep: int) -> int:
     return _hash64(master_seed, n, policy_id, rep)
 
 
+# ---------------------------------------------------------------------------
+# Processes
+# ---------------------------------------------------------------------------
+
+# glibc's <malloc.h> parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> bool:
+    """Keep the arrays a trial frees in this process's heap, so that the
+    next trial reuses them instead of faulting fresh pages in.
+
+    glibc's default hands a freed block of a few MiB back to the kernel:
+    either it was mapped on its own (``M_MMAP_THRESHOLD``), or freeing it
+    trims the top of the heap (``M_TRIM_THRESHOLD``).  Setting either one
+    turns off glibc's dynamic thresholds, and each alone faults more than
+    the default, so both are set.  Returns whether glibc took both; where
+    there is no ``mallopt`` (not glibc) it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return bool(mmap_set and trim_set)
+
+
 def _map(fn, tasks: list, threads: int) -> list:
     """``fn`` over ``tasks``, results in task order: on a pool of
     ``threads`` worker processes (0: one per core), never more than there
@@ -334,7 +365,10 @@ def _map(fn, tasks: list, threads: int) -> list:
     workers = min(threads or os.cpu_count() or 1, len(tasks))
     if workers > 1:
         # Forked pools start every worker at once, so do not ask for idle ones.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # Forked workers inherit the allocator setting; spawned ones need it.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_keep_freed_memory
+        ) as pool:
             # Chunks of up to 4, but small enough to give every worker a share.
             chunk = max(1, min(4, len(tasks) // (4 * workers)))
             return list(pool.map(fn, tasks, chunksize=chunk))

@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -378,6 +381,35 @@ class TestDispatch:
             assert run(argv) == 0
             outputs.append((out / "trials.jsonl").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_info_log_ends_with_resource_use(self, tmp_path):
+        # FCAB_LOG=info adds one last line on stderr and changes no output.
+        cfg = write_json(tmp_path / "c.json", minimal_experiment())
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        runs = {}
+        for level in ("error", "info"):
+            out = tmp_path / level
+            out.mkdir()
+            runs[level] = subprocess.run(
+                [sys.executable, "-m", "fcab.cli", "sweep", "--config", cfg,
+                 "--out", str(out), "--threads", "2"],
+                env=dict(os.environ, PYTHONPATH=src, FCAB_LOG=level),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert runs[level].returncode == 0
+        assert runs["info"].stdout == runs["error"].stdout == ""
+        assert runs["error"].stderr == ""
+        assert ((tmp_path / "info" / "sweep.csv").read_bytes()
+                == (tmp_path / "error" / "sweep.csv").read_bytes())
+        lines = runs["info"].stderr.splitlines()
+        assert sum(" resources " in line for line in lines) == 1
+        match = re.search(
+            r"resources keep_freed_memory=(True|False) minflt=(\d+) children_minflt=(\d+) "
+            r"peak_rss_mb=\d+\.\d children_peak_rss_mb=\d+\.\d$",
+            lines[-1],
+        )
+        assert match
+        assert int(match[2]) > 0 and int(match[3]) > 0  # two workers ran and exited
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(N_grid=[64]))

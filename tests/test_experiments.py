@@ -2,6 +2,8 @@ import collections
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -449,15 +451,17 @@ class TestPolicyRegistry:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records the worker count and the
-    chunk size it is asked for and runs the tasks in this process,
-    starting no worker."""
+    """Stands in for ProcessPoolExecutor: records the worker count, the
+    worker initializer and the chunk size it is asked for and runs the
+    tasks in this process, starting no worker."""
 
     sizes: list = []
+    initializers: list = []
     chunks: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         FakePool.sizes.append(max_workers)
+        FakePool.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -474,6 +478,7 @@ class TestWorkerPool:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         FakePool.sizes = []
+        FakePool.initializers = []
         FakePool.chunks = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -494,8 +499,50 @@ class TestWorkerPool:
         experiments._map(abs, list(range(n_tasks)), 2)
         assert FakePool.chunks == [chunk]
 
+    def test_workers_keep_freed_memory(self):
+        experiments._map(abs, [1, 2], 2)
+        assert FakePool.initializers == [experiments._keep_freed_memory]
+
     def test_lower_bound_run_with_two_tasks(self):
         # One replication per member is two tasks: two workers, not four.
         lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
                              policy_id="ucbf", replications=1, master_seed=0, threads=4)
         assert FakePool.sizes == [2]
+
+
+_FREE_AND_ALLOCATE = """
+import resource, sys
+import numpy as np
+from fcab import experiments
+
+kept = experiments._keep_freed_memory() if sys.argv[1] == "keep" else None
+
+def trial():
+    arrays = [np.ones(2**18) for _ in range(4)]
+    del arrays
+
+trial()  # the first trial faults its pages in either way
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    trial()
+print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _faults(mode: str):
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FREE_AND_ALLOCATE, mode], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    kept, faults = out.split()
+    return kept, int(faults)
+
+
+def test_freed_arrays_stay_in_the_heap():
+    # 30 trials of four 2 MiB arrays: by default glibc returns every array
+    # to the kernel on free and faults its 512 pages in again next time.
+    kept, faults_kept = _faults("keep")
+    if kept != "True":
+        pytest.skip("no glibc mallopt here")
+    _, faults_default = _faults("default")
+    assert faults_default >= 10 * max(faults_kept, 1)

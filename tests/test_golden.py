@@ -8,12 +8,14 @@ piecewise-linear plateau, so many true means tie and oracle-star's order
 rests on its ascending-index tie break; ``empirical_2d.json`` is a 2-d
 sinusoid ranked by empirical bin means.  ``plateau_pulls.jsonl`` holds
 every policy's per-pull trace of one plateau trial, so a change of pull
-order shows even where the regret does not.  A change that alters a
+order shows even where the regret does not.  Each five-policy row must also come
+out the same from a config that runs only some of the five policies.  A change that alters a
 stream on purpose regenerates these files by running the same commands
 (``python tests/test_golden.py`` for the trace) and says so in
 ``CHANGES.md``.
 """
 
+import ctypes
 import json
 import pathlib
 
@@ -45,6 +47,52 @@ def test_output_is_byte_identical(tmp_path, command, config, golden, threads):
             "--threads", str(threads)]
     assert run(argv) == 0
     assert (tmp_path / WRITES[command]).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _rows(csv_path) -> dict:
+    """``sweep.csv``'s rows keyed by (policy, N)."""
+    _, *rows = csv_path.read_text().splitlines()
+    return {tuple(row.split(",")[:2]): row for row in rows}
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [
+        ["ucbf"], ["ucbf-cab-k"], ["oracle-star"], ["oracle-discrete"], ["random"],
+        ["random", "ucbf"],
+        ["oracle-discrete", "ucbf-cab-k"],
+        ["random", "oracle-star", "ucbf-cab-k", "ucbf"],
+        ["random", "oracle-discrete", "oracle-star", "ucbf-cab-k", "ucbf"],
+    ],
+)
+def test_row_does_not_depend_on_the_other_policies(tmp_path, subset):
+    config = json.loads((GOLDEN / "five_policy.json").read_text())
+    config["policies"] = subset
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run(["sweep", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "sweep.csv")
+    assert set(rows) == {(policy, str(n)) for policy in subset for n in config["N_grid"]}
+    golden = _rows(GOLDEN / "sweep.csv")
+    for cell, row in rows.items():
+        assert row == golden[cell]
+
+
+def _no_libc(name):
+    raise OSError("no C library here")
+
+
+def _libc_without_mallopt(name):
+    return object()
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _libc_without_mallopt])
+def test_output_without_mallopt_is_byte_identical(tmp_path, monkeypatch, cdll):
+    # Off glibc, keeping freed memory is skipped and nothing else changes.
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert experiments._keep_freed_memory() is False
+    argv = ["sweep", "--config", str(GOLDEN / "five_policy.json"), "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
 
 def _plateau_pulls(tmp_path) -> bytes:
