@@ -102,13 +102,14 @@ def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
 
 
 def _pull_mask(instance: Instance, trace) -> np.ndarray:
-    """The arms a trace pulled, as a mask; it must pull T distinct arms."""
-    pulled = np.asarray(trace.pulled)
-    if pulled.size != instance.T:
-        raise ValueError(f"trace length {pulled.size} != budget {instance.T}")
+    """The arms a trace pulled, as a mask; it must pull T distinct arms.
+    Reads the pull set alone, so a deferred trace builds nothing."""
+    arms = trace.arms
+    if arms.size != instance.T:
+        raise ValueError(f"trace length {arms.size} != budget {instance.T}")
     mask = np.zeros(instance.n, dtype=bool)
-    mask[pulled] = True
-    if int(mask.sum()) != pulled.size:
+    mask[arms] = True
+    if np.count_nonzero(mask) != arms.size:
         raise ValueError("trace contains duplicate arm indices")
     return mask
 
@@ -147,10 +148,11 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
     report = baseline.report
     m_thresh = report.threshold_M
     in_phi = _pull_mask(instance, trace)
+    out_phi = ~in_phi
 
     # np.compress picks the masked means in ascending arm order, as means[mask] does.
-    r_opt = float(np.sum(np.compress(baseline.top & ~in_phi, means) - m_thresh))
-    r_boundary = float(np.sum(np.compress(baseline.kept & ~in_phi, means) - m_thresh)) + float(
+    r_opt = float(np.sum(np.compress(baseline.top & out_phi, means) - m_thresh))
+    r_boundary = float(np.sum(np.compress(baseline.kept & out_phi, means) - m_thresh)) + float(
         np.sum(m_thresh - np.compress(baseline.left & in_phi, means))
     )
     r_subopt = float(np.sum(m_thresh - np.compress(baseline.low & in_phi, means)))

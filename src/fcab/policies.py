@@ -14,7 +14,11 @@ loop (see ``ucbf_run``).
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
 ranking) and fills the remainder from the first bin that straddles the
-budget.
+budget.  Regret and its decomposition read only which arms a run pulled
+(``PolicyTrace.arms``), so both oracles hand back their pull set and build
+the pull order and rewards on first read: a sweep never builds them.  UCBF
+needs its rewards to choose its pulls and the random baseline draws them
+as it runs; their traces are built when they run.
 """
 
 from __future__ import annotations
@@ -192,23 +196,53 @@ def ucbf_index(sum_rewards, n_k, t_budget: int, delta: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PolicyTrace:
-    """Ordered record of one run: which arms were pulled and what they paid."""
+    """Record of one run: ``arms``, the pull set in whatever order the
+    policy has it; ``pulled``, those arms in pull order; ``rewards``, what
+    each pull paid.  ``PolicyTrace(pulled, rewards)`` is built as it ran.
+    A ``deferred`` trace builds ``pulled`` and ``rewards`` once, on first
+    read, and then drops the builder; ``len`` builds nothing, and pickling
+    builds both.  Regret reads only ``arms``, so a sweep builds neither."""
 
-    pulled: np.ndarray
-    rewards: np.ndarray
-
-    def __post_init__(self):
-        pulled = np.asarray(self.pulled, dtype=np.int64)
-        rewards = np.asarray(self.rewards, dtype=np.float64)
+    def __init__(self, pulled, rewards):
+        pulled = np.asarray(pulled, dtype=np.int64)
+        rewards = np.asarray(rewards, dtype=np.float64)
         if pulled.shape != rewards.shape or pulled.ndim != 1:
             raise ValueError("pulled and rewards must be 1-d of equal length")
-        object.__setattr__(self, "pulled", pulled)
-        object.__setattr__(self, "rewards", rewards)
+        self.arms = self._pulled = pulled
+        self._rewards = rewards
+        self._order = self._draw = None
+
+    @classmethod
+    def deferred(cls, arms, draw, order=None) -> "PolicyTrace":
+        """The trace of the pull set ``arms`` whose pull order is
+        ``order(arms)`` (``arms`` itself when None) and whose rewards are
+        ``draw(pulled)``, each built on first read."""
+        trace = cls.__new__(cls)
+        trace.arms = np.asarray(arms, dtype=np.int64)
+        trace._pulled = trace.arms if order is None else None
+        trace._rewards = None
+        trace._order, trace._draw = order, draw
+        return trace
+
+    @property
+    def pulled(self) -> np.ndarray:
+        if self._pulled is None:
+            self._pulled, self._order = self._order(self.arms), None
+        return self._pulled
+
+    @property
+    def rewards(self) -> np.ndarray:
+        if self._rewards is None:
+            self._rewards, self._draw = self._draw(self.pulled), None
+        return self._rewards
 
     def __len__(self) -> int:
-        return self.pulled.size
+        return self.arms.size
+
+    def __getstate__(self):
+        self.rewards  # builds both arrays and drops the builders
+        return self.__dict__
 
 
 def write_trace_jsonl(trace: PolicyTrace, path, partition: Optional[Partition] = None) -> None:
@@ -297,19 +331,28 @@ def ucbf_run(
     return PolicyTrace(stream[order], rewards[order])
 
 
+def _reward_draw(instance: Instance, reward_rng: np.random.Generator):
+    """One reward per pulled arm, from the run's own reward generator."""
+    return lambda pulled: instance.rewards.sample(instance.true_means[pulled], reward_rng)
+
+
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Greedy oracle: pulls the T arms with the largest true means, in
     decreasing-mean order with ties broken by ascending arm index."""
-    star = instance.star_order()
-    # A stable sort of the star set (ascending index) breaks ties by index;
-    # without ties the faster default sort gives that same, unique order.
-    pulled = star[np.argsort(-instance.true_means[star])]
-    means = instance.true_means[pulled]
-    if np.any(means[1:] == means[:-1]):
-        pulled = star[np.argsort(-instance.true_means[star], kind="stable")]
+
+    def order(star):
+        # A stable sort of the star set (ascending index) breaks ties by
+        # index; without ties the faster default sort gives that same,
+        # unique order.
+        keys = -instance.true_means[star]
+        pulled = star[np.argsort(keys)]
         means = instance.true_means[pulled]
+        if np.any(means[1:] == means[:-1]):
+            pulled = star[np.argsort(keys, kind="stable")]
+        return pulled
+
     reward_rng, _ = _run_streams(seed)
-    return PolicyTrace(pulled, instance.rewards.sample(means, reward_rng))
+    return PolicyTrace.deferred(instance.star_order(), _reward_draw(instance, reward_rng), order)
 
 
 def oracle_discrete(
@@ -330,9 +373,7 @@ def oracle_discrete(
     reward_rng, s_select = _run_streams(seed)
     pool = partition.arms_in_bin(int(order[f_hat]))
     parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
-    pulled = np.concatenate(parts)
-    obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
-    return PolicyTrace(pulled, obs)
+    return PolicyTrace.deferred(np.concatenate(parts), _reward_draw(instance, reward_rng))
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:

@@ -26,6 +26,7 @@ from fcab.environment import (
     make_lower_bound_pair,
     sample_arms_uniform,
 )
+from fcab.experiments import ExperimentConfig, FixedP, run_sweep
 from fcab.policies import (
     POLICIES,
     Partition,
@@ -371,6 +372,59 @@ class TestExactKernels:
             for term, value in expected.items():
                 assert getattr(dec, term) == value, (policy_id, term)
             assert regret_total(inst, trace) == expected["r_total"]
+
+
+class TestPullSetsOnly:
+    """Regret, baseline and decomposition read only which arms a run
+    pulled, so a sweep never builds an oracle's pull order or rewards."""
+
+    def test_builders_never_run(self):
+        plateau = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
+        inst = make_instance(grid_arms(2**13), plateau, RewardModel("clipped_gaussian", 0.1),
+                             2**12)
+        part = build_partition(inst.arms, 8)
+        order, f_hat = rank_bins(part, bin_means_quadrature(plateau, part), inst.T)
+        star = oracle_star(inst, 2)
+        reference = oracle_discrete(inst, part, order, f_hat, seed=2)
+
+        def unbuilt(trace):
+            def builder(_):
+                raise AssertionError("a deferred trace was built")
+
+            return PolicyTrace.deferred(trace.arms, builder, builder)
+
+        lazy_star, lazy_reference = unbuilt(star), unbuilt(reference)
+        assert len(lazy_star) == len(lazy_reference) == inst.T
+        assert regret_total(inst, lazy_star) == regret_total(inst, star) == 0.0
+        baseline = make_baseline(inst, part, order, f_hat, lazy_reference)
+        expected = make_baseline(inst, part, order, f_hat, reference)
+        for trace, built in ((lazy_star, star), (lazy_reference, reference)):
+            assert regret_decompose(inst, baseline, trace) == regret_decompose(
+                inst, expected, built
+            )
+
+    def test_sweep_draws_rewards_only_for_random_runs(self, monkeypatch):
+        draws = []
+        sample = RewardModel.sample
+
+        def counted(self, means, rng):
+            draws.append(np.asarray(means).size)
+            return sample(self, means, rng)
+
+        monkeypatch.setattr(RewardModel, "sample", counted)
+        config = ExperimentConfig(
+            mean_function=identity(),
+            reward_model=BERN,
+            policies=("oracle-star", "oracle-discrete", "random"),
+            n_grid=(64, 128),
+            regime=FixedP(0.5),
+            replications=3,
+        )
+        result = run_sweep(config)
+        assert not result.errors
+        random_runs = [t for t in result.trials if t.policy_id == "random"]
+        assert len(random_runs) == 6
+        assert sorted(draws) == sorted(t.t_budget for t in random_runs)
 
 
 class TestDiagnostics:

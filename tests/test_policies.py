@@ -1,11 +1,14 @@
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fcab.analysis import rank_bins, regret_total
+from fcab.analysis import bin_means_empirical, rank_bins, regret_total
 from fcab.environment import (
     ArmSet,
     Constant,
@@ -18,6 +21,7 @@ from fcab.environment import (
 )
 from fcab.policies import (
     POLICIES,
+    PolicyTrace,
     _run_streams,
     baseline_random,
     build_partition,
@@ -471,6 +475,90 @@ class TestOracles:
         q = remainder / boundary.size
         assert remainder == 3 and boundary.size == 9
         assert np.all(np.abs(picks[boundary] - 2000 * q) <= 5 * math.sqrt(2000 * q * (1 - q)))
+
+
+# The instances of test_star_order_is_the_stable_order_at_scale.
+AT_SCALE = [
+    (sample_arms_uniform(2**12, 1, 5), Sinusoid(0.35, 1.15, 0.5)),
+    (grid_arms(2**13), PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))),
+]
+
+
+def eager_star(inst, seed):
+    """oracle_star's pull order and rewards, built as the run is made."""
+    star = inst.star_order()
+    pulled = star[np.argsort(-inst.true_means[star])]
+    means = inst.true_means[pulled]
+    if np.any(means[1:] == means[:-1]):
+        pulled = star[np.argsort(-inst.true_means[star], kind="stable")]
+        means = inst.true_means[pulled]
+    reward_rng, _ = _run_streams(seed)
+    return pulled, inst.rewards.sample(means, reward_rng)
+
+
+def eager_discrete(inst, part, order, f_hat, seed):
+    """oracle_discrete's pull order and rewards, built as the run is made."""
+    parts = [part.arms_in_bin(int(b)) for b in order[:f_hat]]
+    remainder = inst.T - sum(p.size for p in parts)
+    reward_rng, s_select = _run_streams(seed)
+    pool = part.arms_in_bin(int(order[f_hat]))
+    parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
+    pulled = np.concatenate(parts)
+    return pulled, inst.rewards.sample(inst.true_means[pulled], reward_rng)
+
+
+class TestDeferredTraces:
+    @pytest.mark.parametrize("arms, mean", AT_SCALE, ids=["sinusoid", "plateau"])
+    @pytest.mark.parametrize(
+        "rewards", [BERN, RewardModel("clipped_gaussian", 0.1)], ids=["bernoulli", "gaussian"]
+    )
+    def test_built_arrays_match_an_eager_run(self, arms, mean, rewards):
+        inst = make_instance(arms, mean, rewards, arms.n // 2)
+        part = build_partition(arms, 8)
+        ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
+        for seed in (0, 3):
+            runs = [
+                (lambda: oracle_star(inst, seed), eager_star(inst, seed)),
+                (lambda: oracle_discrete(inst, part, *ranking, seed=seed),
+                 eager_discrete(inst, part, *ranking, seed)),
+            ]
+            for run, (pulled, obs) in runs:
+                rewards_first, pulled_first = run(), run()
+                np.testing.assert_array_equal(rewards_first.rewards, obs)
+                np.testing.assert_array_equal(rewards_first.pulled, pulled)
+                np.testing.assert_array_equal(pulled_first.pulled, pulled)
+                np.testing.assert_array_equal(pulled_first.rewards, obs)
+                np.testing.assert_array_equal(np.sort(pulled_first.arms), np.sort(pulled))
+
+    def test_pickle_round_trip_gives_equal_arrays(self):
+        arms, mean = AT_SCALE[1]
+        inst = make_instance(arms, mean, RewardModel("clipped_gaussian", 0.1), arms.n // 2)
+        part = build_partition(arms, 8)
+        ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
+        traces = [oracle_star(inst, 1), oracle_discrete(inst, part, *ranking, seed=1),
+                  baseline_random(inst, 1), PolicyTrace([2, 0], [0.5, 1.0])]
+        for trace in traces:
+            copy = pickle.loads(pickle.dumps(trace))
+            for name in ("arms", "pulled", "rewards"):
+                np.testing.assert_array_equal(getattr(copy, name), getattr(trace, name))
+
+    def test_built_trace_drops_its_builders(self):
+        # The builders hold the instance and the reward generator; once both
+        # arrays are built, a kept trace pins only its own arrays.
+        inst = make_instance(grid_arms(64), identity(), BERN, 20)
+        part = build_partition(inst.arms, 4)
+        ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
+        traces = [oracle_star(inst, 5), oracle_discrete(inst, part, *ranking, seed=5)]
+        alive = weakref.ref(inst)
+        del inst, part
+        for trace in traces:
+            trace.pulled
+        gc.collect()
+        assert alive() is not None  # the reward draws still need it
+        for trace in traces:
+            assert trace.rewards.size == len(trace) == 20
+        gc.collect()
+        assert alive() is None
 
 
 class TestRandomBaseline:
