@@ -22,7 +22,6 @@ import inspect
 import math
 import typing
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -365,7 +364,7 @@ class Sinusoid(MeanFunction):
         for k in range(math.ceil(f) + 2):
             u0, u1 = max((k - c + t) / f, 0.0), min((k - c + 0.5 - t) / f, 1.0)
             if u0 < u1:
-                total += _mean_cdf(u1, self.dim) - _mean_cdf(u0, self.dim)
+                total += _mean_mass(u0, u1, self.dim)
         return total
 
     def box_mean(self, lo, hi):
@@ -378,15 +377,23 @@ class Sinusoid(MeanFunction):
         return self.offset + self.amplitude * phase * float(np.prod(np.sin(h) / h))
 
 
-def _mean_cdf(u: float, dim: int):
-    """P(coordinate mean of ``dim`` uniforms <= u): u in one dimension, else
-    the Irwin-Hall law as an exact Fraction (its alternating sum cancels in
-    floats as dim grows)."""
+def _mean_mass(u0: float, u1: float, dim: int) -> float:
+    """P(u0 < coordinate mean of ``dim`` uniforms <= u1), rounded once: u1 - u0
+    in one dimension, else the difference of two Irwin-Hall CDFs, exact (its
+    alternating sum cancels in floats as dim grows).  With u = n / d for the
+    larger of the two floats' power-of-two denominators d, each CDF is
+    sum over k <= dim u of (-1)^k C(dim, k) (dim n - k d)^dim over the common
+    denominator d^dim dim!, so the numerators stay integers."""
     if dim == 1:
-        return u
-    s = Fraction(u) * dim
-    terms = ((-1) ** k * math.comb(dim, k) * (s - k) ** dim for k in range(math.floor(s) + 1))
-    return sum(terms) / math.factorial(dim)
+        return u1 - u0
+    (n0, d0), (n1, d1) = u0.as_integer_ratio(), u1.as_integer_ratio()
+    d = max(d0, d1)
+
+    def numerator(n):
+        x = dim * n
+        return sum((-1) ** k * math.comb(dim, k) * (x - k * d) ** dim for k in range(x // d + 1))
+
+    return (numerator(n1 * (d // d1)) - numerator(n0 * (d // d0))) / (d**dim * math.factorial(dim))
 
 
 def Tabulated(grid_values: tuple = ()) -> PiecewiseLinear:
@@ -555,12 +562,7 @@ class Instance:
         of the arms whose mean equals the T-th largest, the lowest indices
         are taken.  O(N): no sort of the means."""
         if self._star is None:
-            m, cut = self.true_means, self.n - self.T
-            v = np.partition(m, cut)[cut]
-            take = m > v
-            ties = np.flatnonzero(m == v)
-            take[ties[: self.T - np.count_nonzero(take)]] = True
-            self._star = np.flatnonzero(take)
+            self._star = np.flatnonzero(_top_mask(self.true_means, self.T))
         return self._star
 
     def top_mean_sum(self) -> float:
@@ -569,6 +571,18 @@ class Instance:
         if self._top_sum is None:
             self._top_sum = float(self.true_means[self.star_order()].sum())
         return self._top_sum
+
+
+def _top_mask(values: np.ndarray, t: int) -> np.ndarray:
+    """Mask of the ``t`` largest values, the lowest positions first among
+    values equal to the t-th largest: the first ``t`` positions of a stable
+    descending sort, found by selection in O(n)."""
+    cut = values.size - t
+    v = np.partition(values, cut)[cut]
+    take = values > v
+    ties = np.flatnonzero(values == v)
+    take[ties[: t - np.count_nonzero(take)]] = True
+    return take
 
 
 def make_instance(

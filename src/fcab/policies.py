@@ -8,17 +8,16 @@ unreachable; a budget that cannot be met from alive bins is a
 configuration error, not a silent under-pull.  Each arm is pulled at most
 once and a pull takes a uniformly random unpulled arm of its bin, so a run
 shuffles each alive bin once up front and takes the bin's arms in that
-order; the pull order then follows from a stable sort, with no per-pull
-loop (see ``ucbf_run``).
+order; its pull set then follows from one selection and its pull order
+from one stable sort, with no per-pull loop (see ``ucbf_run``).
 
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
 ranking) and fills the remainder from the first bin that straddles the
 budget.  Regret and its decomposition read only which arms a run pulled
-(``PolicyTrace.arms``), so both oracles hand back their pull set and build
-the pull order and rewards on first read: a sweep never builds them.  UCBF
-needs its rewards to choose its pulls and the random baseline draws them
-as it runs; their traces are built when they run.
+(``PolicyTrace.arms``), so UCBF and both oracles hand back their pull set
+and build the pull order and rewards on first read: a sweep never builds
+them.  The random baseline draws its rewards as it runs.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .environment import ArmSet, Instance
+from .environment import ArmSet, Instance, _top_mask
 
 __all__ = [
     "POLICIES",
@@ -186,9 +185,14 @@ def ucbf_index(sum_rewards, n_k, t_budget: int, delta: float):
     n_k = np.asarray(n_k)
     if np.any(n_k < 1):
         raise ValueError("index undefined for an unpulled bin")
+    return sum_rewards / n_k + _bonus(n_k, t_budget, delta)
+
+
+def _bonus(n_k, t_budget: int, delta: float):
+    """The exploration bonus sqrt(log(T/delta)/(2n)) of ``ucbf_index``."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return sum_rewards / n_k + np.sqrt(math.log(t_budget / delta) / (2.0 * n_k))
+    return np.sqrt(math.log(t_budget / delta) / (2.0 * n_k))
 
 
 # ---------------------------------------------------------------------------
@@ -200,48 +204,46 @@ class PolicyTrace:
     """Record of one run: ``arms``, the pull set in whatever order the
     policy has it; ``pulled``, those arms in pull order; ``rewards``, what
     each pull paid.  ``PolicyTrace(pulled, rewards)`` is built as it ran.
-    A ``deferred`` trace builds ``pulled`` and ``rewards`` once, on first
-    read, and then drops the builder; ``len`` builds nothing, and pickling
-    builds both.  Regret reads only ``arms``, so a sweep builds neither."""
+    A ``deferred`` trace builds ``pulled`` and ``rewards`` together, on the
+    first read of either, and then drops its builder; ``len`` builds
+    nothing, and pickling builds both.  Regret reads only ``arms``, so a
+    sweep builds neither."""
 
     def __init__(self, pulled, rewards):
         pulled = np.asarray(pulled, dtype=np.int64)
         rewards = np.asarray(rewards, dtype=np.float64)
         if pulled.shape != rewards.shape or pulled.ndim != 1:
             raise ValueError("pulled and rewards must be 1-d of equal length")
-        self.arms = self._pulled = pulled
-        self._rewards = rewards
-        self._order = self._draw = None
+        self.arms = pulled
+        self._built, self._build = (pulled, rewards), None
 
     @classmethod
-    def deferred(cls, arms, draw, order=None) -> "PolicyTrace":
-        """The trace of the pull set ``arms`` whose pull order is
-        ``order(arms)`` (``arms`` itself when None) and whose rewards are
-        ``draw(pulled)``, each built on first read."""
+    def deferred(cls, arms, build) -> "PolicyTrace":
+        """The trace of the pull set ``arms`` whose ``(pulled, rewards)``
+        is ``build()``, called on first read."""
         trace = cls.__new__(cls)
         trace.arms = np.asarray(arms, dtype=np.int64)
-        trace._pulled = trace.arms if order is None else None
-        trace._rewards = None
-        trace._order, trace._draw = order, draw
+        trace._built, trace._build = None, build
         return trace
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._built is None:
+            self._built, self._build = self._build(), None
+        return self._built
 
     @property
     def pulled(self) -> np.ndarray:
-        if self._pulled is None:
-            self._pulled, self._order = self._order(self.arms), None
-        return self._pulled
+        return self._arrays()[0]
 
     @property
     def rewards(self) -> np.ndarray:
-        if self._rewards is None:
-            self._rewards, self._draw = self._draw(self.pulled), None
-        return self._rewards
+        return self._arrays()[1]
 
     def __len__(self) -> int:
         return self.arms.size
 
     def __getstate__(self):
-        self.rewards  # builds both arrays and drops the builders
+        self._arrays()  # builds both arrays and drops the builder
         return self.__dict__
 
 
@@ -290,10 +292,14 @@ def ucbf_run(
     draws each arm's reward in that order.  The n-th pull from a bin takes
     the n-th arm of its permutation, so every index value a bin can take is
     known before the run.  Pulling the largest current index is then a
-    stable sort: replace each bin's index sequence by its running minimum
-    (a bin whose index rises after a pull is still the largest and is
-    pulled again at once), concatenate in (bin, pull count) order, and sort
-    descending; ties fall to the lower bin as in the greedy rule.
+    stable sort: key each bin's first arm +inf (the forced initial pull)
+    and its (n+1)-th arm by the running minimum of the bin's index after n
+    pulls (a bin whose index rises after a pull is still the largest and is
+    pulled again at once), and sort descending; ties fall to the lower bin
+    as in the greedy rule.  Each bin's keys never increase, so the T
+    largest keys, ties to the lower position, are a prefix of every bin:
+    the pull set is one selection, and the sort runs only when the pull
+    order or the rewards are read.
     """
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
@@ -306,34 +312,46 @@ def ucbf_run(
             f"budget {t_budget} exceeds the {reachable} arms reachable through "
             "alive bins (bins holding fewer than two arms are never pulled)"
         )
+    pulls = np.arange(1, sizes.max())
+    bonus = _bonus(pulls, t_budget, delta)
     reward_rng, s_select = _run_streams(seed)
     select = np.random.default_rng(s_select)
-    stream = np.concatenate([select.permutation(partition.arms_in_bin(b)) for b in alive])
+    # One copy of the alive bins' arms, each bin shuffled in place: the
+    # same draws as one ``permutation`` of each bin.
+    stream = np.concatenate([partition.arms_in_bin(b) for b in alive])
+    bins = list(zip(np.cumsum(sizes).tolist(), sizes.tolist()))
+    for end, m in bins:
+        select.shuffle(stream[end - m : end])
     rewards = instance.rewards.sample(instance.true_means[stream], reward_rng)
 
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    # keys[i] holds the running-minimum index of bin alive[i] after n = 1 ..
-    # size-1 pulls.  A cumsum per bin adds the rewards in pull order, as a
-    # per-pull loop does; one cumsum over all bins minus offsets would not.
-    keys = [
-        np.minimum.accumulate(
-            ucbf_index(np.cumsum(rewards[s : s + m - 1]), np.arange(1, m), t_budget, delta)
-        )
-        for s, m in zip(starts.tolist(), sizes.tolist())
-    ]
-    n_init = min(t_budget, alive.size)
-    later = np.argsort(-np.concatenate(keys), kind="stable")[: t_budget - n_init]
-    # Key q of bin i (its index after n = q - key_starts[i] + 1 pulls) picks
-    # the bin's next arm, at stream position starts[i] + n = q + i + 1.
-    key_starts = starts - np.arange(alive.size)
-    later += np.searchsorted(key_starts, later, side="right")
-    order = np.concatenate((starts[:n_init], later))
-    return PolicyTrace(stream[order], rewards[order])
+    keys = np.empty(reachable)
+    for end, m in bins:
+        # ucbf_index's operations in its order; a cumsum per bin adds the
+        # rewards in pull order, as a per-pull loop does.
+        key = keys[end - m + 1 : end]
+        np.cumsum(rewards[end - m : end - 1], out=key)
+        key /= pulls[: m - 1]
+        key += bonus[: m - 1]
+        np.minimum.accumulate(key, out=key)
+        keys[end - m] = np.inf
+
+    def build():
+        order = np.argsort(-keys, kind="stable")[:t_budget]
+        return stream[order], rewards[order]
+
+    return PolicyTrace.deferred(stream[_top_mask(keys, t_budget)], build)
 
 
-def _reward_draw(instance: Instance, reward_rng: np.random.Generator):
-    """One reward per pulled arm, from the run's own reward generator."""
-    return lambda pulled: instance.rewards.sample(instance.true_means[pulled], reward_rng)
+def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, order=None):
+    """An oracle's trace builder: the pull order ``order(arms)`` (``arms``
+    itself when None), then one reward per pull from the run's own reward
+    generator."""
+
+    def build():
+        pulled = arms if order is None else order(arms)
+        return pulled, instance.rewards.sample(instance.true_means[pulled], reward_rng)
+
+    return build
 
 
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
@@ -352,7 +370,8 @@ def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
         return pulled
 
     reward_rng, _ = _run_streams(seed)
-    return PolicyTrace.deferred(instance.star_order(), _reward_draw(instance, reward_rng), order)
+    star = instance.star_order()
+    return PolicyTrace.deferred(star, _order_then_draw(instance, reward_rng, star, order))
 
 
 def oracle_discrete(
@@ -373,7 +392,8 @@ def oracle_discrete(
     reward_rng, s_select = _run_streams(seed)
     pool = partition.arms_in_bin(int(order[f_hat]))
     parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
-    return PolicyTrace.deferred(np.concatenate(parts), _reward_draw(instance, reward_rng))
+    arms = np.concatenate(parts)
+    return PolicyTrace.deferred(arms, _order_then_draw(instance, reward_rng, arms))
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:

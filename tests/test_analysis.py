@@ -26,7 +26,7 @@ from fcab.environment import (
     make_lower_bound_pair,
     sample_arms_uniform,
 )
-from fcab.experiments import ExperimentConfig, FixedP, run_sweep
+from fcab.experiments import ExperimentConfig, FixedP, run_sweep, run_trial
 from fcab.policies import (
     POLICIES,
     Partition,
@@ -376,7 +376,8 @@ class TestExactKernels:
 
 class TestPullSetsOnly:
     """Regret, baseline and decomposition read only which arms a run
-    pulled, so a sweep never builds an oracle's pull order or rewards."""
+    pulled, so a sweep never builds the pull order or rewards of UCBF or
+    an oracle."""
 
     def test_builders_never_run(self):
         plateau = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
@@ -386,19 +387,21 @@ class TestPullSetsOnly:
         order, f_hat = rank_bins(part, bin_means_quadrature(plateau, part), inst.T)
         star = oracle_star(inst, 2)
         reference = oracle_discrete(inst, part, order, f_hat, seed=2)
+        ucbf = ucbf_run(inst, part, 0.01, 2)
 
         def unbuilt(trace):
-            def builder(_):
+            def builder():
                 raise AssertionError("a deferred trace was built")
 
-            return PolicyTrace.deferred(trace.arms, builder, builder)
+            return PolicyTrace.deferred(trace.arms, builder)
 
-        lazy_star, lazy_reference = unbuilt(star), unbuilt(reference)
-        assert len(lazy_star) == len(lazy_reference) == inst.T
+        lazy_star, lazy_reference, lazy_ucbf = unbuilt(star), unbuilt(reference), unbuilt(ucbf)
+        assert len(lazy_star) == len(lazy_reference) == len(lazy_ucbf) == inst.T
         assert regret_total(inst, lazy_star) == regret_total(inst, star) == 0.0
+        assert regret_total(inst, lazy_ucbf) == regret_total(inst, ucbf)
         baseline = make_baseline(inst, part, order, f_hat, lazy_reference)
         expected = make_baseline(inst, part, order, f_hat, reference)
-        for trace, built in ((lazy_star, star), (lazy_reference, reference)):
+        for trace, built in ((lazy_star, star), (lazy_reference, reference), (lazy_ucbf, ucbf)):
             assert regret_decompose(inst, baseline, trace) == regret_decompose(
                 inst, expected, built
             )
@@ -425,6 +428,34 @@ class TestPullSetsOnly:
         random_runs = [t for t in result.trials if t.policy_id == "random"]
         assert len(random_runs) == 6
         assert sorted(draws) == sorted(t.t_budget for t in random_runs)
+
+    def test_ucbf_sweep_never_runs_a_builder(self, monkeypatch):
+        made, built = [], []
+        deferred = PolicyTrace.deferred.__func__
+
+        def tracked(cls, arms, build):
+            def counted():
+                built.append(build.__qualname__)
+                return build()
+
+            made.append(build.__qualname__)
+            return deferred(cls, arms, counted)
+
+        monkeypatch.setattr(PolicyTrace, "deferred", classmethod(tracked))
+        config = ExperimentConfig(
+            mean_function=identity(),
+            reward_model=BERN,
+            policies=("ucbf", "ucbf-cab-k", "oracle-star"),
+            n_grid=(64, 128),
+            regime=FixedP(0.5),
+            replications=3,
+        )
+        assert not run_sweep(config).errors
+        assert made.count("ucbf_run.<locals>.build") == 12  # 2 N x 3 reps x 2 policies
+        assert built == []
+        # The counter sees a build: reading a kept trace's pull order runs it.
+        trace = run_trial(config, 64, 0, keep_trace=True)[0].trace
+        assert trace.pulled.size == 32 and built == ["ucbf_run.<locals>.build"]
 
 
 class TestDiagnostics:

@@ -382,6 +382,26 @@ class TestDispatch:
             outputs.append((out / "trials.jsonl").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "lowerbound"])
+    def test_runs_never_import_numpy_ma(self, tmp_path, command):
+        # np.quantile and np.unique import numpy.ma, 12-22 ms per process
+        # that no output reads; a fresh process must end without it.
+        if command == "lowerbound":
+            cfg = dict(LOWERBOUND_CONFIG, policy="ucbf", replications=2)
+        else:
+            cfg = minimal_experiment(
+                policies=["ucbf", "ucbf-cab-k", "oracle-star", "oracle-discrete", "random"]
+            )
+        path = write_json(tmp_path / "c.json", cfg)
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        script = ("import sys; from fcab.cli import run; "
+                  "code = run(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+        done = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", path, "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.split() == ["0", "False"], done.stderr
+
     def test_info_log_ends_with_resource_use(self, tmp_path):
         # FCAB_LOG=info adds one last line on stderr and changes no output.
         cfg = write_json(tmp_path / "c.json", minimal_experiment())

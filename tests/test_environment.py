@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fcab.analysis import diagnostics
 from fcab.environment import (
+    _mean_mass,
     Constant,
     Instance,
     LowerBoundMember,
@@ -232,6 +234,36 @@ class TestThreshold:
         # within h of q over 2 h.
         density = np.mean(np.abs(values - q) <= h) / (2.0 * h)
         assert abs(m - q) <= 5.0 * math.sqrt(p * (1.0 - p) / n) / density
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_mean_mass_equals_the_fraction_form(self, dim):
+        # Each CDF of the coordinate mean stepped through in Fraction, then
+        # the difference rounded once, as the threshold summed it before.
+        def cdf(u):
+            s = Fraction(u) * dim
+            terms = ((-1) ** k * math.comb(dim, k) * (s - k) ** dim
+                     for k in range(math.floor(s) + 1))
+            return sum(terms) / math.factorial(dim)
+
+        rng = np.random.default_rng(dim)
+        edges = np.arange(dim + 1) / dim
+        us = np.concatenate((
+            [0.0, 1.0, 1e-12, 1.0 - 2.0**-53], edges, np.nextafter(edges, 2.0),
+            rng.random(60), (rng.random(30) * 2**-20 + rng.integers(0, dim, 30)) / dim,
+        ))
+        us = np.unique(np.clip(us, 0.0, 1.0))
+        pairs = [(float(a), float(b)) for a in us[::3] for b in us if a < b]
+        assert len(pairs) > 1000
+        for u0, u1 in pairs:
+            assert _mean_mass(u0, u1, dim) == float(cdf(u1) - cdf(u0)), (u0, u1)
+
+    def test_sinusoid_thresholds_keep_their_bits(self):
+        # The closed-form column of ROADMAP's threshold table (amplitude
+        # 0.35, frequency 1.15, p = 0.5), as the Fraction form gave it.
+        expected = {1: "0x1.1c08765deba82p-1", 2: "0x1.a284d32519856p-2",
+                    3: "0x1.7a58bd0dd8eb5p-2", 5: "0x1.62ba9148eb1aap-2"}
+        for dim, bits in expected.items():
+            assert Sinusoid(0.35, 1.15, 0.5, dim=dim).threshold(0.5).hex() == bits
 
     def test_quantile_sandwich(self):
         # Defining property, from the exact exceedance: just above M the

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcab import analysis, experiments, policies
 from fcab.environment import (
@@ -19,6 +21,7 @@ from fcab.environment import (
     make_lower_bound_pair,
 )
 from fcab.experiments import (
+    _deciles,
     ExperimentConfig,
     FixedP,
     KRule,
@@ -224,6 +227,32 @@ class TestSweep:
         assert row.regret_std == float(regs.std())
         q10, q50, q90 = np.quantile(regs, [0.1, 0.5, 0.9])
         assert (row.q10, row.q50, row.q90) == (float(q10), float(q50), float(q90))
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 1000])
+    def test_deciles_are_numpys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        samples = [
+            rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6, size=n),  # scales 1e-3 .. 1e6
+            rng.exponential(size=n) * 1e6,
+            rng.integers(-3, 4, size=n).astype(float),  # ties
+            rng.choice([0.0, -0.0], size=n),
+            rng.choice([-0.0, 0.0, 1e-3, -1e-3, 1e6], size=n),
+            np.full(n, -0.0),
+            np.append(rng.normal(size=n - 1), np.nan),
+        ]
+        for x in samples:
+            expected = np.quantile(x, [0.1, 0.5, 0.9])
+            assert _deciles(x).tobytes() == expected.tobytes(), x
+            assert _deciles(list(x)).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 1e-3, 1.0, 1e6]) | st.floats(-1e6, 1e6), min_size=1,
+        max_size=60,
+    ))
+    def test_deciles_match_numpy_on_any_finite_sample(self, values):
+        x = np.array(values)
+        assert _deciles(x).tobytes() == np.quantile(x, [0.1, 0.5, 0.9]).tobytes()
 
     def test_trials_in_task_order(self):
         cfg = small_config(replications=2)

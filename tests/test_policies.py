@@ -507,6 +507,43 @@ def eager_discrete(inst, part, order, f_hat, seed):
     return pulled, inst.rewards.sample(inst.true_means[pulled], reward_rng)
 
 
+def eager_ucbf(inst, part, delta, seed):
+    """ucbf_run's pull order and rewards by one stable argsort of every
+    bin's running-minimum index keys, built as the run is made; also the
+    keys that sort picks the post-initialisation pulls from."""
+    alive = part.initial_alive()
+    sizes = part.counts[alive]
+    reward_rng, s_select = _run_streams(seed)
+    select = np.random.default_rng(s_select)
+    stream = np.concatenate([select.permutation(part.arms_in_bin(b)) for b in alive])
+    rewards = inst.rewards.sample(inst.true_means[stream], reward_rng)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    keys = np.concatenate([
+        np.minimum.accumulate(
+            ucbf_index(np.cumsum(rewards[s : s + m - 1]), np.arange(1, m), inst.T, delta)
+        )
+        for s, m in zip(starts.tolist(), sizes.tolist())
+    ])
+    n_init = min(inst.T, alive.size)
+    later = np.argsort(-keys, kind="stable")[: inst.T - n_init]
+    # Key q of bin i picks the bin's next arm, at stream position q + i + 1.
+    later += np.searchsorted(starts - np.arange(alive.size), later, side="right")
+    order = np.concatenate((starts[:n_init], later))
+    return stream[order], rewards[order], keys
+
+
+def assert_matches_eager(run, expected):
+    """Both read orders of a fresh deferred trace give the eager arrays,
+    and its pull set holds the same arms."""
+    pulled, obs = expected
+    rewards_first, pulled_first = run(), run()
+    np.testing.assert_array_equal(np.sort(pulled_first.arms), np.sort(pulled))
+    np.testing.assert_array_equal(rewards_first.rewards, obs)
+    np.testing.assert_array_equal(rewards_first.pulled, pulled)
+    np.testing.assert_array_equal(pulled_first.pulled, pulled)
+    np.testing.assert_array_equal(pulled_first.rewards, obs)
+
+
 class TestDeferredTraces:
     @pytest.mark.parametrize("arms, mean", AT_SCALE, ids=["sinusoid", "plateau"])
     @pytest.mark.parametrize(
@@ -522,13 +559,30 @@ class TestDeferredTraces:
                 (lambda: oracle_discrete(inst, part, *ranking, seed=seed),
                  eager_discrete(inst, part, *ranking, seed)),
             ]
-            for run, (pulled, obs) in runs:
-                rewards_first, pulled_first = run(), run()
-                np.testing.assert_array_equal(rewards_first.rewards, obs)
-                np.testing.assert_array_equal(rewards_first.pulled, pulled)
-                np.testing.assert_array_equal(pulled_first.pulled, pulled)
-                np.testing.assert_array_equal(pulled_first.rewards, obs)
-                np.testing.assert_array_equal(np.sort(pulled_first.arms), np.sort(pulled))
+            for run, expected in runs:
+                assert_matches_eager(run, expected)
+
+    @pytest.mark.parametrize(
+        "rewards", [BERN, RewardModel("clipped_gaussian", 0.1)], ids=["bernoulli", "gaussian"]
+    )
+    @pytest.mark.parametrize("budget", ["half", "alive-1", "alive", "alive+1", "reachable"])
+    def test_ucbf_pull_set_and_order_match_the_argsort(self, rewards, budget):
+        # The plateau's bins of equal mean tie their keys across bins under
+        # 0/1 rewards; a budget up to the alive bin count is initial pulls
+        # only, and the reachable budget takes every key.
+        arms, mean = AT_SCALE[1]
+        part = build_partition(arms, 8)
+        alive = part.initial_alive().size
+        t = {"half": arms.n // 2, "alive-1": alive - 1, "alive": alive,
+             "alive+1": alive + 1, "reachable": arms.n}[budget]
+        inst = make_instance(arms, mean, rewards, t)
+        for seed in (0, 3):
+            pulled, obs, keys = eager_ucbf(inst, part, 0.01, seed)
+            if budget == "half" and rewards is BERN:
+                later = inst.T - alive
+                cut = np.sort(keys)[::-1][later - 1]
+                assert np.count_nonzero(keys == cut) > 1  # a tie at the selection
+            assert_matches_eager(lambda: ucbf_run(inst, part, 0.01, seed), (pulled, obs))
 
     def test_pickle_round_trip_gives_equal_arrays(self):
         arms, mean = AT_SCALE[1]
@@ -536,29 +590,35 @@ class TestDeferredTraces:
         part = build_partition(arms, 8)
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 1), oracle_discrete(inst, part, *ranking, seed=1),
-                  baseline_random(inst, 1), PolicyTrace([2, 0], [0.5, 1.0])]
+                  ucbf_run(inst, part, 0.01, 1), baseline_random(inst, 1),
+                  PolicyTrace([2, 0], [0.5, 1.0])]
         for trace in traces:
             copy = pickle.loads(pickle.dumps(trace))
             for name in ("arms", "pulled", "rewards"):
                 np.testing.assert_array_equal(getattr(copy, name), getattr(trace, name))
+        pulled, obs, _ = eager_ucbf(inst, part, 0.01, 1)
+        copy = pickle.loads(pickle.dumps(ucbf_run(inst, part, 0.01, 1)))
+        np.testing.assert_array_equal(copy.pulled, pulled)
+        np.testing.assert_array_equal(copy.rewards, obs)
 
     def test_built_trace_drops_its_builders(self):
-        # The builders hold the instance and the reward generator; once both
-        # arrays are built, a kept trace pins only its own arrays.
+        # The oracles' builders hold the instance and the reward generator;
+        # the first read builds both arrays, and then a kept trace pins only
+        # its own arrays.
         inst = make_instance(grid_arms(64), identity(), BERN, 20)
         part = build_partition(inst.arms, 4)
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 5), oracle_discrete(inst, part, *ranking, seed=5)]
         alive = weakref.ref(inst)
         del inst, part
-        for trace in traces:
-            trace.pulled
         gc.collect()
-        assert alive() is not None  # the reward draws still need it
+        assert alive() is not None  # the unbuilt traces still need it
         for trace in traces:
-            assert trace.rewards.size == len(trace) == 20
+            assert trace.pulled.size == len(trace) == 20
         gc.collect()
         assert alive() is None
+        for trace in traces:
+            assert trace.rewards.size == 20
 
 
 class TestRandomBaseline:
