@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -18,8 +19,7 @@ import sys
 import tempfile
 
 from . import experiments
-from .environment import verify_margin, verify_weak_lipschitz
-from .experiments import ConfigError
+from .environment import ConfigError, _field, from_json, verify_margin, verify_weak_lipschitz
 
 log = logging.getLogger("fcab")
 
@@ -39,24 +39,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_json(path: str):
+def _read_config(path: str, read):
+    """``read`` of the top-level object of the config file at ``path``,
+    without its ``schema`` key, which must be 1; the errors of both are
+    raised together."""
     if not os.path.exists(path):
         raise ConfigError([("$", f"config file not found: {path}")])
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError([("$", f"invalid JSON: {exc}")])
+    if not isinstance(data, dict):
+        raise ConfigError([("$", "config must be a JSON object")])
+    errors = []
+    schema = _field(data, "schema", int, errors)
+    if schema not in (None, 1):
+        errors.append(("$.schema", f"unsupported schema version {schema!r}"))
+    try:
+        config = read({key: value for key, value in data.items() if key != "schema"})
+    except ConfigError as exc:
+        errors += exc.errors
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
 def parse_config(path: str) -> experiments.ExperimentConfig:
     """Parse and validate an experiment config, reporting every schema
     problem with its JSON path."""
-    return experiments.ExperimentConfig.from_json(_load_json(path))
+    return _read_config(path, experiments.ExperimentConfig.from_json)
 
 
 def parse_lowerbound_config(path: str) -> dict:
-    return experiments.lower_bound_config_from_json(_load_json(path))
+    return _read_config(path, functools.partial(from_json, experiments.lower_bound_config))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +150,7 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = experiments.validate_config_from_json(_load_json(args.config))
+    cfg = _read_config(args.config, functools.partial(from_json, experiments.validate_config))
     pair = cfg["pair"]
     eps = [f * pair.L_tilde * pair.lb_half_width for f in cfg["eps_factors"]]
     result = {

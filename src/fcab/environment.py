@@ -48,7 +48,6 @@ __all__ = [
     "verify_margin",
     "bernoulli_kl",
     "instance_kl",
-    "mean_function_from_json",
 ]
 
 class ConfigError(ValueError):
@@ -68,7 +67,6 @@ class ConfigError(ValueError):
         return ConfigError([(path + p[1:], m) for p, m in self.errors])
 
 
-_REQUIRED = object()
 _TYPE_NAMES = {
     int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object",
 }
@@ -79,18 +77,15 @@ def _is(value, kind: type) -> bool:
     return type(value) is kind or (kind is float and type(value) is int)
 
 
-def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, item=None):
+def _field(data: dict, key: str, kind: type, errors: list, item=None):
     """``data[key]`` when it has the JSON type ``kind`` and, for a list,
     every entry the type ``item``; else None with the error added to
-    ``errors``.  An absent key gives ``default``, or a "missing" error when
-    there is none.  Integers are numbers (``float``) and come back as
-    floats; a number must be finite (JSON parsing reads NaN and Infinity);
-    booleans are nothing but booleans."""
+    ``errors``, "missing" for an absent key.  Integers are numbers
+    (``float``) and come back as floats; a number must be finite (JSON
+    parsing reads NaN and Infinity); booleans are nothing but booleans."""
     if key not in data:
-        if default is _REQUIRED:
-            errors.append((f"$.{key}", "missing"))
-            return None
-        return default
+        errors.append((f"$.{key}", "missing"))
+        return None
     value = data[key]
     if not _is(value, kind):
         errors.append((f"$.{key}", f"must be {_TYPE_NAMES[kind]}"))
@@ -104,21 +99,70 @@ def _field(data: dict, key: str, kind: type, errors: list, default=_REQUIRED, it
     return float(value) if kind is float else value
 
 
-def _unknown(spec: dict, known) -> list:
-    """An error for each key of the JSON object ``spec`` outside ``known``:
-    a key no parser reads would be ignored silently."""
-    return [(f"$.{key}", "unknown key") for key in spec if key not in known]
+def from_json(ctor, spec: dict, keys=None):
+    """``ctor`` called with the JSON object ``spec``, read by its signature.
 
-
-def _typed(spec: dict, fields, closed: bool = True) -> dict:
-    """The entries of ``spec`` that ``fields`` names, as (key, JSON type,
-    default) triples, each checked by ``_field``; raises a ConfigError
-    listing every entry at fault, and, when ``closed``, every other key."""
-    errors = _unknown(spec, [key for key, _, _ in fields]) if closed else []
-    out = {key: _field(spec, key, kind, errors, default) for key, kind, default in fields}
+    A parameter's JSON key is its name, or the key that ``keys`` maps to
+    it.  ``int``, ``float`` and ``str`` are read by ``_field``,
+    ``tuple[X, ...]`` is a list of X, and an ``Optional`` may be null.  Any
+    other class is a nested object, read by the class's own ``from_json``
+    if it has one and else by this function, with its errors reported
+    under its key.  A parameter without a default is required.  Every
+    unknown key, missing key and type error is raised at once, before
+    ``ctor`` runs; a ValueError from ``ctor`` without a path is reported at
+    ``$``."""
+    names = {name: key for key, name in (keys or {}).items()}
+    params = {names.get(name, name): param
+              for name, param in inspect.signature(ctor, eval_str=True).parameters.items()}
+    errors = [(f"$.{key}", "unknown key") for key in spec if key not in params]
+    kwargs = {}
+    for key, param in params.items():
+        if key in spec:
+            kwargs[param.name] = _read(spec, key, param.annotation, errors)
+        elif param.default is param.empty:
+            errors.append((f"$.{key}", "missing"))
     if errors:
         raise ConfigError(errors)
-    return out
+    try:
+        return ctor(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a mean function's range checks report no path
+        raise ConfigError([("$", str(exc))]) from None
+
+
+def _read(spec: dict, key: str, kind, errors: list):
+    """``spec[key]`` read as the annotation ``kind`` (see ``from_json``)."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # Optional[X]
+        if spec[key] is None:
+            return None
+        kind, args = args[0], typing.get_args(args[0])
+    if typing.get_origin(kind) is tuple:
+        items = _field(spec, key, list, errors, item=args[0])
+        return None if items is None else tuple(items)
+    if kind in (int, float, str):
+        return _field(spec, key, kind, errors)
+    value = _field(spec, key, dict, errors)
+    if value is None:
+        return None
+    try:
+        return kind.from_json(value) if hasattr(kind, "from_json") else from_json(kind, value)
+    except ConfigError as exc:
+        errors.extend(exc.under(f"$.{key}").errors)
+        return None
+
+
+def from_kind(kinds: dict, spec: dict, what: str):
+    """The object of ``kinds[spec["kind"]]``, read by ``from_json`` from
+    the other keys of ``spec``; ``what`` names the family in an error."""
+    errors: list = []
+    kind = _field(spec, "kind", str, errors)
+    if kind is not None and kind not in kinds:
+        errors.append(("$.kind", f"unknown {what} kind {kind!r}; valid: {list(kinds)}"))
+    if errors:
+        raise ConfigError(errors)
+    return from_json(kinds[kind], {key: v for key, v in spec.items() if key != "kind"})
 
 
 class Record:
@@ -216,10 +260,15 @@ class MeanFunction:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        """``kind`` plus the constructor fields, which
-        ``mean_function_from_json`` takes back."""
+        """``kind`` plus the constructor fields, which ``from_json`` takes back."""
         fields = dataclasses.fields(self)
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields if f.init}}
+
+    @staticmethod
+    def from_json(spec: dict) -> "MeanFunction":
+        """A mean function from its JSON object: ``kind`` and the parameters
+        of that kind's constructor.  Error paths start at that object."""
+        return from_kind(_MEAN_KINDS, spec, "mean function")
 
 
 @dataclass(frozen=True)
@@ -254,8 +303,8 @@ class PiecewiseLinear(MeanFunction):
     is derived automatically when not supplied.
     """
 
-    breakpoints: tuple = ()
-    values: tuple = ()
+    breakpoints: tuple[float, ...] = ()
+    values: tuple[float, ...] = ()
     lipschitz_L: Optional[float] = None
     dim: int = field(default=1, init=False)
     kind: str = field(default="piecewise_linear", init=False)
@@ -396,7 +445,7 @@ def _mean_mass(u0: float, u1: float, dim: int) -> float:
     return (numerator(n1 * (d // d1)) - numerator(n0 * (d // d0))) / (d**dim * math.factorial(dim))
 
 
-def Tabulated(grid_values: tuple = ()) -> PiecewiseLinear:
+def Tabulated(grid_values: tuple[float, ...] = ()) -> PiecewiseLinear:
     """Values on a uniform grid over [0, 1] (endpoints included), with
     linear interpolation in between: the piecewise-linear function with a
     breakpoint at each grid point."""
@@ -448,31 +497,6 @@ _MEAN_KINDS = {
 }
 
 
-def mean_function_from_json(spec: dict) -> MeanFunction:
-    """A mean function from its JSON object.  Each parameter must have the
-    JSON type its constructor declares: a tuple is a list of numbers, and
-    an Optional may be null.  Error paths start at that object."""
-    kind = _typed(spec, [("kind", str, _REQUIRED)], closed=False)["kind"]
-    if kind not in _MEAN_KINDS:
-        raise ConfigError(
-            [("$.kind", f"unknown mean function kind {kind!r}; valid: {list(_MEAN_KINDS)}")]
-        )
-    params = inspect.signature(_MEAN_KINDS[kind], eval_str=True).parameters
-    args = {key: value for key, value in spec.items() if key != "kind"}
-    errors: list = []
-    for key, value in args.items():
-        if key not in params:
-            errors.append((f"$.{key}", f"not a parameter of {kind}"))
-            continue
-        types = typing.get_args(params[key].annotation) or (params[key].annotation,)
-        if value is not None or type(None) not in types:
-            _field(args, key, list if types[0] is tuple else types[0], errors,
-                   item=float if types[0] is tuple else None)
-    if errors:
-        raise ConfigError(errors)
-    return _MEAN_KINDS[kind](**args)
-
-
 # ---------------------------------------------------------------------------
 # Reward models
 # ---------------------------------------------------------------------------
@@ -493,7 +517,7 @@ class RewardModel:
     only a faithful model away from the endpoints.
     """
 
-    kind: str = BERNOULLI
+    kind: str
     sigma: float = 0.0
 
     def __post_init__(self):
@@ -624,6 +648,11 @@ class InstancePair:
     p: float
     n_design: int  # the N the bump width was calibrated against
 
+    @staticmethod
+    def from_json(spec: dict) -> "InstancePair":
+        """A pair from its JSON object: ``make_lower_bound_pair``'s parameters."""
+        return from_json(make_lower_bound_pair, spec)
+
 
 def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> InstancePair:
     """Build the two-bump pair calibrated so the reward histories stay
@@ -696,13 +725,12 @@ def verify_weak_lipschitz(
     M: float,
     L: float,
     grid: int = 2000,
-    seed: int = 0,
 ) -> ValidationReport:
     """Check |m(x) - m(y)| <= max(|M - m(x)|, L * |x - y|) on pairs of an
     evenly spaced grid over [0, 1], for a one-dimensional mean.
 
     All ordered pairs are tested when grid <= 2000; above that, 10^6
-    seeded random ordered pairs.
+    random ordered pairs from a generator of fixed seed.
     """
     if f.dim != 1:
         raise ValueError("the validators take a one-dimensional mean")
@@ -731,7 +759,7 @@ def verify_weak_lipschitz(
     else:
         mode = "sampled"
         checked = 10**6
-        rng = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(1)
         ii = rng.integers(0, grid, checked)
         jj = rng.integers(0, grid, checked)
         dv = np.abs(vals[ii] - vals[jj])

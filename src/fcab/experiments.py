@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import astuple, dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -29,21 +29,19 @@ from .environment import (
     MeanFunction,
     Record,
     RewardModel,
-    _REQUIRED,
-    _field,
-    _typed,
-    _unknown,
     compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
+    from_json,
+    from_kind,
     grid_arms,
     instance_kl,
     make_instance,
     make_lower_bound_pair,
-    mean_function_from_json,
     sample_arms_uniform,
 )
 
 __all__ = [
     "ConfigError",
+    "Regime",
     "FixedP",
     "PowerLaw",
     "KRule",
@@ -59,8 +57,8 @@ __all__ = [
     "sweep_csv_text",
     "fit_exponent",
     "lower_bound_protocol",
-    "lower_bound_config_from_json",
-    "validate_config_from_json",
+    "lower_bound_config",
+    "validate_config",
 ]
 
 SWEEP_CSV_HEADER = (
@@ -78,36 +76,6 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-# ---------------------------------------------------------------------------
-# JSON objects
-# ---------------------------------------------------------------------------
-
-
-def _build(errors: list, path: str, parse, spec):
-    """``parse(spec)`` for the JSON object at ``path``, or None with its
-    errors added to ``errors`` under that path."""
-    try:
-        return parse(spec)
-    except ConfigError as exc:
-        errors.extend(exc.under(path).errors)
-    except ValueError as exc:  # a mean function's range checks report no path
-        errors.append((path, str(exc)))
-    return None
-
-
-def _root(data, known) -> list:
-    """The error list of a config file's top-level object, after checking
-    that it is an object of schema version 1 with no key outside ``schema``
-    and ``known``."""
-    if not isinstance(data, dict):
-        raise ConfigError([("$", "config must be a JSON object")])
-    errors = _unknown(data, ["schema", *known])
-    schema = _field(data, "schema", int, errors)
-    if schema not in (None, 1):
-        errors.append(("$.schema", f"unsupported schema version {schema!r}"))
-    return errors
-
-
 def _run_errors(replications: int, master_seed: int) -> list:
     """Range errors of the fields every protocol config has."""
     errors = []
@@ -123,8 +91,19 @@ def _run_errors(replications: int, master_seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+class Regime:
+    """A budget rule T(N), read from JSON by its ``kind``."""
+
+    @staticmethod
+    def from_json(spec: dict) -> "Regime":
+        return from_kind(_REGIMES, spec, "regime")
+
+    def budget_for(self, n: int) -> int:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class FixedP:
+class FixedP(Regime):
     """Budget proportional to the arm count: T = round(p * N)."""
 
     p: float
@@ -138,7 +117,7 @@ class FixedP:
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Regime):
     """Budget growing sublinearly: T = round(0.5 * N^alpha)."""
 
     alpha: float
@@ -151,17 +130,7 @@ class PowerLaw:
         return min(max(_round_half_up(0.5 * n**self.alpha), 1), n)
 
 
-Regime = Union[FixedP, PowerLaw]
-_REGIMES = {"fixed_p": (FixedP, "p"), "power_law": (PowerLaw, "alpha")}
-
-
-def regime_from_json(spec: dict) -> Regime:
-    """A regime from its JSON object; error paths start at that object."""
-    kind = _typed(spec, [("kind", str, _REQUIRED)], closed=False)["kind"]
-    if kind not in _REGIMES:
-        raise ConfigError([("$.kind", f"unknown regime kind {kind!r}; valid: {list(_REGIMES)}")])
-    cls, key = _REGIMES[kind]
-    return cls(_typed(spec, [("kind", str, _REQUIRED), (key, float, _REQUIRED)])[key])
+_REGIMES = {"fixed_p": FixedP, "power_law": PowerLaw}
 
 
 @dataclass(frozen=True)
@@ -177,15 +146,6 @@ class KRule:
             raise ConfigError([("$.kind", f"unknown K rule {self.kind!r}")])
         if self.kind == "explicit" and (self.k is None or self.k < 1):
             raise ConfigError([("$.k", "explicit K rule needs a positive k")])
-
-
-def krule_from_json(spec: dict) -> KRule:
-    """A K rule from its JSON object; error paths start at that object."""
-    return KRule(**_typed(spec, [("kind", str, "paper_default"), ("k", int, None)]))
-
-
-def _reward_model_from_json(spec: dict) -> RewardModel:
-    return RewardModel(**_typed(spec, [("kind", str, _REQUIRED), ("sigma", float, 0.0)]))
 
 
 def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim: int) -> int:
@@ -206,21 +166,6 @@ def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim:
 # ---------------------------------------------------------------------------
 
 _BIN_MEAN_MODES = ("quadrature", "empirical")
-# JSON key -> (ExperimentConfig field, JSON type) of the optional scalars,
-# and -> (field, parser, required) of the objects.
-_SCALAR_KEYS = {
-    "replications": ("replications", int),
-    "master_seed": ("master_seed", int),
-    "covariates": ("covariates", str),
-    "dim": ("dim", int),
-    "bin_means": ("bin_means_mode", str),
-}
-_OBJECT_KEYS = {
-    "mean_function": ("mean_function", mean_function_from_json, True),
-    "reward_model": ("reward_model", _reward_model_from_json, False),
-    "regime": ("regime", regime_from_json, True),
-    "K_rule": ("k_rule", krule_from_json, False),
-}
 
 
 @dataclass(frozen=True)
@@ -230,10 +175,10 @@ class ExperimentConfig:
     report the JSON path of the field at fault."""
 
     mean_function: MeanFunction
-    reward_model: RewardModel
-    policies: tuple
-    n_grid: tuple
+    policies: tuple[str, ...]
+    n_grid: tuple[int, ...]
     regime: Regime
+    reward_model: RewardModel = RewardModel("bernoulli")
     replications: int = 1
     master_seed: int = 0
     k_rule: KRule = KRule()
@@ -291,26 +236,11 @@ class ExperimentConfig:
             raise ConfigError(errors)
 
     @classmethod
-    def from_json(cls, data) -> "ExperimentConfig":
+    def from_json(cls, data: dict) -> "ExperimentConfig":
         """A config from its JSON object.  Every shape and type error is
         reported at once; range errors come after, from the constructors."""
-        errors = _root(data, ["policies", "N_grid", *_SCALAR_KEYS, *_OBJECT_KEYS])
-        kw = {
-            "policies": _field(data, "policies", list, errors, item=str),
-            "n_grid": _field(data, "N_grid", list, errors, item=int),
-            "reward_model": RewardModel(),
-        }
-        for key, (name, kind) in _SCALAR_KEYS.items():
-            if key in data:
-                kw[name] = _field(data, key, kind, errors)
-        for key, (name, parse, required) in _OBJECT_KEYS.items():
-            if required or key in data:
-                spec = _field(data, key, dict, errors)
-                if spec is not None:
-                    kw[name] = _build(errors, f"$.{key}", parse, spec)
-        if errors:
-            raise ConfigError(errors)
-        return cls(**kw)
+        return from_json(cls, data,
+                         {"N_grid": "n_grid", "K_rule": "k_rule", "bin_means": "bin_means_mode"})
 
 
 # ---------------------------------------------------------------------------
@@ -739,57 +669,41 @@ def lower_bound_protocol(
     )
 
 
-def _lower_bound_pair_from_json(spec: dict, closed: bool = True) -> dict:
-    """N, p, L and alpha_lb of a lower-bound pair, and under ``pair`` the
-    InstancePair they build; ``closed``: no other key is allowed."""
-    out = _typed(spec, [("N", int, _REQUIRED), ("p", float, _REQUIRED),
-                        ("L", float, _REQUIRED), ("alpha_lb", float, _REQUIRED)], closed)
-    out["pair"] = make_lower_bound_pair(out["p"], out["L"], out["alpha_lb"], out["N"])
-    return out
-
-
-def lower_bound_config_from_json(data) -> dict:
-    """The lowerbound config: a pair's N, p, L and alpha_lb (and the pair
-    under ``pair``), the policy, replications and master_seed.  Errors
-    carry JSON paths."""
-    errors = _root(data, ["N", "p", "L", "alpha_lb", "policy", "replications", "master_seed"])
-    out = _build(errors, "$", lambda d: _lower_bound_pair_from_json(d, closed=False), data) or {}
-    out["policy"] = _field(data, "policy", str, errors, default="ucbf")
-    out["replications"] = _field(data, "replications", int, errors, default=100)
-    out["master_seed"] = _field(data, "master_seed", int, errors, default=0)
+def lower_bound_config(N: int, p: float, L: float, alpha_lb: float, policy: str = "ucbf",
+                       replications: int = 100, master_seed: int = 0) -> dict:
+    """The lowerbound config, read by ``from_json``: a pair's N, p, L and
+    alpha_lb (and the pair under ``pair``), the policy, replications and
+    master_seed.  Errors carry JSON paths."""
+    errors = _run_errors(replications, master_seed)
     valid = [i for i, spec in policies.POLICIES.items() if spec.run is not None]
-    if out["policy"] is not None and out["policy"] not in valid:
+    if policy not in valid:
         errors.append(("$.policy", f"unsupported by the protocol; valid ids: {valid}"))
-    if out["replications"] is not None and out["master_seed"] is not None:
-        errors += _run_errors(out["replications"], out["master_seed"])
+    try:
+        pair = make_lower_bound_pair(p, L, alpha_lb, N)
+    except ConfigError as exc:
+        errors = exc.errors + errors
     if errors:
         raise ConfigError(errors)
-    return out
+    return {"N": N, "p": p, "L": L, "alpha_lb": alpha_lb, "pair": pair, "policy": policy,
+            "replications": replications, "master_seed": master_seed}
 
 
-def validate_config_from_json(data) -> dict:
-    """The validate config: the InstancePair under ``pair``, the grid of
-    each validator, and the margin check's epsilons as multiples of
+def validate_config(pair: InstancePair, lipschitz_grid: int = 2000, margin_grid: int = 10**5,
+                    eps_factors: tuple[float, ...] = (1.5, 2.0, 4.0)) -> dict:
+    """The validate config, read by ``from_json``: the InstancePair, the
+    grid of each validator, and the margin check's epsilons as multiples of
     L~ * lb_half_width.  Errors carry JSON paths."""
-    errors = _root(data, ["pair", "lipschitz_grid", "margin_grid", "eps_factors"])
-    spec = _field(data, "pair", dict, errors)
-    pair = None if spec is None else _build(
-        errors, "$.pair", lambda d: _lower_bound_pair_from_json(d)["pair"], spec
-    )
-    lip_grid = _field(data, "lipschitz_grid", int, errors, default=2000)
-    margin_grid = _field(data, "margin_grid", int, errors, default=10**5)
-    factors = _field(data, "eps_factors", list, errors, default=[1.5, 2.0, 4.0], item=float)
-    if lip_grid is not None and lip_grid < 1000:
+    errors = []
+    if lipschitz_grid < 1000:
         errors.append(("$.lipschitz_grid", "must be at least 1000"))
-    if margin_grid is not None and margin_grid < 1:
+    if margin_grid < 1:
         errors.append(("$.margin_grid", "must be positive"))
-    if factors is not None and (not factors or min(factors) <= 0):
+    if not eps_factors or min(eps_factors) <= 0:
         errors.append(("$.eps_factors", "must be a non-empty list of positive numbers"))
-    elif factors is not None and pair is not None:
-        if max(factors) * pair.L_tilde * pair.lb_half_width >= 1.0:
-            errors.append(("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
-                           "must stay below 1"))
+    elif max(eps_factors) * pair.L_tilde * pair.lb_half_width >= 1.0:
+        errors.append(("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
+                       "must stay below 1"))
     if errors:
         raise ConfigError(errors)
-    return {"pair": pair, "lipschitz_grid": lip_grid, "margin_grid": margin_grid,
-            "eps_factors": factors}
+    return {"pair": pair, "lipschitz_grid": lipschitz_grid, "margin_grid": margin_grid,
+            "eps_factors": eps_factors}

@@ -15,9 +15,8 @@ Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
 ranking) and fills the remainder from the first bin that straddles the
 budget.  Regret and its decomposition read only which arms a run pulled
-(``PolicyTrace.arms``), so UCBF and both oracles hand back their pull set
-and build the pull order and rewards on first read: a sweep never builds
-them.  The random baseline draws its rewards as it runs.
+(``PolicyTrace.arms``), so every policy hands back its pull set and builds
+the pull order and rewards on first read: a sweep never builds them.
 """
 
 from __future__ import annotations
@@ -343,9 +342,9 @@ def ucbf_run(
 
 
 def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, order=None):
-    """An oracle's trace builder: the pull order ``order(arms)`` (``arms``
-    itself when None), then one reward per pull from the run's own reward
-    generator."""
+    """A trace builder for the oracles and the random baseline: the pull
+    order ``order(arms)`` (``arms`` itself when None), then one reward per
+    pull from the run's own reward generator."""
 
     def build():
         pulled = arms if order is None else order(arms)
@@ -401,8 +400,7 @@ def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     reward_rng, _ = _run_streams(seed)
     # A copy: a view of the prefix would keep the N-long permutation alive.
     pulled = reward_rng.permutation(instance.n)[: instance.T].copy()
-    obs = instance.rewards.sample(instance.true_means[pulled], reward_rng)
-    return PolicyTrace(pulled, obs)
+    return PolicyTrace.deferred(pulled, _order_then_draw(instance, reward_rng, pulled))
 
 
 # ---------------------------------------------------------------------------

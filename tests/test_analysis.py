@@ -406,7 +406,8 @@ class TestPullSetsOnly:
                 inst, expected, built
             )
 
-    def test_sweep_draws_rewards_only_for_random_runs(self, monkeypatch):
+    def test_sweep_draws_no_rewards(self, monkeypatch):
+        # UCBF's keys need its rewards; every other policy draws on first read.
         draws = []
         sample = RewardModel.sample
 
@@ -425,9 +426,11 @@ class TestPullSetsOnly:
         )
         result = run_sweep(config)
         assert not result.errors
-        random_runs = [t for t in result.trials if t.policy_id == "random"]
-        assert len(random_runs) == 6
-        assert sorted(draws) == sorted(t.t_budget for t in random_runs)
+        assert len(result.trials) == 18
+        assert draws == []
+        # Reading a kept random trace draws its T rewards.
+        trace = run_trial(config, 64, 0, keep_trace=True)[2].trace
+        assert trace.rewards.size == 32 and draws == [32]
 
     def test_ucbf_sweep_never_runs_a_builder(self, monkeypatch):
         made, built = [], []

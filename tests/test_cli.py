@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -7,12 +8,13 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcab import experiments
+from fcab import environment, experiments
 from fcab.cli import ConfigError, parse_config, parse_lowerbound_config, run
 
 
@@ -233,6 +235,20 @@ class TestDispatch:
              "$.pair.policy"),
             ("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5,
                                                 "alpha_lb": 0.3}, "grid": 2000}, "$.grid"),
+            # Inside every kind of mean function, regime and reward model.
+            *[("sweep", minimal_experiment(mean_function={**spec, "slope": 1.0}),
+               "$.mean_function.slope")
+              for spec in ({"kind": "constant"}, {"kind": "sinusoid"},
+                           {"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0, 1]},
+                           {"kind": "tabulated", "grid_values": [0, 1]},
+                           {"kind": "lower_bound_member"})],
+            ("sweep", minimal_experiment(regime={"kind": "power_law", "alpha": 0.9, "p": 0.5}),
+             "$.regime.p"),
+            ("sweep", minimal_experiment(reward_model={"kind": "clipped_gaussian", "sigma": 0.1,
+                                                       "mu": 0.5}), "$.reward_model.mu"),
+            # The pair's margin constant follows from L; it is not a parameter.
+            ("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,
+                                                "margin_Q": 12.0}}, "$.pair.margin_Q"),
         ],
     )
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, json_path):
@@ -484,6 +500,22 @@ LOWERBOUND_CONFIG = {
     "schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,
     "policy": "oracle-star", "replications": 1, "master_seed": 0,
 }
+VALIDATE_CONFIG = {
+    "schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3},
+    "lipschitz_grid": 1000, "margin_grid": 1000, "eps_factors": [1.5, 2.0],
+}
+VALIDATE_FIELDS = {
+    ("schema",): (int, [0, 2], True),
+    ("pair",): (dict, [], True),
+    ("pair", "N"): (int, [0, -5, 100], True),
+    ("pair", "p"): (float, [0.0, 1.0, 1.5, 0.05], True),
+    ("pair", "L"): (float, [0.0, -1.0], True),
+    ("pair", "alpha_lb"): (float, [0.0, 0.1, 0.9], True),
+    ("lipschitz_grid",): (int, [0, 999], False),
+    ("margin_grid",): (int, [0, -1], False),
+    ("eps_factors",): (list, [[], [1.5, -2.0], [1e6]], False),
+    ("eps_factors", 0): (float, [0.0, -1.5, 1e6], False),
+}
 LOWERBOUND_FIELDS = {
     ("schema",): (int, [0, 2], True),
     ("N",): (int, [0, -5, 100], True),
@@ -508,6 +540,7 @@ def mutated_configs(draw):
     command, config, fields = draw(st.sampled_from([
         ("sweep", SWEEP_CONFIG, SWEEP_FIELDS),
         ("lowerbound", LOWERBOUND_CONFIG, LOWERBOUND_FIELDS),
+        ("validate", VALIDATE_CONFIG, VALIDATE_FIELDS),
     ]))
     path = draw(st.sampled_from(list(fields)))
     kind, out_of_range, required = fields[path]
@@ -543,7 +576,9 @@ def _run_config(command, cfg):
 
 class TestMutatedConfigs:
     @pytest.mark.parametrize(
-        "command, config", [("sweep", SWEEP_CONFIG), ("lowerbound", LOWERBOUND_CONFIG)]
+        "command, config",
+        [("sweep", SWEEP_CONFIG), ("lowerbound", LOWERBOUND_CONFIG),
+         ("validate", VALIDATE_CONFIG)],
     )
     def test_unmutated_config_runs(self, command, config):
         assert _run_config(command, config) == (0, "")
@@ -554,3 +589,45 @@ class TestMutatedConfigs:
         rc, err = _run_config(*case)
         assert rc == 1, err
         assert "config error at $." in err
+
+
+def _readable(annotation) -> bool:
+    """Whether ``environment.from_json`` can read a parameter of this
+    annotation: a JSON scalar, a list of one, an Optional of a readable
+    annotation, or an fcab class with its own ``from_json`` or whose
+    constructor's parameters are all readable."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        return len(args) == 2 and _readable(args[0])
+    if typing.get_origin(annotation) is tuple:
+        return len(args) == 2 and args[1] is Ellipsis and args[0] in (int, float, str)
+    if annotation in (int, float, str):
+        return True
+    if not inspect.isclass(annotation) or not annotation.__module__.startswith("fcab."):
+        return False
+    return hasattr(annotation, "from_json") or all(
+        _readable(param.annotation)
+        for param in inspect.signature(annotation, eval_str=True).parameters.values()
+    )
+
+
+class TestConfigSignatures:
+    @pytest.mark.parametrize(
+        "ctor",
+        [experiments.ExperimentConfig, *environment._MEAN_KINDS.values(), experiments.FixedP,
+         experiments.PowerLaw, experiments.KRule, environment.RewardModel,
+         environment.make_lower_bound_pair, experiments.lower_bound_config,
+         experiments.validate_config],
+        ids=lambda ctor: ctor.__name__,
+    )
+    def test_every_parameter_is_readable_from_json(self, ctor):
+        params = inspect.signature(ctor, eval_str=True).parameters
+        unreadable = [name for name, param in params.items() if not _readable(param.annotation)]
+        assert params and unreadable == []
+
+    @pytest.mark.parametrize(
+        "annotation", [inspect.Parameter.empty, bool, list, dict, tuple, tuple[float],
+                       typing.Any, typing.Optional[list], ConfigError]
+    )
+    def test_guard_rejects_what_the_reader_cannot_read(self, annotation):
+        assert not _readable(annotation)

@@ -15,6 +15,7 @@ from fcab.environment import (
     Constant,
     Instance,
     LowerBoundMember,
+    MeanFunction,
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
@@ -25,7 +26,6 @@ from fcab.environment import (
     instance_kl,
     make_instance,
     make_lower_bound_pair,
-    mean_function_from_json,
     sample_arms_uniform,
     verify_margin,
     verify_weak_lipschitz,
@@ -124,8 +124,13 @@ class TestMeanFunctions:
         ]
         xs = np.linspace(0, 1, 101)
         for f in originals:
-            g = mean_function_from_json(json.loads(json.dumps(f.to_json())))
+            g = MeanFunction.from_json(json.loads(json.dumps(f.to_json())))
             np.testing.assert_allclose(g.evaluate(xs), f.evaluate(xs))
+
+    def test_null_optional_parameter_takes_its_default(self):
+        spec = {"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0.2, 0.8],
+                "lipschitz_L": None}
+        assert MeanFunction.from_json(spec).lipschitz_L == pytest.approx(0.6)  # derived
 
 
 def exceedance(f, level):
