@@ -169,12 +169,8 @@ def _cmd_validate(args) -> int:
     }
     all_passed = True
     for name, member in (("m0", pair.m0), ("m1", pair.m1)):
-        lip = verify_weak_lipschitz(
-            member, M=0.5, L=pair.L_tilde, grid=cfg["lipschitz_grid"]
-        )
-        margin = verify_margin(
-            member, M=0.5, Q=pair.margin_Q, eps_values=eps, grid=cfg["margin_grid"]
-        )
+        lip = verify_weak_lipschitz(member, L=pair.L_tilde)
+        margin = verify_margin(member, M=0.5, Q=pair.margin_Q, eps_values=eps)
         all_passed = all_passed and lip.passed and margin.passed
         result["members"][name] = {
             "weak_lipschitz": lip.to_json(),

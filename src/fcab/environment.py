@@ -10,8 +10,8 @@ over an axis-aligned box, in closed form.
 
 The module also constructs the adversarial two-function instance pair used
 by the lower-bound protocol (two piecewise-linear means differing only on
-two narrow bumps around the threshold), and provides grid-based numerical
-validators for the weak-Lipschitz and margin regularity conditions.
+two narrow bumps around the threshold), and exact validators of the
+weak-Lipschitz and margin regularity conditions for piecewise-linear means.
 """
 
 from __future__ import annotations
@@ -77,12 +77,16 @@ def _is(value, kind: type) -> bool:
     return type(value) is kind or (kind is float and type(value) is int)
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
 def _field(data: dict, key: str, kind: type, errors: list, item=None):
     """``data[key]`` when it has the JSON type ``kind`` and, for a list,
     every entry the type ``item``; else None with the error added to
     ``errors``, "missing" for an absent key.  Integers are numbers
-    (``float``) and come back as floats; a number must be finite (JSON
-    parsing reads NaN and Infinity); booleans are nothing but booleans."""
+    (``float``) and come back as floats; a number must be finite as a
+    float (JSON parsing reads NaN, Infinity and integers of any size);
+    booleans are nothing but booleans."""
     if key not in data:
         errors.append((f"$.{key}", "missing"))
         return None
@@ -93,7 +97,8 @@ def _field(data: dict, key: str, kind: type, errors: list, item=None):
     if item is not None and not all(_is(v, item) for v in value):
         errors.append((f"$.{key}", f"every entry must be {_TYPE_NAMES[item]}"))
         return None
-    if float in (kind, item) and not all(map(math.isfinite, value if item else [value])):
+    numbers = value if item else [value]
+    if float in (kind, item) and not all(abs(v) <= _FLOAT_MAX for v in numbers):
         errors.append((f"$.{key}", "must be finite"))
         return None
     return float(value) if kind is float else value
@@ -329,19 +334,27 @@ class PiecewiseLinear(MeanFunction):
     def evaluate(self, x):
         return np.interp(_as_points(x, 1)[:, 0], self.breakpoints, self.values)
 
+    def _measures(self, levels: np.ndarray):
+        """measure{m >= A} and measure{m > A} at each level A of a flat
+        array: a sloped piece contributes the share of its length on which
+        m reaches A, a flat piece its whole length or nothing."""
+        v = np.asarray(self.values)
+        width = np.diff(self.breakpoints)
+        lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+        flat = hi == lo
+        levels = levels[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the flat pieces' ramps
+            ramp = np.clip((hi - levels) / (hi - lo), 0.0, 1.0)
+        at_or_above = np.sum(np.where(flat, hi >= levels, ramp) * width, axis=1)
+        above = np.sum(np.where(flat, hi > levels, ramp) * width, axis=1)
+        return at_or_above, above
+
     def threshold(self, p):
         # measure{m >= A} is linear in A between the sorted values u_j and
         # drops by a plateau's length at its value: tabulate it at and just
         # above each u_j, and invert the piece that brackets p.
-        v = np.asarray(self.values)
-        width = np.diff(self.breakpoints)
-        lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
         levels = np.array(sorted(set(self.values)))  # np.unique would import numpy.ma
-        flat = hi == lo
-        with np.errstate(divide="ignore", invalid="ignore"):  # the flat pieces' ramps
-            ramp = np.clip((hi - levels[:, None]) / (hi - lo), 0.0, 1.0)
-        at_or_above = np.sum(np.where(flat, hi >= levels[:, None], ramp) * width, axis=1)
-        above = np.sum(np.where(flat, hi > levels[:, None], ramp) * width, axis=1)
+        at_or_above, above = self._measures(levels)
         j = int(np.argmax(above < p))  # the last level has nothing above it
         if j == 0 or at_or_above[j] >= p:
             return float(levels[j])
@@ -707,10 +720,11 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
 
 @dataclass
 class ValidationReport(Record):
-    """Outcome of a grid-based regularity check.
+    """Outcome of an exact regularity check on a piecewise-linear mean.
 
     Violations are content, not errors: ``passed`` is False when the worst
-    observed violation exceeds the numerical slack 2/grid.
+    violation exceeds ``slack``, float64 machine epsilon, which absorbs
+    the rounding of values and measures in [0, 1].
     """
 
     check: str
@@ -720,103 +734,60 @@ class ValidationReport(Record):
     details: dict
 
 
-def verify_weak_lipschitz(
-    f: MeanFunction,
-    M: float,
-    L: float,
-    grid: int = 2000,
-) -> ValidationReport:
-    """Check |m(x) - m(y)| <= max(|M - m(x)|, L * |x - y|) on pairs of an
-    evenly spaced grid over [0, 1], for a one-dimensional mean.
+_SLACK = float(np.finfo(np.float64).eps)
 
-    All ordered pairs are tested when grid <= 2000; above that, 10^6
-    random ordered pairs from a generator of fixed seed.
+
+def _piecewise_linear(f: MeanFunction) -> PiecewiseLinear:
+    """``f``, if it is of the one kind the validators decide exactly."""
+    if not isinstance(f, PiecewiseLinear):
+        raise ValueError("the validators take a one-dimensional piecewise-linear mean")
+    return f
+
+
+def verify_weak_lipschitz(f: MeanFunction, L: float) -> ValidationReport:
+    """Certify |m(x) - m(y)| <= max(|M - m(x)|, L * |x - y|) for every M by
+    checking |dv| <= L * dx on every segment: then m is L-Lipschitz.
+
+    ``worst_violation`` is the largest segment excess |dv| - L * dx, the
+    worst violation on a pair within one segment.  A failed certificate
+    does not prove the weak condition false.
     """
-    if f.dim != 1:
-        raise ValueError("the validators take a one-dimensional mean")
-    if grid < 1000:
-        raise ValueError("grid below 1000 rejected")
-    x = np.linspace(0.0, 1.0, grid)
-    vals = f.evaluate(x)
-    slack = 2.0 / grid
-    worst = -math.inf
-    worst_pair = (0, 0)
-    if grid <= 2000:
-        mode = "exhaustive"
-        checked = grid * grid
-        # Row blocks keep the pairwise matrices small.
-        block = 256
-        for lo in range(0, grid, block):
-            hi = min(lo + block, grid)
-            dv = np.abs(vals[lo:hi, None] - vals[None, :])
-            dx = np.abs(x[lo:hi, None] - x[None, :])
-            bound = np.maximum(np.abs(M - vals[lo:hi])[:, None], L * dx)
-            viol = dv - bound
-            i, j = np.unravel_index(np.argmax(viol), viol.shape)
-            if viol[i, j] > worst:
-                worst = float(viol[i, j])
-                worst_pair = (lo + int(i), int(j))
-    else:
-        mode = "sampled"
-        checked = 10**6
-        rng = np.random.default_rng(1)
-        ii = rng.integers(0, grid, checked)
-        jj = rng.integers(0, grid, checked)
-        dv = np.abs(vals[ii] - vals[jj])
-        viol = dv - np.maximum(np.abs(M - vals[ii]), L * np.abs(x[ii] - x[jj]))
-        k = int(np.argmax(viol))
-        worst = float(viol[k])
-        worst_pair = (int(ii[k]), int(jj[k]))
+    f = _piecewise_linear(f)
+    x = np.asarray(f.breakpoints)
+    excess = np.abs(np.diff(f.values)) - L * np.diff(x)
+    k = int(np.argmax(excess))
+    worst = float(excess[k])
     return ValidationReport(
         check="weak_lipschitz",
-        passed=worst <= slack,
+        passed=worst <= _SLACK,
         worst_violation=worst,
-        slack=slack,
-        details={
-            "mode": mode,
-            "pairs_checked": checked,
-            "L": L,
-            "M": M,
-            "worst_x": float(x[worst_pair[0]]),
-            "worst_y": float(x[worst_pair[1]]),
-        },
+        slack=_SLACK,
+        details={"L": L, "segments": int(excess.size),
+                 "worst_x": float(x[k]), "worst_y": float(x[k + 1])},
     )
 
 
-def verify_margin(
-    f: MeanFunction,
-    M: float,
-    Q: float,
-    eps_values,
-    grid: int = 10**6,
-) -> ValidationReport:
-    """Check measure{x : |M - m(x)| <= eps} <= Q * eps by the fraction of
-    a midpoint grid over [0, 1], for a one-dimensional mean.
-
-    Passes when every estimate stays within Q*eps plus the 2/grid slack.
+def verify_margin(f: MeanFunction, M: float, Q: float, eps_values) -> ValidationReport:
+    """Check measure{x : |M - m(x)| <= eps} <= Q * eps exactly, the measure
+    being measure{m >= M - eps} - measure{m > M + eps}.
     """
-    if f.dim != 1:
-        raise ValueError("the validators take a one-dimensional mean")
-    eps_values = [float(e) for e in eps_values]
-    if not eps_values:
+    f = _piecewise_linear(f)
+    eps = np.array(sorted(float(e) for e in eps_values))
+    if not eps.size:
         raise ValueError("need at least one epsilon")
-    if any(not 0.0 < e < 1.0 for e in eps_values):
+    if not np.all((0.0 < eps) & (eps < 1.0)):
         raise ValueError("each epsilon must lie in (0, 1)")
-    dist = np.abs(M - f.evaluate((np.arange(grid, dtype=np.float64) + 0.5) / grid))
-    slack = 2.0 / grid
-    rows = []
-    worst = -math.inf
-    for eps in sorted(eps_values):
-        estimate = float(np.count_nonzero(dist <= eps)) / grid
-        excess = estimate - Q * eps
-        worst = max(worst, excess)
-        rows.append({"eps": eps, "estimate": estimate, "bound": Q * eps})
+    measure = f._measures(M - eps)[0] - f._measures(M + eps)[1]
+    bound = Q * eps
+    worst = float(np.max(measure - bound))
+    rows = [{"eps": e, "measure": m, "bound": b}
+            for e, m, b in zip(eps.tolist(), measure.tolist(), bound.tolist())]
     return ValidationReport(
         check="margin",
-        passed=worst <= slack,
+        passed=worst <= _SLACK,
         worst_violation=worst,
-        slack=slack,
-        details={"Q": Q, "M": M, "grid": grid, "per_eps": rows},
+        slack=_SLACK,
+        details={"Q": Q, "M": M, "per_eps": rows},
     )
 
 

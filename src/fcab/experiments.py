@@ -148,16 +148,14 @@ class KRule:
             raise ConfigError([("$.k", "explicit K rule needs a positive k")])
 
 
-def choose_k(policy_id: str, k_rule: KRule, regime: Regime, n: int, t: int, dim: int) -> int:
+def choose_k(policy_id: str, k_rule: KRule, n: int, t: int, dim: int) -> int:
     """Bins per axis for one cell, in sweeps and the lower-bound protocol
     alike: the cab K of the budget T for a ``cab_k`` policy whatever the K
-    rule, else the rule's K."""
+    rule, else the rule's K, the paper default in every budget regime."""
     if policies.POLICIES[policy_id].cab_k or k_rule.kind == "cab":
         return policies.cab_parameters(t)
     if k_rule.kind == "explicit":
         return int(k_rule.k)
-    if isinstance(regime, PowerLaw):
-        return policies.corollary_parameters(t, regime.alpha)
     return policies.default_parameters(n, t / n, dim).k
 
 
@@ -226,8 +224,8 @@ class ExperimentConfig:
         if self.bin_means_mode not in _BIN_MEAN_MODES:
             errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
         if not errors:
-            k = max(choose_k(policy_id, self.k_rule, self.regime, n, self.regime.budget_for(n),
-                             self.dim) for n in self.n_grid for policy_id in self.policies)
+            k = max(choose_k(policy_id, self.k_rule, n, self.regime.budget_for(n), self.dim)
+                    for n in self.n_grid for policy_id in self.policies)
             if k ** min(self.dim, 64) > policies._MAX_BINS:  # any K > 1 exceeds it at dim 64
                 path = "$.K_rule.k" if self.k_rule.kind == "explicit" else "$.dim"
                 errors.append((path, f"K^dim may not exceed {policies._MAX_BINS} bins; "
@@ -363,7 +361,7 @@ def run_trial(
         arms, config.mean_function, config.reward_model, config.regime.budget_for(n)
     )
     delta = policies.default_parameters(n, instance.p, config.dim).delta
-    ks = [choose_k(policy_id, config.k_rule, config.regime, n, instance.T, config.dim)
+    ks = [choose_k(policy_id, config.k_rule, n, instance.T, config.dim)
           for policy_id in config.policies]
     shared = {}
     for k in dict.fromkeys(ks):
@@ -603,7 +601,7 @@ def _lb_cell(pair: InstancePair, policy_id: str):
     t_budget = regime.budget_for(n)
     model = RewardModel("bernoulli")
     instances = [make_instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
-    k = choose_k(policy_id, KRule(), regime, n, t_budget, 1)
+    k = choose_k(policy_id, KRule(), n, t_budget, 1)
     delta = policies.default_parameters(n, pair.p, 1).delta
     return instances, policies.build_partition(arms, k), delta
 
@@ -656,7 +654,7 @@ def lower_bound_protocol(
         policy_id=policy_id,
         replications=replications,
         t_budget=t_budget,
-        k=choose_k(policy_id, KRule(), regime, n, t_budget, 1),
+        k=choose_k(policy_id, KRule(), n, t_budget, 1),
         threshold=threshold,
         frequency_m0=freq[0],
         frequency_m1=freq[1],
@@ -688,16 +686,11 @@ def lower_bound_config(N: int, p: float, L: float, alpha_lb: float, policy: str 
             "replications": replications, "master_seed": master_seed}
 
 
-def validate_config(pair: InstancePair, lipschitz_grid: int = 2000, margin_grid: int = 10**5,
-                    eps_factors: tuple[float, ...] = (1.5, 2.0, 4.0)) -> dict:
-    """The validate config, read by ``from_json``: the InstancePair, the
-    grid of each validator, and the margin check's epsilons as multiples of
-    L~ * lb_half_width.  Errors carry JSON paths."""
+def validate_config(pair: InstancePair, eps_factors: tuple[float, ...] = (1.5, 2.0, 4.0)) -> dict:
+    """The validate config, read by ``from_json``: the InstancePair and the
+    margin check's epsilons as multiples of L~ * lb_half_width.  Errors
+    carry JSON paths."""
     errors = []
-    if lipschitz_grid < 1000:
-        errors.append(("$.lipschitz_grid", "must be at least 1000"))
-    if margin_grid < 1:
-        errors.append(("$.margin_grid", "must be positive"))
     if not eps_factors or min(eps_factors) <= 0:
         errors.append(("$.eps_factors", "must be a non-empty list of positive numbers"))
     elif max(eps_factors) * pair.L_tilde * pair.lb_half_width >= 1.0:
@@ -705,5 +698,4 @@ def validate_config(pair: InstancePair, lipschitz_grid: int = 2000, margin_grid:
                        "must stay below 1"))
     if errors:
         raise ConfigError(errors)
-    return {"pair": pair, "lipschitz_grid": lipschitz_grid, "margin_grid": margin_grid,
-            "eps_factors": eps_factors}
+    return {"pair": pair, "eps_factors": eps_factors}

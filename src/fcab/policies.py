@@ -39,8 +39,6 @@ __all__ = [
     "build_partition",
     "default_parameters",
     "cab_parameters",
-    "corollary_parameters",
-    "ucbf_index",
     "ucbf_run",
     "oracle_star",
     "oracle_discrete",
@@ -158,37 +156,10 @@ def cab_parameters(t: int) -> int:
     return max(1, math.floor(math.sqrt(t) / math.log(t) + 1e-9))
 
 
-def corollary_parameters(t: int, alpha: float) -> int:
-    """K = floor(alpha^(2/3) (2T)^(1/(3 alpha)) log(2T)^(-2/3)) for budgets
-    growing like 0.5 N^alpha."""
-    if t < 2:
-        raise ValueError("need T >= 2")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    k = math.floor(
-        alpha ** (2.0 / 3.0)
-        * (2.0 * t) ** (1.0 / (3.0 * alpha))
-        * math.log(2.0 * t) ** (-2.0 / 3.0)
-        + 1e-9
-    )
-    return max(k, 1)
-
-
-def ucbf_index(sum_rewards, n_k, t_budget: int, delta: float):
-    """Empirical bin mean plus the exploration bonus sqrt(log(T/delta)/(2n)).
-
-    Works elementwise on arrays of reward sums and pull counts as well as
-    on scalars.  Never-pulled bins have no index; callers must initialise
-    them with a forced pull instead.
-    """
-    n_k = np.asarray(n_k)
-    if np.any(n_k < 1):
-        raise ValueError("index undefined for an unpulled bin")
-    return sum_rewards / n_k + _bonus(n_k, t_budget, delta)
-
-
 def _bonus(n_k, t_budget: int, delta: float):
-    """The exploration bonus sqrt(log(T/delta)/(2n)) of ``ucbf_index``."""
+    """The exploration bonus sqrt(log(T/delta)/(2n)) of a bin pulled n
+    times, elementwise; UCBF's index of the bin is its empirical mean plus
+    this bonus."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return np.sqrt(math.log(t_budget / delta) / (2.0 * n_k))
@@ -325,8 +296,8 @@ def ucbf_run(
 
     keys = np.empty(reachable)
     for end, m in bins:
-        # ucbf_index's operations in its order; a cumsum per bin adds the
-        # rewards in pull order, as a per-pull loop does.
+        # The index sum / n + bonus, in that order of operations; a cumsum
+        # per bin adds the rewards in pull order, as a per-pull loop does.
         key = keys[end - m + 1 : end]
         np.cumsum(rewards[end - m : end - 1], out=key)
         key /= pulls[: m - 1]

@@ -165,7 +165,7 @@ def test_criterion_04_assumption_validators():
             q = 6.0 * max(1.0 / lips, 2.0)
             eps = [c * pair.L_tilde * pair.lb_half_width for c in (1.5, 2.0, 4.0)]
             for member in (pair.m0, pair.m1):
-                lip_report = verify_weak_lipschitz(member, M=0.5, L=pair.L_tilde, grid=2000)
+                lip_report = verify_weak_lipschitz(member, L=pair.L_tilde)
                 assert lip_report.passed, (p, lips, member.role, lip_report)
                 margin_report = verify_margin(member, M=0.5, Q=q, eps_values=eps)
                 assert margin_report.passed, (p, lips, member.role, margin_report)

@@ -249,6 +249,10 @@ class TestDispatch:
             # The pair's margin constant follows from L; it is not a parameter.
             ("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3,
                                                 "margin_Q": 12.0}}, "$.pair.margin_Q"),
+            # The validators are exact; they take no grid.
+            *[("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5,
+                                                  "alpha_lb": 0.3}, key: 2000}, f"$.{key}")
+              for key in ("lipschitz_grid", "margin_grid")],
         ],
     )
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, json_path):
@@ -348,7 +352,6 @@ class TestDispatch:
             {
                 "schema": 1,
                 "pair": {"N": 10**6, "p": 0.5, "L": 0.5, "alpha_lb": 0.23},
-                "margin_grid": 10**5,
             },
         )
         assert run(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -366,6 +369,7 @@ class TestDispatch:
             ({"pair": {"N": 1000, "p": 0.5, "L": 0.5}}, "$.pair.alpha_lb"),
             ({"pair": {"N": "1000", "p": 0.5, "L": 0.5, "alpha_lb": 0.3}}, "$.pair.N"),
             ({"pair": None}, "$.pair"),
+            # Removed keys, now unknown whatever their value.
             ({"lipschitz_grid": 10}, "$.lipschitz_grid"),
             ({"lipschitz_grid": 2000.0}, "$.lipschitz_grid"),
             ({"margin_grid": 0}, "$.margin_grid"),
@@ -386,6 +390,24 @@ class TestDispatch:
         assert run(["validate", "--config", path, "--out", str(tmp_path)]) == 1
         assert f"config error at {json_path}:" in capsys.readouterr().err
         assert not (tmp_path / "validation.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg, json_path",
+        [
+            ("lowerbound", {"schema": 1, "N": 1000, "p": 0.5, "L": 10**400, "alpha_lb": 0.3},
+             "$.L"),
+            ("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 10**400,
+                                                "alpha_lb": 0.3}}, "$.pair.L"),
+        ],
+    )
+    def test_integer_past_the_float_range_is_config_error(
+        self, tmp_path, capsys, command, cfg, json_path
+    ):
+        path = write_json(tmp_path / "c.json", cfg)
+        assert '"L": 1' + "0" * 400 + "," in open(path).read()
+        assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
+        assert f"config error at {json_path}: must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
 
     def test_simulate_byte_deterministic(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(N_grid=[64]))
@@ -502,7 +524,7 @@ LOWERBOUND_CONFIG = {
 }
 VALIDATE_CONFIG = {
     "schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3},
-    "lipschitz_grid": 1000, "margin_grid": 1000, "eps_factors": [1.5, 2.0],
+    "eps_factors": [1.5, 2.0],
 }
 VALIDATE_FIELDS = {
     ("schema",): (int, [0, 2], True),
@@ -511,8 +533,6 @@ VALIDATE_FIELDS = {
     ("pair", "p"): (float, [0.0, 1.0, 1.5, 0.05], True),
     ("pair", "L"): (float, [0.0, -1.0], True),
     ("pair", "alpha_lb"): (float, [0.0, 0.1, 0.9], True),
-    ("lipschitz_grid",): (int, [0, 999], False),
-    ("margin_grid",): (int, [0, -1], False),
     ("eps_factors",): (list, [[], [1.5, -2.0], [1e6]], False),
     ("eps_factors", 0): (float, [0.0, -1.5, 1e6], False),
 }

@@ -374,34 +374,33 @@ class TestLowerBoundPair:
 
 class TestValidators:
     def test_linear_is_weakly_lipschitz(self):
-        report = verify_weak_lipschitz(identity(), M=0.7, L=1.0, grid=1500)
+        report = verify_weak_lipschitz(identity(), L=1.0)
         assert report.passed
+        assert report.worst_violation == 0.0
 
     def test_step_function_fails(self):
         # Jump across M: the bound cannot absorb the jump near the step.
         f = Tabulated(tuple([0.2] * 500 + [0.8] * 500))
-        report = verify_weak_lipschitz(f, M=0.5, L=1.0, grid=2000)
+        report = verify_weak_lipschitz(f, L=1.0)
         assert not report.passed
-        assert report.worst_violation > 0.1
+        assert report.worst_violation == pytest.approx(0.6 - 1.0 / 999, rel=1e-12)
+        assert report.details["worst_x"] == pytest.approx(499 / 999, rel=1e-12)
 
     def test_lower_bound_members_pass_lipschitz(self):
         pair = make_lower_bound_pair(0.5, 1.0, 0.23, 10**6)
         for m in (pair.m0, pair.m1):
-            report = verify_weak_lipschitz(m, M=0.5, L=pair.L_tilde, grid=2000)
+            report = verify_weak_lipschitz(m, L=pair.L_tilde)
             assert report.passed
-
-    def test_sampled_mode_on_large_grid(self):
-        report = verify_weak_lipschitz(identity(), M=0.7, L=1.0, grid=5000)
-        assert report.details["mode"] == "sampled"
-        assert report.passed
+            assert abs(report.worst_violation) <= report.slack
 
     def test_margin_linear_pass(self):
         # measure{|0.7 - x| <= 0.1} = 0.2 = Q * eps at Q = 2.
-        report = verify_margin(identity(), M=0.7, Q=2.0, eps_values=[0.1], grid=10**5)
+        report = verify_margin(identity(), M=0.7, Q=2.0, eps_values=[0.1])
         assert report.passed
+        assert report.details["per_eps"][0]["measure"] == pytest.approx(0.2, rel=1e-12)
 
     def test_margin_linear_fail(self):
-        report = verify_margin(identity(), M=0.7, Q=1.0, eps_values=[0.1], grid=10**5)
+        report = verify_margin(identity(), M=0.7, Q=1.0, eps_values=[0.1])
         assert not report.passed
 
     def test_margin_lower_bound_members(self):
@@ -409,8 +408,30 @@ class TestValidators:
         q = 6.0 * max(1.0 / 0.5, 2.0)
         eps = [1.5 * pair.L_tilde * pair.lb_half_width, 0.01, 0.1]
         for m in (pair.m0, pair.m1):
-            report = verify_margin(m, M=0.5, Q=q, eps_values=eps, grid=10**5)
+            report = verify_margin(m, M=0.5, Q=q, eps_values=eps)
             assert report.passed
+
+    def test_margin_measure_is_exact_on_the_pair(self):
+        # Outside the bumps m moves away from 1/2 at slope L~, inside them
+        # it stays within L~ * h, so at eps = c L~ h (c >= 1) the measure is
+        # (2c + 4) h against Q eps = 6 c h: 7/9, 2/3 and 1/2 of the bound.
+        for p in (0.3, 0.5, 0.7):
+            for lips in (0.3, 0.5, 1.0):
+                pair = make_lower_bound_pair(p, lips, 0.23, 10**6)
+                eps = [c * pair.L_tilde * pair.lb_half_width for c in (1.5, 2.0, 4.0)]
+                for m in (pair.m0, pair.m1):
+                    rows = verify_margin(m, M=0.5, Q=pair.margin_Q, eps_values=eps).details
+                    ratios = [row["measure"] / row["bound"] for row in rows["per_eps"]]
+                    assert ratios == pytest.approx([7 / 9, 2 / 3, 1 / 2], rel=1e-12)
+
+    def test_margin_plateau_counts_in_full_or_not_at_all(self):
+        # A plateau at 0.5 on [0.25, 0.75], slope 2 elsewhere: with the
+        # plateau inside [M - eps, M + eps] it counts whole, else not at all.
+        f = PiecewiseLinear((0.0, 0.25, 0.75, 1.0), (0.0, 0.5, 0.5, 1.0))
+        rows = verify_margin(f, M=0.5, Q=100.0, eps_values=[0.1]).details["per_eps"]
+        assert rows[0]["measure"] == pytest.approx(0.5 + 2 * 0.05, rel=1e-12)
+        rows = verify_margin(f, M=0.7, Q=100.0, eps_values=[0.1]).details["per_eps"]
+        assert rows[0]["measure"] == pytest.approx(0.1, rel=1e-12)
 
     def test_margin_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -420,9 +441,16 @@ class TestValidators:
         for f in (Sinusoid(amplitude=0.45, frequency=0.15, offset=0.5, dim=2),
                   Constant(0.5, dim=2)):
             with pytest.raises(ValueError, match="one-dimensional"):
-                verify_weak_lipschitz(f, M=0.5, L=1.0, grid=1200)
+                verify_weak_lipschitz(f, L=1.0)
             with pytest.raises(ValueError, match="one-dimensional"):
-                verify_margin(f, M=0.5, Q=2.0, eps_values=[0.1], grid=10**4)
+                verify_margin(f, M=0.5, Q=2.0, eps_values=[0.1])
+
+    def test_validators_reject_a_mean_that_is_not_piecewise_linear(self):
+        for f in (Sinusoid(amplitude=0.45, frequency=0.15, offset=0.5), Constant(0.5)):
+            with pytest.raises(ValueError, match="piecewise-linear"):
+                verify_weak_lipschitz(f, L=1.0)
+            with pytest.raises(ValueError, match="piecewise-linear"):
+                verify_margin(f, M=0.5, Q=2.0, eps_values=[0.1])
 
 
 class TestRewards:

@@ -34,7 +34,7 @@ from fcab.experiments import (
     sweep_csv_text,
     SWEEP_CSV_HEADER,
 )
-from fcab.policies import corollary_parameters
+from fcab.policies import default_parameters
 
 BERN = RewardModel("bernoulli")
 
@@ -270,7 +270,8 @@ class TestSweep:
         b = sweep_csv_text(run_sweep(cfg, threads=1))
         assert a == b
 
-    def test_power_law_k_matches_corollary_rule(self):
+    def test_power_law_k_matches_default_rule(self):
+        # Every budget regime bins with the paper-default K of (N, T/N).
         cfg = small_config(
             regime=PowerLaw(0.85),
             n_grid=(256, 512),
@@ -279,14 +280,7 @@ class TestSweep:
         )
         result = run_sweep(cfg)
         for row in result.rows:
-            k = math.floor(
-                0.85 ** (2 / 3)
-                * (2 * row.t_budget) ** (1 / (3 * 0.85))
-                * math.log(2 * row.t_budget) ** (-2 / 3)
-                + 1e-9
-            )
-            assert row.k == max(1, k)
-            assert row.k == corollary_parameters(row.t_budget, 0.85)
+            assert row.k == default_parameters(row.n, row.t_budget / row.n, 1).k == 2
 
 
 class TestSharedSetUp:

@@ -1,18 +1,20 @@
 """Byte-identity of the CLI's outputs against committed files.
 
-``tests/golden`` holds three sweep configs and a small lower-bound config,
-with the ``sweep.csv``, ``trials.jsonl`` and ``lb_report.json`` they
-produced.  ``five_policy.json`` is a 1-d sinusoid (``ucbf-cab-k`` gives
-each task a second K); ``plateau.json`` puts grid arms on a
-piecewise-linear plateau, so many true means tie and oracle-star's order
-rests on its ascending-index tie break; ``empirical_2d.json`` is a 2-d
-sinusoid ranked by empirical bin means.  ``plateau_pulls.jsonl`` holds
-every policy's per-pull trace of one plateau trial, so a change of pull
-order shows even where the regret does not.  Each five-policy row must also come
-out the same from a config that runs only some of the five policies.  A change that alters a
-stream on purpose regenerates these files by running the same commands
-(``python tests/test_golden.py`` for the trace) and says so in
-``CHANGES.md``.
+``tests/golden`` holds three sweep configs, a small lower-bound config and
+the README's validate config, with the ``sweep.csv``, ``trials.jsonl``,
+``lb_report.json`` and ``validation.json`` they produced.
+``five_policy.json`` is a 1-d sinusoid (``ucbf-cab-k`` gives each task a
+second K); ``plateau.json`` puts grid arms on a piecewise-linear plateau,
+so many true means tie and oracle-star's order rests on its
+ascending-index tie break; ``empirical_2d.json`` is a 2-d sinusoid ranked
+by empirical bin means; ``validation.json`` holds the adversarial pair's
+exact weak-Lipschitz certificates and margin measures.
+``plateau_pulls.jsonl`` holds every policy's per-pull trace of one plateau
+trial, so a change of pull order shows even where the regret does not.
+Each five-policy row must also come out the same from a config that runs
+only some of the five policies.  A change that alters a stream on purpose
+regenerates these files by running the same commands (``python
+tests/test_golden.py`` for the trace) and says so in ``CHANGES.md``.
 """
 
 import ctypes
@@ -26,7 +28,8 @@ from fcab.cli import parse_config, run
 from fcab.environment import grid_arms
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-WRITES = {"sweep": "sweep.csv", "simulate": "trials.jsonl", "lowerbound": "lb_report.json"}
+WRITES = {"sweep": "sweep.csv", "simulate": "trials.jsonl", "lowerbound": "lb_report.json",
+          "validate": "validation.json"}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -40,6 +43,7 @@ WRITES = {"sweep": "sweep.csv", "simulate": "trials.jsonl", "lowerbound": "lb_re
         ("sweep", "empirical_2d.json", "empirical_2d_sweep.csv"),
         ("simulate", "empirical_2d.json", "empirical_2d_trials.jsonl"),
         ("lowerbound", "lowerbound.json", "lb_report.json"),
+        ("validate", "validate.json", "validation.json"),
     ],
 )
 def test_output_is_byte_identical(tmp_path, command, config, golden, threads):
