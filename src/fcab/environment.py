@@ -206,6 +206,13 @@ class ArmSet:
         return self.covariates.shape[1]
 
 
+# The largest N * dim a config may ask for.  A trial holds about 132 bytes
+# per arm at dim 1 and 177 at dim 3 (peak RSS over N = 2^18..2^20 with all
+# five policies; the lower-bound protocol about 87), so at most about
+# 33 GiB.  Past the cap a trial could only fail to allocate, or worse.
+MAX_ARM_COORDINATES = 2**28
+
+
 def sample_arms_uniform(n: int, dim: int, seed: int) -> ArmSet:
     """Draw ``n`` covariates i.i.d. uniform on [0, 1]^dim, reproducibly;
     ``ArmSet`` rejects an empty draw."""
@@ -683,6 +690,8 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
         errors.append(("$.L", "must be positive"))
     if not N >= 1:
         errors.append(("$.N", "must be positive"))
+    elif N > MAX_ARM_COORDINATES:
+        errors.append(("$.N", f"may not exceed {MAX_ARM_COORDINATES} arms"))
     if errors:
         raise ConfigError(errors)
     lo = 20.0 * N ** (-2.0 / 3.0)

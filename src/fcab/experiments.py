@@ -10,12 +10,13 @@ aggregate identically.
 
 from __future__ import annotations
 
-import concurrent.futures
 import ctypes
 import functools
 import hashlib
 import math
 import os
+import pickle
+import signal
 import time
 from dataclasses import astuple, dataclass
 from typing import ClassVar, Optional
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import analysis, policies
 from .environment import (
+    MAX_ARM_COORDINATES,
     ConfigError,
     InstancePair,
     MeanFunction,
@@ -203,6 +205,8 @@ class ExperimentConfig:
             errors.append(("$.N_grid", "every N must be at least 30"))
         elif len(set(self.n_grid)) < len(self.n_grid):
             errors.append(("$.N_grid", "every N may appear once"))
+        elif max(self.n_grid) * self.dim > MAX_ARM_COORDINATES:
+            errors.append(("$.N_grid", f"N * dim may not exceed {MAX_ARM_COORDINATES}"))
         elif self.k_rule.kind == "cab" or any(
             policies.POLICIES[p].cab_k for p in self.policies if p not in unknown
         ):
@@ -287,20 +291,77 @@ def _keep_freed_memory() -> bool:
 
 
 def _map(fn, tasks: list, threads: int) -> list:
-    """``fn`` over ``tasks``, results in task order: on a pool of
-    ``threads`` worker processes (0: one per core), never more than there
-    are tasks, or in this process for one worker or one task."""
+    """``fn`` over ``tasks``, results in task order: on ``threads`` forked
+    worker processes (0: one per core), never more than there are tasks,
+    or in this process for one worker, one task or a platform without
+    ``os.fork``.
+
+    Of W workers, worker w runs tasks w, w + W, w + 2W, ... and sends its
+    results, or the exception it raised, down its own pipe; this process
+    only waits.  Every worker is reaped before this returns or raises, and
+    killed first if this process fails.  A worker that exits without
+    sending anything raises RuntimeError with its exit status."""
     workers = min(threads or os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        # Forked pools start every worker at once, so do not ask for idle ones.
-        # Forked workers inherit the allocator setting; spawned ones need it.
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_keep_freed_memory
-        ) as pool:
-            # Chunks of up to 4, but small enough to give every worker a share.
-            chunk = max(1, min(4, len(tasks) // (4 * workers)))
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(t) for t in tasks]
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    children = []  # (pid, read end of its pipe)
+    replies = []
+    statuses = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, tasks[w::workers], write_fd)
+                children.append((pid, read_fd))
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                replies.append(pipe.read())
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if len(replies) < len(children):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    results = [None] * len(tasks)
+    for w, (reply, status) in enumerate(zip(replies, statuses)):
+        if not reply:
+            raise RuntimeError(f"worker process exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} and sent no result")
+        sent, value = pickle.loads(reply)
+        if not sent:
+            raise value
+        results[w::workers] = value
+    return results
+
+
+def _work(fn, tasks: list, write_fd: int) -> None:
+    """A forked worker's whole life: ``fn`` over ``tasks``, then the
+    pickled (True, results) or (False, exception) down ``write_fd``.  It
+    leaves through ``os._exit`` whatever happens, so it never returns into
+    the caller's code, runs no exit handler and flushes no buffer it
+    inherited."""
+    status = 1
+    try:
+        try:
+            reply = pickle.dumps((True, [fn(t) for t in tasks]))
+        except Exception as exc:
+            try:
+                reply = pickle.dumps((False, exc))
+                pickle.loads(reply)
+            except Exception:  # not every exception survives pickling
+                reply = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +532,9 @@ def _deciles(values: np.ndarray) -> np.ndarray:
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """All (policy, N) cells with `replications` trials each.
 
-    (N, rep) tasks execute in any order (process pool when threads > 1);
-    per-task seeding makes the aggregates independent of scheduling.
+    (N, rep) tasks execute in any order, on ``threads`` forked worker
+    processes when that is more than one; per-task seeding makes the
+    aggregates independent of which process runs which task.
     """
     tasks = [(config, n, rep) for n in config.n_grid for rep in range(config.replications)]
     # Outcomes come in task order, so each cell's trials in replication order.

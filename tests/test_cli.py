@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcab import environment, experiments
+from fcab import environment, experiments, policies
 from fcab.cli import ConfigError, parse_config, parse_lowerbound_config, run
 
 
@@ -197,6 +198,9 @@ class TestDispatch:
             # 2^26 bins at dim 26.
             ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 26}, "dim": 26},
              "$.dim"),
+            # Past the cap on N * dim: one array of 10^12 floats is 7.28 TiB.
+            ({"N_grid": [64, 10**12]}, "$.N_grid"),
+            ({"N_grid": [10**400]}, "$.N_grid"),  # past the float range too
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -280,6 +284,18 @@ class TestDispatch:
             assert run(argv) == 2
             assert not (tmp_path / output).exists()  # never without its failed cells
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_lowerbound_trial_error_exit_code(self, tmp_path, capsys, monkeypatch, threads):
+        def fail(*args):
+            raise ValueError("no pulls left")
+
+        monkeypatch.setattr(policies, "ucbf_run", fail)
+        cfg = write_json(tmp_path / "lb.json", dict(LOWERBOUND_CONFIG, policy="ucbf"))
+        argv = ["lowerbound", "--config", cfg, "--out", str(tmp_path), "--threads", threads]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: ValueError: no pulls left\n"
+        assert not (tmp_path / "lb_report.json").exists()
+
     @pytest.mark.parametrize("command", ["sweep", "lowerbound"])
     def test_negative_seed_override_rejected(self, tmp_path, command):
         cfg = minimal_experiment() if command == "sweep" else {
@@ -333,6 +349,7 @@ class TestDispatch:
             ({"replications": True}, "$.replications"),
             ({"master_seed": True}, "$.master_seed"),
             ({"policy": "oracle-discrete"}, "$.policy"),  # the reference, run by sweeps only
+            ({"N": 10**400}, "$.N"),  # an integer past the float range
         ],
     )
     def test_bad_lowerbound_config_is_config_error(
@@ -468,6 +485,28 @@ class TestDispatch:
         )
         assert match
         assert int(match[2]) > 0 and int(match[3]) > 0  # two workers ran and exited
+
+    @pytest.mark.parametrize("command", ["sweep", "lowerbound"])
+    def test_two_workers_leave_no_process_running(self, tmp_path, command):
+        cfg = dict(LOWERBOUND_CONFIG, policy="ucbf", replications=3) if command == "lowerbound" \
+            else minimal_experiment()
+        path = write_json(tmp_path / "c.json", cfg)
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        # The CLI leads a process group of its own, which its workers join.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fcab.cli", command, "--config", path,
+             "--out", str(tmp_path), "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            with pytest.raises(ProcessLookupError):  # nobody is left in the group
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(N_grid=[64]))

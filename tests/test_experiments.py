@@ -1,9 +1,10 @@
 import collections
-import concurrent.futures
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -473,64 +474,133 @@ class TestPolicyRegistry:
         assert report.t_budget == 900
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records the worker count, the
-    worker initializer and the chunk size it is asked for and runs the
-    tasks in this process, starting no worker."""
+def _task_and_pid(task):
+    return task, os.getpid()
 
-    sizes: list = []
-    initializers: list = []
-    chunks: list = []
 
-    def __init__(self, max_workers, initializer=None):
-        FakePool.sizes.append(max_workers)
-        FakePool.initializers.append(initializer)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        FakePool.chunks.append(chunksize)
-        return map(fn, tasks)
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerPool:
-    @pytest.fixture(autouse=True)
-    def fake_pool(self, monkeypatch):
-        FakePool.sizes = []
-        FakePool.initializers = []
-        FakePool.chunks = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-
     @pytest.mark.parametrize(
         "threads, n_tasks, sizes",
         [(4, 2, [2]), (2, 5, [2]), (0, 3, [3]), (0, 20, [8]), (4, 1, []), (1, 6, [])],
     )
-    def test_no_more_workers_than_tasks(self, threads, n_tasks, sizes):
-        assert experiments._map(abs, list(range(-n_tasks, 0)), threads) == list(
-            range(n_tasks, 0, -1)
-        )
-        assert FakePool.sizes == sizes
+    def test_no_more_workers_than_tasks(self, monkeypatch, threads, n_tasks, sizes):
+        # sizes: the number of forked workers, if any; else the tasks run here.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        out = experiments._map(_task_and_pid, list(range(n_tasks)), threads)
+        assert [task for task, _ in out] == list(range(n_tasks))
+        pids = {pid for _, pid in out}
+        if sizes:
+            assert [len(pids)] == sizes and os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
+        _assert_no_children_left()
 
-    @pytest.mark.parametrize("n_tasks, chunk", [(6, 1), (20, 2), (31, 3), (32, 4), (200, 4)])
-    def test_chunks_give_every_worker_a_share(self, n_tasks, chunk):
-        # Fixed chunks of 4 split oracles-large's 6 tasks 4/2 over two workers.
-        experiments._map(abs, list(range(n_tasks)), 2)
-        assert FakePool.chunks == [chunk]
+    @pytest.mark.parametrize("n_tasks", [6, 20, 31, 32, 200])
+    def test_worker_w_runs_every_wth_task(self, n_tasks):
+        by_pid = collections.defaultdict(list)
+        for task, pid in experiments._map(_task_and_pid, list(range(n_tasks)), 3):
+            by_pid[pid].append(task)
+        assert sorted(by_pid.values()) == [list(range(w, n_tasks, 3)) for w in range(3)]
 
-    def test_workers_keep_freed_memory(self):
-        experiments._map(abs, [1, 2], 2)
-        assert FakePool.initializers == [experiments._keep_freed_memory]
+    def test_without_fork_tasks_run_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        out = experiments._map(_task_and_pid, list(range(4)), 2)
+        assert out == [(task, os.getpid()) for task in range(4)]
 
-    def test_lower_bound_run_with_two_tasks(self):
+    def test_lower_bound_run_with_two_tasks(self, tmp_path, monkeypatch):
         # One replication per member is two tasks: two workers, not four.
+        log = tmp_path / "pids"
+        run = policies.ucbf_run
+
+        def logging_run(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run(*args)
+
+        monkeypatch.setattr(policies, "ucbf_run", logging_run)
         lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
                              policy_id="ucbf", replications=1, master_seed=0, threads=4)
-        assert FakePool.sizes == [2]
+        pids = log.read_text().split()
+        assert len(pids) == len(set(pids)) == 2
+        assert str(os.getpid()) not in pids
+
+    def test_worker_exception_is_raised_here(self):
+        def fail_on_three(task):
+            if task == 3:
+                raise ValueError(f"task {task} failed")
+            return task
+
+        with pytest.raises(ValueError, match="^task 3 failed$"):
+            experiments._map(fail_on_three, list(range(6)), 2)
+        _assert_no_children_left()
+
+    def test_unpicklable_exception_keeps_its_name_and_message(self):
+        class Unpicklable(Exception):
+            pass
+
+        def fail(task):
+            raise Unpicklable(f"task {task}")
+
+        with pytest.raises(RuntimeError, match="^Unpicklable: task 0$"):
+            experiments._map(fail, [0, 1], 2)
+        _assert_no_children_left()
+
+    @pytest.mark.parametrize(
+        "leave, status",
+        [(lambda: os._exit(3), 3),
+         (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+         # A child that would unwind into the caller's code exits instead.
+         (lambda: sys.exit(0), 1)],
+    )
+    def test_worker_that_sends_nothing(self, leave, status):
+        def task(t):
+            if t == 1:
+                leave()
+            return t
+
+        with pytest.raises(RuntimeError, match=f"status {status} and sent no result"):
+            experiments._map(task, list(range(4)), 2)
+        _assert_no_children_left()
+
+    def test_failure_here_kills_and_reaps_the_workers(self, monkeypatch):
+        # The third fork fails while two workers sleep: both are killed,
+        # not waited for.
+        forks = []
+        fork = os.fork
+
+        def failing_fork():
+            if len(forks) == 2:
+                raise OSError("no more processes")
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="no more processes"):
+            experiments._map(lambda t: time.sleep(60), list(range(3)), 3)
+        assert time.monotonic() - start < 30
+        _assert_no_children_left()
+
+    def test_failed_cell_stays_its_own_on_two_workers(self):
+        cfg = small_config(n_grid=(60, 64), covariates="grid", policies=("ucbf", "oracle-star"),
+                           k_rule=KRule(kind="explicit", k=55))
+        result = run_sweep(cfg, threads=2)
+        assert [(p, n) for p, n, _ in result.errors] == [("ucbf", 60), ("ucbf", 64)]
+        assert [(r.policy_id, r.n) for r in result.rows] == [("oracle-star", 60),
+                                                               ("oracle-star", 64)]
+
+    def test_workers_keep_freed_memory(self):
+        # Set before the fork, glibc's thresholds hold in every worker.
+        kept, faults_forked = _faults("forked")
+        if kept != "True":
+            pytest.skip("no glibc mallopt here")
+        _, faults_default = _faults("default")
+        assert faults_default >= 10 * max(faults_forked, 1)
 
 
 _FREE_AND_ALLOCATE = """
@@ -538,17 +608,21 @@ import resource, sys
 import numpy as np
 from fcab import experiments
 
-kept = experiments._keep_freed_memory() if sys.argv[1] == "keep" else None
+kept = experiments._keep_freed_memory() if sys.argv[1] != "default" else None
 
 def trial():
     arrays = [np.ones(2**18) for _ in range(4)]
     del arrays
 
-trial()  # the first trial faults its pages in either way
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(30):
-    trial()
-print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+def faults(task):
+    trial()  # the first trial faults its pages in either way
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(30):
+        trial()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+workers = 2 if sys.argv[1] == "forked" else 1
+print(kept, max(experiments._map(faults, [0, 1], workers)))
 """
 
 
