@@ -257,8 +257,9 @@ def make_baseline(instance: Instance, partition, order, f_hat: int, reference) -
     ``order, f_hat`` that ``rank_bins`` gives for this partition."""
     top_bins = np.zeros(partition.bin_count, dtype=bool)
     top_bins[order[:f_hat]] = True
-    top = top_bins[partition.assignment]
-    boundary = partition.assignment == order[f_hat]
+    # ``take`` and a Python int keep the narrow bin ids from being widened.
+    top = top_bins.take(partition.assignment)
+    boundary = partition.assignment == int(order[f_hat])
     in_phid = _pull_mask(instance, reference)
     return Baseline(reference, float(np.compress(in_phid, instance.true_means).sum()), top,
                     ~(top | boundary), boundary & in_phid, boundary & ~in_phid,

@@ -62,6 +62,10 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
 
+    def __reduce__(self):
+        # ``args`` holds the joined message; rebuild from the pairs.
+        return ConfigError, (self.errors,)
+
     def under(self, path: str) -> "ConfigError":
         """The same errors with their root ``$`` replaced by ``path``."""
         return ConfigError([(path + p[1:], m) for p, m in self.errors])
@@ -206,10 +210,11 @@ class ArmSet:
         return self.covariates.shape[1]
 
 
-# The largest N * dim a config may ask for.  A trial holds about 132 bytes
-# per arm at dim 1 and 177 at dim 3 (peak RSS over N = 2^18..2^20 with all
-# five policies; the lower-bound protocol about 87), so at most about
-# 33 GiB.  Past the cap a trial could only fail to allocate, or worse.
+# The largest N * dim a config may ask for.  A trial holds about 118 bytes
+# per arm at dim 1 and 168 at dim 3 (peak RSS over N = 2^18..2^20 with all
+# five policies; 49 at dim 1 without UCBF, the lower-bound protocol about
+# 80), so at most about 30 GiB.  Past the cap a trial could only fail to
+# allocate, or worse.
 MAX_ARM_COORDINATES = 2**28
 
 

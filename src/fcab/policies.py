@@ -61,25 +61,17 @@ class Partition:
     Axis intervals are [j/K, (j+1)/K) with the last interval right-closed,
     so the boundary covariate 1.0 lands in the last bin.  The composite bin
     id is the row-major (first axis most significant) combination of the
-    per-axis digits.
+    per-axis digits.  Only ``arms_in_bin`` groups the arms by bin, and it
+    sorts them on its first call: a run that never reads a bin's arms
+    never pays for the sort.
     """
 
     k_per_axis: int
     dim: int
     assignment: np.ndarray  # (n_arms,) bin id per arm
     counts: np.ndarray  # (bin_count,) arms per bin
-    _order: np.ndarray = field(repr=False, default=None)
-    _offsets: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._order is None:
-            # Stable sort groups arms by bin in ascending arm order.  Keys of
-            # the narrowest unsigned type that holds every bin id let numpy
-            # radix-sort up to 2^16 bins; a stable sort has one result
-            # whatever the key type.
-            keys = self.assignment.astype(np.min_scalar_type(self.bin_count - 1))
-            self._order = np.argsort(keys, kind="stable")
-            self._offsets = np.concatenate(([0], np.cumsum(self.counts)))
+    _order: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _offsets: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def bin_count(self) -> int:
@@ -94,6 +86,12 @@ class Partition:
         return np.flatnonzero(self.counts >= 2)
 
     def arms_in_bin(self, b: int) -> np.ndarray:
+        """The arms of bin ``b``, in ascending arm order."""
+        if self._order is None:
+            # A stable sort groups arms by bin in ascending arm order; numpy
+            # radix-sorts the 8- and 16-bit ids ``build_partition`` gives.
+            self._order = np.argsort(self.assignment, kind="stable")
+            self._offsets = np.concatenate(([0], np.cumsum(self.counts)))
         return self._order[self._offsets[b] : self._offsets[b + 1]]
 
     def bin_bounds(self, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +102,24 @@ class Partition:
 
 
 def build_partition(arms: ArmSet, k: int) -> Partition:
+    """The arms' partition into k^dim bins, with bin ids of the narrowest
+    unsigned type that holds every id."""
     if k < 1:
         raise ValueError("need at least one bin per axis")
     bin_count = k**arms.dim
     if bin_count > _MAX_BINS:
         raise ValueError(f"bin count {bin_count} exceeds the supported maximum")
-    digits = np.minimum((arms.covariates * k).astype(np.int64), k - 1)
-    flat = np.ravel_multi_index(tuple(digits.T), (k,) * arms.dim)
-    counts = np.bincount(flat, minlength=bin_count)
-    return Partition(k, arms.dim, flat.astype(np.int64, copy=False), counts)
+    # Per-axis digits in one pass, truncated as ``astype`` truncates.  The
+    # covariate 1.0 gives k before the clip, so the digits' type must hold k.
+    digits = np.empty(arms.covariates.shape, np.min_scalar_type(k))
+    np.multiply(arms.covariates, k, out=digits, casting="unsafe")
+    np.minimum(digits, k - 1, out=digits)
+    if arms.dim == 1:  # the digit is the bin id
+        flat = digits.reshape(-1)
+    else:
+        flat = np.ravel_multi_index(tuple(digits.T), (k,) * arms.dim)
+    flat = flat.astype(np.min_scalar_type(bin_count - 1), copy=False)
+    return Partition(k, arms.dim, flat, np.bincount(flat, minlength=bin_count))
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +361,31 @@ def oracle_discrete(
     """Discretised oracle: empties the first ``f_hat`` bins of the ranking
     ``order`` (``analysis.rank_bins``), then fills the remaining budget,
     at least one pull by the definition of f_hat, uniformly at random from
-    the next bin."""
+    the next bin.  The pull set is the arms of the emptied bins in
+    ascending arm order, then the draws; the pulls take the emptied bins
+    in ranking order, each bin's arms in ascending order, then the draws.
+    It finds the arms by bin id, so it never groups the arms by bin."""
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
-    parts = [partition.arms_in_bin(int(b)) for b in order[:f_hat]]
-    remainder = instance.T - sum(p.size for p in parts)
+    assignment = partition.assignment
+    rank = np.empty(partition.bin_count, assignment.dtype)
+    rank[order] = np.arange(partition.bin_count)
+    top = np.flatnonzero(rank.take(assignment) < f_hat)
     reward_rng, s_select = _run_streams(seed)
-    pool = partition.arms_in_bin(int(order[f_hat]))
-    parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
-    arms = np.concatenate(parts)
-    return PolicyTrace.deferred(arms, _order_then_draw(instance, reward_rng, arms))
+    # The boundary bin's arms in ascending order, as ``arms_in_bin`` gives them.
+    pool = np.flatnonzero(assignment == int(order[f_hat]))
+    drawn = np.random.default_rng(s_select).choice(pool, instance.T - top.size, replace=False)
+    arms = np.concatenate((top, drawn))
+    n_top = top.size
+
+    # The pull order reads the emptied bins' arms back from the pull set,
+    # so the trace's builder keeps no second copy of them.
+    def by_rank(arms):
+        head = arms[:n_top]
+        head = head[np.argsort(rank.take(assignment.take(head)), kind="stable")]
+        return np.concatenate((head, arms[n_top:]))
+
+    return PolicyTrace.deferred(arms, _order_then_draw(instance, reward_rng, arms, by_rank))
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:

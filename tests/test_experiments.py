@@ -1,10 +1,12 @@
 import collections
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from fcab import analysis, experiments, policies
 from fcab.environment import (
+    ConfigError,
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
@@ -337,6 +340,40 @@ class TestSharedSetUp:
             assert len({r.decomposition.r_disc for r in group}) == 1
             assert len({r.diagnostics for r in group}) == 1
 
+    ORACLES = ("oracle-star", "oracle-discrete", "random")
+
+    @pytest.mark.parametrize("bin_means", ["quadrature", "empirical"])
+    def test_oracle_only_trial_never_groups_arms_by_bin(self, monkeypatch, bin_means):
+        # Only ucbf_run reads every bin's arms; the oracles find theirs by
+        # bin id, so the partition's sort by bin is never made.
+        built = []
+        build = policies.build_partition
+
+        def recording(arms, k):
+            built.append(build(arms, k))
+            return built[-1]
+
+        monkeypatch.setattr(policies, "build_partition", recording)
+        cfg = small_config(policies=self.ORACLES, n_grid=(4096,), bin_means_mode=bin_means)
+        assert all(isinstance(r, experiments.TrialResult) for r in run_trial(cfg, 4096, 0))
+        assert len(built) == 1 and built[0]._order is None
+
+    def test_oracle_trial_peak_memory_per_arm(self):
+        # Tooling guard on what one oracle-only trial holds at once, traced
+        # by tracemalloc: about 43 bytes per arm at N = 2^16 (58 while every
+        # partition sorted its arms by bin and kept int64 bin ids).
+        n = 2**16
+        cfg = small_config(policies=self.ORACLES, n_grid=(n,), replications=2,
+                           mean_function=Sinusoid(0.35, 1.15, 0.5))
+        run_trial(cfg, n, 0, keep_trace=False)  # fills the per-process caches
+        tracemalloc.start()
+        try:
+            run_trial(cfg, n, 1, keep_trace=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 50
+
     def test_set_up_error_fails_every_cell(self, monkeypatch):
         # The partition is built before any policy runs.
         def failing(arms, k):
@@ -537,6 +574,24 @@ class TestWorkerPool:
 
         with pytest.raises(ValueError, match="^task 3 failed$"):
             experiments._map(fail_on_three, list(range(6)), 2)
+        _assert_no_children_left()
+
+    def test_config_error_survives_a_pickle_round_trip(self):
+        error = ConfigError([("$.a", "bad"), ("$.b[0]", "worse")])
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is ConfigError
+        assert copy.errors == error.errors
+        assert str(copy) == str(error) == "$.a: bad; $.b[0]: worse"
+
+    def test_worker_config_error_is_raised_here_as_one(self):
+        def fail_on_one(task):
+            if task == 1:
+                raise ConfigError([("$.N", f"task {task}")])
+            return task
+
+        with pytest.raises(ConfigError, match=r"^\$\.N: task 1$") as caught:
+            experiments._map(fail_on_one, list(range(4)), 2)
+        assert caught.value.errors == [("$.N", "task 1")]
         _assert_no_children_left()
 
     def test_unpicklable_exception_keeps_its_name_and_message(self):

@@ -81,6 +81,27 @@ class TestPartition:
         assert part.assignment[0] == 5
 
     @pytest.mark.parametrize(
+        "dim, k",
+        [(1, 255), (1, 256), (1, 257), (2, 16), (2, 17), (3, 6), (3, 7),
+         (1, 65536), (1, 65537), (2, 256), (2, 257)],
+    )
+    def test_bin_ids_are_the_int64_ids_in_the_narrowest_type(self, dim, k):
+        # k^dim bins on both sides of the uint8 and uint16 limits; at dim 1
+        # and k = 256 or 65536 the digit k of a covariate 1.0 itself needs
+        # the wider type before the clip.
+        rng = np.random.default_rng(k * dim)
+        cov = rng.random((3000, dim))
+        cov[:4] = np.array([1.0, 0.0, np.nextafter(1.0, 0.0), (k - 1) / k])[:, None]
+        cov[4:100] = rng.integers(0, k + 1, (96, dim)) / k  # on the bin edges
+        part = build_partition(ArmSet(cov), k)
+        assert part.assignment.dtype == np.min_scalar_type(k**dim - 1)
+        digits = np.minimum((cov * k).astype(np.int64), k - 1)
+        expected = np.ravel_multi_index(tuple(digits.T), (k,) * dim)
+        np.testing.assert_array_equal(part.assignment, expected)
+        assert part.assignment[0] == k**dim - 1 and part.assignment[1] == 0
+        np.testing.assert_array_equal(part.counts, np.bincount(expected, minlength=k**dim))
+
+    @pytest.mark.parametrize(
         "dim, k", [(1, 255), (1, 256), (1, 257), (2, 256), (2, 257)]
     )
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000))
@@ -94,8 +115,12 @@ class TestPartition:
         cov[::2] = rng.random((4, dim))[rng.integers(0, 4, cov[::2].shape[0])]
         cov[0] = 1.0  # occupies the last bin, id k^dim - 1
         part = build_partition(ArmSet(cov), k)
+        # Each bin's arms, in ascending bin order, are the stable sort by
+        # int64 id; an empty bin's slice is empty, so it adds nothing.
+        grouped = [part.arms_in_bin(b) for b in np.flatnonzero(part.counts).tolist()]
         np.testing.assert_array_equal(
-            part._order, np.argsort(part.assignment, kind="stable")
+            np.concatenate(grouped),
+            np.argsort(part.assignment.astype(np.int64), kind="stable"),
         )
 
     def test_counts_match_assignment(self):
@@ -492,7 +517,9 @@ def eager_star(inst, seed):
 
 
 def eager_discrete(inst, part, order, f_hat, seed):
-    """oracle_discrete's pull order and rewards, built as the run is made."""
+    """oracle_discrete's pull order and rewards, built as the run is made
+    from ``arms_in_bin`` slices: each emptied bin's arms in ranking order,
+    then the draws from the boundary bin's arms."""
     parts = [part.arms_in_bin(int(b)) for b in order[:f_hat]]
     remainder = inst.T - sum(p.size for p in parts)
     reward_rng, s_select = _run_streams(seed)
@@ -556,6 +583,32 @@ class TestDeferredTraces:
             ]
             for run, expected in runs:
                 assert_matches_eager(run, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        dim=st.integers(1, 3),
+        k=st.integers(1, 7),
+        levels=st.integers(1, 4),
+        budget=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_discrete_matches_the_bin_slice_reference(self, n, dim, k, levels, budget, seed):
+        # Few distinct bin means tie bins in the ranking; the oracle finds
+        # its arms by bin id and never groups the partition's arms by bin.
+        rng = np.random.default_rng(seed)
+        arms = sample_arms_uniform(n, dim, seed)
+        inst = make_instance(arms, Constant(0.5, dim), RewardModel("clipped_gaussian", 0.2),
+                             max(1, round(budget * n)))
+        part = build_partition(arms, k)
+        ranking = rank_bins(part, rng.integers(0, levels, part.bin_count), inst.T)
+        trace = oracle_discrete(inst, part, *ranking, seed=seed)
+        pulled, rewards = trace.pulled, trace.rewards
+        assert part._order is None
+        expected_pulled, expected_rewards = eager_discrete(inst, part, *ranking, seed)
+        np.testing.assert_array_equal(np.sort(trace.arms), np.sort(expected_pulled))
+        np.testing.assert_array_equal(pulled, expected_pulled)
+        np.testing.assert_array_equal(rewards, expected_rewards)
 
     @pytest.mark.parametrize(
         "rewards", [BERN, RewardModel("clipped_gaussian", 0.1)], ids=["bernoulli", "gaussian"]
