@@ -103,7 +103,7 @@ def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
 
 def _pull_mask(instance: Instance, trace) -> np.ndarray:
     """The arms a trace pulled, as a mask; it must pull T distinct arms.
-    Reads the pull set alone, so a deferred trace builds nothing."""
+    Reads the pull set alone, so it never runs the trace's builder."""
     arms = trace.arms
     if arms.size != instance.T:
         raise ValueError(f"trace length {arms.size} != budget {instance.T}")

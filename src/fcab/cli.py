@@ -9,7 +9,6 @@ at info, the last line gives the run's page faults and peak memory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
@@ -39,10 +38,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _read_config(path: str, read):
+def _read_config(path: str, read, seed=None):
     """``read`` of the top-level object of the config file at ``path``,
     without its ``schema`` key, which must be 1; the errors of both are
-    raised together."""
+    raised together.  A ``seed`` replaces the object's ``master_seed``
+    before ``read`` runs, so its range is checked as the file's is."""
     if not os.path.exists(path):
         raise ConfigError([("$", f"config file not found: {path}")])
     try:
@@ -56,6 +56,8 @@ def _read_config(path: str, read):
     schema = _field(data, "schema", int, errors)
     if schema not in (None, 1):
         errors.append(("$.schema", f"unsupported schema version {schema!r}"))
+    if seed is not None:
+        data["master_seed"] = seed
     try:
         config = read({key: value for key, value in data.items() if key != "schema"})
     except ConfigError as exc:
@@ -65,14 +67,14 @@ def _read_config(path: str, read):
     return config
 
 
-def parse_config(path: str) -> experiments.ExperimentConfig:
+def parse_config(path: str, seed=None) -> experiments.ExperimentConfig:
     """Parse and validate an experiment config, reporting every schema
     problem with its JSON path."""
-    return _read_config(path, experiments.ExperimentConfig.from_json)
+    return _read_config(path, experiments.ExperimentConfig.from_json, seed)
 
 
-def parse_lowerbound_config(path: str) -> dict:
-    return _read_config(path, functools.partial(from_json, experiments.lower_bound_config))
+def parse_lowerbound_config(path: str, seed=None) -> dict:
+    return _read_config(path, functools.partial(from_json, experiments.lower_bound_config), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +86,12 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _experiment_config(args) -> experiments.ExperimentConfig:
-    config = parse_config(args.config)
-    if args.seed is None:
-        return config
-    return dataclasses.replace(config, master_seed=args.seed)
-
-
 def _write_sweep(args, name: str, text) -> int:
     """Run the config's sweep on ``--threads`` workers and write
     ``text(result)`` to ``name``.  When a cell fails, log it, write
     nothing (a file without the failed cells would read as complete) and
     return 2."""
-    result = experiments.run_sweep(_experiment_config(args), threads=args.threads)
+    result = experiments.run_sweep(parse_config(args.config, args.seed), threads=args.threads)
     for row in result.rows:
         log.info(
             "cell policy=%s N=%d regret_mean=%.4f wall_ms=%.1f",
@@ -134,9 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    cfg = parse_lowerbound_config(args.config)
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
+    cfg = parse_lowerbound_config(args.config, args.seed)
     report = experiments.lower_bound_protocol(
         cfg["pair"], cfg["policy"], cfg["replications"], cfg["master_seed"], threads=args.threads
     )

@@ -550,6 +550,8 @@ class RewardModel:
             raise ConfigError([("$.kind", f"unknown reward model {self.kind!r}")])
         if self.kind == CLIPPED_GAUSSIAN and self.sigma <= 0:
             raise ConfigError([("$.sigma", "clipped gaussian needs a positive sigma")])
+        if self.kind == BERNOULLI and self.sigma != 0:
+            raise ConfigError([("$.sigma", "bernoulli rewards take no sigma")])
 
     def sample(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one reward per entry of ``means``."""

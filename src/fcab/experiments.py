@@ -148,6 +148,8 @@ class KRule:
             raise ConfigError([("$.kind", f"unknown K rule {self.kind!r}")])
         if self.kind == "explicit" and (self.k is None or self.k < 1):
             raise ConfigError([("$.k", "explicit K rule needs a positive k")])
+        if self.kind != "explicit" and self.k is not None:
+            raise ConfigError([("$.k", f"the {self.kind} K rule takes no k")])
 
 
 def choose_k(policy_id: str, k_rule: KRule, n: int, t: int, dim: int) -> int:

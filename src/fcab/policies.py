@@ -21,6 +21,7 @@ the pull order and rewards on first read: a sweep never builds them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -180,63 +181,43 @@ def _bonus(n_k, t_budget: int, delta: float):
 class PolicyTrace:
     """Record of one run: ``arms``, the pull set in whatever order the
     policy has it; ``pulled``, those arms in pull order; ``rewards``, what
-    each pull paid.  ``PolicyTrace(pulled, rewards)`` is built as it ran.
-    A ``deferred`` trace builds ``pulled`` and ``rewards`` together, on the
-    first read of either, and then drops its builder; ``len`` builds
+    each pull paid.  ``build()`` returns ``(pulled, rewards)``; it runs on
+    the first read of either, and the trace then drops it.  ``len`` builds
     nothing, and pickling builds both.  Regret reads only ``arms``, so a
     sweep builds neither."""
 
-    def __init__(self, pulled, rewards):
-        pulled = np.asarray(pulled, dtype=np.int64)
-        rewards = np.asarray(rewards, dtype=np.float64)
-        if pulled.shape != rewards.shape or pulled.ndim != 1:
-            raise ValueError("pulled and rewards must be 1-d of equal length")
-        self.arms = pulled
-        self._built, self._build = (pulled, rewards), None
+    def __init__(self, arms, build):
+        self.arms = np.asarray(arms, dtype=np.int64)
+        self._build = build
 
-    @classmethod
-    def deferred(cls, arms, build) -> "PolicyTrace":
-        """The trace of the pull set ``arms`` whose ``(pulled, rewards)``
-        is ``build()``, called on first read."""
-        trace = cls.__new__(cls)
-        trace.arms = np.asarray(arms, dtype=np.int64)
-        trace._built, trace._build = None, build
-        return trace
-
+    @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._built is None:
-            self._built, self._build = self._build(), None
-        return self._built
+        arrays, self._build = self._build(), None
+        return arrays
 
     @property
     def pulled(self) -> np.ndarray:
-        return self._arrays()[0]
+        return self._arrays[0]
 
     @property
     def rewards(self) -> np.ndarray:
-        return self._arrays()[1]
+        return self._arrays[1]
 
     def __len__(self) -> int:
         return self.arms.size
 
     def __getstate__(self):
-        self._arrays()  # builds both arrays and drops the builder
+        self._arrays  # builds both arrays and drops the builder
         return self.__dict__
 
 
-def write_trace_jsonl(trace: PolicyTrace, path, partition: Optional[Partition] = None) -> None:
+def write_trace_jsonl(trace: PolicyTrace, path, partition: Partition) -> None:
     """One JSON record per pull: t (1-based), bin, arm, reward."""
-    assignment = partition.assignment if partition is not None else None
+    pulled = trace.pulled
+    records = zip(partition.assignment[pulled].tolist(), pulled.tolist(), trace.rewards.tolist())
     with open(path, "w") as fh:
-        for i in range(len(trace)):
-            arm = int(trace.pulled[i])
-            rec = {
-                "t": i + 1,
-                "bin": int(assignment[arm]) if assignment is not None else None,
-                "arm": arm,
-                "reward": float(trace.rewards[i]),
-            }
-            fh.write(json.dumps(rec) + "\n")
+        for t, (b, arm, reward) in enumerate(records, 1):
+            fh.write(json.dumps({"t": t, "bin": b, "arm": arm, "reward": reward}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +297,7 @@ def ucbf_run(
         order = np.argsort(-keys, kind="stable")[:t_budget]
         return stream[order], rewards[order]
 
-    return PolicyTrace.deferred(stream[_top_mask(keys, t_budget)], build)
+    return PolicyTrace(stream[_top_mask(keys, t_budget)], build)
 
 
 def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, order=None):
@@ -336,19 +317,12 @@ def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     decreasing-mean order with ties broken by ascending arm index."""
 
     def order(star):
-        # A stable sort of the star set (ascending index) breaks ties by
-        # index; without ties the faster default sort gives that same,
-        # unique order.
-        keys = -instance.true_means[star]
-        pulled = star[np.argsort(keys)]
-        means = instance.true_means[pulled]
-        if np.any(means[1:] == means[:-1]):
-            pulled = star[np.argsort(keys, kind="stable")]
-        return pulled
+        # The star set is in ascending index, so a stable sort breaks ties by index.
+        return star[np.argsort(-instance.true_means[star], kind="stable")]
 
     reward_rng, _ = _run_streams(seed)
     star = instance.star_order()
-    return PolicyTrace.deferred(star, _order_then_draw(instance, reward_rng, star, order))
+    return PolicyTrace(star, _order_then_draw(instance, reward_rng, star, order))
 
 
 def oracle_discrete(
@@ -385,7 +359,7 @@ def oracle_discrete(
         head = head[np.argsort(rank.take(assignment.take(head)), kind="stable")]
         return np.concatenate((head, arms[n_top:]))
 
-    return PolicyTrace.deferred(arms, _order_then_draw(instance, reward_rng, arms, by_rank))
+    return PolicyTrace(arms, _order_then_draw(instance, reward_rng, arms, by_rank))
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
@@ -393,7 +367,7 @@ def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     reward_rng, _ = _run_streams(seed)
     # A copy: a view of the prefix would keep the N-long permutation alive.
     pulled = reward_rng.permutation(instance.n)[: instance.T].copy()
-    return PolicyTrace.deferred(pulled, _order_then_draw(instance, reward_rng, pulled))
+    return PolicyTrace(pulled, _order_then_draw(instance, reward_rng, pulled))
 
 
 # ---------------------------------------------------------------------------

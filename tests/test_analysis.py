@@ -179,7 +179,7 @@ class TestFHat:
 class TestRegretTotal:
     def test_small_grid(self):
         inst = make_instance(grid_arms(4), identity(), BERN, 2)
-        trace = PolicyTrace(np.array([0, 3]), np.zeros(2))
+        trace = PolicyTrace(np.array([0, 3]), None)
         # top means 1.0 + 0.75 against pulled 0.25 + 1.0
         assert regret_total(inst, trace) == pytest.approx(0.5, abs=1e-12)
 
@@ -198,12 +198,12 @@ class TestRegretTotal:
     def test_wrong_length(self):
         inst = make_instance(grid_arms(4), identity(), BERN, 2)
         with pytest.raises(ValueError):
-            regret_total(inst, PolicyTrace(np.array([0]), np.zeros(1)))
+            regret_total(inst, PolicyTrace(np.array([0]), None))
 
     def test_duplicates_detected(self):
         inst = make_instance(grid_arms(4), identity(), BERN, 2)
         with pytest.raises(ValueError):
-            regret_total(inst, PolicyTrace(np.array([3, 3]), np.zeros(2)))
+            regret_total(inst, PolicyTrace(np.array([3, 3]), None))
 
     def test_nonnegative_across_policies(self):
         rng = np.random.default_rng(4)
@@ -391,9 +391,9 @@ class TestPullSetsOnly:
 
         def unbuilt(trace):
             def builder():
-                raise AssertionError("a deferred trace was built")
+                raise AssertionError("a trace's builder ran")
 
-            return PolicyTrace.deferred(trace.arms, builder)
+            return PolicyTrace(trace.arms, builder)
 
         lazy_star, lazy_reference, lazy_ucbf = unbuilt(star), unbuilt(reference), unbuilt(ucbf)
         assert len(lazy_star) == len(lazy_reference) == len(lazy_ucbf) == inst.T
@@ -434,17 +434,17 @@ class TestPullSetsOnly:
 
     def test_ucbf_sweep_never_runs_a_builder(self, monkeypatch):
         made, built = [], []
-        deferred = PolicyTrace.deferred.__func__
+        init = PolicyTrace.__init__
 
-        def tracked(cls, arms, build):
+        def tracked(self, arms, build):
             def counted():
                 built.append(build.__qualname__)
                 return build()
 
             made.append(build.__qualname__)
-            return deferred(cls, arms, counted)
+            init(self, arms, counted)
 
-        monkeypatch.setattr(PolicyTrace, "deferred", classmethod(tracked))
+        monkeypatch.setattr(PolicyTrace, "__init__", tracked)
         config = ExperimentConfig(
             mean_function=identity(),
             reward_model=BERN,

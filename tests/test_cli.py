@@ -119,6 +119,21 @@ class TestDispatch:
         assert run(["sweep", "--config", cfg, "--out", str(out2), "--seed", "99"]) == 0
         assert (out1 / "sweep.csv").read_bytes() != (out2 / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "lowerbound"])
+    def test_seed_override_is_the_config_seed(self, tmp_path, command):
+        cfg = minimal_experiment(policies=["ucbf", "random"]) if command != "lowerbound" else {
+            "schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3, "replications": 4}
+        flag = write_json(tmp_path / "flag.json", cfg)
+        seeded = write_json(tmp_path / "seeded.json", dict(cfg, master_seed=99))
+        outputs = []
+        for path, extra in ((flag, ["--seed", "99"]), (seeded, [])):
+            out = tmp_path / f"out{len(outputs)}"
+            out.mkdir()
+            assert run([command, "--config", path, "--out", str(out), *extra]) == 0
+            (name,) = os.listdir(out)
+            outputs.append((out / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_simulate_full_budget_zero_regret(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -201,6 +216,9 @@ class TestDispatch:
             # Past the cap on N * dim: one array of 10^12 floats is 7.28 TiB.
             ({"N_grid": [64, 10**12]}, "$.N_grid"),
             ({"N_grid": [10**400]}, "$.N_grid"),  # past the float range too
+            # Only an explicit K rule reads k, and only clipped gaussian rewards sigma.
+            ({"K_rule": {"kind": "cab", "k": 5}}, "$.K_rule.k"),
+            ({"reward_model": {"kind": "bernoulli", "sigma": 0.3}}, "$.reward_model.sigma"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(

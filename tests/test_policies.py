@@ -555,7 +555,7 @@ def eager_ucbf(inst, part, delta, seed):
 
 
 def assert_matches_eager(run, expected):
-    """Both read orders of a fresh deferred trace give the eager arrays,
+    """Both read orders of a fresh trace give the eager arrays,
     and its pull set holds the same arms."""
     pulled, obs = expected
     rewards_first, pulled_first = run(), run()
@@ -639,7 +639,7 @@ class TestDeferredTraces:
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 1), oracle_discrete(inst, part, *ranking, seed=1),
                   ucbf_run(inst, part, 0.01, 1), baseline_random(inst, 1),
-                  PolicyTrace([2, 0], [0.5, 1.0])]
+                  PolicyTrace([2, 0], lambda: (np.array([2, 0]), np.array([0.5, 1.0])))]
         for trace in traces:
             copy = pickle.loads(pickle.dumps(trace))
             for name in ("arms", "pulled", "rewards"):
