@@ -29,7 +29,6 @@ __all__ = [
     "RegretDecomposition",
     "DiagnosticsReport",
     "Baseline",
-    "bin_mean",
     "bin_means_quadrature",
     "bin_means_empirical",
     "rank_bins",
@@ -45,24 +44,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def bin_mean(f: MeanFunction, lo, hi) -> float:
-    """Average of the mean function over an axis-aligned bin, exact for
-    every kind (``MeanFunction.box_mean``)."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    if lo.shape != (f.dim,) or hi.shape != lo.shape or not np.all(
-        (0 <= lo) & (lo < hi) & (hi <= 1)
-    ):
-        raise ValueError("bin bounds must be dim values with 0 <= lo < hi <= 1")
-    return float(f.box_mean(lo, hi))
-
-
 def bin_means_quadrature(f: MeanFunction, partition) -> np.ndarray:
-    """Bin means of the true mean function for every bin of a partition."""
-    out = np.empty(partition.bin_count)
-    for b in range(partition.bin_count):
-        out[b] = bin_mean(f, *partition.bin_bounds(b))
-    return out
+    """Bin means of the true mean function for every bin of a partition,
+    exact for every kind (``MeanFunction.box_mean``)."""
+    return np.array([f.box_mean(lo, hi) for lo, hi in zip(*partition.bin_bounds())], float)
 
 
 def bin_means_empirical(instance: Instance, partition) -> np.ndarray:
@@ -70,10 +55,7 @@ def bin_means_empirical(instance: Instance, partition) -> np.ndarray:
     sums = np.bincount(
         partition.assignment, weights=instance.true_means, minlength=partition.bin_count
     )
-    counts = np.maximum(partition.counts, 1)
-    out = sums / counts
-    out[partition.counts == 0] = 0.0
-    return out
+    return sums / np.maximum(partition.counts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +235,14 @@ class Baseline:
 
 
 def make_baseline(instance: Instance, partition, order, f_hat: int, reference) -> Baseline:
-    """The baseline of ``policies.oracle_discrete``'s run under the ranking
-    ``order, f_hat`` that ``rank_bins`` gives for this partition."""
-    top_bins = np.zeros(partition.bin_count, dtype=bool)
-    top_bins[order[:f_hat]] = True
-    # ``take`` and a Python int keep the narrow bin ids from being widened.
-    top = top_bins.take(partition.assignment)
+    """The baseline of ``reference``, which must be ``policies.oracle_discrete``'s
+    run under the ranking ``order, f_hat`` that ``rank_bins`` gives for this
+    partition.  That run pulls every arm of the f_hat best bins, at least
+    one arm of the boundary bin ``order[f_hat]`` and nothing else, so its
+    pull set outside the boundary bin is exactly ``top``."""
+    # A Python int keeps the narrow bin ids from being widened.
     boundary = partition.assignment == int(order[f_hat])
     in_phid = _pull_mask(instance, reference)
-    return Baseline(reference, float(np.compress(in_phid, instance.true_means).sum()), top,
-                    ~(top | boundary), boundary & in_phid, boundary & ~in_phid,
-                    diagnostics(instance, partition, f_hat))
+    return Baseline(reference, float(np.compress(in_phid, instance.true_means).sum()),
+                    in_phid & ~boundary, ~(in_phid | boundary), boundary & in_phid,
+                    boundary & ~in_phid, diagnostics(instance, partition, f_hat))

@@ -1,9 +1,9 @@
 """Command-line front end: config-driven simulate / sweep / lowerbound /
 validate subcommands with deterministic, atomically-written outputs.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.  The log
-level comes from the FCAB_LOG environment variable (error, info, debug);
-at info, the last line gives the run's page faults and peak memory.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime error.
+The log level comes from the FCAB_LOG environment variable (error, info,
+debug); at info, the last line gives the run's page faults and peak memory.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name)
         s.add_argument("--config", required=True, help="path to the JSON config")
         s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--seed", type=int, default=None, help="master seed override")
+        if name != "validate":
+            s.add_argument("--seed", type=int, default=None, help="master seed override")
         s.add_argument(
             "--threads", type=int, default=1, help="worker processes (0 = all cores)"
         )
@@ -231,12 +232,12 @@ def run(argv=None) -> int:
     allocator_kept = experiments._keep_freed_memory()
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error is a configuration error; --help is not
+        return 1 if exc.code else 0
     if args.threads < 0:
         print("error: --threads must be nonnegative", file=sys.stderr)
-        return 1
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
         return 1
     if not os.path.isdir(args.out):
         print(f"error: output directory does not exist: {args.out}", file=sys.stderr)

@@ -257,7 +257,6 @@ class MeanFunction:
     closed forms, not numerical estimates, for every kind.
     """
 
-    kind: str = "abstract"
     dim: int = 1
     lipschitz_L: Optional[float] = None
 
@@ -276,11 +275,6 @@ class MeanFunction:
         """The mean over the box of axis bounds lo < hi, arrays of dim values."""
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        """``kind`` plus the constructor fields, which ``from_json`` takes back."""
-        fields = dataclasses.fields(self)
-        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields if f.init}}
-
     @staticmethod
     def from_json(spec: dict) -> "MeanFunction":
         """A mean function from its JSON object: ``kind`` and the parameters
@@ -294,7 +288,6 @@ class Constant(MeanFunction):
 
     value: float = 0.5
     dim: int = 1
-    kind: str = field(default="constant", init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -324,7 +317,6 @@ class PiecewiseLinear(MeanFunction):
     values: tuple[float, ...] = ()
     lipschitz_L: Optional[float] = None
     dim: int = field(default=1, init=False)
-    kind: str = field(default="piecewise_linear", init=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=np.float64)
@@ -394,7 +386,6 @@ class Sinusoid(MeanFunction):
     frequency: float = 1.0
     offset: float = 0.5
     dim: int = 1
-    kind: str = field(default="sinusoid", init=False)
 
     def __post_init__(self):
         if self.frequency <= 0:

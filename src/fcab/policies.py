@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,17 +62,13 @@ class Partition:
     Axis intervals are [j/K, (j+1)/K) with the last interval right-closed,
     so the boundary covariate 1.0 lands in the last bin.  The composite bin
     id is the row-major (first axis most significant) combination of the
-    per-axis digits.  Only ``arms_in_bin`` groups the arms by bin, and it
-    sorts them on its first call: a run that never reads a bin's arms
-    never pays for the sort.
+    per-axis digits.
     """
 
     k_per_axis: int
     dim: int
     assignment: np.ndarray  # (n_arms,) bin id per arm
     counts: np.ndarray  # (bin_count,) arms per bin
-    _order: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
-    _offsets: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def bin_count(self) -> int:
@@ -82,24 +78,12 @@ class Partition:
     def n_arms(self) -> int:
         return self.assignment.size
 
-    def initial_alive(self) -> np.ndarray:
-        """Bins holding at least two arms at construction."""
-        return np.flatnonzero(self.counts >= 2)
-
-    def arms_in_bin(self, b: int) -> np.ndarray:
-        """The arms of bin ``b``, in ascending arm order."""
-        if self._order is None:
-            # A stable sort groups arms by bin in ascending arm order; numpy
-            # radix-sorts the 8- and 16-bit ids ``build_partition`` gives.
-            self._order = np.argsort(self.assignment, kind="stable")
-            self._offsets = np.concatenate(([0], np.cumsum(self.counts)))
-        return self._order[self._offsets[b] : self._offsets[b + 1]]
-
-    def bin_bounds(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        digits = np.array(np.unravel_index(b, (self.k_per_axis,) * self.dim))
-        lo = digits / self.k_per_axis
-        hi = (digits + 1) / self.k_per_axis
-        return lo, hi
+    def bin_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every bin's lower and upper corner, as (bin_count, dim) arrays
+        in bin id order."""
+        k = self.k_per_axis
+        digits = np.indices((k,) * self.dim).reshape(self.dim, -1).T
+        return digits / k, (digits + 1) / k
 
 
 def build_partition(arms: ArmSet, k: int) -> Partition:
@@ -262,7 +246,7 @@ def ucbf_run(
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
     t_budget = instance.T
-    alive = partition.initial_alive()
+    alive = partition.counts >= 2
     sizes = partition.counts[alive]
     reachable = int(sizes.sum())
     if t_budget > reachable:
@@ -274,9 +258,11 @@ def ucbf_run(
     bonus = _bonus(pulls, t_budget, delta)
     reward_rng, s_select = _run_streams(seed)
     select = np.random.default_rng(s_select)
-    # One copy of the alive bins' arms, each bin shuffled in place: the
-    # same draws as one ``permutation`` of each bin.
-    stream = np.concatenate([partition.arms_in_bin(b) for b in alive])
+    # The alive bins' arms grouped by bin in ascending arm order, each bin
+    # then shuffled in place: the same draws as one ``permutation`` of each
+    # bin.  numpy radix-sorts the 8- and 16-bit ids ``build_partition`` gives.
+    grouped = np.argsort(partition.assignment, kind="stable")
+    stream = grouped[np.repeat(alive, partition.counts)]
     bins = list(zip(np.cumsum(sizes).tolist(), sizes.tolist()))
     for end, m in bins:
         select.shuffle(stream[end - m : end])
@@ -346,7 +332,6 @@ def oracle_discrete(
     rank[order] = np.arange(partition.bin_count)
     top = np.flatnonzero(rank.take(assignment) < f_hat)
     reward_rng, s_select = _run_streams(seed)
-    # The boundary bin's arms in ascending order, as ``arms_in_bin`` gives them.
     pool = np.flatnonzero(assignment == int(order[f_hat]))
     drawn = np.random.default_rng(s_select).choice(pool, instance.T - top.size, replace=False)
     arms = np.concatenate((top, drawn))

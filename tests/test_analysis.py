@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcab.analysis import (
-    bin_mean,
     bin_means_empirical,
     bin_means_quadrature,
     diagnostics,
@@ -57,6 +56,11 @@ def random_piecewise(rng, pieces=4):
     return PiecewiseLinear(tuple(knots), tuple(values))
 
 
+def bin_mean(f, lo, hi):
+    """The exact mean of a one-dimensional ``f`` over [lo, hi]."""
+    return f.box_mean(np.array([lo]), np.array([hi]))
+
+
 class TestBinMean:
     def test_linear_midpoint(self):
         assert bin_mean(identity(), 0.2, 0.4) == pytest.approx(0.3, abs=1e-15)
@@ -83,12 +87,6 @@ class TestBinMean:
         w = 2.0 * math.pi * 1.5
         exact = 0.5 + 0.3 * (math.cos(w * a) - math.cos(w * b)) / (w * (b - a))
         assert bin_mean(f, a, b) == pytest.approx(exact, abs=1e-9)
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            bin_mean(identity(), 0.5, 0.5)
-        with pytest.raises(ValueError, match="dim values"):
-            bin_mean(Sinusoid(dim=2), 0.1, 0.2)
 
     def test_partition_bin_means(self):
         part = build_partition(grid_arms(100), 4)
@@ -372,6 +370,41 @@ class TestExactKernels:
             for term, value in expected.items():
                 assert getattr(dec, term) == value, (policy_id, term)
             assert regret_total(inst, trace) == expected["r_total"]
+
+
+class TestBaselineMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        dim=st.integers(1, 3),
+        k=st.integers(1, 7),
+        levels=st.integers(1, 4),
+        budget=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=50, dim=1, k=2, levels=1, budget=0.1, seed=0)  # f_hat = 0
+    def test_masks_match_the_ranking(self, n, dim, k, levels, budget, seed):
+        # The masks read from the reference run equal those the ranking
+        # gives: the f_hat best bins, the bins below the boundary bin, and
+        # the boundary bin's arms split by the reference's pulls.  Few
+        # distinct bin means tie bins in the ranking.
+        rng = np.random.default_rng(seed)
+        arms = sample_arms_uniform(n, dim, seed)
+        inst = make_instance(arms, Constant(0.5, dim), BERN, max(1, round(budget * n)))
+        part = build_partition(arms, k)
+        order, f_hat = rank_bins(part, rng.integers(0, levels, part.bin_count), inst.T)
+        reference = oracle_discrete(inst, part, order, f_hat, seed=seed)
+        baseline = make_baseline(inst, part, order, f_hat, reference)
+        top_bins = np.zeros(part.bin_count, dtype=bool)
+        top_bins[order[:f_hat]] = True
+        top = top_bins.take(part.assignment)
+        boundary = part.assignment == order[f_hat]
+        in_phid = np.zeros(inst.n, dtype=bool)
+        in_phid[reference.arms] = True
+        np.testing.assert_array_equal(baseline.top, top)
+        np.testing.assert_array_equal(baseline.low, ~(top | boundary))
+        np.testing.assert_array_equal(baseline.kept, boundary & in_phid)
+        np.testing.assert_array_equal(baseline.left, boundary & ~in_phid)
 
 
 class TestPullSetsOnly:

@@ -315,11 +315,32 @@ class TestDispatch:
         assert not (tmp_path / "lb_report.json").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "lowerbound"])
-    def test_negative_seed_override_rejected(self, tmp_path, command):
+    def test_negative_seed_override_rejected(self, tmp_path, capsys, command):
         cfg = minimal_experiment() if command == "sweep" else {
             "schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3}
         path = write_json(tmp_path / "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error at $.master_seed")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", "c.json", "--threads", "abc"],
+            ["sweep", "--out", "."],
+            ["validate", "--config", "c.json", "--seed", "5"],
+            ["sweep", "--config", "c.json", "--bogus"],
+            [],
+        ],
+        ids=["bad-threads", "no-config", "validate-seed", "unknown-flag", "no-command"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert run(argv) == 1
+        assert "usage: fcab" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(argv) == 0
+        assert "usage: fcab" in capsys.readouterr().out
 
     def test_missing_out_dir(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment())

@@ -342,37 +342,31 @@ class TestSharedSetUp:
 
     ORACLES = ("oracle-star", "oracle-discrete", "random")
 
-    @pytest.mark.parametrize("bin_means", ["quadrature", "empirical"])
-    def test_oracle_only_trial_never_groups_arms_by_bin(self, monkeypatch, bin_means):
-        # Only ucbf_run reads every bin's arms; the oracles find theirs by
-        # bin id, so the partition's sort by bin is never made.
-        built = []
-        build = policies.build_partition
-
-        def recording(arms, k):
-            built.append(build(arms, k))
-            return built[-1]
-
-        monkeypatch.setattr(policies, "build_partition", recording)
-        cfg = small_config(policies=self.ORACLES, n_grid=(4096,), bin_means_mode=bin_means)
-        assert all(isinstance(r, experiments.TrialResult) for r in run_trial(cfg, 4096, 0))
-        assert len(built) == 1 and built[0]._order is None
-
-    def test_oracle_trial_peak_memory_per_arm(self):
-        # Tooling guard on what one oracle-only trial holds at once, traced
-        # by tracemalloc: about 43 bytes per arm at N = 2^16 (58 while every
-        # partition sorted its arms by bin and kept int64 bin ids).
+    @staticmethod
+    def peak_bytes_per_arm(policy_ids):
+        """What one trial of these policies holds at once at N = 2^16, per
+        arm, traced by tracemalloc after a first trial fills the
+        per-process caches."""
         n = 2**16
-        cfg = small_config(policies=self.ORACLES, n_grid=(n,), replications=2,
+        cfg = small_config(policies=policy_ids, n_grid=(n,), replications=2,
                            mean_function=Sinusoid(0.35, 1.15, 0.5))
-        run_trial(cfg, n, 0, keep_trace=False)  # fills the per-process caches
+        run_trial(cfg, n, 0, keep_trace=False)
         tracemalloc.start()
         try:
             run_trial(cfg, n, 1, keep_trace=False)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / n
         finally:
             tracemalloc.stop()
-        assert peak / n < 50
+
+    def test_oracle_trial_peak_memory_per_arm(self):
+        # Tooling guard: about 43 bytes per arm (58 while every partition
+        # sorted its arms by bin and kept int64 bin ids).
+        assert self.peak_bytes_per_arm(self.ORACLES) < 50
+
+    def test_ucbf_trial_peak_memory_per_arm(self):
+        # About 71 bytes per arm; 75 while the partition kept its 8-byte
+        # sort by bin for the trial's lifetime.
+        assert self.peak_bytes_per_arm(("ucbf",)) < 73
 
     def test_set_up_error_fails_every_cell(self, monkeypatch):
         # The partition is built before any policy runs.

@@ -41,6 +41,16 @@ def identity():
     return PiecewiseLinear((0.0, 1.0), (0.0, 1.0))
 
 
+def bin_arms(part, b):
+    """The arms of bin ``b``, in ascending arm order."""
+    return np.flatnonzero(part.assignment == b)
+
+
+def alive_bins(part):
+    """The bins UCBF can pull from: those holding at least two arms."""
+    return np.flatnonzero(part.counts >= 2)
+
+
 def ucbf_index(sum_rewards, n_k, t_budget, delta):
     """Empirical bin mean plus the exploration bonus sqrt(log(T/delta)/(2n)),
     elementwise on arrays as well as on scalars: the index ``ucbf_run``
@@ -107,7 +117,8 @@ class TestPartition:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000))
     @settings(max_examples=20, deadline=None)
     def test_grouping_matches_int64_stable_sort(self, dim, k, seed, n):
-        # k^dim bins on both sides of the uint8 and uint16 key limits.
+        # k^dim bins on both sides of the uint8 and uint16 key limits:
+        # ucbf_run groups the arms by a stable sort of the narrow ids.
         rng = np.random.default_rng(seed)
         cov = rng.random((n, dim))
         # Every other arm sits on one of four points, so some bins hold
@@ -116,11 +127,13 @@ class TestPartition:
         cov[0] = 1.0  # occupies the last bin, id k^dim - 1
         part = build_partition(ArmSet(cov), k)
         # Each bin's arms, in ascending bin order, are the stable sort by
-        # int64 id; an empty bin's slice is empty, so it adds nothing.
-        grouped = [part.arms_in_bin(b) for b in np.flatnonzero(part.counts).tolist()]
+        # int64 id; an empty bin adds nothing.
+        grouped = np.argsort(part.assignment, kind="stable")
         np.testing.assert_array_equal(
-            np.concatenate(grouped),
-            np.argsort(part.assignment.astype(np.int64), kind="stable"),
+            grouped, np.argsort(part.assignment.astype(np.int64), kind="stable")
+        )
+        np.testing.assert_array_equal(
+            grouped, np.concatenate([bin_arms(part, b) for b in range(part.bin_count)])
         )
 
     def test_counts_match_assignment(self):
@@ -129,16 +142,27 @@ class TestPartition:
         assert part.bin_count == 16
         recounted = np.bincount(part.assignment, minlength=16)
         np.testing.assert_array_equal(recounted, part.counts)
+
+    @pytest.mark.parametrize("dim, k", [(1, 1), (1, 7), (2, 3), (3, 4)])
+    def test_bin_bounds_are_each_bins_corners(self, dim, k):
+        part = build_partition(sample_arms_uniform(10, dim, 1), k)
+        lo, hi = part.bin_bounds()
+        assert lo.shape == hi.shape == (k**dim, dim)
         for b in range(part.bin_count):
-            np.testing.assert_array_equal(
-                part.arms_in_bin(b), np.flatnonzero(part.assignment == b)
-            )
+            digits = np.array(np.unravel_index(b, (k,) * dim))
+            np.testing.assert_array_equal(lo[b], digits / k)
+            np.testing.assert_array_equal(hi[b], (digits + 1) / k)
 
     def test_alive_requires_two_arms(self):
         part = build_partition(grid_arms(5), 4)
-        # grid arms 0.2..1.0: counts (1,1,1,2); only the last bin is alive
+        # grid arms 0.2..1.0: counts (1,1,1,2); only the last bin is alive,
+        # so UCBF reaches its two arms and no other.
         np.testing.assert_array_equal(part.counts, [1, 1, 1, 2])
-        np.testing.assert_array_equal(part.initial_alive(), [3])
+        inst = make_instance(grid_arms(5), identity(), BERN, 2)
+        assert sorted(ucbf_run(inst, part, 0.01, seed=0).pulled.tolist()) == [3, 4]
+        inst = make_instance(grid_arms(5), identity(), BERN, 3)
+        with pytest.raises(ValueError, match="the 2 arms reachable"):
+            ucbf_run(inst, part, 0.01, seed=0)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -224,8 +248,8 @@ def reference_ucbf(inst, part, delta, seed):
     drawn in that order, then forced pulls and argmax pulls of ucbf_index."""
     s_rewards, s_select = np.random.SeedSequence(seed).spawn(2)
     select = np.random.default_rng(s_select)
-    alive = [int(b) for b in part.initial_alive()]
-    queues = {b: select.permutation(part.arms_in_bin(b)).tolist() for b in alive}
+    alive = alive_bins(part).tolist()
+    queues = {b: select.permutation(bin_arms(part, b)).tolist() for b in alive}
     stream = [arm for b in alive for arm in queues[b]]
     drawn = inst.rewards.sample(inst.true_means[stream], np.random.default_rng(s_rewards))
     reward_of = dict(zip(stream, drawn.tolist()))
@@ -330,7 +354,7 @@ class TestUcbfRun:
         assert part.bin_count == 9
         trace = ucbf_run(inst, part, 0.01, seed=4)
         assert len(np.unique(trace.pulled)) == 150
-        alive = set(part.initial_alive().tolist())
+        alive = set(alive_bins(part).tolist())
         pulled_bins = set(part.assignment[trace.pulled].tolist())
         assert pulled_bins <= alive
 
@@ -372,7 +396,7 @@ class TestUcbfRun:
         else:
             mean_fn = identity() if dim == 1 else Sinusoid(0.4, 1.0, 0.5, dim=dim)
         part = build_partition(arms, k)
-        reachable = int(part.counts[part.initial_alive()].sum())
+        reachable = int(part.counts[alive_bins(part)].sum())
         assume(reachable >= 1)
         t = data.draw(st.integers(1, reachable), label="T")
         rewards = RewardModel("clipped_gaussian", 0.25) if gaussian else BERN
@@ -480,7 +504,7 @@ class TestOracles:
         # bin 0 (9 arms) ranks second and fills the remaining 3 pulls.
         inst = make_instance(grid_arms(40), identity(), BERN, 13)
         part = build_partition(inst.arms, 4)
-        emptied, boundary = part.arms_in_bin(2), part.arms_in_bin(0)
+        emptied, boundary = bin_arms(part, 2), bin_arms(part, 0)
         remainder = inst.T - emptied.size
         picks = np.zeros(inst.n, dtype=np.int64)
         ranking = rank_bins(part, [0.5, 0.1, 0.9, 0.3], inst.T)
@@ -518,12 +542,12 @@ def eager_star(inst, seed):
 
 def eager_discrete(inst, part, order, f_hat, seed):
     """oracle_discrete's pull order and rewards, built as the run is made
-    from ``arms_in_bin`` slices: each emptied bin's arms in ranking order,
-    then the draws from the boundary bin's arms."""
-    parts = [part.arms_in_bin(int(b)) for b in order[:f_hat]]
+    bin by bin: each emptied bin's arms in ranking order, then the draws
+    from the boundary bin's arms."""
+    parts = [bin_arms(part, b) for b in order[:f_hat]]
     remainder = inst.T - sum(p.size for p in parts)
     reward_rng, s_select = _run_streams(seed)
-    pool = part.arms_in_bin(int(order[f_hat]))
+    pool = bin_arms(part, order[f_hat])
     parts.append(np.random.default_rng(s_select).choice(pool, remainder, replace=False))
     pulled = np.concatenate(parts)
     return pulled, inst.rewards.sample(inst.true_means[pulled], reward_rng)
@@ -533,11 +557,11 @@ def eager_ucbf(inst, part, delta, seed):
     """ucbf_run's pull order and rewards by one stable argsort of every
     bin's running-minimum index keys, built as the run is made; also the
     keys that sort picks the post-initialisation pulls from."""
-    alive = part.initial_alive()
+    alive = alive_bins(part)
     sizes = part.counts[alive]
     reward_rng, s_select = _run_streams(seed)
     select = np.random.default_rng(s_select)
-    stream = np.concatenate([select.permutation(part.arms_in_bin(b)) for b in alive])
+    stream = np.concatenate([select.permutation(bin_arms(part, b)) for b in alive])
     rewards = inst.rewards.sample(inst.true_means[stream], reward_rng)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     keys = np.concatenate([
@@ -594,8 +618,7 @@ class TestDeferredTraces:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_discrete_matches_the_bin_slice_reference(self, n, dim, k, levels, budget, seed):
-        # Few distinct bin means tie bins in the ranking; the oracle finds
-        # its arms by bin id and never groups the partition's arms by bin.
+        # Few distinct bin means tie bins in the ranking.
         rng = np.random.default_rng(seed)
         arms = sample_arms_uniform(n, dim, seed)
         inst = make_instance(arms, Constant(0.5, dim), RewardModel("clipped_gaussian", 0.2),
@@ -604,7 +627,6 @@ class TestDeferredTraces:
         ranking = rank_bins(part, rng.integers(0, levels, part.bin_count), inst.T)
         trace = oracle_discrete(inst, part, *ranking, seed=seed)
         pulled, rewards = trace.pulled, trace.rewards
-        assert part._order is None
         expected_pulled, expected_rewards = eager_discrete(inst, part, *ranking, seed)
         np.testing.assert_array_equal(np.sort(trace.arms), np.sort(expected_pulled))
         np.testing.assert_array_equal(pulled, expected_pulled)
@@ -620,7 +642,7 @@ class TestDeferredTraces:
         # only, and the reachable budget takes every key.
         arms, mean = AT_SCALE[1]
         part = build_partition(arms, 8)
-        alive = part.initial_alive().size
+        alive = alive_bins(part).size
         t = {"half": arms.n // 2, "alive-1": alive - 1, "alive": alive,
              "alive+1": alive + 1, "reachable": arms.n}[budget]
         inst = make_instance(arms, mean, rewards, t)
