@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import Instance, MeanFunction, Record
-from .policies import PolicyTrace
+from . import policies
+from .environment import Instance, MeanFunction
 
 __all__ = [
     "RegretDecomposition",
@@ -103,7 +103,7 @@ def regret_total(instance: Instance, trace) -> float:
 
 
 @dataclass(frozen=True)
-class RegretDecomposition(Record):
+class RegretDecomposition:
     """Exact split of one run's regret.
 
     r_total = r_disc + r_fmab and r_fmab = r_opt + r_boundary + r_subopt,
@@ -162,7 +162,7 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
 
 
 @dataclass(frozen=True)
-class DiagnosticsReport(Record):
+class DiagnosticsReport:
     """Runtime quantities tracked against their concentration scales.
 
     ``m_hat_gap_scaled`` is |M_hat - M| * K / L (None when no Lipschitz
@@ -225,7 +225,7 @@ class Baseline:
     boundary bin (``low``) and the boundary bin's arms the reference
     pulled (``kept``) and left (``left``), and the diagnostics report."""
 
-    reference: PolicyTrace
+    reference: policies.PolicyTrace
     s_phid: float
     top: np.ndarray
     low: np.ndarray
@@ -234,12 +234,14 @@ class Baseline:
     report: DiagnosticsReport
 
 
-def make_baseline(instance: Instance, partition, order, f_hat: int, reference) -> Baseline:
-    """The baseline of ``reference``, which must be ``policies.oracle_discrete``'s
-    run under the ranking ``order, f_hat`` that ``rank_bins`` gives for this
-    partition.  That run pulls every arm of the f_hat best bins, at least
-    one arm of the boundary bin ``order[f_hat]`` and nothing else, so its
-    pull set outside the boundary bin is exactly ``top``."""
+def make_baseline(instance: Instance, partition, bin_means, seed: int) -> Baseline:
+    """The baseline of the discretised oracle's reference run, seeded by
+    ``seed``, under the ranking ``rank_bins`` gives ``bin_means``.  That
+    run pulls every arm of the f_hat best bins, at least one arm of the
+    boundary bin ``order[f_hat]`` and nothing else, so its pull set
+    outside the boundary bin is exactly ``top``."""
+    order, f_hat = rank_bins(partition, bin_means, instance.T)
+    reference = policies.oracle_discrete(instance, partition, order, f_hat, seed)
     # A Python int keeps the narrow bin ids from being widened.
     boundary = partition.assignment == int(order[f_hat])
     in_phid = _pull_mask(instance, reference)

@@ -16,6 +16,7 @@ import os
 import resource
 import sys
 import tempfile
+from dataclasses import asdict
 
 from . import experiments
 from .environment import ConfigError, _field, from_json, verify_margin, verify_weak_lipschitz
@@ -38,17 +39,31 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key raises ValueError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _read_config(path: str, read, seed=None):
     """``read`` of the top-level object of the config file at ``path``,
     without its ``schema`` key, which must be 1; the errors of both are
     raised together.  A ``seed`` replaces the object's ``master_seed``
-    before ``read`` runs, so its range is checked as the file's is."""
-    if not os.path.exists(path):
-        raise ConfigError([("$", f"config file not found: {path}")])
+    before ``read`` runs, so its range is checked as the file's is.  A
+    file that cannot be read or decoded, or that repeats a key in any
+    object, is a configuration error at ``$``."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    except FileNotFoundError:
+        raise ConfigError([("$", f"config file not found: {path}")])
+    except OSError as exc:
+        raise ConfigError([("$", f"cannot read config file: {exc}")])
+    except ValueError as exc:  # undecodable bytes, bad JSON or a repeated key
         raise ConfigError([("$", f"invalid JSON: {exc}")])
     if not isinstance(data, dict):
         raise ConfigError([("$", "config must be a JSON object")])
@@ -113,7 +128,7 @@ def _trials_jsonl_text(result: experiments.SweepResult) -> str:
     lines = [
         json.dumps({"policy": r.policy_id, "N": r.n, "T": r.t_budget, "K": r.k, "p": r.p,
                     "rep": r.rep, "seed": r.seed, "regret": r.regret,
-                    **r.decomposition.to_json(), "diagnostics": r.diagnostics.to_json()},
+                    **asdict(r.decomposition), "diagnostics": asdict(r.diagnostics)},
                    sort_keys=True)
         for r in result.trials
     ]
@@ -134,7 +149,7 @@ def _cmd_lowerbound(args) -> int:
         cfg["pair"], cfg["policy"], cfg["replications"], cfg["master_seed"], threads=args.threads
     )
     out = os.path.join(args.out, "lb_report.json")
-    _atomic_write(out, _json_dumps(report.to_json()))
+    _atomic_write(out, _json_dumps(asdict(report)))
     log.info(
         "wrote %s (max frequency %.3f, target %.2f)",
         out, report.max_frequency, report.frequency_target,
@@ -166,8 +181,8 @@ def _cmd_validate(args) -> int:
         margin = verify_margin(member, M=0.5, Q=pair.margin_Q, eps_values=eps)
         all_passed = all_passed and lip.passed and margin.passed
         result["members"][name] = {
-            "weak_lipschitz": lip.to_json(),
-            "margin": margin.to_json(),
+            "weak_lipschitz": asdict(lip),
+            "margin": asdict(margin),
         }
     result["all_passed"] = all_passed
     out = os.path.join(args.out, "validation.json")
@@ -179,6 +194,16 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--out", default=".", help="output directory")
         if name != "validate":
             s.add_argument("--seed", type=int, default=None, help="master seed override")
-        s.add_argument(
-            "--threads", type=int, default=1, help="worker processes (0 = all cores)"
-        )
+            s.add_argument("--threads", type=_nonnegative_int, default=1,
+                           help="worker processes (0 = all cores)")
         s.set_defaults(handler=fn)
     return parser
 
@@ -236,9 +260,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # a usage error is a configuration error; --help is not
         return 1 if exc.code else 0
-    if args.threads < 0:
-        print("error: --threads must be nonnegative", file=sys.stderr)
-        return 1
     if not os.path.isdir(args.out):
         print(f"error: output directory does not exist: {args.out}", file=sys.stderr)
         return 1

@@ -16,7 +16,6 @@ weak-Lipschitz and margin regularity conditions for piecewise-linear means.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 import math
@@ -28,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "Record",
     "ArmSet",
     "MeanFunction",
     "Constant",
@@ -47,6 +45,7 @@ __all__ = [
     "verify_weak_lipschitz",
     "verify_margin",
     "bernoulli_kl",
+    "mean_kl",
     "instance_kl",
 ]
 
@@ -172,13 +171,6 @@ def from_kind(kinds: dict, spec: dict, what: str):
     if errors:
         raise ConfigError(errors)
     return from_json(kinds[kind], {key: v for key, v in spec.items() if key != "kind"})
-
-
-class Record:
-    """Result record whose JSON form is its dataclass fields."""
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +718,7 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
 
 
 @dataclass
-class ValidationReport(Record):
+class ValidationReport:
     """Outcome of an exact regularity check on a piecewise-linear mean.
 
     Violations are content, not errors: ``passed`` is False when the worst
@@ -818,11 +810,15 @@ def bernoulli_kl(p, q):
     return np.maximum(out, 0.0)
 
 
-def instance_kl(pair: InstancePair) -> float:
-    """Sum of per-arm Bernoulli KL divergences between the two members,
-    over the grid arms of the pair's design N where they disagree."""
-    x = grid_arms(pair.n_design).covariates
-    v0 = pair.m0.evaluate(x)
-    v1 = pair.m1.evaluate(x)
+def mean_kl(v0: np.ndarray, v1: np.ndarray) -> float:
+    """Sum of Bernoulli KL divergences between two arrays of arm means,
+    over the arms where they differ."""
     mask = v0 != v1
     return float(np.sum(bernoulli_kl(v0[mask], v1[mask])))
+
+
+def instance_kl(pair: InstancePair) -> float:
+    """``mean_kl`` of the two members' means on the grid arms of the
+    pair's design N."""
+    x = grid_arms(pair.n_design).covariates
+    return mean_kl(pair.m0.evaluate(x), pair.m1.evaluate(x))

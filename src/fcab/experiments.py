@@ -29,15 +29,14 @@ from .environment import (
     ConfigError,
     InstancePair,
     MeanFunction,
-    Record,
     RewardModel,
     compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
     from_json,
     from_kind,
     grid_arms,
-    instance_kl,
     make_instance,
     make_lower_bound_pair,
+    mean_kl,
     sample_arms_uniform,
 )
 
@@ -408,11 +407,11 @@ def run_trial(
     Returns one outcome per config policy, in config order: its
     TrialResult, or the message of the error its run raised.  An error in
     the shared set-up raises.  Each distinct K (a second one comes only
-    from a ``cab_k`` policy) gets one partition, bin means, ranking,
-    discretised-oracle reference run and ``analysis.Baseline``, shared by
-    every policy with that K; the oracle-discrete policy's trace is that
-    reference.  A trial's ``wall_ms`` is its own run and decomposition
-    time plus an equal share of the set-up.
+    from a ``cab_k`` policy) gets one partition, bin means and
+    ``analysis.Baseline``, shared by every policy with that K; the
+    oracle-discrete policy's trace is the baseline's reference run.  A
+    trial's ``wall_ms`` is its own run and decomposition time plus an
+    equal share of the set-up.
     """
     start = time.perf_counter()
     instance_seed = _hash64(config.master_seed, n, rep)
@@ -433,12 +432,8 @@ def run_trial(
             bin_means = analysis.bin_means_empirical(instance, partition)
         else:
             bin_means = _quadrature_bin_means(config.mean_function, k, config.dim)
-        order, f_hat = analysis.rank_bins(partition, bin_means, instance.T)
-        reference = policies.oracle_discrete(
-            instance, partition, order, f_hat, _hash64(instance_seed, k, "phid")
-        )
         shared[k] = partition, analysis.make_baseline(
-            instance, partition, order, f_hat, reference
+            instance, partition, bin_means, _hash64(instance_seed, k, "phid")
         )
     setup_ms = (time.perf_counter() - start) * 1000.0 / len(ks)
 
@@ -625,7 +620,7 @@ def fit_exponent(points) -> ExponentFit:
 
 
 @dataclass
-class LBReport(Record):
+class LBReport:
     """Outcome of the two-instance protocol.
 
     The minimax statement behind the 0.01 T^(1/3) p^(-1/3) threshold also
@@ -656,27 +651,6 @@ class LBReport(Record):
     size_precondition: str = "unverified (constant unspecified); alpha window checked"
 
 
-@functools.lru_cache(maxsize=4)
-def _lb_cell(pair: InstancePair, policy_id: str):
-    """Both members' instances, the policy's partition and delta: what
-    every trial of one protocol run shares, built once per process."""
-    n, regime = pair.n_design, FixedP(pair.p)
-    arms = grid_arms(n)
-    t_budget = regime.budget_for(n)
-    model = RewardModel("bernoulli")
-    instances = [make_instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
-    k = choose_k(policy_id, KRule(), n, t_budget, 1)
-    delta = policies.default_parameters(n, pair.p, 1).delta
-    return instances, policies.build_partition(arms, k), delta
-
-
-def _lb_trial(args):
-    pair, role, policy_id, seed = args
-    instances, partition, delta = _lb_cell(pair, policy_id)
-    trace = policies.POLICIES[policy_id].run(instances[role], partition, delta, seed)
-    return role, analysis.regret_total(instances[role], trace)
-
-
 def lower_bound_protocol(
     pair: InstancePair,
     policy_id: str,
@@ -686,28 +660,34 @@ def lower_bound_protocol(
 ) -> LBReport:
     """Run a policy on both adversarial members, at the pair's design N
     and p, and report how often its regret clears 0.01 * T^(1/3) *
-    p^(-1/3), alongside the per-arm KL budget of the pair."""
+    p^(-1/3), alongside the per-arm KL budget of the pair.  Both members'
+    instances, the partition and delta are built once, before any worker
+    is forked, and every trial reads them."""
     if replications < 1:
         raise ValueError("need at least one replication")
     spec = policies.POLICIES.get(policy_id)
     if spec is None or spec.run is None:
         raise ValueError(f"policy {policy_id!r} not supported by the protocol")
     n, p = pair.n_design, pair.p
-    regime = FixedP(p)
-    t_budget = regime.budget_for(n)
+    t_budget = FixedP(p).budget_for(n)
+    k = choose_k(policy_id, KRule(), n, t_budget, 1)
+    arms = grid_arms(n)
+    model = RewardModel("bernoulli")
+    instances = [make_instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
+    partition = policies.build_partition(arms, k)
+    delta = policies.default_parameters(n, p, 1).delta
+
+    def trial(task):  # forked workers inherit this closure: _map never pickles it
+        role, seed = task
+        trace = policies.POLICIES[policy_id].run(instances[role], partition, delta, seed)
+        return analysis.regret_total(instances[role], trace)
+
+    tasks = [(role, derive_seed(master_seed, n, f"lb{role}:{policy_id}", rep))
+             for role in (0, 1) for rep in range(replications)]
+    results = _map(trial, tasks, threads)
+    regrets = [results[:replications], results[replications:]]
     threshold = 0.01 * t_budget ** (1.0 / 3.0) * p ** (-1.0 / 3.0)
-    tasks = [
-        (pair, role, policy_id, derive_seed(master_seed, n, f"lb{role}:{policy_id}", rep))
-        for role in (0, 1)
-        for rep in range(replications)
-    ]
-    regrets = {0: [], 1: []}
-    for role, regret in _map(_lb_trial, tasks, threads):
-        regrets[role].append(regret)
-    freq = {
-        role: float(np.mean([r >= threshold for r in vals]))
-        for role, vals in regrets.items()
-    }
+    freq = [float(np.mean([r >= threshold for r in vals])) for vals in regrets]
     return LBReport(
         n=n,
         p=p,
@@ -718,13 +698,13 @@ def lower_bound_protocol(
         policy_id=policy_id,
         replications=replications,
         t_budget=t_budget,
-        k=choose_k(policy_id, KRule(), n, t_budget, 1),
+        k=k,
         threshold=threshold,
         frequency_m0=freq[0],
         frequency_m1=freq[1],
-        max_frequency=max(freq[0], freq[1]),
+        max_frequency=max(freq),
         frequency_target=0.1,
-        kl=instance_kl(pair),
+        kl=mean_kl(instances[0].true_means, instances[1].true_means),
         kl_bound=70.4 * pair.alpha_lb**3,
         regret_mean_m0=float(np.mean(regrets[0])),
         regret_mean_m1=float(np.mean(regrets[1])),

@@ -3,6 +3,7 @@ pass/fail line.  Monte Carlo criteria use two worker processes; all
 tolerances are fixed here, not tuned at runtime."""
 
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -102,9 +103,9 @@ def test_criterion_01_decomposition_identities():
             max(t, 1),
         )
         part = build_partition(inst.arms, k)
-        bm = bin_means_quadrature(inst.mean, part)
-        order, f_hat = rank_bins(part, bm, inst.T)
         policy = cycle[i % 4]
+        baseline = make_baseline(inst, part, bin_means_quadrature(inst.mean, part),
+                                 i if policy == "oracle-discrete" else 500_000 + i)
         if policy == "ucbf":
             trace = ucbf_run(inst, part, 0.01, seed=i)
         elif policy == "random":
@@ -112,12 +113,8 @@ def test_criterion_01_decomposition_identities():
         elif policy == "oracle-star":
             trace = oracle_star(inst, seed=i)
         else:
-            trace = oracle_discrete(inst, part, order, f_hat, seed=i)
-        if policy == "oracle-discrete":
-            disc = trace
-        else:
-            disc = oracle_discrete(inst, part, order, f_hat, seed=500_000 + i)
-        dec = regret_decompose(inst, make_baseline(inst, part, order, f_hat, disc), trace)
+            trace = baseline.reference
+        dec = regret_decompose(inst, baseline, trace)
         gap_a = abs(dec.r_total - (dec.r_disc + dec.r_fmab))
         gap_b = abs(dec.r_fmab - (dec.r_opt + dec.r_boundary + dec.r_subopt))
         assert gap_a <= 1e-9, (i, policy, gap_a)
@@ -285,7 +282,7 @@ def test_criterion_09_lower_bound_protocol():
         threads=THREADS,
     )
     assert result.kl <= result.kl_bound
-    assert result.max_frequency >= 0.1, result.to_json()
+    assert result.max_frequency >= 0.1, dataclasses.asdict(result)
     report(
         9,
         f"max exceedance frequency {result.max_frequency:.2f} >= 0.1 "

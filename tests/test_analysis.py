@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fcab import policies
 from fcab.analysis import (
     bin_means_empirical,
     bin_means_quadrature,
@@ -221,19 +223,16 @@ class TestRegretTotal:
 
 
 def _decompose_for(inst, part, means, trace, seed=0):
-    order, f_hat = rank_bins(part, means, inst.T)
-    disc = oracle_discrete(inst, part, order, f_hat, seed)
-    return regret_decompose(inst, make_baseline(inst, part, order, f_hat, disc), trace), disc
+    baseline = make_baseline(inst, part, means, seed)
+    return regret_decompose(inst, baseline, trace), baseline.reference
 
 
 class TestDecomposition:
     def test_discrete_trace_has_zero_learning_cost(self):
         inst = make_instance(grid_arms(60), identity(), BERN, 30)
         part = build_partition(inst.arms, 4)
-        bm = bin_means_quadrature(identity(), part)
-        order, f_hat = rank_bins(part, bm, inst.T)
-        disc = oracle_discrete(inst, part, order, f_hat, 3)
-        dec = regret_decompose(inst, make_baseline(inst, part, order, f_hat, disc), disc)
+        baseline = make_baseline(inst, part, bin_means_quadrature(identity(), part), 3)
+        dec = regret_decompose(inst, baseline, baseline.reference)
         assert dec.r_fmab == 0.0
         assert dec.r_total == dec.r_disc
         assert dec.r_opt == dec.r_subopt == dec.r_boundary == 0.0
@@ -362,10 +361,11 @@ class TestExactKernels:
             k = cab_parameters(inst.T) if spec.cab_k else default.k
             part = build_partition(arms, k)
             bm = bin_means_empirical(inst, part) if empirical else bin_means_quadrature(mean, part)
-            order, f_hat = rank_bins(part, bm, inst.T)
-            reference = oracle_discrete(inst, part, order, f_hat, seed=k)
+            baseline = make_baseline(inst, part, bm, seed=k)
+            reference = baseline.reference
             trace = reference if spec.run is None else spec.run(inst, part, default.delta, 21)
-            dec = regret_decompose(inst, make_baseline(inst, part, order, f_hat, reference), trace)
+            dec = regret_decompose(inst, baseline, trace)
+            order, f_hat = rank_bins(part, bm, inst.T)
             expected = _indexed_regret(inst, part, order, f_hat, reference, trace)
             for term, value in expected.items():
                 assert getattr(dec, term) == value, (policy_id, term)
@@ -392,15 +392,15 @@ class TestBaselineMasks:
         arms = sample_arms_uniform(n, dim, seed)
         inst = make_instance(arms, Constant(0.5, dim), BERN, max(1, round(budget * n)))
         part = build_partition(arms, k)
-        order, f_hat = rank_bins(part, rng.integers(0, levels, part.bin_count), inst.T)
-        reference = oracle_discrete(inst, part, order, f_hat, seed=seed)
-        baseline = make_baseline(inst, part, order, f_hat, reference)
+        bin_means = rng.integers(0, levels, part.bin_count)
+        baseline = make_baseline(inst, part, bin_means, seed)
+        order, f_hat = rank_bins(part, bin_means, inst.T)
         top_bins = np.zeros(part.bin_count, dtype=bool)
         top_bins[order[:f_hat]] = True
         top = top_bins.take(part.assignment)
         boundary = part.assignment == order[f_hat]
         in_phid = np.zeros(inst.n, dtype=bool)
-        in_phid[reference.arms] = True
+        in_phid[baseline.reference.arms] = True
         np.testing.assert_array_equal(baseline.top, top)
         np.testing.assert_array_equal(baseline.low, ~(top | boundary))
         np.testing.assert_array_equal(baseline.kept, boundary & in_phid)
@@ -412,14 +412,15 @@ class TestPullSetsOnly:
     pulled, so a sweep never builds the pull order or rewards of UCBF or
     an oracle."""
 
-    def test_builders_never_run(self):
+    def test_builders_never_run(self, monkeypatch):
         plateau = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
         inst = make_instance(grid_arms(2**13), plateau, RewardModel("clipped_gaussian", 0.1),
                              2**12)
         part = build_partition(inst.arms, 8)
-        order, f_hat = rank_bins(part, bin_means_quadrature(plateau, part), inst.T)
+        bm = bin_means_quadrature(plateau, part)
         star = oracle_star(inst, 2)
-        reference = oracle_discrete(inst, part, order, f_hat, seed=2)
+        expected = make_baseline(inst, part, bm, 2)
+        reference = expected.reference
         ucbf = ucbf_run(inst, part, 0.01, 2)
 
         def unbuilt(trace):
@@ -432,8 +433,10 @@ class TestPullSetsOnly:
         assert len(lazy_star) == len(lazy_reference) == len(lazy_ucbf) == inst.T
         assert regret_total(inst, lazy_star) == regret_total(inst, star) == 0.0
         assert regret_total(inst, lazy_ucbf) == regret_total(inst, ucbf)
-        baseline = make_baseline(inst, part, order, f_hat, lazy_reference)
-        expected = make_baseline(inst, part, order, f_hat, reference)
+        # The baseline's own reference run comes back unbuildable.
+        monkeypatch.setattr(policies, "oracle_discrete", lambda *args: lazy_reference)
+        baseline = make_baseline(inst, part, bm, 2)
+        assert baseline.reference is lazy_reference
         for trace, built in ((lazy_star, star), (lazy_reference, reference), (lazy_ucbf, ucbf)):
             assert regret_decompose(inst, baseline, trace) == regret_decompose(
                 inst, expected, built
@@ -535,6 +538,6 @@ class TestDiagnostics:
         part = build_partition(inst.arms, 5)
         bm = bin_means_quadrature(identity(), part)
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
-        data = json.loads(json.dumps(report.to_json()))
+        data = json.loads(json.dumps(dataclasses.asdict(report)))
         assert data["f"] == report.f
         assert data["f_gap"] == abs(report.f_hat - report.f)

@@ -286,6 +286,29 @@ class TestDispatch:
     def test_missing_config_exit_code(self, tmp_path):
         assert run(["sweep", "--config", "/no/such.json", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("lowerbound", None, "cannot read config file"),
+            ("sweep", b'{"schema": 1, "N_grid": [\xff]}', "invalid JSON: 'utf-8' codec"),
+            ("lowerbound", b'{"schema": 1, "N": 1000, "p": 0.5, "L": 0.5, "alpha_lb": 0.3, '
+                           b'"replications": 2, "replications": 3}',
+             "invalid JSON: repeated key 'replications'"),
+            ("validate", b'{"schema": 1, "pair": {"N": 1000, "p": 0.5, "p": 0.4, "L": 0.5, '
+                         b'"alpha_lb": 0.3}}', "invalid JSON: repeated key 'p'"),
+        ],
+        ids=["directory", "undecodable", "repeated-key", "repeated-nested-key"],
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, content,
+                                               message):
+        path = tmp_path / "c.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error at $: {message}")
+
     def test_runtime_error_exit_code(self, tmp_path):
         # The ucbf cell fails (K too fine for its budget); the random cell runs.
         cfg = write_json(
@@ -326,12 +349,15 @@ class TestDispatch:
         "argv",
         [
             ["sweep", "--config", "c.json", "--threads", "abc"],
+            ["sweep", "--config", "c.json", "--threads", "-1"],
             ["sweep", "--out", "."],
             ["validate", "--config", "c.json", "--seed", "5"],
+            ["validate", "--config", "c.json", "--threads", "2"],
             ["sweep", "--config", "c.json", "--bogus"],
             [],
         ],
-        ids=["bad-threads", "no-config", "validate-seed", "unknown-flag", "no-command"],
+        ids=["bad-threads", "negative-threads", "no-config", "validate-seed",
+             "validate-threads", "unknown-flag", "no-command"],
     )
     def test_usage_error_exit_code(self, capsys, argv):
         assert run(argv) == 1

@@ -560,6 +560,22 @@ class TestWorkerPool:
         assert len(pids) == len(set(pids)) == 2
         assert str(os.getpid()) not in pids
 
+    def test_lower_bound_builds_each_instance_once(self, tmp_path, monkeypatch):
+        # Both members' instances are built here before the workers fork,
+        # not once in every worker.
+        log = tmp_path / "instances"
+        make = experiments.make_instance
+
+        def logging_make(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return make(*args)
+
+        monkeypatch.setattr(experiments, "make_instance", logging_make)
+        lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2500),
+                             policy_id="ucbf", replications=3, master_seed=0, threads=2)
+        assert log.read_text().split() == [str(os.getpid())] * 2
+
     def test_worker_exception_is_raised_here(self):
         def fail_on_three(task):
             if task == 3:

@@ -47,8 +47,10 @@ WRITES = {"sweep": "sweep.csv", "simulate": "trials.jsonl", "lowerbound": "lb_re
     ],
 )
 def test_output_is_byte_identical(tmp_path, command, config, golden, threads):
-    argv = [command, "--config", str(GOLDEN / config), "--out", str(tmp_path),
-            "--threads", str(threads)]
+    # validate runs no workers, so it takes no --threads.
+    argv = [command, "--config", str(GOLDEN / config), "--out", str(tmp_path)]
+    if command != "validate":
+        argv += ["--threads", str(threads)]
     assert run(argv) == 0
     assert (tmp_path / WRITES[command]).read_bytes() == (GOLDEN / golden).read_bytes()
 

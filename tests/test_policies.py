@@ -127,13 +127,13 @@ class TestPartition:
         cov[0] = 1.0  # occupies the last bin, id k^dim - 1
         part = build_partition(ArmSet(cov), k)
         # Each bin's arms, in ascending bin order, are the stable sort by
-        # int64 id; an empty bin adds nothing.
+        # int64 id; an empty bin adds nothing, so only occupied bins are listed.
         grouped = np.argsort(part.assignment, kind="stable")
         np.testing.assert_array_equal(
             grouped, np.argsort(part.assignment.astype(np.int64), kind="stable")
         )
         np.testing.assert_array_equal(
-            grouped, np.concatenate([bin_arms(part, b) for b in range(part.bin_count)])
+            grouped, np.concatenate([bin_arms(part, b) for b in np.unique(part.assignment)])
         )
 
     def test_counts_match_assignment(self):
