@@ -160,25 +160,12 @@ def _cmd_lowerbound(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = _read_config(args.config, functools.partial(from_json, experiments.validate_config))
     pair = cfg["pair"]
-    eps = [f * pair.L_tilde * pair.lb_half_width for f in cfg["eps_factors"]]
-    result = {
-        "pair": {
-            "p": pair.p,
-            "L": pair.L,
-            "alpha_lb": pair.alpha_lb,
-            "N": pair.n_design,
-            "l_tilde": pair.L_tilde,
-            "lb_half_width": pair.lb_half_width,
-            "x0": pair.x0,
-            "x1": pair.x1,
-            "margin_Q": pair.margin_Q,
-        },
-        "members": {},
-    }
+    result = {"pair": {key: value for key, value in vars(pair).items() if key not in ("m0", "m1")},
+              "members": {}}
     all_passed = True
     for name, member in (("m0", pair.m0), ("m1", pair.m1)):
-        lip = verify_weak_lipschitz(member, L=pair.L_tilde)
-        margin = verify_margin(member, M=0.5, Q=pair.margin_Q, eps_values=eps)
+        lip = verify_weak_lipschitz(member, L=pair.l_tilde)
+        margin = verify_margin(member, M=0.5, Q=pair.margin_Q, eps_values=cfg["eps"])
         all_passed = all_passed and lip.passed and margin.passed
         result["members"][name] = {
             "weak_lipschitz": asdict(lip),

@@ -46,7 +46,6 @@ __all__ = [
     "verify_margin",
     "bernoulli_kl",
     "mean_kl",
-    "instance_kl",
 ]
 
 class ConfigError(ValueError):
@@ -302,7 +301,7 @@ class PiecewiseLinear(MeanFunction):
 
     Breakpoints must be strictly increasing and span [0, 1]; values must
     stay inside [0, 1].  The global Lipschitz constant (max absolute slope)
-    is derived automatically when not supplied.
+    is derived when not supplied; a supplied one must be nonnegative.
     """
 
     breakpoints: tuple[float, ...] = ()
@@ -321,6 +320,8 @@ class PiecewiseLinear(MeanFunction):
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(vv < 0.0) or np.any(vv > 1.0):
             raise ValueError("values must lie in [0, 1]")
+        if self.lipschitz_L is not None and self.lipschitz_L < 0:
+            raise ConfigError([("$.lipschitz_L", "must be nonnegative")])
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
         object.__setattr__(self, "values", tuple(vv.tolist()))
         if self.lipschitz_L is None:
@@ -641,22 +642,23 @@ def make_instance(
 
 @dataclass(frozen=True)
 class InstancePair:
-    """Adversarial pair of mean functions for the lower-bound protocol,
-    with the design it was built from: the protocol runs at ``n_design``
-    and ``p``, and ``validate`` checks the margin condition with
-    ``margin_Q``."""
+    """Adversarial pair of mean functions for the lower-bound protocol:
+    ``make_lower_bound_pair``'s parameters, what they derive and the two
+    members.  The protocol runs at ``N`` (the N the bump width was
+    calibrated against) and ``p``, and ``validate`` checks the margin
+    condition with ``margin_Q``."""
 
-    m0: PiecewiseLinear
-    m1: PiecewiseLinear
+    p: float
+    L: float  # the requested Lipschitz constant
+    alpha_lb: float
+    N: int
+    l_tilde: float
     lb_half_width: float
     x0: float
     x1: float
-    alpha_lb: float
-    L: float  # the requested Lipschitz constant
-    L_tilde: float
     margin_Q: float
-    p: float
-    n_design: int  # the N the bump width was calibrated against
+    m0: PiecewiseLinear
+    m1: PiecewiseLinear
 
     @staticmethod
     def from_json(spec: dict) -> "InstancePair":
@@ -678,6 +680,8 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
         errors.append(("$.p", "must lie in (0, 1)"))
     if not L > 0:
         errors.append(("$.L", "must be positive"))
+    elif L * L == 0.0:
+        errors.append(("$.L", "too small: L^2 underflows to 0"))
     if not N >= 1:
         errors.append(("$.N", "must be positive"))
     elif N > MAX_ARM_COORDINATES:
@@ -698,17 +702,17 @@ def make_lower_bound_pair(p: float, L: float, alpha_lb: float, N: int) -> Instan
             "complement; N is too small for this (p, L)",
         )])
     return InstancePair(
-        m0=LowerBoundMember(role=0, p=p, l_tilde=l_tilde, half_width=half_width),
-        m1=LowerBoundMember(role=1, p=p, l_tilde=l_tilde, half_width=half_width),
+        p=p,
+        L=L,
+        alpha_lb=alpha_lb,
+        N=N,
+        l_tilde=l_tilde,
         lb_half_width=half_width,
         x0=1.0 - p - 2.0 * half_width,
         x1=1.0 - p + 2.0 * half_width,
-        alpha_lb=alpha_lb,
-        L=L,
-        L_tilde=l_tilde,
         margin_Q=6.0 * max(1.0 / L, 2.0),
-        p=p,
-        n_design=N,
+        m0=LowerBoundMember(role=0, p=p, l_tilde=l_tilde, half_width=half_width),
+        m1=LowerBoundMember(role=1, p=p, l_tilde=l_tilde, half_width=half_width),
     )
 
 
@@ -815,10 +819,3 @@ def mean_kl(v0: np.ndarray, v1: np.ndarray) -> float:
     over the arms where they differ."""
     mask = v0 != v1
     return float(np.sum(bernoulli_kl(v0[mask], v1[mask])))
-
-
-def instance_kl(pair: InstancePair) -> float:
-    """``mean_kl`` of the two members' means on the grid arms of the
-    pair's design N."""
-    x = grid_arms(pair.n_design).covariates
-    return mean_kl(pair.m0.evaluate(x), pair.m1.evaluate(x))

@@ -668,7 +668,7 @@ def lower_bound_protocol(
     spec = policies.POLICIES.get(policy_id)
     if spec is None or spec.run is None:
         raise ValueError(f"policy {policy_id!r} not supported by the protocol")
-    n, p = pair.n_design, pair.p
+    n, p = pair.N, pair.p
     t_budget = FixedP(p).budget_for(n)
     k = choose_k(policy_id, KRule(), n, t_budget, 1)
     arms = grid_arms(n)
@@ -693,7 +693,7 @@ def lower_bound_protocol(
         p=p,
         lipschitz_L=pair.L,
         alpha_lb=pair.alpha_lb,
-        l_tilde=pair.L_tilde,
+        l_tilde=pair.l_tilde,
         lb_half_width=pair.lb_half_width,
         policy_id=policy_id,
         replications=replications,
@@ -731,15 +731,13 @@ def lower_bound_config(N: int, p: float, L: float, alpha_lb: float, policy: str 
 
 
 def validate_config(pair: InstancePair, eps_factors: tuple[float, ...] = (1.5, 2.0, 4.0)) -> dict:
-    """The validate config, read by ``from_json``: the InstancePair and the
-    margin check's epsilons as multiples of L~ * lb_half_width.  Errors
-    carry JSON paths."""
-    errors = []
+    """The validate config, read by ``from_json``: the InstancePair under
+    ``"pair"`` and the margin check's epsilons, factor * l_tilde * lb_half_width
+    for each of ``eps_factors``, under ``"eps"``.  Errors carry JSON paths."""
+    eps = [f * pair.l_tilde * pair.lb_half_width for f in eps_factors]
     if not eps_factors or min(eps_factors) <= 0:
-        errors.append(("$.eps_factors", "must be a non-empty list of positive numbers"))
-    elif max(eps_factors) * pair.L_tilde * pair.lb_half_width >= 1.0:
-        errors.append(("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
-                       "must stay below 1"))
-    if errors:
-        raise ConfigError(errors)
-    return {"pair": pair, "eps_factors": eps_factors}
+        raise ConfigError([("$.eps_factors", "must be a non-empty list of positive numbers")])
+    if max(eps) >= 1.0:
+        raise ConfigError([("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
+                            "must stay below 1")])
+    return {"pair": pair, "eps": eps}

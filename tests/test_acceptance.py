@@ -22,9 +22,9 @@ from fcab.environment import (
     Sinusoid,
     compute_threshold_M,
     grid_arms,
-    instance_kl,
     make_instance,
     make_lower_bound_pair,
+    mean_kl,
     sample_arms_uniform,
     verify_margin,
     verify_weak_lipschitz,
@@ -160,9 +160,9 @@ def test_criterion_04_assumption_validators():
         for lips in (0.3, 0.5, 1.0):
             pair = make_lower_bound_pair(p, lips, 0.23, 10**6)
             q = 6.0 * max(1.0 / lips, 2.0)
-            eps = [c * pair.L_tilde * pair.lb_half_width for c in (1.5, 2.0, 4.0)]
+            eps = [c * pair.l_tilde * pair.lb_half_width for c in (1.5, 2.0, 4.0)]
             for member in (pair.m0, pair.m1):
-                lip_report = verify_weak_lipschitz(member, L=pair.L_tilde)
+                lip_report = verify_weak_lipschitz(member, L=pair.l_tilde)
                 assert lip_report.passed, (p, lips, member.role, lip_report)
                 margin_report = verify_margin(member, M=0.5, Q=q, eps_values=eps)
                 assert margin_report.passed, (p, lips, member.role, margin_report)
@@ -176,7 +176,8 @@ def test_criterion_05_kl_budget():
     values = []
     for n in (10**4, 10**5, 10**6):
         pair = make_lower_bound_pair(0.5, 0.5, alpha, n)
-        kl = instance_kl(pair)
+        x = grid_arms(pair.N).covariates
+        kl = mean_kl(pair.m0.evaluate(x), pair.m1.evaluate(x))
         assert 0.0 < kl <= bound, (n, kl, bound)
         values.append(kl)
     report(5, f"KL values {[f'{v:.4f}' for v in values]} all within {bound:.4f}")

@@ -75,7 +75,7 @@ class TestBinMean:
         # bin mean is its value at the bin midpoint.
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
         a, b = 0.1, 0.2
-        expected = 0.5 - pair.L_tilde * (pair.x0 - (a + b) / 2)
+        expected = 0.5 - pair.l_tilde * (pair.x0 - (a + b) / 2)
         assert bin_mean(pair.m0, a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_piecewise_with_interior_knot(self):

@@ -219,6 +219,10 @@ class TestDispatch:
             # Only an explicit K rule reads k, and only clipped gaussian rewards sigma.
             ({"K_rule": {"kind": "cab", "k": 5}}, "$.K_rule.k"),
             ({"reward_model": {"kind": "bernoulli", "sigma": 0.3}}, "$.reward_model.sigma"),
+            # A declared Lipschitz constant, finite as in the NaN case above, is nonnegative.
+            ({"mean_function": {"kind": "piecewise_linear", "breakpoints": [0, 1],
+                                "values": [0.2, 0.8], "lipschitz_L": -1}},
+             "$.mean_function.lipschitz_L"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -415,6 +419,7 @@ class TestDispatch:
             ({"master_seed": True}, "$.master_seed"),
             ({"policy": "oracle-discrete"}, "$.policy"),  # the reference, run by sweeps only
             ({"N": 10**400}, "$.N"),  # an integer past the float range
+            ({"L": 1e-300}, "$.L"),  # N * L^2 underflows to 0
         ],
     )
     def test_bad_lowerbound_config_is_config_error(
@@ -461,6 +466,7 @@ class TestDispatch:
             ({"eps_factors": ["2"]}, "$.eps_factors"),
             ({"eps_factors": [1e6]}, "$.eps_factors"),  # an epsilon of 1 or more
             ({"eps_factors": [float("nan")]}, "$.eps_factors"),
+            ({"pair": {"N": 1000, "p": 0.5, "L": 1e-300, "alpha_lb": 0.3}}, "$.pair.L"),
         ],
     )
     def test_bad_validate_config_is_config_error(

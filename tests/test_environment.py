@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -23,9 +22,9 @@ from fcab.environment import (
     bernoulli_kl,
     compute_threshold_M,
     grid_arms,
-    instance_kl,
     make_instance,
     make_lower_bound_pair,
+    mean_kl,
     sample_arms_uniform,
     verify_margin,
     verify_weak_lipschitz,
@@ -337,7 +336,7 @@ class TestLowerBoundPair:
         pair = make_lower_bound_pair(0.5, L, 0.23, 10**5)
         assert pair.L == L
         assert pair.margin_Q == 6.0 * max(1.0 / L, 2.0)
-        assert (pair.n_design, pair.p, pair.alpha_lb) == (10**5, 0.5, 0.23)
+        assert (pair.N, pair.p, pair.alpha_lb) == (10**5, 0.5, 0.23)
 
     def test_members_agree_outside_window(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
@@ -392,7 +391,7 @@ class TestValidators:
     def test_lower_bound_members_pass_lipschitz(self):
         pair = make_lower_bound_pair(0.5, 1.0, 0.23, 10**6)
         for m in (pair.m0, pair.m1):
-            report = verify_weak_lipschitz(m, L=pair.L_tilde)
+            report = verify_weak_lipschitz(m, L=pair.l_tilde)
             assert report.passed
             assert abs(report.worst_violation) <= report.slack
 
@@ -409,7 +408,7 @@ class TestValidators:
     def test_margin_lower_bound_members(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**6)
         q = 6.0 * max(1.0 / 0.5, 2.0)
-        eps = [1.5 * pair.L_tilde * pair.lb_half_width, 0.01, 0.1]
+        eps = [1.5 * pair.l_tilde * pair.lb_half_width, 0.01, 0.1]
         for m in (pair.m0, pair.m1):
             report = verify_margin(m, M=0.5, Q=q, eps_values=eps)
             assert report.passed
@@ -421,7 +420,7 @@ class TestValidators:
         for p in (0.3, 0.5, 0.7):
             for lips in (0.3, 0.5, 1.0):
                 pair = make_lower_bound_pair(p, lips, 0.23, 10**6)
-                eps = [c * pair.L_tilde * pair.lb_half_width for c in (1.5, 2.0, 4.0)]
+                eps = [c * pair.l_tilde * pair.lb_half_width for c in (1.5, 2.0, 4.0)]
                 for m in (pair.m0, pair.m1):
                     rows = verify_margin(m, M=0.5, Q=pair.margin_Q, eps_values=eps).details
                     ratios = [row["measure"] / row["bound"] for row in rows["per_eps"]]
@@ -521,13 +520,16 @@ class TestBernoulliKl:
         assert bernoulli_kl(p, q) >= 0.0
 
 
+def _grid_means(pair):
+    """The two members' means at the grid arms of the pair's N."""
+    x = grid_arms(pair.N).covariates
+    return pair.m0.evaluate(x), pair.m1.evaluate(x)
+
+
 class TestInstanceKl:
     def test_identical_members_zero(self):
-        import dataclasses
-
-        pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**5)
-        twin = dataclasses.replace(pair, m1=pair.m0)
-        assert instance_kl(twin) == 0.0
+        v0, _ = _grid_means(make_lower_bound_pair(0.5, 0.5, 0.23, 10**5))
+        assert mean_kl(v0, v0.copy()) == 0.0
 
     def test_kl_budget(self):
         # Sum of per-arm divergences stays under 70.4 alpha^3 once the bump
@@ -536,20 +538,18 @@ class TestInstanceKl:
         for n in (10**4, 10**5, 10**6):
             pair = make_lower_bound_pair(0.5, 0.5, alpha, n)
             assert n * pair.lb_half_width >= 31
-            kl = instance_kl(pair)
+            kl = mean_kl(*_grid_means(pair))
             assert kl <= 70.4 * alpha**3
             assert kl > 0.0
 
     def test_order_invariance(self):
         pair = make_lower_bound_pair(0.5, 0.5, 0.23, 10**4)
-        arms = grid_arms(10**4)
-        v0 = pair.m0.evaluate(arms.covariates)
-        v1 = pair.m1.evaluate(arms.covariates)
+        v0, v1 = _grid_means(pair)
         mask = v0 != v1
         forward = float(np.sum(bernoulli_kl(v0[mask], v1[mask])))
         backward = float(np.sum(bernoulli_kl(v0[mask][::-1], v1[mask][::-1])))
         assert forward == pytest.approx(backward, rel=1e-12)
-        assert instance_kl(pair) == pytest.approx(forward, rel=1e-12)
+        assert mean_kl(v0, v1) == pytest.approx(forward, rel=1e-12)
 
 
 class TestInstances:

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import fcab
+from fcab import cli, environment, experiments
 
 MODULES = ["fcab", *(f"fcab.{m.name}" for m in pkgutil.iter_modules(fcab.__path__))]
 
@@ -42,3 +44,28 @@ def test_benchmark_setup_probe_runs(tmp_path, workload):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["setup_s"] > 0
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first ```language block after the README line ``heading``."""
+    text = (REPO / "README.md").read_text()
+    after = text[text.index(f"\n{heading}\n"):]
+    return after.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("heading, reader", [
+    ("### simulate / sweep config", cli.parse_config),
+    ("### lowerbound config", cli.parse_lowerbound_config),
+    ("### validate config", functools.partial(
+        cli._read_config, read=functools.partial(environment.from_json,
+                                                 experiments.validate_config))),
+], ids=["sweep", "lowerbound", "validate"])
+def test_readme_config_is_read(tmp_path, heading, reader):
+    # Each documented config is one its command accepts.
+    config = tmp_path / "config.json"
+    config.write_text(_readme_block(heading, "json"))
+    reader(str(config))
+
+
+def test_readme_library_use_runs():
+    exec(_readme_block("## Library use", "python"), {})
