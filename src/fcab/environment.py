@@ -116,8 +116,7 @@ def from_json(ctor, spec: dict, keys=None):
     if it has one and else by this function, with its errors reported
     under its key.  A parameter without a default is required.  Every
     unknown key, missing key and type error is raised at once, before
-    ``ctor`` runs; a ValueError from ``ctor`` without a path is reported at
-    ``$``."""
+    ``ctor`` runs, which reports its range errors at its own parameters."""
     names = {name: key for key, name in (keys or {}).items()}
     params = {names.get(name, name): param
               for name, param in inspect.signature(ctor, eval_str=True).parameters.items()}
@@ -130,12 +129,7 @@ def from_json(ctor, spec: dict, keys=None):
             errors.append((f"$.{key}", "missing"))
     if errors:
         raise ConfigError(errors)
-    try:
-        return ctor(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # a mean function's range checks report no path
-        raise ConfigError([("$", str(exc))]) from None
+    return ctor(**kwargs)
 
 
 def _read(spec: dict, key: str, kind, errors: list):
@@ -282,7 +276,9 @@ class Constant(MeanFunction):
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError("constant mean must lie in [0, 1]")
+            raise ConfigError([("$.value", "constant mean must lie in [0, 1]")])
+        if self.dim < 1:
+            raise ConfigError([("$.dim", "dimension must be positive")])
         object.__setattr__(self, "lipschitz_L", 0.0)
 
     def evaluate(self, x):
@@ -313,13 +309,14 @@ class PiecewiseLinear(MeanFunction):
         bp = np.asarray(self.breakpoints, dtype=np.float64)
         vv = np.asarray(self.values, dtype=np.float64)
         if bp.ndim != 1 or bp.size < 2 or bp.shape != vv.shape:
-            raise ValueError("breakpoints and values must be 1-d of equal length >= 2")
+            raise ConfigError([("$.breakpoints", "breakpoints and values must be 1-d of "
+                                                 "equal length >= 2")])
         if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must span [0, 1]")
+            raise ConfigError([("$.breakpoints", "breakpoints must span [0, 1]")])
         if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ConfigError([("$.breakpoints", "breakpoints must be strictly increasing")])
         if np.any(vv < 0.0) or np.any(vv > 1.0):
-            raise ValueError("values must lie in [0, 1]")
+            raise ConfigError([("$.values", "values must lie in [0, 1]")])
         if self.lipschitz_L is not None and self.lipschitz_L < 0:
             raise ConfigError([("$.lipschitz_L", "must be nonnegative")])
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
@@ -382,13 +379,13 @@ class Sinusoid(MeanFunction):
 
     def __post_init__(self):
         if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
+            raise ConfigError([("$.frequency", "frequency must be positive")])
         if self.dim < 1:
-            raise ValueError("dimension must be positive")
+            raise ConfigError([("$.dim", "dimension must be positive")])
         lo = self.offset - abs(self.amplitude)
         hi = self.offset + abs(self.amplitude)
         if lo < 0.0 or hi > 1.0:
-            raise ValueError("sinusoid range must stay inside [0, 1]")
+            raise ConfigError([("$.amplitude", "sinusoid range must stay inside [0, 1]")])
         # Euclidean gradient norm of the coordinate-average phase argument.
         lip = abs(self.amplitude) * 2.0 * math.pi * self.frequency / math.sqrt(self.dim)
         object.__setattr__(self, "lipschitz_L", lip)
@@ -457,9 +454,11 @@ def _mean_mass(u0: float, u1: float, dim: int) -> float:
 def Tabulated(grid_values: tuple[float, ...] = ()) -> PiecewiseLinear:
     """Values on a uniform grid over [0, 1] (endpoints included), with
     linear interpolation in between: the piecewise-linear function with a
-    breakpoint at each grid point."""
-    knots = np.linspace(0.0, 1.0, np.size(grid_values))
-    return PiecewiseLinear(tuple(knots), grid_values)
+    breakpoint at each grid point; its errors are reported at the values."""
+    try:
+        return PiecewiseLinear(tuple(np.linspace(0.0, 1.0, np.size(grid_values))), grid_values)
+    except ConfigError as exc:
+        raise ConfigError([("$.grid_values", m) for _, m in exc.errors]) from None
 
 
 def LowerBoundMember(
@@ -479,13 +478,13 @@ def LowerBoundMember(
     [x0, x1] and share the threshold level 1/2 at the budget fraction p.
     """
     if role not in (0, 1):
-        raise ValueError("role must be 0 or 1")
+        raise ConfigError([("$.role", "role must be 0 or 1")])
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+        raise ConfigError([("$.p", "p must lie in (0, 1)")])
     if half_width <= 0 or 2.0 * half_width >= min(p, 1.0 - p):
-        raise ValueError("bump width too large for this budget fraction")
+        raise ConfigError([("$.half_width", "bump width too large for this budget fraction")])
     if not 0.0 < l_tilde <= 0.5:
-        raise ValueError("slope must lie in (0, 0.5]")
+        raise ConfigError([("$.l_tilde", "slope must lie in (0, 0.5]")])
     x0 = 1.0 - p - 2.0 * half_width
     x1 = 1.0 - p + 2.0 * half_width
     bump = l_tilde * half_width

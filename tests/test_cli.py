@@ -233,6 +233,45 @@ class TestDispatch:
         assert f"config error at {json_path}:" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "mean_function, param, message",
+        [
+            ({"kind": "constant", "value": 1.5}, "value", "constant mean must lie in [0, 1]"),
+            ({"kind": "constant", "dim": 0}, "dim", "dimension must be positive"),
+            ({"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0.2, 0.5, 0.8]},
+             "breakpoints", "breakpoints and values must be 1-d of equal length >= 2"),
+            ({"kind": "piecewise_linear", "breakpoints": [0, 0.5], "values": [0.2, 0.8]},
+             "breakpoints", "breakpoints must span [0, 1]"),
+            ({"kind": "piecewise_linear", "breakpoints": [0, 0.6, 0.4, 1],
+              "values": [0.2, 0.4, 0.6, 0.8]},
+             "breakpoints", "breakpoints must be strictly increasing"),
+            ({"kind": "piecewise_linear", "breakpoints": [0, 1], "values": [0.2, 1.5]},
+             "values", "values must lie in [0, 1]"),
+            ({"kind": "sinusoid", "frequency": 0}, "frequency", "frequency must be positive"),
+            ({"kind": "sinusoid", "dim": 0}, "dim", "dimension must be positive"),
+            ({"kind": "sinusoid", "amplitude": 0.6}, "amplitude",
+             "sinusoid range must stay inside [0, 1]"),
+            ({"kind": "tabulated", "grid_values": [0.2, 1.5]}, "grid_values",
+             "values must lie in [0, 1]"),
+            ({"kind": "tabulated", "grid_values": [0.5]}, "grid_values",
+             "breakpoints and values must be 1-d of equal length >= 2"),
+            ({"kind": "lower_bound_member", "role": 2}, "role", "role must be 0 or 1"),
+            ({"kind": "lower_bound_member", "p": 1.5}, "p", "p must lie in (0, 1)"),
+            ({"kind": "lower_bound_member", "half_width": 0.3}, "half_width",
+             "bump width too large for this budget fraction"),
+            ({"kind": "lower_bound_member", "l_tilde": 0.7}, "l_tilde",
+             "slope must lie in (0, 0.5]"),
+        ],
+    )
+    def test_mean_function_range_error_names_its_parameter(
+        self, tmp_path, capsys, mean_function, param, message
+    ):
+        path = write_json(tmp_path / "bad.json", minimal_experiment(mean_function=mean_function))
+        assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error at $.mean_function.{param}: {message}"]
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_member_swept_off_its_own_p_reports_its_threshold(self, tmp_path):
         # Right of its bumps a lower-bound member built for p = 0.5 climbs
         # as 0.5 + l_tilde (x - x1), x1 = 0.52; at p = 0.3 its threshold is

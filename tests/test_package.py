@@ -2,6 +2,7 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import pkgutil
 import subprocess
@@ -46,6 +47,42 @@ def test_benchmark_setup_probe_runs(tmp_path, workload):
     assert json.loads(done.stdout)["setup_s"] > 0
 
 
+@pytest.mark.parametrize("workload", list(bench_workloads.WORKLOADS))
+def test_benchmark_traced_call_checks_out(tmp_path, monkeypatch, workload):
+    # The benchmark's traced call at seed 1: its output passes the
+    # benchmark's checks, every layer the workload uses records a call, and
+    # tracing at one worker changes no byte of the output.
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import check
+    import tracer
+
+    spec = bench_workloads.WORKLOADS[workload]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bench_workloads.config_for(workload, 1)))
+
+    def call(threads, trace):
+        out = tmp_path / f"{threads}-{trace}"
+        out.mkdir()
+        job = {"mode": "cli", "trace": str(out / "spans.json") if trace else None,
+               "argv": [spec["command"], "--config", str(config), "--out", str(out),
+                        "--threads", str(threads)]}
+        done = subprocess.run([sys.executable, "bench/probe.py", json.dumps(job)], cwd=REPO,
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, FCAB_LOG="error"))
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)["rc"], out / bench_workloads.OUTPUT_FILE[spec["command"]]
+
+    rc, output = call(1, True)
+    text = output.read_text()
+    reference = json.loads((REPO / "bench" / "reference.json").read_text())
+    assert check.check_output(workload, rc, text, reference, fcab)[0] == {}
+    calls = tracer.summarise(json.loads((output.parent / "spans.json").read_text()))
+    assert [name for name in tracer.SPANS
+            if name not in spec["idle_spans"] and calls[name]["calls"] == 0] == []
+    rc, untraced = call(spec["threads"], False)
+    assert rc == 0 and untraced.read_bytes() == output.read_bytes()
+
+
 def _readme_block(heading: str, language: str) -> str:
     """The first ```language block after the README line ``heading``."""
     text = (REPO / "README.md").read_text()
@@ -69,3 +106,10 @@ def test_readme_config_is_read(tmp_path, heading, reader):
 
 def test_readme_library_use_runs():
     exec(_readme_block("## Library use", "python"), {})
+
+
+def test_one_version():
+    # The version is written twice; a bump must change both.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert project["version"] == fcab.__version__
