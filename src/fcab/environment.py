@@ -322,8 +322,11 @@ class PiecewiseLinear(MeanFunction):
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
         object.__setattr__(self, "values", tuple(vv.tolist()))
         if self.lipschitz_L is None:
-            slopes = np.diff(vv) / np.diff(bp)
-            object.__setattr__(self, "lipschitz_L", float(np.max(np.abs(slopes))))
+            with np.errstate(over="ignore"):
+                lip = float(np.max(np.abs(np.diff(vv) / np.diff(bp))))
+            if not math.isfinite(lip):
+                raise ConfigError([("$.breakpoints", "breakpoints too close: a slope overflows")])
+            object.__setattr__(self, "lipschitz_L", lip)
 
     def evaluate(self, x):
         return np.interp(_as_points(x, 1)[:, 0], self.breakpoints, self.values)
@@ -543,7 +546,8 @@ class RewardModel:
             raise ValueError("reward means must lie in [0, 1]")
         if self.kind == BERNOULLI:
             return (rng.random(means.shape) < means).astype(np.float64)
-        draw = means + self.sigma * rng.standard_normal(means.shape)
+        with np.errstate(over="ignore"):  # an infinite draw clips as a large one does
+            draw = means + self.sigma * rng.standard_normal(means.shape)
         return np.clip(draw, 0.0, 1.0)
 
 
@@ -568,24 +572,35 @@ def compute_threshold_M(f: MeanFunction, p: float, resolution=None) -> float:
 
 @dataclass
 class Instance:
-    """A fully-specified budgeted bandit problem.
+    """A fully-specified budgeted bandit problem, checked on construction.
 
-    ``true_means`` caches the mean function evaluated at every covariate;
-    ``star_order`` is the greedy oracle's pull set (the T arms with the
-    largest true means, ties to the lower arm index) in ascending arm
-    index, computed lazily by selection and reused by the oracle policy
-    and the regret computations.
+    ``p = T / N`` and ``true_means``, the mean at every covariate, are set
+    on construction and ``threshold_M`` on first read; ``star_order`` is the
+    greedy oracle's pull set (the T arms with the largest true means, ties
+    to the lower arm index) in ascending arm index, computed lazily by
+    selection and reused by the oracle policy and the regret computations.
     """
 
     arms: ArmSet
     mean: MeanFunction
     rewards: RewardModel
     T: int
-    p: float
-    threshold_M: float
-    true_means: np.ndarray
-    _star: Optional[np.ndarray] = field(default=None, repr=False)
-    _top_sum: Optional[float] = field(default=None, repr=False)
+    p: float = field(init=False)
+    true_means: np.ndarray = field(init=False)
+    _star: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _top_sum: Optional[float] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not 0 < self.T <= self.arms.n:
+            raise ValueError("budget must satisfy 0 < T <= N")
+        if self.mean.dim != self.arms.dim:
+            raise ValueError("mean function dimension must match the covariates")
+        self.p = self.T / self.arms.n
+        self.true_means = self.mean.evaluate(self.arms.covariates)
+
+    @functools.cached_property
+    def threshold_M(self) -> float:
+        return compute_threshold_M(self.mean, self.p)
 
     @property
     def n(self) -> int:
@@ -617,21 +632,6 @@ def _top_mask(values: np.ndarray, t: int) -> np.ndarray:
     ties = np.flatnonzero(values == v)
     take[ties[: t - np.count_nonzero(take)]] = True
     return take
-
-
-def make_instance(
-    arms: ArmSet,
-    mean: MeanFunction,
-    rewards: RewardModel,
-    T: int,
-) -> Instance:
-    if not 0 < T <= arms.n:
-        raise ValueError("budget must satisfy 0 < T <= N")
-    if mean.dim != arms.dim:
-        raise ValueError("mean function dimension must match the covariates")
-    p = T / arms.n
-    threshold = compute_threshold_M(mean, p)
-    return Instance(arms, mean, rewards, T, p, threshold, mean.evaluate(arms.covariates))
 
 
 # ---------------------------------------------------------------------------

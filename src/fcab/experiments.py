@@ -27,6 +27,7 @@ from . import analysis, policies
 from .environment import (
     MAX_ARM_COORDINATES,
     ConfigError,
+    Instance,
     InstancePair,
     MeanFunction,
     RewardModel,
@@ -34,7 +35,6 @@ from .environment import (
     from_json,
     from_kind,
     grid_arms,
-    make_instance,
     make_lower_bound_pair,
     mean_kl,
     sample_arms_uniform,
@@ -419,9 +419,8 @@ def run_trial(
         arms = grid_arms(n)
     else:
         arms = sample_arms_uniform(n, config.dim, _hash64(instance_seed, "arms"))
-    instance = make_instance(
-        arms, config.mean_function, config.reward_model, config.regime.budget_for(n)
-    )
+    instance = Instance(arms, config.mean_function, config.reward_model,
+                        config.regime.budget_for(n))
     delta = policies.default_parameters(n, instance.p, config.dim).delta
     ks = [choose_k(policy_id, config.k_rule, n, instance.T, config.dim)
           for policy_id in config.policies]
@@ -673,7 +672,7 @@ def lower_bound_protocol(
     k = choose_k(policy_id, KRule(), n, t_budget, 1)
     arms = grid_arms(n)
     model = RewardModel("bernoulli")
-    instances = [make_instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
+    instances = [Instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
     partition = policies.build_partition(arms, k)
     delta = policies.default_parameters(n, p, 1).delta
 

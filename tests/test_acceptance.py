@@ -17,12 +17,12 @@ from fcab.analysis import (
     regret_total,
 )
 from fcab.environment import (
+    Instance,
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
     compute_threshold_M,
     grid_arms,
-    make_instance,
     make_lower_bound_pair,
     mean_kl,
     sample_arms_uniform,
@@ -96,7 +96,7 @@ def test_criterion_01_decomposition_identities():
         n = int(rng.integers(50, 5001))
         k = int(rng.integers(1, 9))
         t = int(round(float(rng.uniform(0.2, 0.8)) * n))
-        inst = make_instance(
+        inst = Instance(
             sample_arms_uniform(n, 1, 10_000 + i),
             random_piecewise(rng, int(rng.integers(2, 7))),
             BERN,
@@ -129,8 +129,8 @@ def test_criterion_02_oracle_and_degenerate():
         n = 24 + 3 * (seed % 6)
         rng = np.random.default_rng(seed)
         mean = random_piecewise(rng, 3)
-        uniform = make_instance(sample_arms_uniform(n, 1, seed), mean, BERN, n)
-        grid = make_instance(grid_arms(n), mean, BERN, n)
+        uniform = Instance(sample_arms_uniform(n, 1, seed), mean, BERN, n)
+        grid = Instance(grid_arms(n), mean, BERN, n)
         # full budget: every policy must pull every arm
         part = build_partition(grid.arms, 2 + (seed % 2))
         bm = bin_means_quadrature(mean, part)
@@ -139,7 +139,7 @@ def test_criterion_02_oracle_and_degenerate():
         assert regret_total(uniform, baseline_random(uniform, seed)) == 0.0
         assert regret_total(grid, oracle_discrete(grid, part, *rank_bins(part, bm, n), seed)) == 0.0
         # greedy oracle is exact at partial budgets too
-        partial = make_instance(sample_arms_uniform(n, 1, seed + 1), mean, BERN, n // 2)
+        partial = Instance(sample_arms_uniform(n, 1, seed + 1), mean, BERN, n // 2)
         assert regret_total(partial, oracle_star(partial, seed)) == 0.0
     report(2, "10^4 seeds: oracle regret 0 exactly; all policies 0 at T = N")
 

@@ -19,11 +19,11 @@ from fcab.analysis import (
 from fcab.environment import (
     ArmSet,
     Constant,
+    Instance,
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
     grid_arms,
-    make_instance,
     make_lower_bound_pair,
     sample_arms_uniform,
 )
@@ -97,14 +97,14 @@ class TestBinMean:
 
     def test_empirical_bin_means(self):
         cov = np.array([[0.1], [0.3], [0.6], [0.9]])
-        inst = make_instance(ArmSet(cov), identity(), BERN, 2)
+        inst = Instance(ArmSet(cov), identity(), BERN, 2)
         part = build_partition(inst.arms, 2)
         means = bin_means_empirical(inst, part)
         np.testing.assert_allclose(means, [0.2, 0.75])
 
     def test_empirical_empty_bin_reports_zero(self):
         cov = np.array([[0.1], [0.2], [0.3]])
-        inst = make_instance(ArmSet(cov), identity(), BERN, 2)
+        inst = Instance(ArmSet(cov), identity(), BERN, 2)
         part = build_partition(inst.arms, 2)
         means = bin_means_empirical(inst, part)
         assert means[1] == 0.0
@@ -178,37 +178,37 @@ class TestFHat:
 
 class TestRegretTotal:
     def test_small_grid(self):
-        inst = make_instance(grid_arms(4), identity(), BERN, 2)
+        inst = Instance(grid_arms(4), identity(), BERN, 2)
         trace = PolicyTrace(np.array([0, 3]), None)
         # top means 1.0 + 0.75 against pulled 0.25 + 1.0
         assert regret_total(inst, trace) == pytest.approx(0.5, abs=1e-12)
 
     def test_oracle_exactly_zero(self):
         for seed in range(20):
-            inst = make_instance(
+            inst = Instance(
                 sample_arms_uniform(60, 1, seed), identity(), BERN, 25
             )
             assert regret_total(inst, oracle_star(inst, seed)) == 0.0
 
     def test_constant_mean_zero_for_any_trace(self):
-        inst = make_instance(grid_arms(30), Constant(0.6), BERN, 12)
+        inst = Instance(grid_arms(30), Constant(0.6), BERN, 12)
         for seed in range(10):
             assert regret_total(inst, baseline_random(inst, seed)) == 0.0
 
     def test_wrong_length(self):
-        inst = make_instance(grid_arms(4), identity(), BERN, 2)
+        inst = Instance(grid_arms(4), identity(), BERN, 2)
         with pytest.raises(ValueError):
             regret_total(inst, PolicyTrace(np.array([0]), None))
 
     def test_duplicates_detected(self):
-        inst = make_instance(grid_arms(4), identity(), BERN, 2)
+        inst = Instance(grid_arms(4), identity(), BERN, 2)
         with pytest.raises(ValueError):
             regret_total(inst, PolicyTrace(np.array([3, 3]), None))
 
     def test_nonnegative_across_policies(self):
         rng = np.random.default_rng(4)
         for seed in range(30):
-            inst = make_instance(
+            inst = Instance(
                 sample_arms_uniform(80, 1, seed),
                 random_piecewise(rng),
                 BERN,
@@ -229,7 +229,7 @@ def _decompose_for(inst, part, means, trace, seed=0):
 
 class TestDecomposition:
     def test_discrete_trace_has_zero_learning_cost(self):
-        inst = make_instance(grid_arms(60), identity(), BERN, 30)
+        inst = Instance(grid_arms(60), identity(), BERN, 30)
         part = build_partition(inst.arms, 4)
         baseline = make_baseline(inst, part, bin_means_quadrature(identity(), part), 3)
         dec = regret_decompose(inst, baseline, baseline.reference)
@@ -238,7 +238,7 @@ class TestDecomposition:
         assert dec.r_opt == dec.r_subopt == dec.r_boundary == 0.0
 
     def test_star_trace_flips_sign(self):
-        inst = make_instance(grid_arms(60), identity(), BERN, 30)
+        inst = Instance(grid_arms(60), identity(), BERN, 30)
         part = build_partition(inst.arms, 4)
         bm = bin_means_quadrature(identity(), part)
         star = oracle_star(inst, 1)
@@ -248,7 +248,7 @@ class TestDecomposition:
 
     def test_identities_on_reference_instance(self):
         rng = np.random.default_rng(7)
-        inst = make_instance(
+        inst = Instance(
             sample_arms_uniform(60, 1, 7), random_piecewise(rng), BERN, 30
         )
         part = build_partition(inst.arms, 4)
@@ -269,7 +269,7 @@ class TestDecomposition:
             n = int(rng.integers(50, 400))
             t = int(rng.integers(5, n - 8))
             k = int(rng.integers(1, 8))
-            inst = make_instance(
+            inst = Instance(
                 sample_arms_uniform(n, 1, 1000 + i),
                 random_piecewise(rng),
                 BERN,
@@ -292,7 +292,7 @@ class TestDecomposition:
             assert dec.r_total >= 0.0
 
     def test_empirical_bin_means_also_satisfy_identities(self):
-        inst = make_instance(sample_arms_uniform(150, 1, 2), identity(), BERN, 70)
+        inst = Instance(sample_arms_uniform(150, 1, 2), identity(), BERN, 70)
         part = build_partition(inst.arms, 5)
         bm = bin_means_empirical(inst, part)
         trace = ucbf_run(inst, part, 0.01, seed=5)
@@ -304,7 +304,7 @@ class TestDecomposition:
         # Monotone mean on grid arms with the budget cutting exactly at a
         # bin edge: optimal bins hold only above-threshold arms and
         # suboptimal bins only below-threshold arms.
-        inst = make_instance(grid_arms(100), identity(), BERN, 40)
+        inst = Instance(grid_arms(100), identity(), BERN, 40)
         part = build_partition(inst.arms, 5)
         bm = bin_means_quadrature(identity(), part)
         order, f_hat = rank_bins(part, bm, inst.T)
@@ -355,7 +355,7 @@ class TestExactKernels:
         ],
     )
     def test_masked_sums_match_boolean_indexing(self, arms, mean, empirical):
-        inst = make_instance(arms, mean, BERN, arms.n * 2 // 5)
+        inst = Instance(arms, mean, BERN, arms.n * 2 // 5)
         default = default_parameters(inst.n, inst.p, arms.dim)
         for policy_id, spec in POLICIES.items():
             k = cab_parameters(inst.T) if spec.cab_k else default.k
@@ -390,7 +390,7 @@ class TestBaselineMasks:
         # distinct bin means tie bins in the ranking.
         rng = np.random.default_rng(seed)
         arms = sample_arms_uniform(n, dim, seed)
-        inst = make_instance(arms, Constant(0.5, dim), BERN, max(1, round(budget * n)))
+        inst = Instance(arms, Constant(0.5, dim), BERN, max(1, round(budget * n)))
         part = build_partition(arms, k)
         bin_means = rng.integers(0, levels, part.bin_count)
         baseline = make_baseline(inst, part, bin_means, seed)
@@ -414,8 +414,7 @@ class TestPullSetsOnly:
 
     def test_builders_never_run(self, monkeypatch):
         plateau = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
-        inst = make_instance(grid_arms(2**13), plateau, RewardModel("clipped_gaussian", 0.1),
-                             2**12)
+        inst = Instance(grid_arms(2**13), plateau, RewardModel("clipped_gaussian", 0.1), 2**12)
         part = build_partition(inst.arms, 8)
         bm = bin_means_quadrature(plateau, part)
         star = oracle_star(inst, 2)
@@ -501,7 +500,7 @@ class TestDiagnostics:
     def test_grid_occupancy_deviation(self):
         # Arms at i/N with half-open bins put each boundary arm j*N/K into
         # the upper bin, so even K | N leaves a +-1 edge deviation.
-        inst = make_instance(grid_arms(100), identity(), BERN, 50)
+        inst = Instance(grid_arms(100), identity(), BERN, 50)
         part = build_partition(inst.arms, 4)
         np.testing.assert_array_equal(part.counts, [24, 25, 25, 26])
         bm = bin_means_quadrature(identity(), part)
@@ -511,7 +510,7 @@ class TestDiagnostics:
 
     def test_exact_equipartition_with_midpoint_covariates(self):
         cov = ((np.arange(100) + 0.5) / 100).reshape(-1, 1)
-        inst = make_instance(ArmSet(cov), identity(), BERN, 50)
+        inst = Instance(ArmSet(cov), identity(), BERN, 50)
         part = build_partition(inst.arms, 4)
         _, f_hat = rank_bins(part, bin_means_quadrature(identity(), part), inst.T)
         report = diagnostics(inst, part, f_hat)
@@ -519,14 +518,14 @@ class TestDiagnostics:
         assert report.count_dev_scaled == 0.0
 
     def test_m_hat_is_budget_order_statistic(self):
-        inst = make_instance(grid_arms(4), identity(), BERN, 2)
+        inst = Instance(grid_arms(4), identity(), BERN, 2)
         part = build_partition(inst.arms, 2)
         bm = bin_means_quadrature(identity(), part)
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
         assert report.m_hat == 0.75
 
     def test_constant_mean_has_no_lipschitz_scale(self):
-        inst = make_instance(grid_arms(50), Constant(0.5), BERN, 25)
+        inst = Instance(grid_arms(50), Constant(0.5), BERN, 25)
         part = build_partition(inst.arms, 5)
         report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1])
         assert report.m_hat_gap_scaled is None
@@ -534,7 +533,7 @@ class TestDiagnostics:
     def test_json_round_trip(self):
         import json
 
-        inst = make_instance(grid_arms(50), identity(), BERN, 25)
+        inst = Instance(grid_arms(50), identity(), BERN, 25)
         part = build_partition(inst.arms, 5)
         bm = bin_means_quadrature(identity(), part)
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])

@@ -109,6 +109,15 @@ class TestDispatch:
         b = (out2 / "sweep.csv").read_bytes()
         assert a == b
 
+    def test_huge_gaussian_sigma_clips_quietly(self, tmp_path, capsys):
+        # A draw of means + sigma * normal overflows to +-inf here and
+        # clips to 1 or 0, as a large finite draw does, without a warning.
+        cfg = write_json(tmp_path / "c.json", minimal_experiment(
+            policies=["ucbf"], reward_model={"kind": "clipped_gaussian", "sigma": 1e308}))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--threads", "1"]) == 0
+        assert (tmp_path / "sweep.csv").exists()
+        assert capsys.readouterr().err == ""
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(policies=["random"]))
         out1 = tmp_path / "a"
@@ -261,6 +270,8 @@ class TestDispatch:
              "bump width too large for this budget fraction"),
             ({"kind": "lower_bound_member", "l_tilde": 0.7}, "l_tilde",
              "slope must lie in (0, 0.5]"),
+            ({"kind": "piecewise_linear", "breakpoints": [0, 1e-320, 1], "values": [0, 1, 0.5]},
+             "breakpoints", "breakpoints too close: a slope overflows"),
         ],
     )
     def test_mean_function_range_error_names_its_parameter(

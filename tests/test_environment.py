@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcab import environment
 from fcab.analysis import diagnostics
 from fcab.environment import (
     _mean_mass,
@@ -22,7 +24,6 @@ from fcab.environment import (
     bernoulli_kl,
     compute_threshold_M,
     grid_arms,
-    make_instance,
     make_lower_bound_pair,
     mean_kl,
     sample_arms_uniform,
@@ -86,6 +87,11 @@ class TestMeanFunctions:
             PiecewiseLinear((0.0, 0.5), (0.0, 1.0))  # does not span [0, 1]
         with pytest.raises(ValueError):
             PiecewiseLinear((0.0, 0.5, 0.5, 1.0), (0.0, 0.1, 0.2, 0.3))
+
+    def test_supplied_lipschitz_skips_the_slopes(self):
+        # A slope between these breakpoints overflows; a supplied constant is kept.
+        f = PiecewiseLinear((0.0, 1e-320, 1.0), (0.0, 1.0, 0.5), lipschitz_L=1.0)
+        assert f.lipschitz_L == 1.0 and f.evaluate([0.5]) == pytest.approx([0.75])
 
     def test_values_stay_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -556,20 +562,38 @@ class TestInstances:
     def test_budget_bounds(self):
         arms = grid_arms(10)
         with pytest.raises(ValueError):
-            make_instance(arms, identity(), RewardModel("bernoulli"), 0)
+            Instance(arms, identity(), RewardModel("bernoulli"), 0)
         with pytest.raises(ValueError):
-            make_instance(arms, identity(), RewardModel("bernoulli"), 11)
+            Instance(arms, identity(), RewardModel("bernoulli"), 11)
+        with pytest.raises(ValueError, match="dimension must match"):
+            Instance(sample_arms_uniform(10, 2, 0), identity(), RewardModel("bernoulli"), 5)
 
     def test_fields(self):
         arms = grid_arms(100)
-        inst = make_instance(arms, identity(), RewardModel("bernoulli"), 30)
+        inst = Instance(arms, identity(), RewardModel("bernoulli"), 30)
         assert inst.p == pytest.approx(0.3)
         assert inst.threshold_M == pytest.approx(0.7, abs=1e-3)
         np.testing.assert_allclose(inst.true_means, arms.covariates[:, 0])
 
+    def test_constructor_takes_the_problem_only(self):
+        assert list(inspect.signature(Instance).parameters) == ["arms", "mean", "rewards", "T"]
+
+    def test_threshold_is_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(f, p):
+            calls.append(p)
+            return compute_threshold_M(f, p)
+
+        monkeypatch.setattr(environment, "compute_threshold_M", counting)
+        inst = Instance(grid_arms(100), identity(), RewardModel("bernoulli"), 30)
+        assert calls == []
+        assert inst.threshold_M == inst.threshold_M == compute_threshold_M(identity(), 0.3)
+        assert calls == [0.3]
+
     def test_star_order_ties_break_by_index(self):
         arms = grid_arms(4)
-        inst = make_instance(arms, Constant(0.5), RewardModel("bernoulli"), 2)
+        inst = Instance(arms, Constant(0.5), RewardModel("bernoulli"), 2)
         np.testing.assert_array_equal(inst.star_order(), [0, 1])
 
     @given(
@@ -588,8 +612,12 @@ class TestInstances:
         values, decimals, constant, t_budget = case
         means = np.full(len(values), values[0]) if constant else np.round(values, decimals)
         n = means.size
-        inst = Instance(grid_arms(n), Constant(0.5), RewardModel("bernoulli"),
-                        t_budget, t_budget / n, 0.5, means)
+        # The line through the means at the grid arms: np.interp returns a
+        # breakpoint's value exactly.
+        arms = grid_arms(n)
+        mean = PiecewiseLinear((0.0, *arms.covariates[:, 0]), (means[0], *means))
+        inst = Instance(arms, mean, RewardModel("bernoulli"), t_budget)
+        np.testing.assert_array_equal(inst.true_means, means)
         prefix = np.argsort(-means, kind="stable")[:t_budget]
         np.testing.assert_array_equal(inst.star_order(), np.sort(prefix))
         np.testing.assert_array_equal(oracle_star(inst, 0).pulled, prefix)

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from fcab import analysis, experiments, policies
 from fcab.environment import (
     ConfigError,
+    Instance,
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
     compute_threshold_M,
     grid_arms,
-    make_instance,
     make_lower_bound_pair,
 )
 from fcab.experiments import (
@@ -137,14 +137,14 @@ class TestTrials:
                 assert trial(cfg, 60, policy, rep).regret == 0.0
 
     def test_full_budget_threshold_is_one_rule(self):
-        # At p = 1 the trial, make_instance and the threshold
+        # At p = 1 the trial, the Instance and the threshold
         # function all take the minimum of the mean.
         f = Sinusoid(amplitude=0.35, frequency=1.15, offset=0.5)
         cfg = small_config(mean_function=f, regime=FixedP(1.0), n_grid=(64,))
         result = trial(cfg, 64, "ucbf", 0)
         expected = compute_threshold_M(f, 1.0)
         assert result.decomposition.threshold_M == expected
-        assert make_instance(grid_arms(64), f, BERN, 64).threshold_M == expected
+        assert Instance(grid_arms(64), f, BERN, 64).threshold_M == expected
         assert result.regret == 0.0
 
     def test_oracle_star_zero_for_all_reps(self):
@@ -564,14 +564,14 @@ class TestWorkerPool:
         # Both members' instances are built here before the workers fork,
         # not once in every worker.
         log = tmp_path / "instances"
-        make = experiments.make_instance
+        make = experiments.Instance
 
         def logging_make(*args):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             return make(*args)
 
-        monkeypatch.setattr(experiments, "make_instance", logging_make)
+        monkeypatch.setattr(experiments, "Instance", logging_make)
         lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2500),
                              policy_id="ucbf", replications=3, master_seed=0, threads=2)
         assert log.read_text().split() == [str(os.getpid())] * 2

@@ -50,8 +50,9 @@ def test_benchmark_setup_probe_runs(tmp_path, workload):
 @pytest.mark.parametrize("workload", list(bench_workloads.WORKLOADS))
 def test_benchmark_traced_call_checks_out(tmp_path, monkeypatch, workload):
     # The benchmark's traced call at seed 1: its output passes the
-    # benchmark's checks, every layer the workload uses records a call, and
-    # tracing at one worker changes no byte of the output.
+    # benchmark's checks, every layer the workload uses records a call and
+    # every layer it lists as idle none, and tracing at one worker changes
+    # no byte of the output.
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     import check
     import tracer
@@ -77,8 +78,8 @@ def test_benchmark_traced_call_checks_out(tmp_path, monkeypatch, workload):
     reference = json.loads((REPO / "bench" / "reference.json").read_text())
     assert check.check_output(workload, rc, text, reference, fcab)[0] == {}
     calls = tracer.summarise(json.loads((output.parent / "spans.json").read_text()))
-    assert [name for name in tracer.SPANS
-            if name not in spec["idle_spans"] and calls[name]["calls"] == 0] == []
+    used = {name for name in tracer.SPANS if calls[name]["calls"]}
+    assert used == set(tracer.SPANS) - set(spec["idle_spans"])
     rc, untraced = call(spec["threads"], False)
     assert rc == 0 and untraced.read_bytes() == output.read_bytes()
 

@@ -12,11 +12,11 @@ from fcab.analysis import bin_means_empirical, rank_bins, regret_total
 from fcab.environment import (
     ArmSet,
     Constant,
+    Instance,
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
     grid_arms,
-    make_instance,
     sample_arms_uniform,
 )
 from fcab.policies import (
@@ -158,9 +158,9 @@ class TestPartition:
         # grid arms 0.2..1.0: counts (1,1,1,2); only the last bin is alive,
         # so UCBF reaches its two arms and no other.
         np.testing.assert_array_equal(part.counts, [1, 1, 1, 2])
-        inst = make_instance(grid_arms(5), identity(), BERN, 2)
+        inst = Instance(grid_arms(5), identity(), BERN, 2)
         assert sorted(ucbf_run(inst, part, 0.01, seed=0).pulled.tolist()) == [3, 4]
-        inst = make_instance(grid_arms(5), identity(), BERN, 3)
+        inst = Instance(grid_arms(5), identity(), BERN, 3)
         with pytest.raises(ValueError, match="the 2 arms reachable"):
             ucbf_run(inst, part, 0.01, seed=0)
 
@@ -280,7 +280,7 @@ class TestUcbfRun:
         # arms at N=4, K=2 would put the arm at 0.5 into the upper half-open
         # bin, so the two-per-bin layout needs explicit covariates.)
         arms = ArmSet(np.array([[0.2], [0.4], [0.6], [0.8]]))
-        inst = make_instance(arms, identity(), BERN, 2)
+        inst = Instance(arms, identity(), BERN, 2)
         part = build_partition(inst.arms, 2)
         np.testing.assert_array_equal(part.counts, [2, 2])
         trace = ucbf_run(inst, part, 0.1, seed=5)
@@ -295,7 +295,7 @@ class TestUcbfRun:
         cov = np.array([[0.1], [0.2], [0.3], [0.4], [0.6], [0.7], [0.8], [0.9]])
         arms = ArmSet(cov)
         mean = PiecewiseLinear((0.0, 0.4, 0.6, 1.0), (1.0, 1.0, 0.0, 0.0))
-        inst = make_instance(arms, mean, BERN, 6)
+        inst = Instance(arms, mean, BERN, 6)
         part = build_partition(arms, 2)
         trace = ucbf_run(inst, part, 0.01, seed=11)
         bins = part.assignment[trace.pulled]
@@ -303,34 +303,34 @@ class TestUcbfRun:
         assert bins[5] == 1
 
     def test_all_pulls_distinct(self):
-        inst = make_instance(sample_arms_uniform(200, 1, 8), identity(), BERN, 120)
+        inst = Instance(sample_arms_uniform(200, 1, 8), identity(), BERN, 120)
         part = build_partition(inst.arms, 5)
         trace = ucbf_run(inst, part, 0.01, seed=3)
         assert len(np.unique(trace.pulled)) == inst.T
 
     def test_never_pulls_singleton_bins(self):
         part = build_partition(grid_arms(5), 4)  # counts (1,1,1,2)
-        inst = make_instance(grid_arms(5), identity(), BERN, 2)
+        inst = Instance(grid_arms(5), identity(), BERN, 2)
         trace = ucbf_run(inst, part, 0.01, seed=1)
         assert set(trace.pulled.tolist()) == {3, 4}
 
     def test_unreachable_budget_errors(self):
         part = build_partition(grid_arms(5), 4)
-        inst = make_instance(grid_arms(5), identity(), BERN, 3)
+        inst = Instance(grid_arms(5), identity(), BERN, 3)
         with pytest.raises(ValueError, match="reachable"):
             ucbf_run(inst, part, 0.01, seed=1)
 
     def test_equal_indices_prefer_lower_bin(self):
         # Deterministic unit rewards keep both bins at identical indices;
         # the strict comparison sends the first post-init pull to bin 0.
-        inst = make_instance(grid_arms(8), Constant(1.0), BERN, 4)
+        inst = Instance(grid_arms(8), Constant(1.0), BERN, 4)
         part = build_partition(inst.arms, 2)
         trace = ucbf_run(inst, part, 0.1, seed=9)
         bins = part.assignment[trace.pulled]
         assert bins[2] == 0
 
     def test_determinism(self):
-        inst = make_instance(sample_arms_uniform(300, 1, 5), identity(), BERN, 150)
+        inst = Instance(sample_arms_uniform(300, 1, 5), identity(), BERN, 150)
         part = build_partition(inst.arms, 6)
         a = ucbf_run(inst, part, 0.01, seed=77)
         b = ucbf_run(inst, part, 0.01, seed=77)
@@ -338,7 +338,7 @@ class TestUcbfRun:
         np.testing.assert_array_equal(a.rewards, b.rewards)
 
     def test_bin_exhaustion_matches_last_pull(self):
-        inst = make_instance(grid_arms(12), identity(), BERN, 12)
+        inst = Instance(grid_arms(12), identity(), BERN, 12)
         part = build_partition(inst.arms, 3)
         trace = ucbf_run(inst, part, 0.01, seed=2)
         # each bin's pull count equals its arm count when T = N
@@ -349,7 +349,7 @@ class TestUcbfRun:
         # d-ary bins behave like intervals: distinct pulls, singleton bins
         # untouched, full coverage of alive bins at matching budget.
         arms = sample_arms_uniform(300, 2, 21)
-        inst = make_instance(arms, Constant(0.5, dim=2), BERN, 150)
+        inst = Instance(arms, Constant(0.5, dim=2), BERN, 150)
         part = build_partition(arms, 3)
         assert part.bin_count == 9
         trace = ucbf_run(inst, part, 0.01, seed=4)
@@ -363,7 +363,7 @@ class TestUcbfRun:
         # loop on the same stream layout that recomputes every index through
         # ucbf_index each step must produce bit-identical traces.
         for seed in range(6):
-            inst = make_instance(
+            inst = Instance(
                 sample_arms_uniform(120, 1, 40 + seed), identity(), BERN, 70
             )
             part = build_partition(inst.arms, 4)
@@ -400,7 +400,7 @@ class TestUcbfRun:
         assume(reachable >= 1)
         t = data.draw(st.integers(1, reachable), label="T")
         rewards = RewardModel("clipped_gaussian", 0.25) if gaussian else BERN
-        inst = make_instance(arms, mean_fn, rewards, t)
+        inst = Instance(arms, mean_fn, rewards, t)
         fast = ucbf_run(inst, part, delta, seed=seed)
         pulled, obs = reference_ucbf(inst, part, delta, seed)
         np.testing.assert_array_equal(fast.pulled, pulled)
@@ -412,7 +412,7 @@ class TestUcbfRun:
         # Two-sample chi-square over all C(6,3)=20 subsets, 1e4 seeds each.
         from itertools import combinations
 
-        inst = make_instance(grid_arms(6), identity(), BERN, 3)
+        inst = Instance(grid_arms(6), identity(), BERN, 3)
         part = build_partition(inst.arms, 1)
         subsets = {frozenset(c): i for i, c in enumerate(combinations(range(6), 3))}
         counts = np.zeros((2, 20))
@@ -431,17 +431,17 @@ class TestUcbfRun:
 
 class TestOracles:
     def test_star_pull_order(self):
-        inst = make_instance(grid_arms(4), identity(), BERN, 2)
+        inst = Instance(grid_arms(4), identity(), BERN, 2)
         trace = oracle_star(inst, seed=0)
         np.testing.assert_array_equal(trace.pulled, [3, 2])  # covariates 1.0, 0.75
 
     def test_star_tie_break(self):
-        inst = make_instance(grid_arms(4), Constant(0.5), BERN, 2)
+        inst = Instance(grid_arms(4), Constant(0.5), BERN, 2)
         trace = oracle_star(inst, seed=0)
         np.testing.assert_array_equal(trace.pulled, [0, 1])
 
     def test_star_full_budget(self):
-        inst = make_instance(grid_arms(7), identity(), BERN, 7)
+        inst = Instance(grid_arms(7), identity(), BERN, 7)
         trace = oracle_star(inst, seed=0)
         assert set(trace.pulled.tolist()) == set(range(7))
 
@@ -456,7 +456,7 @@ class TestOracles:
         # numpy's default sort takes another path on small arrays; at these
         # sizes its order among equal keys is not the index order, and the
         # plateau's tied means must still come out in ascending index.
-        inst = make_instance(arms, mean, RewardModel("clipped_gaussian", 0.1), arms.n // 2)
+        inst = Instance(arms, mean, RewardModel("clipped_gaussian", 0.1), arms.n // 2)
         star = inst.star_order()
         expected = star[np.argsort(-inst.true_means[star], kind="stable")]
         sorted_means = inst.true_means[expected]
@@ -472,7 +472,7 @@ class TestOracles:
     def _three_bin_instance(self, t):
         # two arms per bin at K=3, keeping covariates off the bin edges
         cov = np.array([[0.1], [0.2], [0.4], [0.5], [0.7], [0.8]])
-        inst = make_instance(ArmSet(cov), identity(), BERN, t)
+        inst = Instance(ArmSet(cov), identity(), BERN, t)
         part = build_partition(inst.arms, 3)
         np.testing.assert_array_equal(part.counts, [2, 2, 2])
         return inst, part
@@ -502,7 +502,7 @@ class TestOracles:
     def test_discrete_boundary_fill_is_uniform(self):
         # Grid arms at K = 4: bin 2 (10 arms) ranks first and is emptied;
         # bin 0 (9 arms) ranks second and fills the remaining 3 pulls.
-        inst = make_instance(grid_arms(40), identity(), BERN, 13)
+        inst = Instance(grid_arms(40), identity(), BERN, 13)
         part = build_partition(inst.arms, 4)
         emptied, boundary = bin_arms(part, 2), bin_arms(part, 0)
         remainder = inst.T - emptied.size
@@ -596,7 +596,7 @@ class TestDeferredTraces:
         "rewards", [BERN, RewardModel("clipped_gaussian", 0.1)], ids=["bernoulli", "gaussian"]
     )
     def test_built_arrays_match_an_eager_run(self, arms, mean, rewards):
-        inst = make_instance(arms, mean, rewards, arms.n // 2)
+        inst = Instance(arms, mean, rewards, arms.n // 2)
         part = build_partition(arms, 8)
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         for seed in (0, 3):
@@ -621,8 +621,8 @@ class TestDeferredTraces:
         # Few distinct bin means tie bins in the ranking.
         rng = np.random.default_rng(seed)
         arms = sample_arms_uniform(n, dim, seed)
-        inst = make_instance(arms, Constant(0.5, dim), RewardModel("clipped_gaussian", 0.2),
-                             max(1, round(budget * n)))
+        inst = Instance(arms, Constant(0.5, dim), RewardModel("clipped_gaussian", 0.2),
+                        max(1, round(budget * n)))
         part = build_partition(arms, k)
         ranking = rank_bins(part, rng.integers(0, levels, part.bin_count), inst.T)
         trace = oracle_discrete(inst, part, *ranking, seed=seed)
@@ -645,7 +645,7 @@ class TestDeferredTraces:
         alive = alive_bins(part).size
         t = {"half": arms.n // 2, "alive-1": alive - 1, "alive": alive,
              "alive+1": alive + 1, "reachable": arms.n}[budget]
-        inst = make_instance(arms, mean, rewards, t)
+        inst = Instance(arms, mean, rewards, t)
         for seed in (0, 3):
             pulled, obs, keys = eager_ucbf(inst, part, 0.01, seed)
             if budget == "half" and rewards is BERN:
@@ -656,7 +656,7 @@ class TestDeferredTraces:
 
     def test_pickle_round_trip_gives_equal_arrays(self):
         arms, mean = AT_SCALE[1]
-        inst = make_instance(arms, mean, RewardModel("clipped_gaussian", 0.1), arms.n // 2)
+        inst = Instance(arms, mean, RewardModel("clipped_gaussian", 0.1), arms.n // 2)
         part = build_partition(arms, 8)
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 1), oracle_discrete(inst, part, *ranking, seed=1),
@@ -675,7 +675,7 @@ class TestDeferredTraces:
         # The oracles' builders hold the instance and the reward generator;
         # the first read builds both arrays, and then a kept trace pins only
         # its own arrays.
-        inst = make_instance(grid_arms(64), identity(), BERN, 20)
+        inst = Instance(grid_arms(64), identity(), BERN, 20)
         part = build_partition(inst.arms, 4)
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 5), oracle_discrete(inst, part, *ranking, seed=5)]
@@ -693,12 +693,12 @@ class TestDeferredTraces:
 
 class TestRandomBaseline:
     def test_full_budget_covers_all(self):
-        inst = make_instance(grid_arms(10), identity(), BERN, 10)
+        inst = Instance(grid_arms(10), identity(), BERN, 10)
         trace = baseline_random(inst, seed=3)
         assert set(trace.pulled.tolist()) == set(range(10))
 
     def test_reproducible(self):
-        inst = make_instance(grid_arms(30), identity(), BERN, 10)
+        inst = Instance(grid_arms(30), identity(), BERN, 10)
         a = baseline_random(inst, seed=12)
         b = baseline_random(inst, seed=12)
         np.testing.assert_array_equal(a.pulled, b.pulled)
@@ -706,7 +706,7 @@ class TestRandomBaseline:
     def test_expected_regret(self):
         # Closed-form oracle: E[regret] = sum(top T means) - (T/N) sum(all),
         # with the sums computed by brute force.
-        inst = make_instance(grid_arms(100), identity(), BERN, 50)
+        inst = Instance(grid_arms(100), identity(), BERN, 50)
         means = sorted(inst.true_means.tolist(), reverse=True)
         expected = sum(means[:50]) - 0.5 * sum(means)
         assert expected == pytest.approx(12.5, abs=1e-12)
@@ -729,7 +729,7 @@ class TestTraces:
     def test_jsonl_records(self, tmp_path):
         import json
 
-        inst = make_instance(grid_arms(8), identity(), BERN, 4)
+        inst = Instance(grid_arms(8), identity(), BERN, 4)
         part = build_partition(inst.arms, 2)
         trace = ucbf_run(inst, part, 0.01, seed=6)
         path = tmp_path / "trace.jsonl"
