@@ -117,18 +117,13 @@ class RegretDecomposition:
     r_opt: float
     r_subopt: float
     r_boundary: float
-    f_hat: int
-    f: int
-    m_hat: float
-    threshold_M: float
 
 
 def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDecomposition:
     """Arm-level decomposition of a trace against the discretised oracle's
     reference run in ``baseline``, which must come from the same instance."""
     means = instance.true_means
-    report = baseline.report
-    m_thresh = report.threshold_M
+    m_thresh = baseline.report.threshold_M
     in_phi = _pull_mask(instance, trace)
     out_phi = ~in_phi
 
@@ -149,10 +144,6 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
         r_opt=r_opt,
         r_subopt=r_subopt,
         r_boundary=r_boundary,
-        f_hat=report.f_hat,
-        f=report.f,
-        m_hat=report.m_hat,
-        threshold_M=m_thresh,
     )
 
 

@@ -123,15 +123,19 @@ def _write_sweep(args, name: str, text) -> int:
 
 
 def _trials_jsonl_text(result: experiments.SweepResult) -> str:
-    """One JSON line per trial, in task order: its cell, replication,
-    seed, regret, decomposition and diagnostics."""
-    lines = [
-        json.dumps({"policy": r.policy_id, "N": r.n, "T": r.t_budget, "K": r.k, "p": r.p,
-                    "rep": r.rep, "seed": r.seed, "regret": r.regret,
-                    **asdict(r.decomposition), "diagnostics": asdict(r.diagnostics)},
-                   sort_keys=True)
-        for r in result.trials
-    ]
+    """One JSON line per trial, in ``result.trials`` order: its cell,
+    replication, seed, regret, decomposition and diagnostics.  The top
+    level repeats the regret and the diagnostics' N, T, K, p, f, f_hat,
+    m_hat and threshold_M, where parsers read them."""
+    lines = []
+    for r in result.trials:
+        d = r.diagnostics
+        lines.append(json.dumps(
+            {"policy": r.policy_id, "N": d.n, "T": d.t_budget, "K": d.k_per_axis, "p": d.p,
+             "rep": r.rep, "seed": r.seed, "regret": r.decomposition.r_total, "f": d.f,
+             "f_hat": d.f_hat, "m_hat": d.m_hat, "threshold_M": d.threshold_M,
+             **asdict(r.decomposition), "diagnostics": asdict(d)},
+            sort_keys=True))
     return "\n".join(lines) + "\n"
 
 

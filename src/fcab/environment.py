@@ -16,6 +16,7 @@ weak-Lipschitz and margin regularity conditions for piecewise-linear means.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import inspect
 import math
@@ -340,7 +341,8 @@ class PiecewiseLinear(MeanFunction):
         lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
         flat = hi == lo
         levels = levels[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):  # the flat pieces' ramps
+        # The flat pieces' ramps, and a subnormal range's overflow, which clips.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ramp = np.clip((hi - levels) / (hi - lo), 0.0, 1.0)
         at_or_above = np.sum(np.where(flat, hi >= levels, ramp) * width, axis=1)
         above = np.sum(np.where(flat, hi > levels, ramp) * width, axis=1)
@@ -348,15 +350,20 @@ class PiecewiseLinear(MeanFunction):
 
     def threshold(self, p):
         # measure{m >= A} is linear in A between the sorted values u_j and
-        # drops by a plateau's length at its value: tabulate it at and just
-        # above each u_j, and invert the piece that brackets p.
+        # drops by a plateau's length at its value.  The computed
+        # measure{m > A} never rises with A, so bisection on the levels finds
+        # the first u_j with less than p above it (the last level has
+        # nothing above it); then invert the piece that brackets p.
         levels = np.array(sorted(set(self.values)))  # np.unique would import numpy.ma
-        at_or_above, above = self._measures(levels)
-        j = int(np.argmax(above < p))  # the last level has nothing above it
-        if j == 0 or at_or_above[j] >= p:
+        j = bisect.bisect_left(range(levels.size), True,
+                               key=lambda i: self._measures(levels[i:i + 1])[1][0] < p)
+        if j == 0:
+            return float(levels[0])
+        at_or_above, above = self._measures(levels[j - 1:j + 1])
+        if at_or_above[1] >= p:
             return float(levels[j])
         # Linear on (u_{j-1}, u_j], from above[j-1] >= p to at_or_above[j] < p.
-        share = (above[j - 1] - p) / (above[j - 1] - at_or_above[j])
+        share = (above[0] - p) / (above[0] - at_or_above[1])
         return float(levels[j - 1] + share * (levels[j] - levels[j - 1]))
 
     def box_mean(self, lo, hi):

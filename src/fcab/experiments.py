@@ -372,14 +372,13 @@ def _work(fn, tasks: list, write_fd: int) -> None:
 
 @dataclass
 class TrialResult:
+    """One policy's run in one (N, rep) task.  Its N, T, K and p are the
+    diagnostics' ``n``, ``t_budget``, ``k_per_axis`` and ``p``, and its
+    regret is ``decomposition.r_total``; ``trace`` is None unless kept."""
+
     policy_id: str
-    n: int
-    t_budget: int
-    k: int
-    p: float
     rep: int
     seed: int
-    regret: float
     decomposition: analysis.RegretDecomposition
     diagnostics: analysis.DiagnosticsReport
     wall_ms: float
@@ -451,8 +450,7 @@ def run_trial(
             outcomes.append(f"{type(exc).__name__}: {exc}")
             continue
         outcomes.append(TrialResult(
-            policy_id=policy_id, n=n, t_budget=instance.T, k=k, p=instance.p, rep=rep,
-            seed=seed, regret=decomposition.r_total, decomposition=decomposition,
+            policy_id=policy_id, rep=rep, seed=seed, decomposition=decomposition,
             diagnostics=baseline.report, wall_ms=setup_ms + (time.perf_counter() - start) * 1000.0,
             trace=trace if keep_trace else None,
         ))
@@ -487,7 +485,7 @@ class SweepRow:
 class SweepResult:
     rows: list
     errors: list  # (policy_id, n, message)
-    trials: list  # the TrialResults that ran, in task order
+    trials: list  # the TrialResults that ran, by cell (N, then policy), then rep
 
 
 def _trial_task(args):
@@ -533,39 +531,32 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     aggregates independent of which process runs which task.
     """
     tasks = [(config, n, rep) for n in config.n_grid for rep in range(config.replications)]
-    # Outcomes come in task order, so each cell's trials in replication order.
-    trials: dict = {}
-    errors: dict = {}
-    for (_, n, _), outcomes in zip(tasks, _map(_trial_task, tasks, threads)):
-        for policy_id, outcome in zip(config.policies, outcomes):
-            if isinstance(outcome, str):
-                errors.setdefault((n, policy_id), outcome)
-            else:
-                trials.setdefault((n, policy_id), []).append(outcome)
-
-    cells = [(n, policy_id) for n in config.n_grid for policy_id in config.policies]
-    rows = []
-    error_list = []
-    for n, policy_id in cells:
-        if (n, policy_id) in errors:
-            error_list.append((policy_id, n, errors[n, policy_id]))
-            continue
-        cell_trials = trials[n, policy_id]
-        regs = np.array([r.regret for r in cell_trials])
-        q10, q50, q90 = _deciles(regs)
-        terms = {
-            term: float(np.mean([getattr(r.decomposition, term) for r in cell_trials]))
-            for term in ("r_disc", "r_opt", "r_subopt", "r_boundary")
-        }
-        first = cell_trials[0]
-        rows.append(SweepRow(
-            policy_id=policy_id, n=n, t_budget=first.t_budget, k=first.k, p=first.p,
-            regret_mean=float(regs.mean()), regret_std=float(regs.std()),
-            q10=float(q10), q50=float(q50), q90=float(q90),
-            wall_ms=float(np.sum([r.wall_ms for r in cell_trials])), **terms,
-        ))
-    done = [r for cell in cells for r in trials.get(cell, [])]
-    return SweepResult(rows=rows, errors=error_list, trials=done)
+    outcomes = _map(_trial_task, tasks, threads)
+    rows, errors, done = [], [], []
+    for i, n in enumerate(config.n_grid):
+        # Outcomes come in task order: N's replications are one slice.
+        reps = outcomes[i * config.replications:(i + 1) * config.replications]
+        for policy_id, cell in zip(config.policies, zip(*reps)):
+            failed = [r for r in cell if isinstance(r, str)]
+            cell_trials = [r for r in cell if not isinstance(r, str)]
+            done += cell_trials
+            if failed:
+                errors.append((policy_id, n, failed[0]))
+                continue
+            regs = np.array([r.decomposition.r_total for r in cell_trials])
+            q10, q50, q90 = _deciles(regs)
+            terms = {
+                term: float(np.mean([getattr(r.decomposition, term) for r in cell_trials]))
+                for term in ("r_disc", "r_opt", "r_subopt", "r_boundary")
+            }
+            report = cell_trials[0].diagnostics
+            rows.append(SweepRow(
+                policy_id=policy_id, n=n, t_budget=report.t_budget, k=report.k_per_axis,
+                p=report.p, regret_mean=float(regs.mean()), regret_std=float(regs.std()),
+                q10=float(q10), q50=float(q50), q90=float(q90),
+                wall_ms=float(np.sum([r.wall_ms for r in cell_trials])), **terms,
+            ))
+    return SweepResult(rows=rows, errors=errors, trials=done)
 
 
 def _csv_cell(value) -> str:

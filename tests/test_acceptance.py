@@ -250,7 +250,7 @@ def _c8_config(k_rule):
 def _c8_task(args):
     rule_kind, rep = args
     config = _c8_config(KRule(rule_kind))
-    return rule_kind, rep, run_trial(config, 2**17, rep)[0].regret
+    return rule_kind, rep, run_trial(config, 2**17, rep)[0].decomposition.r_total
 
 
 def test_criterion_08_parameter_advantage():

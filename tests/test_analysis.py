@@ -222,6 +222,61 @@ class TestRegretTotal:
                 assert regret_total(inst, trace) >= 0.0
 
 
+EXPECTATION_ARMS = {
+    "uniform-1d": lambda n: sample_arms_uniform(n, 1, 21),
+    "grid-1d": grid_arms,
+    "uniform-2d": lambda n: sample_arms_uniform(n, 2, 22),
+}
+
+
+def _expectation_instance(arms: str) -> Instance:
+    a = EXPECTATION_ARMS[arms](4096)
+    return Instance(a, Sinusoid(0.35, 1.15, dim=a.dim), BERN, FixedP(0.3).budget_for(4096))
+
+
+def _z(regrets, expected) -> float:
+    """z of the mean of regret - expected over the seeds."""
+    d = np.asarray(regrets) - expected
+    return float(d.mean() / (d.std(ddof=1) / math.sqrt(d.size)))
+
+
+class TestExpectedRegret:
+    """The Monte Carlo regret of the randomised policies against its exact
+    expectation, over 400 fixed seeds at N = 4096 and p = 0.3: the mean of
+    regret - E[regret] stays within 4 standard errors of 0."""
+
+    SEEDS = range(400)
+
+    @pytest.mark.parametrize("arms", EXPECTATION_ARMS)
+    def test_random(self, arms):
+        # Each arm is pulled with chance T / N.
+        inst = _expectation_instance(arms)
+        expected = inst.top_mean_sum() - inst.T / inst.n * float(inst.true_means.sum())
+        regrets = [regret_total(inst, baseline_random(inst, seed)) for seed in self.SEEDS]
+        assert abs(_z(regrets, expected)) <= 4.0
+
+    @pytest.mark.parametrize("bin_means", ["quadrature", "empirical"])
+    @pytest.mark.parametrize("k_rule", ["paper_default", "cab"])
+    @pytest.mark.parametrize("arms", EXPECTATION_ARMS)
+    def test_oracle_discrete(self, arms, k_rule, bin_means):
+        # The f_hat best bins are pulled whole, and the rest of the budget
+        # uniformly from the boundary bin.
+        inst = _expectation_instance(arms)
+        k = (default_parameters(inst.n, inst.p, inst.arms.dim).k if k_rule == "paper_default"
+             else cab_parameters(inst.T))
+        part = build_partition(inst.arms, k)
+        means = (bin_means_quadrature(inst.mean, part) if bin_means == "quadrature"
+                 else bin_means_empirical(inst, part))
+        order, f_hat = rank_bins(part, means, inst.T)
+        top = np.isin(part.assignment, order[:f_hat])
+        boundary = inst.true_means[part.assignment == order[f_hat]]
+        expected = (inst.top_mean_sum() - float(inst.true_means[top].sum())
+                    - (inst.T - np.count_nonzero(top)) * float(boundary.mean()))
+        regrets = [regret_total(inst, oracle_discrete(inst, part, order, f_hat, seed))
+                   for seed in self.SEEDS]
+        assert abs(_z(regrets, expected)) <= 4.0
+
+
 def _decompose_for(inst, part, means, trace, seed=0):
     baseline = make_baseline(inst, part, means, seed)
     return regret_decompose(inst, baseline, trace), baseline.reference

@@ -118,6 +118,15 @@ class TestDispatch:
         assert (tmp_path / "sweep.csv").exists()
         assert capsys.readouterr().err == ""
 
+    def test_subnormal_piece_thresholds_quietly(self, tmp_path, capsys):
+        # The piece from 0 to 5e-324 has a subnormal range: its ramp
+        # overflows and clips, without a warning.
+        cfg = write_json(tmp_path / "c.json", minimal_experiment(mean_function={
+            "kind": "piecewise_linear", "breakpoints": [0, 0.5, 1], "values": [0, 5e-324, 1]}))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--threads", "1"]) == 0
+        assert (tmp_path / "sweep.csv").exists()
+        assert capsys.readouterr().err == ""
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", minimal_experiment(policies=["random"]))
         out1 = tmp_path / "a"

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,28 @@ def grid_quantile(f, p, r=10**5):
     return np.sort(f.evaluate(np.arange(r) / r))[r - math.ceil(p * r - 1e-9)]
 
 
+def threshold_by_table(f, p):
+    """A piecewise-linear threshold from the whole table of measures at
+    every distinct value: the reference for the bisection."""
+    levels = np.array(sorted(set(f.values)))
+    at_or_above, above = f._measures(levels)
+    j = int(np.argmax(above < p))
+    if j == 0 or at_or_above[j] >= p:
+        return float(levels[j])
+    share = (above[j - 1] - p) / (above[j - 1] - at_or_above[j])
+    return float(levels[j - 1] + share * (levels[j] - levels[j - 1]))
+
+
+@st.composite
+def piecewise_means(draw):
+    """Piecewise-linear means with plateaus, ties and subnormal ranges."""
+    interior = draw(st.lists(st.floats(1e-3, 1 - 1e-3), unique=True, max_size=40))
+    values = st.sampled_from([0.0, 5e-324, 0.25, 0.5, 0.5 + 2**-53, 1.0]) | st.floats(0.0, 1.0)
+    n = len(interior) + 2
+    return PiecewiseLinear((0.0, *sorted(interior), 1.0),
+                           tuple(draw(st.lists(values, min_size=n, max_size=n))))
+
+
 class TestThreshold:
     def test_linear_mean_exact(self):
         # measure{x >= A} = 1 - A < 0.3 exactly at A = 0.7
@@ -305,6 +328,29 @@ class TestThreshold:
         for p in (0.6, 0.9, 1.0):
             assert g.threshold(p) == 0.2
         assert g.threshold(0.25) == pytest.approx(0.55, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(piecewise_means(), st.sampled_from([1.0, 1e-9]) | st.floats(1e-9, 1.0))
+    def test_bisection_matches_the_table(self, f, p):
+        # The overflow of a subnormal range is test_subnormal_range_clips_quietly's.
+        with np.errstate(over="ignore"):
+            assert f.threshold(p).hex() == threshold_by_table(f, p).hex()
+
+    def test_bisection_memory_stays_linear(self):
+        # The table of 4,000 levels by 3,999 pieces would take 128 MB an array.
+        f = Tabulated(tuple(np.random.default_rng(3).random(4000)))
+        tracemalloc.start()
+        try:
+            f.threshold(0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_subnormal_range_clips_quietly(self):
+        # The first piece's range is 5e-324: its ramp overflows and clips to 0.
+        f = PiecewiseLinear((0.0, 0.5, 1.0), (0.0, 5e-324, 1.0))
+        assert f.threshold(0.3) == pytest.approx(0.4, abs=1e-12)
 
 
 class TestBoxMean:

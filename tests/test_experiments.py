@@ -110,7 +110,7 @@ class TestSeeds:
         cfg = small_config()
         a = trial(cfg, 64, "ucbf", 0, keep_trace=True)
         b = trial(cfg, 64, "ucbf", 0, keep_trace=True)
-        assert a.regret == b.regret
+        assert a.decomposition.r_total == b.decomposition.r_total
         np.testing.assert_array_equal(a.trace.pulled, b.trace.pulled)
         np.testing.assert_array_equal(a.trace.rewards, b.trace.rewards)
 
@@ -120,8 +120,8 @@ class TestSeeds:
         c5 = small_config(replications=5)
         for rep in range(3):
             assert (
-                trial(c3, 64, "random", rep).regret
-                == trial(c5, 64, "random", rep).regret
+                trial(c3, 64, "random", rep).decomposition.r_total
+                == trial(c5, 64, "random", rep).decomposition.r_total
             )
 
 
@@ -134,7 +134,7 @@ class TestTrials:
         )
         for policy in cfg.policies:
             for rep in range(2):
-                assert trial(cfg, 60, policy, rep).regret == 0.0
+                assert trial(cfg, 60, policy, rep).decomposition.r_total == 0.0
 
     def test_full_budget_threshold_is_one_rule(self):
         # At p = 1 the trial, the Instance and the threshold
@@ -143,26 +143,26 @@ class TestTrials:
         cfg = small_config(mean_function=f, regime=FixedP(1.0), n_grid=(64,))
         result = trial(cfg, 64, "ucbf", 0)
         expected = compute_threshold_M(f, 1.0)
-        assert result.decomposition.threshold_M == expected
+        assert result.diagnostics.threshold_M == expected
         assert Instance(grid_arms(64), f, BERN, 64).threshold_M == expected
-        assert result.regret == 0.0
+        assert result.decomposition.r_total == 0.0
 
     def test_oracle_star_zero_for_all_reps(self):
         cfg = small_config(policies=("oracle-star",), replications=5)
         for rep in range(5):
-            assert trial(cfg, 128, "oracle-star", rep).regret == 0.0
+            assert trial(cfg, 128, "oracle-star", rep).decomposition.r_total == 0.0
 
     def test_cab_policy_uses_cab_k(self):
         cfg = small_config(policies=("ucbf", "ucbf-cab-k"), n_grid=(512,))
         t = FixedP(0.5).budget_for(512)
         r = trial(cfg, 512, "ucbf-cab-k", 0)
-        assert r.k == max(1, math.floor(math.sqrt(t) / math.log(t) + 1e-9))
+        assert r.diagnostics.k_per_axis == max(1, math.floor(math.sqrt(t) / math.log(t) + 1e-9))
 
     def test_grid_covariates(self):
         cfg = small_config(covariates="grid", n_grid=(64,), policies=("random",))
         a = trial(cfg, 64, "random", 0, keep_trace=True)
         assert a.trace is not None
-        assert a.p == 0.5
+        assert a.diagnostics.p == 0.5
 
     def test_two_dimensional_trial(self):
         cfg = small_config(
@@ -172,11 +172,11 @@ class TestTrials:
             policies=("ucbf", "oracle-star"),
         )
         r = trial(cfg, 400, "ucbf", 0)
-        assert r.regret >= 0.0
+        assert r.decomposition.r_total >= 0.0
         d = r.decomposition
         assert abs(d.r_total - (d.r_disc + d.r_fmab)) <= 1e-9
         assert abs(d.r_fmab - (d.r_opt + d.r_boundary + d.r_subopt)) <= 1e-9
-        assert trial(cfg, 400, "oracle-star", 0).regret == 0.0
+        assert trial(cfg, 400, "oracle-star", 0).decomposition.r_total == 0.0
 
 
 class TestSweep:
@@ -221,11 +221,36 @@ class TestSweep:
         assert result.errors[0][0] == "ucbf"
         assert len(result.rows) == 1
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cell_failing_in_some_reps(self, monkeypatch, threads):
+        # random fails at N = 64 in reps 1 and 2 only: the cell reports rep
+        # 1's error, and its reps 0 and 3 stay in ``trials``, in their place.
+        cfg = small_config(policies=("oracle-star", "random"), replications=4)
+        failing = {experiments._hash64(derive_seed(cfg.master_seed, 64, "random", rep), "run"): rep
+                   for rep in (1, 2)}
+        baseline_random = policies.baseline_random
+
+        def flaky(instance, seed=0):
+            if seed in failing:
+                raise RuntimeError(f"rep {failing[seed]}")
+            return baseline_random(instance, seed)
+
+        monkeypatch.setattr(policies, "baseline_random", flaky)
+        result = run_sweep(cfg, threads=threads)
+        assert result.errors == [("random", 64, "RuntimeError: rep 1")]
+        assert [(r.policy_id, r.n) for r in result.rows] == [
+            ("oracle-star", 64), ("oracle-star", 128), ("random", 128)]
+        keys = [(r.diagnostics.n, r.policy_id, r.rep) for r in result.trials]
+        assert keys == [*((64, "oracle-star", rep) for rep in range(4)),
+                        (64, "random", 0), (64, "random", 3),
+                        *((128, p, rep) for p in cfg.policies for rep in range(4))]
+        assert result.trials[5].decomposition == trial(cfg, 64, "random", 3).decomposition
+
     def test_aggregates_match_manual_recomputation(self):
         cfg = small_config(policies=("random",), n_grid=(64,), replications=5)
         row = run_sweep(cfg).rows[0]
         regs = np.array(
-            [trial(cfg, 64, "random", rep).regret for rep in range(5)]
+            [trial(cfg, 64, "random", rep).decomposition.r_total for rep in range(5)]
         )
         assert row.regret_mean == float(regs.mean())
         assert row.regret_std == float(regs.std())
@@ -261,7 +286,7 @@ class TestSweep:
     def test_trials_in_task_order(self):
         cfg = small_config(replications=2)
         result = run_sweep(cfg, threads=2)
-        keys = [(r.n, r.policy_id, r.rep) for r in result.trials]
+        keys = [(r.diagnostics.n, r.policy_id, r.rep) for r in result.trials]
         assert keys == [(n, p, rep) for n in cfg.n_grid for p in cfg.policies
                         for rep in range(2)]
         again = trial(cfg, 128, "random", 1, keep_trace=False)
@@ -313,7 +338,7 @@ class TestSharedSetUp:
                            n_grid=(4096,), replications=2)
         result = run_sweep(cfg)
         assert not result.errors
-        assert {r.k for r in result.trials} == ({3, 5} if extra else {3})
+        assert {r.diagnostics.k_per_axis for r in result.trials} == ({3, 5} if extra else {3})
         assert calls == {"sample_arms_uniform": 2, "build_partition": 2 * per_rep,
                          "rank_bins": 2 * per_rep, "oracle_discrete": 2 * per_rep,
                          "diagnostics": 2 * per_rep}
@@ -323,8 +348,8 @@ class TestSharedSetUp:
         together = small_config(policies=tuple(policies.POLICIES), n_grid=(4096,))
         for rep in range(2):
             a, b = trial(alone, 4096, "ucbf", rep), trial(together, 4096, "ucbf", rep)
-            assert (a.seed, a.regret, a.decomposition, a.diagnostics) == (
-                b.seed, b.regret, b.decomposition, b.diagnostics)
+            assert (a.seed, a.decomposition, a.diagnostics) == (
+                b.seed, b.decomposition, b.diagnostics)
             np.testing.assert_array_equal(a.trace.pulled, b.trace.pulled)
             np.testing.assert_array_equal(a.trace.rewards, b.trace.rewards)
 
@@ -332,7 +357,7 @@ class TestSharedSetUp:
         cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(4096,), replications=2)
         groups: dict = {}
         for r in run_sweep(cfg).trials:
-            groups.setdefault((r.rep, r.k), []).append(r)
+            groups.setdefault((r.rep, r.diagnostics.k_per_axis), []).append(r)
             if r.policy_id == "oracle-discrete":
                 assert r.decomposition.r_fmab == 0.0
         assert sorted(groups) == [(0, 3), (0, 5), (1, 3), (1, 5)]

@@ -109,7 +109,7 @@ def _plateau_pulls(tmp_path) -> bytes:
     out = b""
     for result in experiments.run_trial(config, 300, 0, keep_trace=True):
         path = tmp_path / f"{result.policy_id}.jsonl"
-        partition = policies.build_partition(grid_arms(300), result.k)
+        partition = policies.build_partition(grid_arms(300), result.diagnostics.k_per_axis)
         policies.write_trace_jsonl(result.trace, path, partition)
         out += (json.dumps({"policy": result.policy_id}) + "\n").encode() + path.read_bytes()
     return out
