@@ -196,11 +196,11 @@ class ArmSet:
         return self.covariates.shape[1]
 
 
-# The largest N * dim a config may ask for.  A trial holds about 118 bytes
-# per arm at dim 1 and 168 at dim 3 (peak RSS over N = 2^18..2^20 with all
-# five policies; 49 at dim 1 without UCBF, the lower-bound protocol about
-# 80), so at most about 30 GiB.  Past the cap a trial could only fail to
-# allocate, or worse.
+# The largest N * dim a config may ask for.  A trial holds about 102 bytes
+# per arm at dim 1 and 141 at dim 3 (peak RSS over N = 2^18..2^20 with all
+# five policies at p = 0.5; 45 at dim 1 at T = 0.5 N^0.67, 49 without
+# UCBF, the lower-bound protocol about 80), so at most about 25 GiB.  Past
+# the cap a trial could only fail to allocate, or worse.
 MAX_ARM_COORDINATES = 2**28
 
 
@@ -405,9 +405,6 @@ class Sinusoid(MeanFunction):
         u = pts[:, 0] if self.dim == 1 else pts.mean(axis=1)
         return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * u)
 
-    # Cached: every trial of a sweep cell asks for the same threshold, and
-    # above one dimension one costs milliseconds.
-    @functools.lru_cache(maxsize=128)
     def threshold(self, p):
         """Bisection on the level, down to adjacent floats."""
         a = abs(self.amplitude)
@@ -563,6 +560,10 @@ class RewardModel:
 # ---------------------------------------------------------------------------
 
 
+# Cached: every trial of a sweep cell asks for the same threshold, and one
+# costs milliseconds for a sinusoid above one dimension and a quarter of a
+# second for a 100,000-value table.
+@functools.lru_cache(maxsize=128)
 def compute_threshold_M(f: MeanFunction, p: float, resolution=None) -> float:
     """Threshold level M = inf{A : measure{m >= A} < p}, in closed form
     (``MeanFunction.threshold``).  ``resolution`` is accepted and ignored:

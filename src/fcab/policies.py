@@ -7,9 +7,10 @@ that start with fewer than two arms are never alive and their arms are
 unreachable; a budget that cannot be met from alive bins is a
 configuration error, not a silent under-pull.  Each arm is pulled at most
 once and a pull takes a uniformly random unpulled arm of its bin, so a run
-shuffles each alive bin once up front and takes the bin's arms in that
-order; its pull set then follows from one selection and its pull order
-from one stable sort, with no per-pull loop (see ``ucbf_run``).
+draws up front, for each alive bin, an ordered uniform sample of as many
+of its arms as the budget could take from it, and takes the bin's arms in
+that order; its pull set then follows from one selection and its pull
+order from one stable sort, with no per-pull loop (see ``ucbf_run``).
 
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
@@ -229,55 +230,62 @@ def ucbf_run(
     from the bin with the highest index, ties to the lowest bin id.  A bin
     leaves the alive set in the same step its last arm is pulled.
 
-    Stream layout: the selection stream draws one uniform permutation of
-    each alive bin's arms, in ascending bin order, and the reward stream
-    draws each arm's reward in that order.  The n-th pull from a bin takes
-    the n-th arm of its permutation, so every index value a bin can take is
-    known before the run.  Pulling the largest current index is then a
-    stable sort: key each bin's first arm +inf (the forced initial pull)
-    and its (n+1)-th arm by the running minimum of the bin's index after n
-    pulls (a bin whose index rises after a pull is still the largest and is
+    Stream layout: a run pulls at most c_b = min(m_b, T) arms of a bin
+    holding m_b arms.  The selection stream draws an ordered uniform sample
+    of c_b of each alive bin's arms (``Generator.choice`` without
+    replacement), in ascending bin order, and the reward stream draws each
+    sampled arm's reward in that order.  The n-th pull from a bin takes the
+    n-th arm of its sample, so every index value a bin can take is known
+    before the run.  Pulling the largest current index is then a stable
+    sort: key each bin's first arm +inf (the forced initial pull) and its
+    (n+1)-th arm by the running minimum of the bin's index after n pulls
+    (a bin whose index rises after a pull is still the largest and is
     pulled again at once), and sort descending; ties fall to the lower bin
     as in the greedy rule.  Each bin's keys never increase, so the T
     largest keys, ties to the lower position, are a prefix of every bin:
-    the pull set is one selection, and the sort runs only when the pull
-    order or the rewards are read.
+    the pull set is one selection over the sum of the c_b, and the sort
+    runs only when the pull order or the rewards are read.
     """
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
     t_budget = instance.T
-    alive = partition.counts >= 2
-    sizes = partition.counts[alive]
+    counts = partition.counts
+    alive = counts >= 2
+    sizes = counts[alive]
     reachable = int(sizes.sum())
     if t_budget > reachable:
         raise ValueError(
             f"budget {t_budget} exceeds the {reachable} arms reachable through "
             "alive bins (bins holding fewer than two arms are never pulled)"
         )
-    pulls = np.arange(1, sizes.max())
+    takes = np.minimum(sizes, t_budget)
+    pulls = np.arange(1, takes.max())
     bonus = _bonus(pulls, t_budget, delta)
     reward_rng, s_select = _run_streams(seed)
     select = np.random.default_rng(s_select)
-    # The alive bins' arms grouped by bin in ascending arm order, each bin
-    # then shuffled in place: the same draws as one ``permutation`` of each
-    # bin.  numpy radix-sorts the 8- and 16-bit ids ``build_partition`` gives.
+    # Every arm grouped by bin in ascending arm order (numpy radix-sorts the
+    # 8- and 16-bit ids ``build_partition`` gives); each alive bin's sample
+    # indexes its slice and lands in its place in the stream.
     grouped = np.argsort(partition.assignment, kind="stable")
-    stream = grouped[np.repeat(alive, partition.counts)]
-    bins = list(zip(np.cumsum(sizes).tolist(), sizes.tolist()))
-    for end, m in bins:
-        select.shuffle(stream[end - m : end])
+    stream = np.empty(int(takes.sum()), grouped.dtype)
+    bins = list(zip((np.cumsum(counts)[alive] - sizes).tolist(), sizes.tolist(),
+                    np.cumsum(takes).tolist(), takes.tolist()))
+    for first, m, end, c in bins:
+        np.take(grouped[first : first + m], select.choice(m, c, replace=False),
+                out=stream[end - c : end])
+    del grouped  # 8 bytes per arm that the rest of the run does not read
     rewards = instance.rewards.sample(instance.true_means[stream], reward_rng)
 
-    keys = np.empty(reachable)
-    for end, m in bins:
+    keys = np.empty(stream.size)
+    for _, _, end, c in bins:
         # The index sum / n + bonus, in that order of operations; a cumsum
         # per bin adds the rewards in pull order, as a per-pull loop does.
-        key = keys[end - m + 1 : end]
-        np.cumsum(rewards[end - m : end - 1], out=key)
-        key /= pulls[: m - 1]
-        key += bonus[: m - 1]
+        key = keys[end - c + 1 : end]
+        np.cumsum(rewards[end - c : end - 1], out=key)
+        key /= pulls[: c - 1]
+        key += bonus[: c - 1]
         np.minimum.accumulate(key, out=key)
-        keys[end - m] = np.inf
+        keys[end - c] = np.inf
 
     def build():
         order = np.argsort(-keys, kind="stable")[:t_budget]
@@ -350,8 +358,7 @@ def oracle_discrete(
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Uniformly random size-T subset, pulled in random order."""
     reward_rng, _ = _run_streams(seed)
-    # A copy: a view of the prefix would keep the N-long permutation alive.
-    pulled = reward_rng.permutation(instance.n)[: instance.T].copy()
+    pulled = reward_rng.choice(instance.n, instance.T, replace=False)
     return PolicyTrace(pulled, _order_then_draw(instance, reward_rng, pulled))
 
 

@@ -243,13 +243,17 @@ class TestArgmax:
 
 
 def reference_ucbf(inst, part, delta, seed):
-    """Per-pull loop over the stream layout ucbf_run documents: one
-    permutation of each alive bin's arms from the selection stream, rewards
-    drawn in that order, then forced pulls and argmax pulls of ucbf_index."""
+    """Per-pull loop over the stream layout ucbf_run documents: an ordered
+    uniform sample of min(m_b, T) of each alive bin's m_b arms from the
+    selection stream, rewards drawn in that order, then forced pulls and
+    argmax pulls of ucbf_index; a bin leaves when all its arms are pulled."""
     s_rewards, s_select = np.random.SeedSequence(seed).spawn(2)
     select = np.random.default_rng(s_select)
     alive = alive_bins(part).tolist()
-    queues = {b: select.permutation(bin_arms(part, b)).tolist() for b in alive}
+    queues = {}
+    for b in alive:
+        arms = bin_arms(part, b)
+        queues[b] = arms[select.choice(arms.size, min(arms.size, inst.T), replace=False)].tolist()
     stream = [arm for b in alive for arm in queues[b]]
     drawn = inst.rewards.sample(inst.true_means[stream], np.random.default_rng(s_rewards))
     reward_of = dict(zip(stream, drawn.tolist()))
@@ -262,7 +266,7 @@ def reference_ucbf(inst, part, delta, seed):
         n_pulled[b] += 1
         sums[b] += reward_of[arm]
         pulled.append(arm)
-        if n_pulled[b] == len(queues[b]):
+        if n_pulled[b] == part.counts[b]:
             alive.remove(b)
 
     for b in alive[: inst.T]:
@@ -555,13 +559,17 @@ def eager_discrete(inst, part, order, f_hat, seed):
 
 def eager_ucbf(inst, part, delta, seed):
     """ucbf_run's pull order and rewards by one stable argsort of every
-    bin's running-minimum index keys, built as the run is made; also the
-    keys that sort picks the post-initialisation pulls from."""
+    bin's running-minimum index keys, built as the run is made from each
+    alive bin's ordered sample of min(m_b, T) arms; also the keys that sort
+    picks the post-initialisation pulls from."""
     alive = alive_bins(part)
-    sizes = part.counts[alive]
+    sizes = np.minimum(part.counts[alive], inst.T)
     reward_rng, s_select = _run_streams(seed)
     select = np.random.default_rng(s_select)
-    stream = np.concatenate([select.permutation(bin_arms(part, b)) for b in alive])
+    stream = np.concatenate([
+        bin_arms(part, b)[select.choice(part.counts[b], m, replace=False)]
+        for b, m in zip(alive, sizes)
+    ])
     rewards = inst.rewards.sample(inst.true_means[stream], reward_rng)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     keys = np.concatenate([
@@ -714,6 +722,64 @@ class TestRandomBaseline:
             regret_total(inst, baseline_random(inst, seed=s)) for s in range(10**4)
         ]
         assert abs(float(np.mean(sims)) - expected) < 0.3
+
+
+class TestPullBoundedDraws:
+    """Each randomised policy draws only what a run can pull, uniformly."""
+
+    def test_random_includes_each_arm_at_rate_t_over_n(self):
+        from scipy.stats import chisquare
+
+        inst = Instance(grid_arms(10), identity(), BERN, 3)
+        included, first = np.zeros(10), np.zeros(10)
+        for seed in range(5000):
+            trace = baseline_random(inst, seed=seed)
+            included[trace.arms] += 1
+            first[trace.pulled[0]] += 1
+        # Inclusions of distinct arms are negatively correlated, so the
+        # multinomial chi-square is conservative for them.
+        assert included.sum() == 5000 * 3
+        assert chisquare(included).pvalue > 1e-3
+        assert chisquare(first).pvalue > 1e-3
+
+    def test_ucbf_first_draw_in_a_bin_is_uniform(self):
+        from scipy.stats import chisquare
+
+        # Bins of five and seven arms and T = 3: each bin's sample is
+        # truncated, and the forced initial pulls take each bin's first draw.
+        inst = Instance(grid_arms(12), identity(), BERN, 3)
+        part = build_partition(inst.arms, 2)
+        np.testing.assert_array_equal(part.counts, [5, 7])
+        first = np.zeros((2, 12))
+        for seed in range(6000):
+            pulled = ucbf_run(inst, part, 0.01, seed=seed).pulled
+            first[0, pulled[0]] += 1
+            first[1, pulled[1]] += 1
+        for b in range(2):
+            assert chisquare(first[b, bin_arms(part, b)]).pvalue > 1e-3
+            assert first[b].sum() == first[b, bin_arms(part, b)].sum() == 6000
+
+    def test_power_law_runs_draw_only_what_they_can_pull(self, monkeypatch):
+        # T = 0.5 N^0.7 is far below N: UCBF draws at most min(m_b, T)
+        # rewards per alive bin, random at most T.
+        n = 2**12
+        t = round(0.5 * n**0.7)
+        inst = Instance(sample_arms_uniform(n, 1, 3), Sinusoid(0.35, 1.15, 0.5), BERN, t)
+        part = build_partition(inst.arms, default_parameters(n, t / n).k)
+        sizes = []
+        sample = RewardModel.sample
+
+        def recorded(self, means, rng):
+            sizes.append(np.size(means))
+            return sample(self, means, rng)
+
+        monkeypatch.setattr(RewardModel, "sample", recorded)
+        ucbf_run(inst, part, 0.01, seed=1).rewards
+        bound = int(np.minimum(part.counts[alive_bins(part)], t).sum())
+        assert t < bound < n and 0 < sum(sizes) <= bound
+        sizes.clear()
+        baseline_random(inst, seed=1).rewards
+        assert sum(sizes) == t
 
 
 class TestTraces:
