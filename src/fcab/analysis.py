@@ -178,7 +178,7 @@ class DiagnosticsReport:
     count_dev_scaled: float
 
 
-def diagnostics(instance: Instance, partition, f_hat: int) -> DiagnosticsReport:
+def diagnostics(instance: Instance, partition, f_hat: int, threshold_M) -> DiagnosticsReport:
     """Pure report of boundary, threshold and occupancy diagnostics."""
     f = math.floor(instance.p * partition.bin_count + 1e-9)
     m_hat = float(instance.true_means[instance.star_order()].min())  # the T-th largest mean
@@ -187,7 +187,7 @@ def diagnostics(instance: Instance, partition, f_hat: int) -> DiagnosticsReport:
     )
     lip = instance.mean.lipschitz_L
     if lip is not None and lip > 0:
-        m_gap = abs(m_hat - instance.threshold_M) * partition.k_per_axis / lip
+        m_gap = abs(m_hat - threshold_M) * partition.k_per_axis / lip
     else:
         m_gap = None
     return DiagnosticsReport(
@@ -200,7 +200,7 @@ def diagnostics(instance: Instance, partition, f_hat: int) -> DiagnosticsReport:
         f=f,
         f_hat=f_hat,
         f_gap=abs(f_hat - f),
-        threshold_M=instance.threshold_M,
+        threshold_M=threshold_M,
         m_hat=m_hat,
         m_hat_gap_scaled=m_gap,
         max_count_dev=max_dev,
@@ -225,12 +225,13 @@ class Baseline:
     report: DiagnosticsReport
 
 
-def make_baseline(instance: Instance, partition, bin_means, seed: int) -> Baseline:
+def make_baseline(instance: Instance, partition, bin_means, threshold_M, seed: int) -> Baseline:
     """The baseline of the discretised oracle's reference run, seeded by
-    ``seed``, under the ranking ``rank_bins`` gives ``bin_means``.  That
-    run pulls every arm of the f_hat best bins, at least one arm of the
-    boundary bin ``order[f_hat]`` and nothing else, so its pull set
-    outside the boundary bin is exactly ``top``."""
+    ``seed``, under the ranking ``rank_bins`` gives ``bin_means``, with
+    its report at the threshold ``threshold_M``.  That run pulls every arm
+    of the f_hat best bins, at least one arm of the boundary bin
+    ``order[f_hat]`` and nothing else, so its pull set outside the
+    boundary bin is exactly ``top``."""
     order, f_hat = rank_bins(partition, bin_means, instance.T)
     reference = policies.oracle_discrete(instance, partition, order, f_hat, seed)
     # A Python int keeps the narrow bin ids from being widened.
@@ -238,4 +239,4 @@ def make_baseline(instance: Instance, partition, bin_means, seed: int) -> Baseli
     in_phid = _pull_mask(instance, reference)
     return Baseline(reference, float(np.compress(in_phid, instance.true_means).sum()),
                     in_phid & ~boundary, ~(in_phid | boundary), boundary & in_phid,
-                    boundary & ~in_phid, diagnostics(instance, partition, f_hat))
+                    boundary & ~in_phid, diagnostics(instance, partition, f_hat, threshold_M))

@@ -17,7 +17,6 @@ weak-Lipschitz and margin regularity conditions for piecewise-linear means.
 from __future__ import annotations
 
 import bisect
-import functools
 import inspect
 import math
 import typing
@@ -560,10 +559,6 @@ class RewardModel:
 # ---------------------------------------------------------------------------
 
 
-# Cached: every trial of a sweep cell asks for the same threshold, and one
-# costs milliseconds for a sinusoid above one dimension and a quarter of a
-# second for a 100,000-value table.
-@functools.lru_cache(maxsize=128)
 def compute_threshold_M(f: MeanFunction, p: float, resolution=None) -> float:
     """Threshold level M = inf{A : measure{m >= A} < p}, in closed form
     (``MeanFunction.threshold``).  ``resolution`` is accepted and ignored:
@@ -583,10 +578,11 @@ class Instance:
     """A fully-specified budgeted bandit problem, checked on construction.
 
     ``p = T / N`` and ``true_means``, the mean at every covariate, are set
-    on construction and ``threshold_M`` on first read; ``star_order`` is the
-    greedy oracle's pull set (the T arms with the largest true means, ties
-    to the lower arm index) in ascending arm index, computed lazily by
-    selection and reused by the oracle policy and the regret computations.
+    on construction; the threshold M, which depends on the mean and p
+    alone, is not kept.  ``star_order`` is the greedy oracle's pull set
+    (the T arms with the largest true means, ties to the lower arm index)
+    in ascending arm index, computed lazily by selection and reused by the
+    oracle policy and the regret computations.
     """
 
     arms: ArmSet
@@ -605,10 +601,6 @@ class Instance:
             raise ValueError("mean function dimension must match the covariates")
         self.p = self.T / self.arms.n
         self.true_means = self.mean.evaluate(self.arms.covariates)
-
-    @functools.cached_property
-    def threshold_M(self) -> float:
-        return compute_threshold_M(self.mean, self.p)
 
     @property
     def n(self) -> int:

@@ -4,14 +4,14 @@ regret-exponent fits, and the two-instance lower-bound protocol.
 The unit of work is one (N, replication) task: it builds the instance
 from a stable 64-bit hash of (master seed, N, replication) and runs every
 policy on it, each from a hash of (master seed, N, policy id,
-replication).  Tasks can run in any order on any number of workers and
-aggregate identically.
+replication).  Every task reads one plan, built before any worker is
+forked, of what depends on the config alone (``plan_sweep``).  Tasks can
+run in any order on any number of workers and aggregate identically.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import math
 import os
@@ -31,7 +31,7 @@ from .environment import (
     InstancePair,
     MeanFunction,
     RewardModel,
-    compute_threshold_M,  # noqa: F401  unused here; bench/tracer.py wraps it in this module
+    compute_threshold_M,
     from_json,
     from_kind,
     grid_arms,
@@ -53,6 +53,7 @@ __all__ = [
     "ExponentFit",
     "LBReport",
     "derive_seed",
+    "plan_sweep",
     "run_trial",
     "run_sweep",
     "sweep_csv_text",
@@ -385,17 +386,25 @@ class TrialResult:
     trace: Optional[policies.PolicyTrace] = None
 
 
-@functools.lru_cache(maxsize=32)
-def _quadrature_bin_means(mean_function: MeanFunction, k: int, dim: int) -> np.ndarray:
-    # Bin means depend on the bins alone, so a partition without arms serves.
-    bins = policies.Partition(k, dim, np.empty(0, np.int64), np.zeros(k**dim, np.int64))
-    out = analysis.bin_means_quadrature(mean_function, bins)
-    out.setflags(write=False)  # every trial of the cell shares this array
-    return out
+def plan_sweep(config: ExperimentConfig) -> tuple[dict, dict]:
+    """What every (N, rep) task of a sweep reads and none computes: M by
+    each distinct p = T/N, and read-only quadrature bin means by each K."""
+    bin_means = {}
+    if config.bin_means_mode == "quadrature":
+        for k in {choose_k(policy_id, config.k_rule, n, config.regime.budget_for(n), config.dim)
+                  for n in config.n_grid for policy_id in config.policies}:
+            # Bin means depend on the bins alone, so a partition without arms serves.
+            bins = policies.Partition(k, config.dim, np.empty(0, np.int64),
+                                      np.zeros(k**config.dim, np.int64))
+            bin_means[k] = analysis.bin_means_quadrature(config.mean_function, bins)
+            bin_means[k].setflags(write=False)  # every trial with this K shares it
+    return {p: compute_threshold_M(config.mean_function, p)
+            for p in {config.regime.budget_for(n) / n for n in config.n_grid}}, bin_means
 
 
 def run_trial(
     config: ExperimentConfig,
+    plan: tuple[dict, dict],
     n: int,
     rep: int,
     keep_trace: bool = True,
@@ -403,14 +412,15 @@ def run_trial(
     """One seeded (N, rep) task: build the instance once, run every policy
     of the config on it, and attach regret, decomposition and diagnostics.
 
-    Returns one outcome per config policy, in config order: its
+    ``plan`` is ``plan_sweep(config)``, or that of a config whose grid
+    holds N.  Returns one outcome per config policy, in config order: its
     TrialResult, or the message of the error its run raised.  An error in
     the shared set-up raises.  Each distinct K (a second one comes only
     from a ``cab_k`` policy) gets one partition, bin means and
     ``analysis.Baseline``, shared by every policy with that K; the
     oracle-discrete policy's trace is the baseline's reference run.  A
     trial's ``wall_ms`` is its own run and decomposition time plus an
-    equal share of the set-up.
+    equal share of the set-up, which leaves out the plan.
     """
     start = time.perf_counter()
     instance_seed = _hash64(config.master_seed, n, rep)
@@ -423,15 +433,14 @@ def run_trial(
     delta = policies.default_parameters(n, instance.p, config.dim).delta
     ks = [choose_k(policy_id, config.k_rule, n, instance.T, config.dim)
           for policy_id in config.policies]
+    m_by_p, quadrature = plan
     shared = {}
     for k in dict.fromkeys(ks):
         partition = policies.build_partition(arms, k)
-        if config.bin_means_mode == "empirical":
-            bin_means = analysis.bin_means_empirical(instance, partition)
-        else:
-            bin_means = _quadrature_bin_means(config.mean_function, k, config.dim)
+        bin_means = (quadrature[k] if config.bin_means_mode == "quadrature"
+                     else analysis.bin_means_empirical(instance, partition))
         shared[k] = partition, analysis.make_baseline(
-            instance, partition, bin_means, _hash64(instance_seed, k, "phid")
+            instance, partition, bin_means, m_by_p[instance.p], _hash64(instance_seed, k, "phid")
         )
     setup_ms = (time.perf_counter() - start) * 1000.0 / len(ks)
 
@@ -530,7 +539,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     processes when that is more than one; per-task seeding makes the
     aggregates independent of which process runs which task.
     """
-    tasks = [(config, n, rep) for n in config.n_grid for rep in range(config.replications)]
+    plan = plan_sweep(config)  # before the fork: workers inherit it, and _map pickles no task
+    tasks = [(config, plan, n, rep) for n in config.n_grid for rep in range(config.replications)]
     outcomes = _map(_trial_task, tasks, threads)
     rows, errors, done = [], [], []
     for i, n in enumerate(config.n_grid):

@@ -36,6 +36,7 @@ from fcab.experiments import (
     PowerLaw,
     fit_exponent,
     lower_bound_protocol,
+    plan_sweep,
     run_sweep,
     run_trial,
     sweep_csv_text,
@@ -105,6 +106,7 @@ def test_criterion_01_decomposition_identities():
         part = build_partition(inst.arms, k)
         policy = cycle[i % 4]
         baseline = make_baseline(inst, part, bin_means_quadrature(inst.mean, part),
+                                 compute_threshold_M(inst.mean, inst.p),
                                  i if policy == "oracle-discrete" else 500_000 + i)
         if policy == "ucbf":
             trace = ucbf_run(inst, part, 0.01, seed=i)
@@ -250,7 +252,8 @@ def _c8_config(k_rule):
 def _c8_task(args):
     rule_kind, rep = args
     config = _c8_config(KRule(rule_kind))
-    return rule_kind, rep, run_trial(config, 2**17, rep)[0].decomposition.r_total
+    result = run_trial(config, plan_sweep(config), 2**17, rep)[0]
+    return rule_kind, rep, result.decomposition.r_total
 
 
 def test_criterion_08_parameter_advantage():

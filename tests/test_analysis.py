@@ -23,11 +23,12 @@ from fcab.environment import (
     PiecewiseLinear,
     RewardModel,
     Sinusoid,
+    compute_threshold_M,
     grid_arms,
     make_lower_bound_pair,
     sample_arms_uniform,
 )
-from fcab.experiments import ExperimentConfig, FixedP, run_sweep, run_trial
+from fcab.experiments import ExperimentConfig, FixedP, plan_sweep, run_sweep, run_trial
 from fcab.policies import (
     POLICIES,
     Partition,
@@ -278,7 +279,7 @@ class TestExpectedRegret:
 
 
 def _decompose_for(inst, part, means, trace, seed=0):
-    baseline = make_baseline(inst, part, means, seed)
+    baseline = make_baseline(inst, part, means, compute_threshold_M(inst.mean, inst.p), seed)
     return regret_decompose(inst, baseline, trace), baseline.reference
 
 
@@ -286,7 +287,8 @@ class TestDecomposition:
     def test_discrete_trace_has_zero_learning_cost(self):
         inst = Instance(grid_arms(60), identity(), BERN, 30)
         part = build_partition(inst.arms, 4)
-        baseline = make_baseline(inst, part, bin_means_quadrature(identity(), part), 3)
+        baseline = make_baseline(inst, part, bin_means_quadrature(identity(), part),
+                                 compute_threshold_M(inst.mean, inst.p), 3)
         dec = regret_decompose(inst, baseline, baseline.reference)
         assert dec.r_fmab == 0.0
         assert dec.r_total == dec.r_disc
@@ -365,7 +367,8 @@ class TestDecomposition:
         order, f_hat = rank_bins(part, bm, inst.T)
         ordered_means = np.asarray(bm)[order]
         assert f_hat >= 1
-        assert ordered_means[f_hat - 1] >= inst.threshold_M >= ordered_means[f_hat + 1]
+        assert (ordered_means[f_hat - 1] >= compute_threshold_M(inst.mean, inst.p)
+                >= ordered_means[f_hat + 1])
         for seed in range(10):
             trace = ucbf_run(inst, part, 0.01, seed=seed)
             dec, _ = _decompose_for(inst, part, bm, trace, seed=100 + seed)
@@ -376,7 +379,7 @@ class TestDecomposition:
 def _indexed_regret(inst, part, order, f_hat, reference, trace):
     """The decomposition's terms by boolean indexing over each arm's int64
     bin rank: the formulas the masked-sum kernels must reproduce bit for bit."""
-    means, m = inst.true_means, inst.threshold_M
+    means, m = inst.true_means, compute_threshold_M(inst.mean, inst.p)
     rank = np.empty(part.bin_count, dtype=np.int64)
     rank[order] = np.arange(part.bin_count)
     arm_rank = rank[part.assignment]
@@ -416,7 +419,8 @@ class TestExactKernels:
             k = cab_parameters(inst.T) if spec.cab_k else default.k
             part = build_partition(arms, k)
             bm = bin_means_empirical(inst, part) if empirical else bin_means_quadrature(mean, part)
-            baseline = make_baseline(inst, part, bm, seed=k)
+            baseline = make_baseline(inst, part, bm, compute_threshold_M(inst.mean, inst.p),
+                                     seed=k)
             reference = baseline.reference
             trace = reference if spec.run is None else spec.run(inst, part, default.delta, 21)
             dec = regret_decompose(inst, baseline, trace)
@@ -448,7 +452,8 @@ class TestBaselineMasks:
         inst = Instance(arms, Constant(0.5, dim), BERN, max(1, round(budget * n)))
         part = build_partition(arms, k)
         bin_means = rng.integers(0, levels, part.bin_count)
-        baseline = make_baseline(inst, part, bin_means, seed)
+        baseline = make_baseline(inst, part, bin_means, compute_threshold_M(inst.mean, inst.p),
+                                 seed)
         order, f_hat = rank_bins(part, bin_means, inst.T)
         top_bins = np.zeros(part.bin_count, dtype=bool)
         top_bins[order[:f_hat]] = True
@@ -473,7 +478,7 @@ class TestPullSetsOnly:
         part = build_partition(inst.arms, 8)
         bm = bin_means_quadrature(plateau, part)
         star = oracle_star(inst, 2)
-        expected = make_baseline(inst, part, bm, 2)
+        expected = make_baseline(inst, part, bm, compute_threshold_M(inst.mean, inst.p), 2)
         reference = expected.reference
         ucbf = ucbf_run(inst, part, 0.01, 2)
 
@@ -489,7 +494,7 @@ class TestPullSetsOnly:
         assert regret_total(inst, lazy_ucbf) == regret_total(inst, ucbf)
         # The baseline's own reference run comes back unbuildable.
         monkeypatch.setattr(policies, "oracle_discrete", lambda *args: lazy_reference)
-        baseline = make_baseline(inst, part, bm, 2)
+        baseline = make_baseline(inst, part, bm, compute_threshold_M(inst.mean, inst.p), 2)
         assert baseline.reference is lazy_reference
         for trace, built in ((lazy_star, star), (lazy_reference, reference), (lazy_ucbf, ucbf)):
             assert regret_decompose(inst, baseline, trace) == regret_decompose(
@@ -519,7 +524,7 @@ class TestPullSetsOnly:
         assert len(result.trials) == 18
         assert draws == []
         # Reading a kept random trace draws its T rewards.
-        trace = run_trial(config, 64, 0, keep_trace=True)[2].trace
+        trace = run_trial(config, plan_sweep(config), 64, 0, keep_trace=True)[2].trace
         assert trace.rewards.size == 32 and draws == [32]
 
     def test_ucbf_sweep_never_runs_a_builder(self, monkeypatch):
@@ -547,7 +552,7 @@ class TestPullSetsOnly:
         assert made.count("ucbf_run.<locals>.build") == 12  # 2 N x 3 reps x 2 policies
         assert built == []
         # The counter sees a build: reading a kept trace's pull order runs it.
-        trace = run_trial(config, 64, 0, keep_trace=True)[0].trace
+        trace = run_trial(config, plan_sweep(config), 64, 0, keep_trace=True)[0].trace
         assert trace.pulled.size == 32 and built == ["ucbf_run.<locals>.build"]
 
 
@@ -559,7 +564,8 @@ class TestDiagnostics:
         part = build_partition(inst.arms, 4)
         np.testing.assert_array_equal(part.counts, [24, 25, 25, 26])
         bm = bin_means_quadrature(identity(), part)
-        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
+        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
+                             compute_threshold_M(inst.mean, inst.p))
         assert report.max_count_dev == 1.0
         assert report.f == 2  # floor(p K) at p = 0.5, K = 4
 
@@ -568,7 +574,7 @@ class TestDiagnostics:
         inst = Instance(ArmSet(cov), identity(), BERN, 50)
         part = build_partition(inst.arms, 4)
         _, f_hat = rank_bins(part, bin_means_quadrature(identity(), part), inst.T)
-        report = diagnostics(inst, part, f_hat)
+        report = diagnostics(inst, part, f_hat, compute_threshold_M(inst.mean, inst.p))
         assert report.max_count_dev == 0.0
         assert report.count_dev_scaled == 0.0
 
@@ -576,13 +582,15 @@ class TestDiagnostics:
         inst = Instance(grid_arms(4), identity(), BERN, 2)
         part = build_partition(inst.arms, 2)
         bm = bin_means_quadrature(identity(), part)
-        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
+        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
+                             compute_threshold_M(inst.mean, inst.p))
         assert report.m_hat == 0.75
 
     def test_constant_mean_has_no_lipschitz_scale(self):
         inst = Instance(grid_arms(50), Constant(0.5), BERN, 25)
         part = build_partition(inst.arms, 5)
-        report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1])
+        report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1],
+                             compute_threshold_M(inst.mean, inst.p))
         assert report.m_hat_gap_scaled is None
 
     def test_json_round_trip(self):
@@ -591,7 +599,8 @@ class TestDiagnostics:
         inst = Instance(grid_arms(50), identity(), BERN, 25)
         part = build_partition(inst.arms, 5)
         bm = bin_means_quadrature(identity(), part)
-        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1])
+        report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
+                             compute_threshold_M(inst.mean, inst.p))
         data = json.loads(json.dumps(dataclasses.asdict(report)))
         assert data["f"] == report.f
         assert data["f_gap"] == abs(report.f_hat - report.f)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcab import environment
 from fcab.analysis import diagnostics
 from fcab.environment import (
     _mean_mass,
@@ -618,24 +617,11 @@ class TestInstances:
         arms = grid_arms(100)
         inst = Instance(arms, identity(), RewardModel("bernoulli"), 30)
         assert inst.p == pytest.approx(0.3)
-        assert inst.threshold_M == pytest.approx(0.7, abs=1e-3)
+        assert compute_threshold_M(inst.mean, inst.p) == pytest.approx(0.7, abs=1e-3)
         np.testing.assert_allclose(inst.true_means, arms.covariates[:, 0])
 
     def test_constructor_takes_the_problem_only(self):
         assert list(inspect.signature(Instance).parameters) == ["arms", "mean", "rewards", "T"]
-
-    def test_threshold_is_computed_on_first_read_only(self, monkeypatch):
-        calls = []
-
-        def counting(f, p):
-            calls.append(p)
-            return compute_threshold_M(f, p)
-
-        monkeypatch.setattr(environment, "compute_threshold_M", counting)
-        inst = Instance(grid_arms(100), identity(), RewardModel("bernoulli"), 30)
-        assert calls == []
-        assert inst.threshold_M == inst.threshold_M == compute_threshold_M(identity(), 0.3)
-        assert calls == [0.3]
 
     def test_star_order_ties_break_by_index(self):
         arms = grid_arms(4)
@@ -668,5 +654,7 @@ class TestInstances:
         np.testing.assert_array_equal(inst.star_order(), np.sort(prefix))
         np.testing.assert_array_equal(oracle_star(inst, 0).pulled, prefix)
         # One bin holds every arm, so the budget empties no bin: f_hat = 0.
-        assert diagnostics(inst, build_partition(inst.arms, 1), 0).m_hat == means[prefix[-1]]
+        report = diagnostics(inst, build_partition(inst.arms, 1), 0,
+                             compute_threshold_M(inst.mean, inst.p))
+        assert report.m_hat == means[prefix[-1]]
         assert inst.top_mean_sum() == float(means[np.sort(prefix)].sum())

@@ -34,6 +34,7 @@ from fcab.experiments import (
     derive_seed,
     fit_exponent,
     lower_bound_protocol,
+    plan_sweep,
     run_sweep,
     run_trial,
     sweep_csv_text,
@@ -60,7 +61,8 @@ def small_config(**overrides):
 
 def trial(config, n, policy_id, rep, keep_trace=True):
     """One policy's TrialResult from the (N, rep) task that runs them all."""
-    return run_trial(config, n, rep, keep_trace)[config.policies.index(policy_id)]
+    outcomes = run_trial(config, plan_sweep(config), n, rep, keep_trace)
+    return outcomes[config.policies.index(policy_id)]
 
 
 class TestConfig:
@@ -138,14 +140,15 @@ class TestTrials:
                 assert trial(cfg, 60, policy, rep).decomposition.r_total == 0.0
 
     def test_full_budget_threshold_is_one_rule(self):
-        # At p = 1 the trial, the Instance and the threshold
-        # function all take the minimum of the mean.
+        # At p = 1 the trial and the threshold function at the Instance's
+        # p both take the minimum of the mean.
         f = Sinusoid(amplitude=0.35, frequency=1.15, offset=0.5)
         cfg = small_config(mean_function=f, regime=FixedP(1.0), n_grid=(64,))
         result = trial(cfg, 64, "ucbf", 0)
         expected = compute_threshold_M(f, 1.0)
         assert result.diagnostics.threshold_M == expected
-        assert Instance(grid_arms(64), f, BERN, 64).threshold_M == expected
+        inst = Instance(grid_arms(64), f, BERN, 64)
+        assert compute_threshold_M(inst.mean, inst.p) == expected
         assert result.decomposition.r_total == 0.0
 
     def test_oracle_star_zero_for_all_reps(self):
@@ -210,12 +213,40 @@ class TestSweep:
             return threshold(self, p)
 
         monkeypatch.setattr(PiecewiseLinear, "threshold", counted)
-        compute_threshold_M.cache_clear()
         cfg = small_config(mean_function=Tabulated((0.2, 0.9, 0.4, 0.7)), policies=("random",),
                            replications=4)
         result = run_sweep(cfg)
         assert not result.errors and len(result.trials) == 8
         assert sorted(calls) == sorted({r.diagnostics.p for r in result.trials}) == [0.5]
+
+    def test_plan_is_built_before_the_fork(self, monkeypatch):
+        # M depends on (mean, p) and the quadrature bin means on (mean, K):
+        # this process computes each once, before it forks the workers, so
+        # counters set here see every call.
+        thresholds, bin_means = [], []
+        threshold, quadrature = PiecewiseLinear.threshold, analysis.bin_means_quadrature
+
+        def counted_threshold(self, p):
+            thresholds.append(p)
+            return threshold(self, p)
+
+        def counted_bin_means(f, partition):
+            bin_means.append(partition.k_per_axis)
+            return quadrature(f, partition)
+
+        monkeypatch.setattr(PiecewiseLinear, "threshold", counted_threshold)
+        monkeypatch.setattr(analysis, "bin_means_quadrature", counted_bin_means)
+        cfg = small_config(mean_function=Tabulated((0.2, 0.9, 0.4, 0.7)),
+                           policies=("ucbf", "ucbf-cab-k", "oracle-discrete"),
+                           n_grid=(64, 128, 256), regime=PowerLaw(0.9), replications=2)
+        result = run_sweep(cfg, threads=2)
+        assert not result.errors and len(result.trials) == 18
+        ps = {r.diagnostics.p for r in result.trials}
+        ks = {r.diagnostics.k_per_axis for r in result.trials}
+        assert len(ps) == 3 and len(ks) > 1
+        assert sorted(thresholds) == sorted(ps)
+        assert sorted(bin_means) == sorted(ks)
+        assert sweep_csv_text(result) == sweep_csv_text(run_sweep(cfg, threads=1))
 
     def test_csv_schema(self):
         cfg = small_config(replications=1)
@@ -390,15 +421,16 @@ class TestSharedSetUp:
     @staticmethod
     def peak_bytes_per_arm(policy_ids):
         """What one trial of these policies holds at once at N = 2^16, per
-        arm, traced by tracemalloc after a first trial fills the
-        per-process caches."""
+        arm, traced by tracemalloc once the sweep's plan is built and a
+        first trial has run."""
         n = 2**16
         cfg = small_config(policies=policy_ids, n_grid=(n,), replications=2,
                            mean_function=Sinusoid(0.35, 1.15, 0.5))
-        run_trial(cfg, n, 0, keep_trace=False)
+        plan = plan_sweep(cfg)
+        run_trial(cfg, plan, n, 0, keep_trace=False)
         tracemalloc.start()
         try:
-            run_trial(cfg, n, 1, keep_trace=False)
+            run_trial(cfg, plan, n, 1, keep_trace=False)
             return tracemalloc.get_traced_memory()[1] / n
         finally:
             tracemalloc.stop()
@@ -520,7 +552,7 @@ class TestPolicyRegistry:
         # N = 512 gives the default and the cab K the same value, 2, so
         # oracle_discrete runs once, as the shared reference.
         cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(512,))
-        run_trial(cfg, 512, 0)
+        run_trial(cfg, plan_sweep(cfg), 512, 0)
         assert calls == collections.Counter(self.RUNNERS.values())
         for policy_id, spec in policies.POLICIES.items():
             kw = dict(pair=make_lower_bound_pair(0.5, 0.5, 0.3, 2000), policy_id=policy_id,
