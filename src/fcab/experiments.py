@@ -4,9 +4,9 @@ regret-exponent fits, and the two-instance lower-bound protocol.
 The unit of work is one (N, replication) task: it builds the instance
 from a stable 64-bit hash of (master seed, N, replication) and runs every
 policy on it, each from a hash of (master seed, N, policy id,
-replication).  Every task reads one plan, built before any worker is
-forked, of what depends on the config alone (``plan_sweep``).  Tasks can
-run in any order on any number of workers and aggregate identically.
+replication).  Every task reads its N's entry of one plan of what depends
+on the config alone, built before any worker forks (``plan_sweep``).
+Tasks run in any order on any number of workers and aggregate identically.
 """
 
 from __future__ import annotations
@@ -386,62 +386,64 @@ class TrialResult:
     trace: Optional[policies.PolicyTrace] = None
 
 
-def plan_sweep(config: ExperimentConfig) -> tuple[dict, dict]:
-    """What every (N, rep) task of a sweep reads and none computes: M by
-    each distinct p = T/N, and read-only quadrature bin means by each K."""
-    bin_means = {}
-    if config.bin_means_mode == "quadrature":
-        for k in {choose_k(policy_id, config.k_rule, n, config.regime.budget_for(n), config.dim)
-                  for n in config.n_grid for policy_id in config.policies}:
-            # Bin means depend on the bins alone, so a partition without arms serves.
-            bins = policies.Partition(k, config.dim, np.empty(0, np.int64),
-                                      np.zeros(k**config.dim, np.int64))
-            bin_means[k] = analysis.bin_means_quadrature(config.mean_function, bins)
-            bin_means[k].setflags(write=False)  # every trial with this K shares it
-    return {p: compute_threshold_M(config.mean_function, p)
-            for p in {config.regime.budget_for(n) / n for n in config.n_grid}}, bin_means
+def plan_sweep(config: ExperimentConfig) -> dict:
+    """What every (N, rep) task of a sweep reads and none computes, by N:
+    the tuple (T, the K of each config policy in config order, delta, M,
+    the read-only quadrature bin means by K).  M is computed once per
+    distinct p = T/N and the bin means once per distinct K (none under
+    ``bin_means: empirical``); every N shares one dict of them."""
+    plan, m_by_p, quadrature = {}, {}, {}
+    for n in config.n_grid:
+        t = config.regime.budget_for(n)
+        ks = tuple(choose_k(policy_id, config.k_rule, n, t, config.dim)
+                   for policy_id in config.policies)
+        if t / n not in m_by_p:
+            m_by_p[t / n] = compute_threshold_M(config.mean_function, t / n)
+        if config.bin_means_mode == "quadrature":
+            for k in set(ks) - set(quadrature):
+                # Bin means depend on the bins alone, so a partition without arms serves.
+                bins = policies.Partition(k, config.dim, np.empty(0, np.int64),
+                                          np.zeros(k**config.dim, np.int64))
+                quadrature[k] = analysis.bin_means_quadrature(config.mean_function, bins)
+                quadrature[k].setflags(write=False)  # every trial with this K shares it
+        plan[n] = (t, ks, policies.default_parameters(n, t / n, config.dim).delta,
+                   m_by_p[t / n], quadrature)
+    return plan
 
 
-def run_trial(
-    config: ExperimentConfig,
-    plan: tuple[dict, dict],
-    n: int,
-    rep: int,
-    keep_trace: bool = True,
-) -> list:
+def run_trial(config: ExperimentConfig, plan: dict, n: int, rep: int,
+              keep_trace: bool = True) -> list:
     """One seeded (N, rep) task: build the instance once, run every policy
     of the config on it, and attach regret, decomposition and diagnostics.
 
-    ``plan`` is ``plan_sweep(config)``, or that of a config whose grid
-    holds N.  Returns one outcome per config policy, in config order: its
-    TrialResult, or the message of the error its run raised.  An error in
-    the shared set-up raises.  Each distinct K (a second one comes only
-    from a ``cab_k`` policy) gets one partition, bin means and
-    ``analysis.Baseline``, shared by every policy with that K; the
-    oracle-discrete policy's trace is the baseline's reference run.  A
+    ``plan`` is ``plan_sweep(config)``; the task reads its T, Ks, delta, M
+    and quadrature bin means from ``plan[n]`` and derives none of them.
+    Returns one outcome per config policy, in config order: its
+    TrialResult, or the message of the error its run raised; an error in
+    the shared set-up is every policy's outcome.  Each distinct K (a
+    second one comes only from a ``cab_k`` policy) gets one partition, bin
+    means and ``analysis.Baseline``, shared by every policy with that K;
+    the oracle-discrete policy's trace is the baseline's reference run.  A
     trial's ``wall_ms`` is its own run and decomposition time plus an
     equal share of the set-up, which leaves out the plan.
     """
     start = time.perf_counter()
+    t, ks, delta, threshold_M, quadrature = plan[n]
     instance_seed = _hash64(config.master_seed, n, rep)
-    if config.covariates == GRID:
-        arms = grid_arms(n)
-    else:
-        arms = sample_arms_uniform(n, config.dim, _hash64(instance_seed, "arms"))
-    instance = Instance(arms, config.mean_function, config.reward_model,
-                        config.regime.budget_for(n))
-    delta = policies.default_parameters(n, instance.p, config.dim).delta
-    ks = [choose_k(policy_id, config.k_rule, n, instance.T, config.dim)
-          for policy_id in config.policies]
-    m_by_p, quadrature = plan
     shared = {}
-    for k in dict.fromkeys(ks):
-        partition = policies.build_partition(arms, k)
-        bin_means = (quadrature[k] if config.bin_means_mode == "quadrature"
-                     else analysis.bin_means_empirical(instance, partition))
-        shared[k] = partition, analysis.make_baseline(
-            instance, partition, bin_means, m_by_p[instance.p], _hash64(instance_seed, k, "phid")
-        )
+    try:
+        arms = (grid_arms(n) if config.covariates == GRID
+                else sample_arms_uniform(n, config.dim, _hash64(instance_seed, "arms")))
+        instance = Instance(arms, config.mean_function, config.reward_model, t)
+        for k in dict.fromkeys(ks):
+            partition = policies.build_partition(arms, k)
+            bin_means = (quadrature[k] if config.bin_means_mode == "quadrature"
+                         else analysis.bin_means_empirical(instance, partition))
+            shared[k] = partition, analysis.make_baseline(
+                instance, partition, bin_means, threshold_M, _hash64(instance_seed, k, "phid")
+            )
+    except Exception as exc:  # fails every policy's cell
+        return [f"{type(exc).__name__}: {exc}"] * len(ks)
     setup_ms = (time.perf_counter() - start) * 1000.0 / len(ks)
 
     outcomes = []
@@ -497,13 +499,6 @@ class SweepResult:
     trials: list  # the TrialResults that ran, by cell (N, then policy), then rep
 
 
-def _trial_task(args):
-    try:
-        return run_trial(*args, keep_trace=False)
-    except Exception as exc:  # a set-up error fails every cell of the N
-        return [f"{type(exc).__name__}: {exc}"] * len(args[0].policies)
-
-
 _DECILE_LEVELS = np.array([0.1, 0.5, 0.9])
 
 
@@ -533,15 +528,18 @@ def _deciles(values: np.ndarray) -> np.ndarray:
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """All (policy, N) cells with `replications` trials each.
+    """All (policy, N) cells with `replications` trials each: one
+    ``run_trial`` call per (N, rep) task on the plan built here, before any
+    fork, looked up on the module so that a wrapper set there sees every
+    task.  Tasks run in any order, on ``threads`` forked worker processes
+    when that is more than one, and aggregate the same way."""
+    plan = plan_sweep(config)
 
-    (N, rep) tasks execute in any order, on ``threads`` forked worker
-    processes when that is more than one; per-task seeding makes the
-    aggregates independent of which process runs which task.
-    """
-    plan = plan_sweep(config)  # before the fork: workers inherit it, and _map pickles no task
-    tasks = [(config, plan, n, rep) for n in config.n_grid for rep in range(config.replications)]
-    outcomes = _map(_trial_task, tasks, threads)
+    def task(n_rep):  # forked workers inherit this closure: _map never pickles it
+        return run_trial(config, plan, *n_rep, keep_trace=False)
+
+    tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    outcomes = _map(task, tasks, threads)
     rows, errors, done = [], [], []
     for i, n in enumerate(config.n_grid):
         # Outcomes come in task order: N's replications are one slice.

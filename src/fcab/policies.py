@@ -4,13 +4,14 @@ The UCBF policy discretises [0, 1]^dim into K^dim equal bins, treats each
 bin as a finite-capacity arm of a multi-armed bandit, and plays an upper
 confidence bound index over the bins that still hold unpulled arms.  Bins
 that start with fewer than two arms are never alive and their arms are
-unreachable; a budget that cannot be met from alive bins is a
-configuration error, not a silent under-pull.  Each arm is pulled at most
-once and a pull takes a uniformly random unpulled arm of its bin, so a run
-draws up front, for each alive bin, an ordered uniform sample of as many
-of its arms as the budget could take from it, and takes the bin's arms in
-that order; its pull set then follows from one selection and its pull
-order from one stable sort, with no per-pull loop (see ``ucbf_run``).
+unreachable; a budget that cannot be met from alive bins fails the run
+(its sweep cell fails and ``fcab sweep`` exits 2), not a silent
+under-pull.  Each arm is pulled at most once and a pull takes a
+uniformly random unpulled arm of its bin, so a run draws up front, for
+each alive bin, an ordered uniform sample of as many of its arms as the
+budget could take from it, and takes the bin's arms in that order; its
+pull set then follows from one selection and its pull order from one
+stable sort, with no per-pull loop (see ``ucbf_run``).
 
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied

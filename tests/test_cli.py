@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcab import environment, experiments, policies
+from fcab import cli, environment, experiments, policies
 from fcab.cli import ConfigError, parse_config, parse_lowerbound_config, run
 
 
@@ -241,6 +241,11 @@ class TestDispatch:
             ({"mean_function": {"kind": "piecewise_linear", "breakpoints": [0, 1],
                                 "values": [0.2, 0.8], "lipschitz_L": -1}},
              "$.mean_function.lipschitz_L"),
+            # Grid covariates and the power-law regime are 1-d whatever the mean.
+            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2, "covariates": "grid"},
+             "$.dim"),
+            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2,
+              "regime": {"kind": "power_law", "alpha": 0.9}}, "$.dim"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -359,8 +364,9 @@ class TestDispatch:
              "invalid JSON: repeated key 'replications'"),
             ("validate", b'{"schema": 1, "pair": {"N": 1000, "p": 0.5, "p": 0.4, "L": 0.5, '
                          b'"alpha_lb": 0.3}}', "invalid JSON: repeated key 'p'"),
+            ("sweep", b'[{"schema": 1}]', "config must be a JSON object"),
         ],
-        ids=["directory", "undecodable", "repeated-key", "repeated-nested-key"],
+        ids=["directory", "undecodable", "repeated-key", "repeated-nested-key", "list"],
     )
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, content,
                                                message):
@@ -643,6 +649,19 @@ class TestDispatch:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".fcab-tmp-")]
         assert leftovers == []
+
+    def test_failed_write_keeps_the_old_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        out.write_text("old\n")
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(str(out), "new\n")
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        assert out.read_text() == "old\n"
 
 
 # A tiny valid config of each protocol, and per JSON path in it: the JSON

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fcab.analysis import diagnostics
 from fcab.environment import (
     _mean_mass,
+    ArmSet,
     Constant,
     Instance,
     LowerBoundMember,
@@ -57,6 +58,11 @@ class TestArmSets:
         arms = sample_arms_uniform(5000, 3, 1)
         assert arms.covariates.min() >= 0.0
         assert arms.covariates.max() <= 1.0
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5])
+    def test_covariate_outside_the_cube_rejected(self, x):
+        with pytest.raises(ValueError, match="covariates must lie in the unit cube"):
+            ArmSet(np.array([[0.5], [x]]))
 
     def test_grid_small(self):
         np.testing.assert_allclose(grid_arms(4).covariates[:, 0], [0.25, 0.5, 0.75, 1.0])
@@ -489,6 +495,10 @@ class TestValidators:
     def test_margin_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             verify_margin(identity(), M=0.5, Q=2.0, eps_values=[1.5])
+
+    def test_margin_needs_an_epsilon(self):
+        with pytest.raises(ValueError, match="need at least one epsilon"):
+            verify_margin(identity(), M=0.5, Q=2.0, eps_values=[])
 
     def test_validators_reject_a_two_dimensional_mean(self):
         for f in (Sinusoid(amplitude=0.45, frequency=0.15, offset=0.5, dim=2),

@@ -31,6 +31,8 @@ from fcab.experiments import (
     FixedP,
     KRule,
     PowerLaw,
+    TrialResult,
+    choose_k,
     derive_seed,
     fit_exponent,
     lower_bound_protocol,
@@ -248,6 +250,22 @@ class TestSweep:
         assert sorted(bin_means) == sorted(ks)
         assert sweep_csv_text(result) == sweep_csv_text(run_sweep(cfg, threads=1))
 
+    def test_one_run_trial_call_per_task(self, monkeypatch):
+        # A tracer wraps ``experiments.run_trial``: the sweep reaches it
+        # through the module for every (N, rep) task, in task order.
+        calls = []
+        run = experiments.run_trial
+
+        def counted(config, plan, n, rep, keep_trace=True):
+            calls.append((n, rep))
+            return run(config, plan, n, rep, keep_trace)
+
+        monkeypatch.setattr(experiments, "run_trial", counted)
+        cfg = small_config()
+        result = run_sweep(cfg, threads=1)
+        assert not result.errors
+        assert calls == [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
+
     def test_csv_schema(self):
         cfg = small_config(replications=1)
         text = sweep_csv_text(run_sweep(cfg))
@@ -363,6 +381,60 @@ class TestSweep:
             assert row.k == default_parameters(row.n, row.t_budget / row.n, 1).k == 2
 
 
+class TestPlan:
+    """``plan_sweep(config)[n]`` holds what every (N, rep) task at N reads.
+    Under the power law at alpha = 0.9 the default and the cab K differ at
+    each of these N, so every entry has two K."""
+
+    @staticmethod
+    def config(**overrides):
+        return small_config(**{
+            "mean_function": Sinusoid(0.35, 1.15, 0.5), "policies": ("ucbf", "ucbf-cab-k"),
+            "n_grid": (4096, 8192, 16384), "regime": PowerLaw(0.9), "replications": 1,
+            **overrides,
+        })
+
+    @pytest.mark.parametrize("mode", ["quadrature", "empirical"])
+    def test_entry_holds_what_the_rules_give(self, mode):
+        cfg = self.config(bin_means_mode=mode)
+        plan = plan_sweep(cfg)
+        assert list(plan) == list(cfg.n_grid)
+        for n, (t, ks, delta, threshold_M, bin_means) in plan.items():
+            assert t == cfg.regime.budget_for(n)
+            assert ks == tuple(choose_k(policy_id, cfg.k_rule, n, t, cfg.dim)
+                               for policy_id in cfg.policies)
+            assert len(set(ks)) == 2
+            assert delta == default_parameters(n, t / n, cfg.dim).delta
+            assert threshold_M == compute_threshold_M(cfg.mean_function, t / n)
+            if mode == "empirical":
+                assert bin_means == {}
+                continue
+            for k in ks:
+                expected = analysis.bin_means_quadrature(
+                    cfg.mean_function, policies.build_partition(grid_arms(n), k))
+                np.testing.assert_array_equal(bin_means[k], expected)
+                assert not bin_means[k].flags.writeable
+
+    def test_run_trial_derives_nothing(self, monkeypatch):
+        # Once the plan is built, a task computes none of what it holds.
+        cfg = self.config(n_grid=(4096, 8192))
+        plan = plan_sweep(cfg)
+        before = [run_trial(cfg, plan, n, 0) for n in cfg.n_grid]
+
+        def derived(*args, **kwargs):
+            raise AssertionError("derived in a task")
+
+        monkeypatch.setattr(PowerLaw, "budget_for", derived)
+        monkeypatch.setattr(experiments, "choose_k", derived)
+        monkeypatch.setattr(policies, "default_parameters", derived)
+        monkeypatch.setattr(experiments, "compute_threshold_M", derived)
+        monkeypatch.setattr(analysis, "bin_means_quadrature", derived)
+        for n, expected in zip(cfg.n_grid, before):
+            outcomes = run_trial(cfg, plan, n, 0)
+            assert all(isinstance(outcome, TrialResult) for outcome in outcomes), outcomes
+            assert [r.decomposition for r in outcomes] == [r.decomposition for r in expected]
+
+
 class TestSharedSetUp:
     """One (N, rep) task builds the instance once, and the partition, bin
     means, ranking, reference oracle and diagnostics once per K, for every
@@ -458,6 +530,19 @@ class TestSharedSetUp:
         assert [(p, n) for p, n, _ in result.errors] == [(p, 64) for p in cfg.policies]
         assert all("bin count" in message for _, _, message in result.errors)
 
+    def test_set_up_error_is_every_outcome(self, monkeypatch):
+        # run_trial returns a set-up error as every policy's outcome; it never raises it.
+        cfg = small_config(n_grid=(64,))
+        plan = plan_sweep(cfg)
+
+        def failing(arms, k):
+            raise ValueError(f"bin count {k} exceeds the supported maximum")
+
+        monkeypatch.setattr(policies, "build_partition", failing)
+        k = plan[64][1][0]
+        assert run_trial(cfg, plan, 64, 0) == (
+            [f"ValueError: bin count {k} exceeds the supported maximum"] * len(cfg.policies))
+
 
 class TestFitExponent:
     def test_exact_cube_root(self):
@@ -513,6 +598,11 @@ class TestLowerBoundProtocol:
         )
         assert report.frequency_m0 == 0.0
         assert report.frequency_m1 == 0.0
+
+    def test_rejects_zero_replications(self):
+        with pytest.raises(ValueError, match="need at least one replication"):
+            lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
+                                 policy_id="ucbf", replications=0, master_seed=0)
 
     def test_threads_do_not_change_frequencies(self):
         kw = dict(

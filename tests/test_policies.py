@@ -190,6 +190,10 @@ class TestParameterSchedules:
         with pytest.raises(ValueError):
             default_parameters(2, 0.5, 1)
 
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            default_parameters(1000, 0.5, 0)
+
     def test_cab_parameters(self):
         assert cab_parameters(10**4) == 10
         assert cab_parameters(100) == 2
@@ -278,6 +282,12 @@ def reference_ucbf(inst, part, delta, seed):
 
 
 class TestUcbfRun:
+    def test_rejects_a_partition_of_other_arms(self):
+        inst = Instance(grid_arms(8), identity(), BERN, 4)
+        part = build_partition(grid_arms(6), 2)
+        with pytest.raises(ValueError, match="partition was not built from this instance's arms"):
+            ucbf_run(inst, part, 0.1, seed=0)
+
     def test_init_only_when_budget_is_two(self):
         # Two alive bins and T = 2: the trace is exactly the two forced
         # initialisation pulls, one per bin in ascending bin order.  (Grid
@@ -492,6 +502,12 @@ class TestOracles:
         inst, part = self._three_bin_instance(6)
         trace = oracle_discrete(inst, part, *rank_bins(part, [0.9, 0.5, 0.1], inst.T), seed=4)
         assert set(trace.pulled.tolist()) == set(range(6))
+
+    def test_discrete_rejects_a_partition_of_other_arms(self):
+        inst, _ = self._three_bin_instance(3)
+        part = build_partition(grid_arms(9), 3)
+        with pytest.raises(ValueError, match="partition was not built from this instance's arms"):
+            oracle_discrete(inst, part, *rank_bins(part, [0.9, 0.5, 0.1], inst.T), seed=4)
 
     def test_discrete_exact_cover(self):
         inst, part = self._three_bin_instance(2)
