@@ -15,7 +15,6 @@ import logging
 import os
 import resource
 import sys
-import tempfile
 from dataclasses import asdict
 
 from . import experiments
@@ -28,14 +27,14 @@ def _atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename, so a
     failure never leaves a partially-written output."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcab-tmp-")
+    tmp = os.path.join(directory, ".fcab-tmp-" + os.urandom(8).hex())
+    fh = open(tmp, "x")  # mode 0o666 less the umask, as a plain open; mkstemp's is 0o600
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

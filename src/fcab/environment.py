@@ -181,7 +181,7 @@ class ArmSet:
         cov = np.asarray(self.covariates, dtype=np.float64)
         if cov.ndim != 2 or cov.shape[0] < 1 or cov.shape[1] < 1:
             raise ValueError("covariates must be a non-empty (n, dim) array")
-        if np.any(cov < 0.0) or np.any(cov > 1.0):
+        if not (cov.min() >= 0.0 and cov.max() <= 1.0):  # NaN fails it too
             raise ValueError("covariates must lie in the unit cube")
         cov.setflags(write=False)
         object.__setattr__(self, "covariates", cov)
@@ -313,9 +313,9 @@ class PiecewiseLinear(MeanFunction):
                                                  "equal length >= 2")])
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ConfigError([("$.breakpoints", "breakpoints must span [0, 1]")])
-        if np.any(np.diff(bp) <= 0):
+        if not np.all(np.diff(bp) > 0):  # NaN fails it too
             raise ConfigError([("$.breakpoints", "breakpoints must be strictly increasing")])
-        if np.any(vv < 0.0) or np.any(vv > 1.0):
+        if not (vv.min() >= 0.0 and vv.max() <= 1.0):
             raise ConfigError([("$.values", "values must lie in [0, 1]")])
         if self.lipschitz_L is not None and self.lipschitz_L < 0:
             raise ConfigError([("$.lipschitz_L", "must be nonnegative")])
@@ -545,7 +545,7 @@ class RewardModel:
     def sample(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one reward per entry of ``means``."""
         means = np.asarray(means, dtype=np.float64)
-        if means.size and (means.min() < 0.0 or means.max() > 1.0):
+        if means.size and not (means.min() >= 0.0 and means.max() <= 1.0):  # NaN fails
             raise ValueError("reward means must lie in [0, 1]")
         if self.kind == BERNOULLI:
             return (rng.random(means.shape) < means).astype(np.float64)

@@ -18,7 +18,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -174,7 +174,8 @@ _BIN_MEAN_MODES = ("quadrature", "empirical")
 class ExperimentConfig:
     """A sweep or simulate config.  ``from_json`` checks the JSON shape and
     types; the range checks are here, for direct construction too, and
-    report the JSON path of the field at fault."""
+    report the JSON path of the field at fault.  ``dim`` is the mean
+    function's; ``cells`` holds each N's (T, the K of each policy), derived once."""
 
     mean_function: MeanFunction
     policies: tuple[str, ...]
@@ -185,10 +186,14 @@ class ExperimentConfig:
     master_seed: int = 0
     k_rule: KRule = KRule()
     covariates: str = UNIFORM
-    dim: int = 1
     bin_means_mode: str = "quadrature"
+    cells: dict = field(init=False, repr=False, compare=False)
     # Not a field: thresholds are exact.  bench/probe.py still reads it.
     threshold_resolution: ClassVar[int] = 10**6
+
+    @property
+    def dim(self) -> int:
+        return self.mean_function.dim
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
@@ -203,41 +208,38 @@ class ExperimentConfig:
             )
         elif len(set(self.policies)) < len(self.policies):
             errors.append(("$.policies", "every policy id may appear once"))
+        budgets = {}
         if not self.n_grid or min(self.n_grid) < 30:
             errors.append(("$.N_grid", "every N must be at least 30"))
         elif len(set(self.n_grid)) < len(self.n_grid):
             errors.append(("$.N_grid", "every N may appear once"))
         elif max(self.n_grid) * self.dim > MAX_ARM_COORDINATES:
             errors.append(("$.N_grid", f"N * dim may not exceed {MAX_ARM_COORDINATES}"))
-        elif self.k_rule.kind == "cab" or any(
-            policies.POLICIES[p].cab_k for p in self.policies if p not in unknown
-        ):
-            t = min(self.regime.budget_for(n) for n in self.n_grid)
-            if t < 8:
+        else:
+            budgets = {n: self.regime.budget_for(n) for n in self.n_grid}
+            t = min(budgets.values())
+            if t < 8 and (self.k_rule.kind == "cab" or any(
+                policies.POLICIES[p].cab_k for p in self.policies if p not in unknown
+            )):
                 errors.append(("$.N_grid", f"the cab K rule needs T >= 8; the smallest N "
                                f"gives T = {t}"))
         if self.covariates not in (UNIFORM, GRID):
             errors.append(("$.covariates", f"must be '{UNIFORM}' or '{GRID}'"))
-        if self.dim < 1:
-            errors.append(("$.dim", "must be positive"))
-        elif self.dim != self.mean_function.dim:
-            errors.append(
-                ("$.dim", f"the mean function is {self.mean_function.dim}-dimensional, "
-                 f"not {self.dim}")
-            )
-        elif self.dim != 1 and (self.covariates == GRID or isinstance(self.regime, PowerLaw)):
-            errors.append(("$.dim", "grid covariates and the power-law regime are 1-d"))
+        if self.dim != 1 and (self.covariates == GRID or isinstance(self.regime, PowerLaw)):
+            errors.append(("$.mean_function.dim",
+                           "grid covariates and the power-law regime are 1-d"))
         if self.bin_means_mode not in _BIN_MEAN_MODES:
             errors.append(("$.bin_means", f"must be one of {_BIN_MEAN_MODES}"))
-        if not errors:
-            k = max(choose_k(policy_id, self.k_rule, n, self.regime.budget_for(n), self.dim)
-                    for n in self.n_grid for policy_id in self.policies)
-            if k ** min(self.dim, 64) > policies._MAX_BINS:  # any K > 1 exceeds it at dim 64
-                path = "$.K_rule.k" if self.k_rule.kind == "explicit" else "$.dim"
-                errors.append((path, f"K^dim may not exceed {policies._MAX_BINS} bins; "
-                               f"K = {k} at dim {self.dim}"))
         if errors:
             raise ConfigError(errors)
+        cells = {n: (t, tuple(choose_k(p, self.k_rule, n, t, self.dim) for p in self.policies))
+                 for n, t in budgets.items()}
+        k = max(max(ks) for _, ks in cells.values())
+        if k ** min(self.dim, 64) > policies._MAX_BINS:  # any K > 1 exceeds it at dim 64
+            path = "$.K_rule.k" if self.k_rule.kind == "explicit" else "$.mean_function.dim"
+            raise ConfigError([(path, f"K^dim may not exceed {policies._MAX_BINS} bins; "
+                                f"K = {k} at dim {self.dim}")])
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -389,14 +391,12 @@ class TrialResult:
 def plan_sweep(config: ExperimentConfig) -> dict:
     """What every (N, rep) task of a sweep reads and none computes, by N:
     the tuple (T, the K of each config policy in config order, delta, M,
-    the read-only quadrature bin means by K).  M is computed once per
-    distinct p = T/N and the bin means once per distinct K (none under
-    ``bin_means: empirical``); every N shares one dict of them."""
+    the read-only quadrature bin means by K).  T and the Ks are
+    ``config.cells``; M is computed once per distinct p = T/N and the bin
+    means once per distinct K (none under ``bin_means: empirical``); every
+    N shares one dict of them."""
     plan, m_by_p, quadrature = {}, {}, {}
-    for n in config.n_grid:
-        t = config.regime.budget_for(n)
-        ks = tuple(choose_k(policy_id, config.k_rule, n, t, config.dim)
-                   for policy_id in config.policies)
+    for n, (t, ks) in config.cells.items():
         if t / n not in m_by_p:
             m_by_p[t / n] = compute_threshold_M(config.mean_function, t / n)
         if config.bin_means_mode == "quadrature":

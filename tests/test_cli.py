@@ -6,6 +6,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -177,7 +178,7 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "overrides, json_path",
         [
-            ({"dim": 2}, "$.dim"),  # the sinusoid is one-dimensional
+            ({"dim": 2}, "$.dim"),  # the dimension is the mean function's
             ({"dim": "2"}, "$.dim"),
             ({"threshold_resolution": 1e6}, "$.threshold_resolution"),
             ({"replications": True}, "$.replications"),
@@ -216,11 +217,11 @@ class TestDispatch:
                                 "values": [0.2, 0.8], "lipschitz_L": float("nan")}},
              "$.mean_function.lipschitz_L"),
             # 10^4 bins per axis in two dimensions exceed the partition's limit.
-            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2,
+            ({"mean_function": {"kind": "sinusoid", "dim": 2},
               "K_rule": {"kind": "explicit", "k": 10**4}}, "$.K_rule.k"),
             # The default K is 2 at dim 30: 2^30 bins exceed the partition's limit.
-            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 30}, "dim": 30},
-             "$.dim"),
+            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 30}},
+             "$.mean_function.dim"),
             ({"threshold_resolution": 10**7 + 1}, "$.threshold_resolution"),
             # Thresholds are exact; no kind takes a declared one.
             *[({"mean_function": {**spec, "analytic_M": 0.5}}, "$.mean_function.analytic_M")
@@ -229,8 +230,8 @@ class TestDispatch:
                            {"kind": "tabulated", "grid_values": [0, 1]},
                            {"kind": "lower_bound_member"})],
             # 2^26 bins at dim 26.
-            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 26}, "dim": 26},
-             "$.dim"),
+            ({"mean_function": {"kind": "constant", "value": 0.5, "dim": 26}},
+             "$.mean_function.dim"),
             # Past the cap on N * dim: one array of 10^12 floats is 7.28 TiB.
             ({"N_grid": [64, 10**12]}, "$.N_grid"),
             ({"N_grid": [10**400]}, "$.N_grid"),  # past the float range too
@@ -242,10 +243,10 @@ class TestDispatch:
                                 "values": [0.2, 0.8], "lipschitz_L": -1}},
              "$.mean_function.lipschitz_L"),
             # Grid covariates and the power-law regime are 1-d whatever the mean.
-            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2, "covariates": "grid"},
-             "$.dim"),
-            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "dim": 2,
-              "regime": {"kind": "power_law", "alpha": 0.9}}, "$.dim"),
+            ({"mean_function": {"kind": "sinusoid", "dim": 2}, "covariates": "grid"},
+             "$.mean_function.dim"),
+            ({"mean_function": {"kind": "sinusoid", "dim": 2},
+              "regime": {"kind": "power_law", "alpha": 0.9}}, "$.mean_function.dim"),
         ],
     )
     def test_bad_dim_and_resolution_are_config_errors(
@@ -343,6 +344,9 @@ class TestDispatch:
             *[("validate", {"schema": 1, "pair": {"N": 1000, "p": 0.5, "L": 0.5,
                                                   "alpha_lb": 0.3}, key: 2000}, f"$.{key}")
               for key in ("lipschitz_grid", "margin_grid")],
+            # The dimension is the mean function's; a config does not state it again.
+            ("sweep", minimal_experiment(mean_function={"kind": "sinusoid", "dim": 2}, dim=2),
+             "$.dim"),
         ],
     )
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, cfg, json_path):
@@ -650,6 +654,18 @@ class TestDispatch:
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".fcab-tmp-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_output_mode_follows_the_umask(self, tmp_path, umask):
+        # An output gets the mode a plain open gives: 0o666 less the umask.
+        out = tmp_path / "sweep.csv"
+        old = os.umask(umask)
+        try:
+            cli._atomic_write(str(out), "new\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert out.read_text() == "new\n"
+
     def test_failed_write_keeps_the_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "sweep.csv"
         out.write_text("old\n")
@@ -678,7 +694,6 @@ SWEEP_CONFIG = {
     "replications": 1,
     "master_seed": 3,
     "covariates": "uniform",
-    "dim": 1,
     "bin_means": "quadrature",
 }
 SWEEP_FIELDS = {
@@ -687,7 +702,7 @@ SWEEP_FIELDS = {
     ("mean_function", "kind"): (str, ["cubic"], True),
     ("mean_function", "amplitude"): (float, [0.6, -0.7], False),
     ("mean_function", "frequency"): (float, [0.0, -1.15], False),
-    ("mean_function", "dim"): (int, [0, -1, 2], False),
+    ("mean_function", "dim"): (int, [0, -1], False),
     ("reward_model",): (dict, [], False),
     ("reward_model", "kind"): (str, ["poisson", "clipped_gaussian"], True),
     ("policies",): (list, [[], ["thompson"], ["ucbf", "ucbf"]], True),
@@ -703,7 +718,6 @@ SWEEP_FIELDS = {
     ("replications",): (int, [0, -1], False),
     ("master_seed",): (int, [-1], False),
     ("covariates",): (str, ["sobol"], False),
-    ("dim",): (int, [0, 2], False),
     ("bin_means",): (str, ["exact"], False),
 }
 LOWERBOUND_CONFIG = {

@@ -59,7 +59,7 @@ class TestArmSets:
         assert arms.covariates.min() >= 0.0
         assert arms.covariates.max() <= 1.0
 
-    @pytest.mark.parametrize("x", [-0.1, 1.5])
+    @pytest.mark.parametrize("x", [-0.1, 1.5, np.nan])
     def test_covariate_outside_the_cube_rejected(self, x):
         with pytest.raises(ValueError, match="covariates must lie in the unit cube"):
             ArmSet(np.array([[0.5], [x]]))
@@ -93,6 +93,8 @@ class TestMeanFunctions:
             PiecewiseLinear((0.0, 0.5), (0.0, 1.0))  # does not span [0, 1]
         with pytest.raises(ValueError):
             PiecewiseLinear((0.0, 0.5, 0.5, 1.0), (0.0, 0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseLinear((0.0, np.nan, 1.0), (0.0, 0.1, 0.2))
 
     def test_supplied_lipschitz_skips_the_slopes(self):
         # A slope between these breakpoints overflows; a supplied constant is kept.
@@ -102,6 +104,8 @@ class TestMeanFunctions:
     def test_values_stay_in_unit_interval(self):
         with pytest.raises(ValueError):
             PiecewiseLinear((0.0, 1.0), (0.0, 1.5))
+        with pytest.raises(ValueError, match="values must lie in"):
+            PiecewiseLinear((0.0, 1.0), (np.nan, 0.5), lipschitz_L=1.0)
         with pytest.raises(ValueError):
             Sinusoid(amplitude=0.7, offset=0.5)
 
@@ -552,6 +556,8 @@ class TestRewards:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             RewardModel("bernoulli").sample(np.array([1.2]), rng)
+        with pytest.raises(ValueError, match="reward means must lie in"):
+            RewardModel("bernoulli").sample(np.array([np.nan, 0.5]), rng)
 
 
 class TestBernoulliKl:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import os
 import pickle
@@ -81,6 +82,28 @@ class TestConfig:
             PowerLaw(0.5)
         with pytest.raises(ValueError):
             PowerLaw(1.2)
+
+    def test_dimension_is_the_mean_functions(self):
+        cfg = small_config(mean_function=Sinusoid(0.3, 1.0, 0.5, dim=2))
+        assert cfg.dim == cfg.mean_function.dim == 2
+        assert "dim" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_cells_hold_t_and_ks_by_n_outside_equality(self):
+        fields = dict(policies=("ucbf", "ucbf-cab-k"), n_grid=(4096,), regime=PowerLaw(0.9))
+        cfg, twin = small_config(**fields), small_config(**fields)
+        t = PowerLaw(0.9).budget_for(4096)
+        assert cfg.cells == {4096: (t, (default_parameters(4096, t / 4096).k,
+                                        policies.cab_parameters(t)))}
+        assert "cells" not in repr(cfg)
+        assert cfg == twin and hash(cfg) == hash(twin)
+
+    def test_cab_budget_error_comes_with_the_others(self):
+        # N = 30 at p = 0.2 gives T = 6, short of the cab rule's 8.
+        with pytest.raises(ConfigError) as exc:
+            small_config(policies=("ucbf-cab-k",), n_grid=(30,), regime=FixedP(0.2),
+                         covariates="sobol", bin_means_mode="exact")
+        assert [path for path, _ in exc.value.errors] == ["$.N_grid", "$.covariates",
+                                                          "$.bin_means"]
 
     def test_power_law_budget_rounding(self):
         # round-half-up of 0.5 * N^alpha
@@ -173,7 +196,6 @@ class TestTrials:
     def test_two_dimensional_trial(self):
         cfg = small_config(
             mean_function=Sinusoid(amplitude=0.3, frequency=1.0, offset=0.5, dim=2),
-            dim=2,
             n_grid=(400,),
             policies=("ucbf", "oracle-star"),
         )
@@ -400,6 +422,7 @@ class TestPlan:
         plan = plan_sweep(cfg)
         assert list(plan) == list(cfg.n_grid)
         for n, (t, ks, delta, threshold_M, bin_means) in plan.items():
+            assert (t, ks) == cfg.cells[n]
             assert t == cfg.regime.budget_for(n)
             assert ks == tuple(choose_k(policy_id, cfg.k_rule, n, t, cfg.dim)
                                for policy_id in cfg.policies)
@@ -414,6 +437,19 @@ class TestPlan:
                     cfg.mean_function, policies.build_partition(grid_arms(n), k))
                 np.testing.assert_array_equal(bin_means[k], expected)
                 assert not bin_means[k].flags.writeable
+
+    def test_each_k_is_chosen_once_per_sweep(self, monkeypatch):
+        # The config derives each (N, policy) K once; the plan and the tasks read it.
+        calls = collections.Counter()
+
+        def counted(policy_id, k_rule, n, t, dim):
+            calls[policy_id, n] += 1
+            return choose_k(policy_id, k_rule, n, t, dim)
+
+        monkeypatch.setattr(experiments, "choose_k", counted)
+        cfg = small_config(n_grid=(64, 128, 256), replications=1)
+        run_sweep(cfg)
+        assert calls == {(p, n): 1 for p in cfg.policies for n in cfg.n_grid}
 
     def test_run_trial_derives_nothing(self, monkeypatch):
         # Once the plan is built, a task computes none of what it holds.
