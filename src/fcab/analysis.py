@@ -2,12 +2,13 @@
 
 Total regret (against the greedy oracle) splits exactly into a
 discretisation term (the regret of the discretised oracle) plus the cost
-of learning the induced finite bandit; the latter splits again, arm by
-arm, into the value left unpulled in the best bins, the churn inside the
-bin that straddles the budget, and the price of pulls in worse bins.
-Both identities hold for any trace and any threshold value because the
-threshold terms cancel against the matching pull counts; they are used as
-cross-checks rather than assumptions.
+of learning the induced finite bandit: the mean sum of the arms the
+oracle's reference run pulled and the run missed, less that of the arms
+the run pulled instead (both pull T arms).  Split at the bin straddling
+the budget, that cost is the value left in the best bins, the churn in
+the boundary bin, and the price of pulls in worse bins.  Both identities
+hold for any trace and threshold value because the threshold terms cancel
+against the matching pull counts; they are cross-checks, not assumptions.
 
 All regrets are computed from true means, never sampled rewards, and all
 arm-mean sums are accumulated in ascending arm-index order so that equal
@@ -121,18 +122,21 @@ class RegretDecomposition:
 
 def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDecomposition:
     """Arm-level decomposition of a trace against the discretised oracle's
-    reference run in ``baseline``, which must come from the same instance."""
+    reference run in ``baseline``, which must come from the same instance:
+    the arms the reference pulled and the trace missed, and those the trace
+    pulled instead, each split at the boundary bin."""
     means = instance.true_means
     m_thresh = baseline.report.threshold_M
     in_phi = _pull_mask(instance, trace)
-    out_phi = ~in_phi
+    pulled, boundary = baseline.pulled, baseline.boundary
+    missed, extra = pulled > in_phi, in_phi > pulled  # for bools, a > b is a & ~b
 
     # np.compress picks the masked means in ascending arm order, as means[mask] does.
-    r_opt = float(np.sum(np.compress(baseline.top & out_phi, means) - m_thresh))
-    r_boundary = float(np.sum(np.compress(baseline.kept & out_phi, means) - m_thresh)) + float(
-        np.sum(m_thresh - np.compress(baseline.left & in_phi, means))
+    r_opt = float(np.sum(np.compress(missed > boundary, means) - m_thresh))
+    r_boundary = float(np.sum(np.compress(missed & boundary, means) - m_thresh)) + float(
+        np.sum(m_thresh - np.compress(extra & boundary, means))
     )
-    r_subopt = float(np.sum(m_thresh - np.compress(baseline.low & in_phi, means)))
+    r_subopt = float(np.sum(m_thresh - np.compress(extra > boundary, means)))
 
     s_star = instance.top_mean_sum()
     s_phi = float(np.compress(in_phi, means).sum())
@@ -211,17 +215,14 @@ def diagnostics(instance: Instance, partition, f_hat: int, threshold_M) -> Diagn
 @dataclass(frozen=True)
 class Baseline:
     """The discretised oracle's reference run at one (N, rep, K) and what
-    every policy's decomposition reads from it: its pulled-mean sum, arm
-    masks of the f_hat best bins (``top``), the bins ranked below the
-    boundary bin (``low``) and the boundary bin's arms the reference
-    pulled (``kept``) and left (``left``), and the diagnostics report."""
+    every policy's decomposition reads from it: its pulled-mean sum, the
+    mask of the arms it pulled (``pulled``), the mask of the boundary
+    bin's arms (``boundary``), and the diagnostics report."""
 
     reference: policies.PolicyTrace
     s_phid: float
-    top: np.ndarray
-    low: np.ndarray
-    kept: np.ndarray
-    left: np.ndarray
+    pulled: np.ndarray
+    boundary: np.ndarray
     report: DiagnosticsReport
 
 
@@ -230,13 +231,12 @@ def make_baseline(instance: Instance, partition, bin_means, threshold_M, seed: i
     ``seed``, under the ranking ``rank_bins`` gives ``bin_means``, with
     its report at the threshold ``threshold_M``.  That run pulls every arm
     of the f_hat best bins, at least one arm of the boundary bin
-    ``order[f_hat]`` and nothing else, so its pull set outside the
-    boundary bin is exactly ``top``."""
+    ``order[f_hat]`` and nothing else: the best bins' arms are those
+    ``pulled`` outside ``boundary``."""
     order, f_hat = rank_bins(partition, bin_means, instance.T)
     reference = policies.oracle_discrete(instance, partition, order, f_hat, seed)
+    pulled = _pull_mask(instance, reference)
     # A Python int keeps the narrow bin ids from being widened.
     boundary = partition.assignment == int(order[f_hat])
-    in_phid = _pull_mask(instance, reference)
-    return Baseline(reference, float(np.compress(in_phid, instance.true_means).sum()),
-                    in_phid & ~boundary, ~(in_phid | boundary), boundary & in_phid,
-                    boundary & ~in_phid, diagnostics(instance, partition, f_hat, threshold_M))
+    return Baseline(reference, float(np.compress(pulled, instance.true_means).sum()), pulled,
+                    boundary, diagnostics(instance, partition, f_hat, threshold_M))

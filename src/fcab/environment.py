@@ -277,7 +277,7 @@ class Constant(MeanFunction):
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ConfigError([("$.value", "constant mean must lie in [0, 1]")])
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ConfigError([("$.dim", "dimension must be positive")])
         object.__setattr__(self, "lipschitz_L", 0.0)
 
@@ -317,7 +317,7 @@ class PiecewiseLinear(MeanFunction):
             raise ConfigError([("$.breakpoints", "breakpoints must be strictly increasing")])
         if not (vv.min() >= 0.0 and vv.max() <= 1.0):
             raise ConfigError([("$.values", "values must lie in [0, 1]")])
-        if self.lipschitz_L is not None and self.lipschitz_L < 0:
+        if self.lipschitz_L is not None and not self.lipschitz_L >= 0:
             raise ConfigError([("$.lipschitz_L", "must be nonnegative")])
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
         object.__setattr__(self, "values", tuple(vv.tolist()))
@@ -387,13 +387,13 @@ class Sinusoid(MeanFunction):
     dim: int = 1
 
     def __post_init__(self):
-        if self.frequency <= 0:
+        if not self.frequency > 0:  # NaN fails it too
             raise ConfigError([("$.frequency", "frequency must be positive")])
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ConfigError([("$.dim", "dimension must be positive")])
         lo = self.offset - abs(self.amplitude)
         hi = self.offset + abs(self.amplitude)
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):
             raise ConfigError([("$.amplitude", "sinusoid range must stay inside [0, 1]")])
         # Euclidean gradient norm of the coordinate-average phase argument.
         lip = abs(self.amplitude) * 2.0 * math.pi * self.frequency / math.sqrt(self.dim)
@@ -487,7 +487,7 @@ def LowerBoundMember(
         raise ConfigError([("$.role", "role must be 0 or 1")])
     if not 0.0 < p < 1.0:
         raise ConfigError([("$.p", "p must lie in (0, 1)")])
-    if half_width <= 0 or 2.0 * half_width >= min(p, 1.0 - p):
+    if not 0.0 < 2.0 * half_width < min(p, 1.0 - p):
         raise ConfigError([("$.half_width", "bump width too large for this budget fraction")])
     if not 0.0 < l_tilde <= 0.5:
         raise ConfigError([("$.l_tilde", "slope must lie in (0, 0.5]")])
@@ -537,7 +537,7 @@ class RewardModel:
     def __post_init__(self):
         if self.kind not in (BERNOULLI, CLIPPED_GAUSSIAN):
             raise ConfigError([("$.kind", f"unknown reward model {self.kind!r}")])
-        if self.kind == CLIPPED_GAUSSIAN and self.sigma <= 0:
+        if self.kind == CLIPPED_GAUSSIAN and not self.sigma > 0:
             raise ConfigError([("$.sigma", "clipped gaussian needs a positive sigma")])
         if self.kind == BERNOULLI and self.sigma != 0:
             raise ConfigError([("$.sigma", "bernoulli rewards take no sigma")])
@@ -805,7 +805,7 @@ def bernoulli_kl(p, q):
     Endpoint arguments are rejected; the divergence is only finite on the
     open interval.
     """
-    if np.any(p <= 0.0) or np.any(p >= 1.0) or np.any(q <= 0.0) or np.any(q >= 1.0):
+    if not np.all((0.0 < p) & (p < 1.0) & (0.0 < q) & (q < 1.0)):  # NaN fails it too
         raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
     out = p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))
     # the divergence is nonnegative; clamp the few-ulp rounding residue

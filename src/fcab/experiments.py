@@ -733,9 +733,9 @@ def validate_config(pair: InstancePair, eps_factors: tuple[float, ...] = (1.5, 2
     ``"pair"`` and the margin check's epsilons, factor * l_tilde * lb_half_width
     for each of ``eps_factors``, under ``"eps"``.  Errors carry JSON paths."""
     eps = [f * pair.l_tilde * pair.lb_half_width for f in eps_factors]
-    if not eps_factors or min(eps_factors) <= 0:
+    if not (eps_factors and all(f > 0 for f in eps_factors)):
         raise ConfigError([("$.eps_factors", "must be a non-empty list of positive numbers")])
-    if max(eps) >= 1.0:
+    if not all(e < 1.0 for e in eps):
         raise ConfigError([("$.eps_factors", "every epsilon, factor * L~ * lb_half_width, "
                             "must stay below 1")])
     return {"pair": pair, "eps": eps}

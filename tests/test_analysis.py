@@ -410,25 +410,38 @@ class TestExactKernels:
             (grid_arms(4000), PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3)),
              False),
             (sample_arms_uniform(3000, 2, 12), Sinusoid(0.3, 1.3, 0.5, dim=2), True),
+            (sample_arms_uniform(3000, 3, 13), Sinusoid(0.3, 1.3, 0.5, dim=3), False),
         ],
     )
     def test_masked_sums_match_boolean_indexing(self, arms, mean, empirical):
-        inst = Instance(arms, mean, BERN, arms.n * 2 // 5)
-        default = default_parameters(inst.n, inst.p, arms.dim)
-        for policy_id, spec in POLICIES.items():
-            k = cab_parameters(inst.T) if spec.cab_k else default.k
-            part = build_partition(arms, k)
-            bm = bin_means_empirical(inst, part) if empirical else bin_means_quadrature(mean, part)
-            baseline = make_baseline(inst, part, bm, compute_threshold_M(inst.mean, inst.p),
-                                     seed=k)
-            reference = baseline.reference
-            trace = reference if spec.run is None else spec.run(inst, part, default.delta, 21)
-            dec = regret_decompose(inst, baseline, trace)
-            order, f_hat = rank_bins(part, bm, inst.T)
-            expected = _indexed_regret(inst, part, order, f_hat, reference, trace)
-            for term, value in expected.items():
-                assert getattr(dec, term) == value, (policy_id, term)
-            assert regret_total(inst, trace) == expected["r_total"]
+        # Every policy's trace, and T distinct arms drawn at random, whose
+        # extra arms reach the boundary bin and the worse bins alike; the
+        # smaller budget empties no bin (f_hat = 0).
+        rng = np.random.default_rng(arms.n)
+        small = arms.n // 40
+        for t_budget in (arms.n * 2 // 5, small):
+            inst = Instance(arms, mean, BERN, t_budget)
+            default = default_parameters(inst.n, inst.p, arms.dim)
+            for policy_id, spec in POLICIES.items():
+                k = cab_parameters(inst.T) if spec.cab_k else default.k
+                part = build_partition(arms, k)
+                bm = (bin_means_empirical(inst, part) if empirical
+                      else bin_means_quadrature(mean, part))
+                baseline = make_baseline(inst, part, bm,
+                                         compute_threshold_M(inst.mean, inst.p), seed=k)
+                reference = baseline.reference
+                drawn = rng.choice(inst.n, inst.T, replace=False)
+                order, f_hat = rank_bins(part, bm, inst.T)
+                assert f_hat == 0 or t_budget != small
+                for trace in (
+                    reference if spec.run is None else spec.run(inst, part, default.delta, 21),
+                    PolicyTrace(drawn, lambda: (drawn, None)),
+                ):
+                    dec = regret_decompose(inst, baseline, trace)
+                    expected = _indexed_regret(inst, part, order, f_hat, reference, trace)
+                    for term, value in expected.items():
+                        assert getattr(dec, term) == value, (t_budget, policy_id, term)
+                    assert regret_total(inst, trace) == expected["r_total"]
 
 
 class TestBaselineMasks:
@@ -443,10 +456,10 @@ class TestBaselineMasks:
     )
     @example(n=50, dim=1, k=2, levels=1, budget=0.1, seed=0)  # f_hat = 0
     def test_masks_match_the_ranking(self, n, dim, k, levels, budget, seed):
-        # The masks read from the reference run equal those the ranking
-        # gives: the f_hat best bins, the bins below the boundary bin, and
-        # the boundary bin's arms split by the reference's pulls.  Few
-        # distinct bin means tie bins in the ranking.
+        # The two masks equal those the ranking gives: the reference pulls
+        # every arm of the f_hat best bins, some of the boundary bin's and
+        # none of the bins below it.  Few distinct bin means tie bins in
+        # the ranking.
         rng = np.random.default_rng(seed)
         arms = sample_arms_uniform(n, dim, seed)
         inst = Instance(arms, Constant(0.5, dim), BERN, max(1, round(budget * n)))
@@ -455,16 +468,15 @@ class TestBaselineMasks:
         baseline = make_baseline(inst, part, bin_means, compute_threshold_M(inst.mean, inst.p),
                                  seed)
         order, f_hat = rank_bins(part, bin_means, inst.T)
-        top_bins = np.zeros(part.bin_count, dtype=bool)
-        top_bins[order[:f_hat]] = True
-        top = top_bins.take(part.assignment)
-        boundary = part.assignment == order[f_hat]
-        in_phid = np.zeros(inst.n, dtype=bool)
-        in_phid[baseline.reference.arms] = True
-        np.testing.assert_array_equal(baseline.top, top)
-        np.testing.assert_array_equal(baseline.low, ~(top | boundary))
-        np.testing.assert_array_equal(baseline.kept, boundary & in_phid)
-        np.testing.assert_array_equal(baseline.left, boundary & ~in_phid)
+        rank = np.empty(part.bin_count, dtype=np.int64)
+        rank[order] = np.arange(part.bin_count)
+        arm_rank = rank[part.assignment]
+        boundary = arm_rank == f_hat
+        np.testing.assert_array_equal(baseline.boundary, boundary)
+        np.testing.assert_array_equal(baseline.pulled[~boundary], arm_rank[~boundary] < f_hat)
+        np.testing.assert_array_equal(np.flatnonzero(baseline.pulled),
+                                      np.sort(baseline.reference.arms))
+        assert np.any(baseline.pulled & boundary)
 
 
 class TestPullSetsOnly:

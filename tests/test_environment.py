@@ -14,6 +14,7 @@ from fcab.analysis import diagnostics
 from fcab.environment import (
     _mean_mass,
     ArmSet,
+    ConfigError,
     Constant,
     Instance,
     LowerBoundMember,
@@ -108,6 +109,29 @@ class TestMeanFunctions:
             PiecewiseLinear((0.0, 1.0), (np.nan, 0.5), lipschitz_L=1.0)
         with pytest.raises(ValueError):
             Sinusoid(amplitude=0.7, offset=0.5)
+        for nan_range in ({"amplitude": np.nan}, {"offset": np.nan}):
+            with pytest.raises(ValueError, match="sinusoid range must stay inside"):
+                Sinusoid(**nan_range)
+
+    @pytest.mark.parametrize(
+        "build, kwargs, path",
+        [
+            (Constant, {"dim": np.nan}, "$.dim"),
+            (Sinusoid, {"frequency": np.nan}, "$.frequency"),
+            (Sinusoid, {"dim": np.nan}, "$.dim"),
+            (lambda **kw: PiecewiseLinear((0.0, 1.0), (0.0, 1.0), **kw), {"lipschitz_L": np.nan},
+             "$.lipschitz_L"),
+            (LowerBoundMember, {"half_width": np.nan}, "$.half_width"),
+            (RewardModel, {"kind": "clipped_gaussian", "sigma": np.nan}, "$.sigma"),
+        ],
+        ids=["constant-dim", "sinusoid-frequency", "sinusoid-dim", "piecewise-lipschitz_L",
+             "lower_bound_member-half_width", "clipped_gaussian-sigma"],
+    )
+    def test_nan_parameter_is_a_range_error_at_its_path(self, build, kwargs, path):
+        # Each range check is written as not (valid), which NaN fails.
+        with pytest.raises(ConfigError) as exc:
+            build(**kwargs)
+        assert [p for p, _ in exc.value.errors] == [path]
 
     def test_sinusoid_range(self):
         f = Sinusoid(amplitude=0.4, frequency=1.0, offset=0.5)
@@ -574,7 +598,7 @@ class TestBernoulliKl:
         assert v <= 4 * 0.1**2
 
     def test_endpoints_rejected(self):
-        for bad in ((0.0, 0.5), (0.5, 1.0), (1.0, 0.5)):
+        for bad in ((0.0, 0.5), (0.5, 1.0), (1.0, 0.5), (np.nan, 0.5), (0.5, np.nan)):
             with pytest.raises(ValueError):
                 bernoulli_kl(*bad)
 

@@ -105,6 +105,12 @@ class TestConfig:
         assert [path for path, _ in exc.value.errors] == ["$.N_grid", "$.covariates",
                                                           "$.bin_means"]
 
+    def test_nan_eps_factor_is_a_range_error(self):
+        pair = make_lower_bound_pair(0.5, 0.5, 0.3, 1000)
+        for factors in ((float("nan"),), (1.5, float("nan")), (float("nan"), 1.5)):
+            with pytest.raises(ConfigError, match=r"\$\.eps_factors: must be a non-empty"):
+                experiments.validate_config(pair, factors)
+
     def test_power_law_budget_rounding(self):
         # round-half-up of 0.5 * N^alpha
         reg = PowerLaw(0.7)
@@ -544,14 +550,15 @@ class TestSharedSetUp:
             tracemalloc.stop()
 
     def test_oracle_trial_peak_memory_per_arm(self):
-        # Tooling guard: about 43 bytes per arm (58 while every partition
-        # sorted its arms by bin and kept int64 bin ids).
+        # Tooling guard: about 42 bytes per arm (43 while the baseline kept
+        # four class masks, 58 while every partition sorted its arms by bin
+        # and kept int64 bin ids).
         assert self.peak_bytes_per_arm(self.ORACLES) < 50
 
     def test_ucbf_trial_peak_memory_per_arm(self):
-        # About 67 bytes per arm; 71 while the run kept its 8-byte sort by
-        # bin to its end, 75 while the partition kept it for the trial's
-        # lifetime.
+        # About 66 bytes per arm; 67 while the baseline kept four class
+        # masks, 71 while the run kept its 8-byte sort by bin to its end, 75
+        # while the partition kept it for the trial's lifetime.
         assert self.peak_bytes_per_arm(("ucbf",)) < 73
 
     def test_set_up_error_fails_every_cell(self, monkeypatch):
