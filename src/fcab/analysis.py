@@ -86,10 +86,20 @@ def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
 
 def _pull_mask(instance: Instance, trace) -> np.ndarray:
     """The arms a trace pulled, as a mask; it must pull T distinct arms.
-    Reads the pull set alone, so it never runs the trace's builder."""
+    That is the trace's own ``mask`` when it has one, which must be N long
+    and hold T arms; otherwise ``arms`` scattered into a new mask.  Reads
+    the pull set alone, so it never runs the trace's builder."""
     arms = trace.arms
     if arms.size != instance.T:
         raise ValueError(f"trace length {arms.size} != budget {instance.T}")
+    if trace.mask is not None:
+        mask = trace.mask
+        if mask.size != instance.n:
+            raise ValueError(f"trace mask length {mask.size} != arm count {instance.n}")
+        held = np.count_nonzero(mask)
+        if held != instance.T:
+            raise ValueError(f"trace mask holds {held} arms != budget {instance.T}")
+        return mask
     mask = np.zeros(instance.n, dtype=bool)
     mask[arms] = True
     if np.count_nonzero(mask) != arms.size:
@@ -124,11 +134,17 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
     """Arm-level decomposition of a trace against the discretised oracle's
     reference run in ``baseline``, which must come from the same instance:
     the arms the reference pulled and the trace missed, and those the trace
-    pulled instead, each split at the boundary bin."""
+    pulled instead, each split at the boundary bin.  For the reference
+    itself, the baseline's pull mask and pulled-mean sum serve, so no trace
+    has either computed twice."""
     means = instance.true_means
     m_thresh = baseline.report.threshold_M
-    in_phi = _pull_mask(instance, trace)
     pulled, boundary = baseline.pulled, baseline.boundary
+    if trace is baseline.reference:
+        in_phi, s_phi = pulled, baseline.s_phid
+    else:
+        in_phi = _pull_mask(instance, trace)
+        s_phi = float(np.compress(in_phi, means).sum())
     missed, extra = pulled > in_phi, in_phi > pulled  # for bools, a > b is a & ~b
 
     # np.compress picks the masked means in ascending arm order, as means[mask] does.
@@ -139,7 +155,6 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
     r_subopt = float(np.sum(m_thresh - np.compress(extra > boundary, means)))
 
     s_star = instance.top_mean_sum()
-    s_phi = float(np.compress(in_phi, means).sum())
 
     return RegretDecomposition(
         r_total=s_star - s_phi,
@@ -185,7 +200,7 @@ class DiagnosticsReport:
 def diagnostics(instance: Instance, partition, f_hat: int, threshold_M) -> DiagnosticsReport:
     """Pure report of boundary, threshold and occupancy diagnostics."""
     f = math.floor(instance.p * partition.bin_count + 1e-9)
-    m_hat = float(instance.true_means[instance.star_order()].min())  # the T-th largest mean
+    m_hat = instance.cut_mean()
     max_dev = float(
         np.max(np.abs(partition.counts - instance.n / partition.bin_count))
     )
@@ -217,7 +232,9 @@ class Baseline:
     """The discretised oracle's reference run at one (N, rep, K) and what
     every policy's decomposition reads from it: its pulled-mean sum, the
     mask of the arms it pulled (``pulled``), the mask of the boundary
-    bin's arms (``boundary``), and the diagnostics report."""
+    bin's arms (``boundary``), and the diagnostics report.  ``pulled`` is
+    the reference trace's own mask, and ``pulled`` and ``s_phid`` are
+    computed once here: the reference's decomposition reads them too."""
 
     reference: policies.PolicyTrace
     s_phid: float

@@ -582,7 +582,8 @@ class Instance:
     alone, is not kept.  ``star_order`` is the greedy oracle's pull set
     (the T arms with the largest true means, ties to the lower arm index)
     in ascending arm index, computed lazily by selection and reused by the
-    oracle policy and the regret computations.
+    oracle policy and the regret computations; the same selection gives
+    ``cut_mean``, the T-th largest mean.
     """
 
     arms: ArmSet
@@ -592,6 +593,7 @@ class Instance:
     p: float = field(init=False)
     true_means: np.ndarray = field(init=False)
     _star: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _cut: Optional[float] = field(default=None, init=False, repr=False)
     _top_sum: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -611,8 +613,15 @@ class Instance:
         of the arms whose mean equals the T-th largest, the lowest indices
         are taken.  O(N): no sort of the means."""
         if self._star is None:
-            self._star = np.flatnonzero(_top_mask(self.true_means, self.T))
+            take, self._cut = _top_mask(self.true_means, self.T)
+            self._star = np.flatnonzero(take)
         return self._star
+
+    def cut_mean(self) -> float:
+        """The T-th largest true mean, the least mean of the star set: the
+        cut value of ``star_order``'s selection, read without a gather."""
+        self.star_order()
+        return self._cut
 
     def top_mean_sum(self) -> float:
         """Sum of the T largest true means, accumulated in ascending arm
@@ -622,16 +631,19 @@ class Instance:
         return self._top_sum
 
 
-def _top_mask(values: np.ndarray, t: int) -> np.ndarray:
+def _top_mask(values: np.ndarray, t: int) -> tuple[np.ndarray, float]:
     """Mask of the ``t`` largest values, the lowest positions first among
     values equal to the t-th largest: the first ``t`` positions of a stable
-    descending sort, found by selection in O(n)."""
+    descending sort, found by selection in O(n).  Also returns that t-th
+    largest value, the cut.  Ties are scanned for only when they straddle
+    the cut, and then the highest-position ones are dropped."""
     cut = values.size - t
     v = np.partition(values, cut)[cut]
-    take = values > v
-    ties = np.flatnonzero(values == v)
-    take[ties[: t - np.count_nonzero(take)]] = True
-    return take
+    take = values >= v
+    excess = np.count_nonzero(take) - t
+    if excess:
+        take[np.flatnonzero(values == v)[-excess:]] = False
+    return take, float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +751,15 @@ class ValidationReport:
 _SLACK = float(np.finfo(np.float64).eps)
 
 
-def _piecewise_linear(f: MeanFunction) -> PiecewiseLinear:
-    """``f``, if it is of the one kind the validators decide exactly."""
+def _piecewise_linear(f: MeanFunction, **constants: float) -> PiecewiseLinear:
+    """``f``, if it is of the one kind the validators decide exactly, and
+    every named constant is finite: a NaN or infinite one is a bad call,
+    not a failed certificate."""
     if not isinstance(f, PiecewiseLinear):
         raise ValueError("the validators take a one-dimensional piecewise-linear mean")
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     return f
 
 
@@ -754,7 +771,7 @@ def verify_weak_lipschitz(f: MeanFunction, L: float) -> ValidationReport:
     worst violation on a pair within one segment.  A failed certificate
     does not prove the weak condition false.
     """
-    f = _piecewise_linear(f)
+    f = _piecewise_linear(f, L=L)
     x = np.asarray(f.breakpoints)
     excess = np.abs(np.diff(f.values)) - L * np.diff(x)
     k = int(np.argmax(excess))
@@ -773,7 +790,7 @@ def verify_margin(f: MeanFunction, M: float, Q: float, eps_values) -> Validation
     """Check measure{x : |M - m(x)| <= eps} <= Q * eps exactly, the measure
     being measure{m >= M - eps} - measure{m > M + eps}.
     """
-    f = _piecewise_linear(f)
+    f = _piecewise_linear(f, M=M, Q=Q)
     eps = np.array(sorted(float(e) for e in eps_values))
     if not eps.size:
         raise ValueError("need at least one epsilon")

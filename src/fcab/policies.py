@@ -17,8 +17,9 @@ Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
 ranking) and fills the remainder from the first bin that straddles the
 budget.  Regret and its decomposition read only which arms a run pulled
-(``PolicyTrace.arms``), so every policy hands back its pull set and builds
-the pull order and rewards on first read: a sweep never builds them.
+(``PolicyTrace.arms``, or its ``mask`` where the policy keeps one), so
+every policy hands back its pull set and builds the pull order and
+rewards on first read: a sweep never builds them.
 """
 
 from __future__ import annotations
@@ -169,11 +170,18 @@ class PolicyTrace:
     policy has it; ``pulled``, those arms in pull order; ``rewards``, what
     each pull paid.  ``build()`` returns ``(pulled, rewards)``; it runs on
     the first read of either, and the trace then drops it.  ``len`` builds
-    nothing, and pickling builds both.  Regret reads only ``arms``, so a
-    sweep builds neither."""
+    nothing, and pickling builds both.  Regret reads only the pull set, so
+    a sweep builds neither.
 
-    def __init__(self, arms, build):
+    ``mask``, when not None, is the pull set as an N-long mask, which a
+    policy that forms one anyway hands over so that regret reads it in
+    place of scattering ``arms`` into a mask of its own; only the
+    discretised oracle does.  ``analysis`` refuses a mask of the wrong
+    length or count."""
+
+    def __init__(self, arms, build, mask=None):
         self.arms = np.asarray(arms, dtype=np.int64)
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
         self._build = build
 
     @functools.cached_property
@@ -292,7 +300,7 @@ def ucbf_run(
         order = np.argsort(-keys, kind="stable")[:t_budget]
         return stream[order], rewards[order]
 
-    return PolicyTrace(stream[_top_mask(keys, t_budget)], build)
+    return PolicyTrace(stream[_top_mask(keys, t_budget)[0]], build)
 
 
 def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, order=None):
@@ -333,16 +341,20 @@ def oracle_discrete(
     the next bin.  The pull set is the arms of the emptied bins in
     ascending arm order, then the draws; the pulls take the emptied bins
     in ranking order, each bin's arms in ascending order, then the draws.
-    It finds the arms by bin id, so it never groups the arms by bin."""
+    It finds the arms by bin id, so it never groups the arms by bin.  The
+    trace keeps the pull set's mask: the emptied bins' mask, from which
+    it finds their arms, with the draws set."""
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
     assignment = partition.assignment
     rank = np.empty(partition.bin_count, assignment.dtype)
     rank[order] = np.arange(partition.bin_count)
-    top = np.flatnonzero(rank.take(assignment) < f_hat)
+    mask = rank.take(assignment) < f_hat
+    top = np.flatnonzero(mask)
     reward_rng, s_select = _run_streams(seed)
     pool = np.flatnonzero(assignment == int(order[f_hat]))
     drawn = np.random.default_rng(s_select).choice(pool, instance.T - top.size, replace=False)
+    mask[drawn] = True
     arms = np.concatenate((top, drawn))
     n_top = top.size
 
@@ -353,7 +365,7 @@ def oracle_discrete(
         head = head[np.argsort(rank.take(assignment.take(head)), kind="stable")]
         return np.concatenate((head, arms[n_top:]))
 
-    return PolicyTrace(arms, _order_then_draw(instance, reward_rng, arms, by_rank))
+    return PolicyTrace(arms, _order_then_draw(instance, reward_rng, arms, by_rank), mask)
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:

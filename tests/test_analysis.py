@@ -479,6 +479,86 @@ class TestBaselineMasks:
         assert np.any(baseline.pulled & boundary)
 
 
+# The mean of tests/golden/plateau.json: two ramps around a plateau, so
+# grid arms tie in their means and bins tie in their bin means.
+PLATEAU = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
+
+MASK_MEANS = {
+    "sinusoid": lambda dim: Sinusoid(0.35, 1.15, 0.5, dim=dim),
+    "plateau": lambda dim: PLATEAU,
+    "constant": lambda dim: Constant(0.5, dim),
+}
+
+
+class TestTraceMasks:
+    """A trace that carries its pull mask (the discretised oracle's) gives
+    the floats of the index-only path, ``PolicyTrace(trace.arms, None)``,
+    which scatters the pull set into a mask of its own."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        dim=st.integers(1, 2),
+        k=st.integers(1, 8),
+        kind=st.sampled_from(sorted(MASK_MEANS)),
+        grid=st.booleans(),
+        budget=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The golden plateau sweep's smaller N and its budget, at its default K.
+    @example(n=2000, dim=1, k=default_parameters(2000, 0.5).k, kind="plateau", grid=True,
+             budget=0.5, seed=11)
+    def test_a_mask_gives_the_floats_of_the_index_only_path(
+        self, n, dim, k, kind, grid, budget, seed
+    ):
+        dim = 1 if kind == "plateau" or grid else dim
+        arms = grid_arms(n) if grid else sample_arms_uniform(n, dim, seed)
+        mean = MASK_MEANS[kind](dim)
+        inst = Instance(arms, mean, BERN, max(1, round(budget * n)))
+        part = build_partition(arms, k)
+        bm = bin_means_quadrature(mean, part)
+        baseline = make_baseline(inst, part, bm, compute_threshold_M(mean, inst.p), seed)
+        # The baseline's own reference, whose decomposition reads the
+        # baseline's mask and sum, and another run of the same oracle.
+        other = oracle_discrete(inst, part, *rank_bins(part, bm, inst.T), seed=seed + 1)
+        for trace in (baseline.reference, other):
+            assert trace.mask is not None
+            np.testing.assert_array_equal(np.flatnonzero(trace.mask), np.sort(trace.arms))
+            plain = PolicyTrace(trace.arms, None)
+            assert regret_total(inst, trace) == regret_total(inst, plain)
+            assert regret_decompose(inst, baseline, trace) == regret_decompose(
+                inst, baseline, plain)
+        assert baseline.pulled is baseline.reference.mask
+
+    def test_a_mask_of_the_wrong_length_or_count_is_refused(self, monkeypatch):
+        inst = Instance(grid_arms(4), identity(), BERN, 2)
+        part = build_partition(inst.arms, 2)
+        bm = bin_means_quadrature(identity(), part)
+        m = compute_threshold_M(inst.mean, inst.p)
+        baseline = make_baseline(inst, part, bm, m, 0)
+        arms, right = np.array([2, 3]), np.array([False, False, True, True])
+        assert regret_total(inst, PolicyTrace(arms, None, right)) == 0.0
+        for mask, message in (
+            ([False, False, True, True, False], "trace mask length 5 != arm count 4"),
+            ([False, True, True, True], "trace mask holds 3 arms != budget 2"),
+            ([False, False, False, True], "trace mask holds 1 arms != budget 2"),
+        ):
+            trace = PolicyTrace(arms, None, np.array(mask))
+            with pytest.raises(ValueError, match=message):
+                regret_total(inst, trace)
+            with pytest.raises(ValueError, match=message):
+                regret_decompose(inst, baseline, trace)
+            # A reference run with such a mask fails its baseline, as a
+            # reference of the wrong length does.
+            monkeypatch.setattr(policies, "oracle_discrete", lambda *args, t=trace: t)
+            with pytest.raises(ValueError, match=message):
+                make_baseline(inst, part, bm, m, 0)
+        monkeypatch.setattr(policies, "oracle_discrete",
+                            lambda *args: PolicyTrace(arms[:1], None, right))
+        with pytest.raises(ValueError, match="trace length 1 != budget 2"):
+            make_baseline(inst, part, bm, m, 0)
+
+
 class TestPullSetsOnly:
     """Regret, baseline and decomposition read only which arms a run
     pulled, so a sweep never builds the pull order or rewards of UCBF or
@@ -543,13 +623,13 @@ class TestPullSetsOnly:
         made, built = [], []
         init = PolicyTrace.__init__
 
-        def tracked(self, arms, build):
+        def tracked(self, arms, build, mask=None):
             def counted():
                 built.append(build.__qualname__)
                 return build()
 
             made.append(build.__qualname__)
-            init(self, arms, counted)
+            init(self, arms, counted, mask)
 
         monkeypatch.setattr(PolicyTrace, "__init__", tracked)
         config = ExperimentConfig(
@@ -597,6 +677,24 @@ class TestDiagnostics:
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
                              compute_threshold_M(inst.mean, inst.p))
         assert report.m_hat == 0.75
+
+    @pytest.mark.parametrize("case", ["constant", "plateau", "rounded"])
+    def test_m_hat_is_the_least_star_mean(self, case):
+        # m_hat is the cut of the star set's selection, read without a
+        # gather: the least mean of the star set, ties at the cut included.
+        rng = np.random.default_rng(7)
+        if case == "rounded":
+            means = np.round(rng.random(3001), 1)
+            arms = grid_arms(means.size)
+            mean = PiecewiseLinear((0.0, *arms.covariates[:, 0]), (means[0], *means))
+        else:
+            arms, mean = grid_arms(3000), Constant(0.5) if case == "constant" else PLATEAU
+        for t_budget in (1, 7, arms.n // 3, arms.n // 2, arms.n):
+            inst = Instance(arms, mean, BERN, t_budget)
+            part = build_partition(inst.arms, 5)
+            report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1],
+                                 compute_threshold_M(inst.mean, inst.p))
+            assert report.m_hat == float(inst.true_means[inst.star_order()].min())
 
     def test_constant_mean_has_no_lipschitz_scale(self):
         inst = Instance(grid_arms(50), Constant(0.5), BERN, 25)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fcab.analysis import diagnostics
 from fcab.environment import (
     _mean_mass,
+    _top_mask,
     ArmSet,
     ConfigError,
     Constant,
@@ -536,6 +537,19 @@ class TestValidators:
             with pytest.raises(ValueError, match="one-dimensional"):
                 verify_margin(f, M=0.5, Q=2.0, eps_values=[0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_lipschitz_rejects_a_constant_that_is_not_finite(self, bad):
+        # A bad call, not a failed certificate: the message names L.
+        with pytest.raises(ValueError, match="L must be finite"):
+            verify_weak_lipschitz(identity(), L=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["M", "Q"])
+    def test_margin_rejects_a_constant_that_is_not_finite(self, name, bad):
+        args = {"M": 0.5, "Q": 2.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            verify_margin(identity(), eps_values=[0.1], **args)
+
     def test_validators_reject_a_mean_that_is_not_piecewise_linear(self):
         for f in (Sinusoid(amplitude=0.45, frequency=0.15, offset=0.5), Constant(0.5)):
             with pytest.raises(ValueError, match="piecewise-linear"):
@@ -641,6 +655,50 @@ class TestInstanceKl:
         backward = float(np.sum(bernoulli_kl(v0[mask][::-1], v1[mask][::-1])))
         assert forward == pytest.approx(backward, rel=1e-12)
         assert mean_kl(v0, v1) == pytest.approx(forward, rel=1e-12)
+
+
+def reference_top_mask(values, t):
+    """``_top_mask`` as it was before it skipped the tie scan: every value
+    above the cut, then the lowest-position ties at it."""
+    cut = values.size - t
+    v = np.partition(values, cut)[cut]
+    take = values > v
+    ties = np.flatnonzero(values == v)
+    take[ties[: t - np.count_nonzero(take)]] = True
+    return take
+
+
+class TestTopMask:
+    @given(
+        st.integers(1, 300).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                st.integers(0, 2),
+                st.integers(1, n),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, case):
+        # Rounded to 0-2 decimals, so ties straddle the cut often.
+        values, decimals, t = case
+        values = np.round(values, decimals)
+        take, cut = _top_mask(values, t)
+        np.testing.assert_array_equal(take, reference_top_mask(values, t))
+        assert cut == values[np.argsort(-values, kind="stable")[t - 1]]
+
+    @pytest.mark.parametrize("n", [2**13, 2**16 + 3])
+    def test_matches_the_reference_on_heavy_ties_at_scale(self, n):
+        # Eight levels, one of them infinite, as UCBF's keys can be: every
+        # cut falls inside a run of thousands of ties.
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 8, n).astype(float)
+        values[values == 7] = np.inf
+        for t in (1, n // 8, n // 3, n // 2, n - 1, n):
+            take, cut = _top_mask(values, t)
+            np.testing.assert_array_equal(take, reference_top_mask(values, t))
+            assert np.count_nonzero(take) == t
+            assert cut == np.sort(values)[n - t]
 
 
 class TestInstances:

@@ -550,15 +550,17 @@ class TestSharedSetUp:
             tracemalloc.stop()
 
     def test_oracle_trial_peak_memory_per_arm(self):
-        # Tooling guard: about 42 bytes per arm (43 while the baseline kept
-        # four class masks, 58 while every partition sorted its arms by bin
-        # and kept int64 bin ids).
+        # Tooling guard: about 40 bytes per arm (42 while the baseline built
+        # a second mask of the reference's pull set, 43 while it kept four
+        # class masks, 58 while every partition sorted its arms by bin and
+        # kept int64 bin ids).
         assert self.peak_bytes_per_arm(self.ORACLES) < 50
 
     def test_ucbf_trial_peak_memory_per_arm(self):
-        # About 66 bytes per arm; 67 while the baseline kept four class
-        # masks, 71 while the run kept its 8-byte sort by bin to its end, 75
-        # while the partition kept it for the trial's lifetime.
+        # About 64 bytes per arm; 66 while the baseline built a second mask
+        # of the reference's pull set, 67 while it kept four class masks,
+        # 71 while the run kept its 8-byte sort by bin to its end, 75 while
+        # the partition kept it for the trial's lifetime.
         assert self.peak_bytes_per_arm(("ucbf",)) < 73
 
     def test_set_up_error_fails_every_cell(self, monkeypatch):
