@@ -4,9 +4,9 @@ regret-exponent fits, and the two-instance lower-bound protocol.
 The unit of work is one (N, replication) task: it builds the instance
 from a stable 64-bit hash of (master seed, N, replication) and runs every
 policy on it, each from a hash of (master seed, N, policy id,
-replication).  Every task reads its N's entry of one plan of what depends
-on the config alone, built before any worker forks (``plan_sweep``).
-Tasks run in any order on any number of workers and aggregate identically.
+replication).  Every task reads what depends on the config alone from
+the config, which computes it once, before any worker forks.  Tasks run
+in any order on any number of workers and aggregate identically.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "ExponentFit",
     "LBReport",
     "derive_seed",
-    "plan_sweep",
     "run_trial",
     "run_sweep",
     "sweep_csv_text",
@@ -175,7 +174,9 @@ class ExperimentConfig:
     """A sweep or simulate config.  ``from_json`` checks the JSON shape and
     types; the range checks are here, for direct construction too, and
     report the JSON path of the field at fault.  ``dim`` is the mean
-    function's; ``cells`` holds each N's (T, the K of each policy), derived once."""
+    function's.  Once the checks pass, it derives, outside ``==``, ``hash``
+    and ``repr``, each N's ``cells[n]`` = (T, the policies' Ks, delta, M)
+    and each K's read-only ``quadrature[k]`` bin means (none if empirical)."""
 
     mean_function: MeanFunction
     policies: tuple[str, ...]
@@ -188,6 +189,7 @@ class ExperimentConfig:
     covariates: str = UNIFORM
     bin_means_mode: str = "quadrature"
     cells: dict = field(init=False, repr=False, compare=False)
+    quadrature: dict = field(init=False, repr=False, compare=False)
     # Not a field: thresholds are exact.  bench/probe.py still reads it.
     threshold_resolution: ClassVar[int] = 10**6
 
@@ -239,7 +241,21 @@ class ExperimentConfig:
             path = "$.K_rule.k" if self.k_rule.kind == "explicit" else "$.mean_function.dim"
             raise ConfigError([(path, f"K^dim may not exceed {policies._MAX_BINS} bins; "
                                 f"K = {k} at dim {self.dim}")])
+        m_by_p, quadrature = {}, {}
+        for n, (t, ks) in cells.items():
+            if t / n not in m_by_p:
+                m_by_p[t / n] = compute_threshold_M(self.mean_function, t / n)
+            cells[n] = (t, ks, policies.default_parameters(n, t / n, self.dim).delta,
+                        m_by_p[t / n])
+            if self.bin_means_mode == "quadrature":
+                for k in set(ks) - set(quadrature):
+                    # Bin means depend on the bins alone, so a partition without arms serves.
+                    bins = policies.Partition(k, self.dim, np.empty(0, np.int64),
+                                              np.zeros(k**self.dim, np.int64))
+                    quadrature[k] = analysis.bin_means_quadrature(self.mean_function, bins)
+                    quadrature[k].setflags(write=False)  # every trial with this K shares it
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "quadrature", quadrature)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -388,47 +404,23 @@ class TrialResult:
     trace: Optional[policies.PolicyTrace] = None
 
 
-def plan_sweep(config: ExperimentConfig) -> dict:
-    """What every (N, rep) task of a sweep reads and none computes, by N:
-    the tuple (T, the K of each config policy in config order, delta, M,
-    the read-only quadrature bin means by K).  T and the Ks are
-    ``config.cells``; M is computed once per distinct p = T/N and the bin
-    means once per distinct K (none under ``bin_means: empirical``); every
-    N shares one dict of them."""
-    plan, m_by_p, quadrature = {}, {}, {}
-    for n, (t, ks) in config.cells.items():
-        if t / n not in m_by_p:
-            m_by_p[t / n] = compute_threshold_M(config.mean_function, t / n)
-        if config.bin_means_mode == "quadrature":
-            for k in set(ks) - set(quadrature):
-                # Bin means depend on the bins alone, so a partition without arms serves.
-                bins = policies.Partition(k, config.dim, np.empty(0, np.int64),
-                                          np.zeros(k**config.dim, np.int64))
-                quadrature[k] = analysis.bin_means_quadrature(config.mean_function, bins)
-                quadrature[k].setflags(write=False)  # every trial with this K shares it
-        plan[n] = (t, ks, policies.default_parameters(n, t / n, config.dim).delta,
-                   m_by_p[t / n], quadrature)
-    return plan
-
-
-def run_trial(config: ExperimentConfig, plan: dict, n: int, rep: int,
-              keep_trace: bool = True) -> list:
+def run_trial(config: ExperimentConfig, n: int, rep: int, keep_trace: bool = True) -> list:
     """One seeded (N, rep) task: build the instance once, run every policy
     of the config on it, and attach regret, decomposition and diagnostics.
 
-    ``plan`` is ``plan_sweep(config)``; the task reads its T, Ks, delta, M
-    and quadrature bin means from ``plan[n]`` and derives none of them.
-    Returns one outcome per config policy, in config order: its
+    The task reads its T, Ks, delta and M from ``config.cells[n]`` and its
+    quadrature bin means from ``config.quadrature``, and derives none of
+    them.  Returns one outcome per config policy, in config order: its
     TrialResult, or the message of the error its run raised; an error in
     the shared set-up is every policy's outcome.  Each distinct K (a
     second one comes only from a ``cab_k`` policy) gets one partition, bin
     means and ``analysis.Baseline``, shared by every policy with that K;
     the oracle-discrete policy's trace is the baseline's reference run.  A
     trial's ``wall_ms`` is its own run and decomposition time plus an
-    equal share of the set-up, which leaves out the plan.
+    equal share of the set-up, which leaves out what the config derived.
     """
     start = time.perf_counter()
-    t, ks, delta, threshold_M, quadrature = plan[n]
+    t, ks, delta, threshold_M = config.cells[n]
     instance_seed = _hash64(config.master_seed, n, rep)
     shared = {}
     try:
@@ -437,7 +429,7 @@ def run_trial(config: ExperimentConfig, plan: dict, n: int, rep: int,
         instance = Instance(arms, config.mean_function, config.reward_model, t)
         for k in dict.fromkeys(ks):
             partition = policies.build_partition(arms, k)
-            bin_means = (quadrature[k] if config.bin_means_mode == "quadrature"
+            bin_means = (config.quadrature[k] if config.bin_means_mode == "quadrature"
                          else analysis.bin_means_empirical(instance, partition))
             shared[k] = partition, analysis.make_baseline(
                 instance, partition, bin_means, threshold_M, _hash64(instance_seed, k, "phid")
@@ -529,14 +521,13 @@ def _deciles(values: np.ndarray) -> np.ndarray:
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """All (policy, N) cells with `replications` trials each: one
-    ``run_trial`` call per (N, rep) task on the plan built here, before any
-    fork, looked up on the module so that a wrapper set there sees every
-    task.  Tasks run in any order, on ``threads`` forked worker processes
-    when that is more than one, and aggregate the same way."""
-    plan = plan_sweep(config)
+    ``run_trial`` call per (N, rep) task, looked up on the module so that a
+    wrapper set there sees every task.  Tasks run in any order, on
+    ``threads`` forked worker processes when that is more than one, and
+    aggregate the same way."""
 
     def task(n_rep):  # forked workers inherit this closure: _map never pickles it
-        return run_trial(config, plan, *n_rep, keep_trace=False)
+        return run_trial(config, *n_rep, keep_trace=False)
 
     tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
     outcomes = _map(task, tasks, threads)
@@ -596,13 +587,16 @@ class ExponentFit:
 
 
 def fit_exponent(points) -> ExponentFit:
-    """Least-squares line through (ln T, ln regret)."""
+    """Least-squares line through (ln T, ln regret) of three or more
+    finite, strictly positive points at two or more distinct T."""
     pts = [(float(t), float(r)) for t, r in points]
     if len(pts) < 3:
         raise ValueError("need at least three points")
-    if any(t <= 0 or r <= 0 for t, r in pts):
-        raise ValueError("points must be strictly positive")
+    if not all(0 < t < math.inf and 0 < r < math.inf for t, r in pts):  # NaN fails too
+        raise ValueError("points must be finite and strictly positive")
     lt = np.log([t for t, _ in pts])
+    if lt.min() == lt.max():
+        raise ValueError("need at least two distinct T values")
     lr = np.log([r for _, r in pts])
     slope, intercept = np.polyfit(lt, lr, 1)
     fitted = slope * lt + intercept

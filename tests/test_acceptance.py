@@ -36,7 +36,6 @@ from fcab.experiments import (
     PowerLaw,
     fit_exponent,
     lower_bound_protocol,
-    plan_sweep,
     run_sweep,
     run_trial,
     sweep_csv_text,
@@ -252,7 +251,7 @@ def _c8_config(k_rule):
 def _c8_task(args):
     rule_kind, rep = args
     config = _c8_config(KRule(rule_kind))
-    result = run_trial(config, plan_sweep(config), 2**17, rep)[0]
+    result = run_trial(config, 2**17, rep)[0]
     return rule_kind, rep, result.decomposition.r_total
 
 

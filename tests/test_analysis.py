@@ -28,7 +28,7 @@ from fcab.environment import (
     make_lower_bound_pair,
     sample_arms_uniform,
 )
-from fcab.experiments import ExperimentConfig, FixedP, plan_sweep, run_sweep, run_trial
+from fcab.experiments import ExperimentConfig, FixedP, run_sweep, run_trial
 from fcab.policies import (
     POLICIES,
     Partition,
@@ -235,26 +235,71 @@ def _expectation_instance(arms: str) -> Instance:
     return Instance(a, Sinusoid(0.35, 1.15, dim=a.dim), BERN, FixedP(0.3).budget_for(4096))
 
 
-def _z(regrets, expected) -> float:
-    """z of the mean of regret - expected over the seeds."""
-    d = np.asarray(regrets) - expected
+def _z(values, expected) -> float:
+    """z of the mean of value - expected over the seeds."""
+    d = np.asarray(values) - expected
     return float(d.mean() / (d.std(ddof=1) / math.sqrt(d.size)))
 
 
+def _bin_classes(inst, part, means):
+    """The discretised oracle's ranking and the masks of the arms of the
+    f_hat best bins (top), of the boundary bin B and of the worse bins,
+    with q = (T - n_top) / m_B, the chance that its run pulls a given arm
+    of B."""
+    order, f_hat = rank_bins(part, means, inst.T)
+    top = np.isin(part.assignment, order[:f_hat])
+    boundary = part.assignment == order[f_hat]
+    q = (inst.T - np.count_nonzero(top)) / np.count_nonzero(boundary)
+    return order, f_hat, top, boundary, ~(top | boundary), q
+
+
 class TestExpectedRegret:
-    """The Monte Carlo regret of the randomised policies against its exact
-    expectation, over 400 fixed seeds at N = 4096 and p = 0.3: the mean of
-    regret - E[regret] stays within 4 standard errors of 0."""
+    """The Monte Carlo regret of the randomised policies, and each term of
+    its decomposition, against its exact expectation, over 400 fixed seeds
+    at N = 4096 and p = 0.3: the mean of value - E[value] stays within 4
+    standard errors of 0.  Each run's baseline is seeded apart from it, so
+    the reference run is independent of the run it is compared with."""
 
     SEEDS = range(400)
+    BASELINE_SEED = 10_000  # added to a run's seed to seed its baseline
+
+    def _decompositions(self, inst, part, means, traces):
+        m_thresh = compute_threshold_M(inst.mean, inst.p)
+        return [regret_decompose(inst, make_baseline(inst, part, means, m_thresh,
+                                                     self.BASELINE_SEED + seed), trace)
+                for seed, trace in zip(self.SEEDS, traces)]
+
+    @staticmethod
+    def _expected_r_disc(inst, top, boundary, q) -> float:
+        # The reference pulls every top arm and each arm of B with chance q.
+        means = inst.true_means
+        return inst.top_mean_sum() - float(means[top].sum()) - q * float(means[boundary].sum())
 
     @pytest.mark.parametrize("arms", EXPECTATION_ARMS)
     def test_random(self, arms):
         # Each arm is pulled with chance T / N.
         inst = _expectation_instance(arms)
         expected = inst.top_mean_sum() - inst.T / inst.n * float(inst.true_means.sum())
-        regrets = [regret_total(inst, baseline_random(inst, seed)) for seed in self.SEEDS]
+        traces = [baseline_random(inst, seed) for seed in self.SEEDS]
+        regrets = [regret_total(inst, trace) for trace in traces]
         assert abs(_z(regrets, expected)) <= 4.0
+        # Against the reference, a top arm is missed with chance 1 - T/N, a
+        # worse arm pulled with chance T/N, and an arm of B missed with
+        # chance q (1 - T/N) or pulled instead with chance (1 - q) T/N.
+        part = build_partition(inst.arms, cab_parameters(inst.T))  # f_hat > 0 on each instance
+        means = bin_means_quadrature(inst.mean, part)
+        _, _, top, boundary, low, q = _bin_classes(inst, part, means)
+        m, m_thresh, p = inst.true_means, compute_threshold_M(inst.mean, inst.p), inst.p
+        expected_terms = {
+            "r_disc": self._expected_r_disc(inst, top, boundary, q),
+            "r_opt": (1 - p) * float(np.sum(m[top] - m_thresh)),
+            "r_subopt": p * float(np.sum(m_thresh - m[low])),
+            "r_boundary": float(np.sum(q * (1 - p) * (m[boundary] - m_thresh)
+                                       + (1 - q) * p * (m_thresh - m[boundary]))),
+        }
+        decompositions = self._decompositions(inst, part, means, traces)
+        for term, value in expected_terms.items():
+            assert abs(_z([getattr(d, term) for d in decompositions], value)) <= 4.0, term
 
     @pytest.mark.parametrize("bin_means", ["quadrature", "empirical"])
     @pytest.mark.parametrize("k_rule", ["paper_default", "cab"])
@@ -268,14 +313,16 @@ class TestExpectedRegret:
         part = build_partition(inst.arms, k)
         means = (bin_means_quadrature(inst.mean, part) if bin_means == "quadrature"
                  else bin_means_empirical(inst, part))
-        order, f_hat = rank_bins(part, means, inst.T)
-        top = np.isin(part.assignment, order[:f_hat])
-        boundary = inst.true_means[part.assignment == order[f_hat]]
-        expected = (inst.top_mean_sum() - float(inst.true_means[top].sum())
-                    - (inst.T - np.count_nonzero(top)) * float(boundary.mean()))
-        regrets = [regret_total(inst, oracle_discrete(inst, part, order, f_hat, seed))
-                   for seed in self.SEEDS]
+        order, f_hat, top, boundary, _, q = _bin_classes(inst, part, means)
+        expected = self._expected_r_disc(inst, top, boundary, q)
+        traces = [oracle_discrete(inst, part, order, f_hat, seed) for seed in self.SEEDS]
+        regrets = [regret_total(inst, trace) for trace in traces]
         assert abs(_z(regrets, expected)) <= 4.0
+        # Against an independent reference run, only the draws from B differ.
+        decompositions = self._decompositions(inst, part, means, traces)
+        assert all(d.r_opt == d.r_subopt == 0.0 for d in decompositions)
+        assert abs(_z([d.r_boundary for d in decompositions], 0.0)) <= 4.0
+        assert abs(_z([d.r_disc for d in decompositions], expected)) <= 4.0
 
 
 def _decompose_for(inst, part, means, trace, seed=0):
@@ -616,7 +663,7 @@ class TestPullSetsOnly:
         assert len(result.trials) == 18
         assert draws == []
         # Reading a kept random trace draws its T rewards.
-        trace = run_trial(config, plan_sweep(config), 64, 0, keep_trace=True)[2].trace
+        trace = run_trial(config, 64, 0, keep_trace=True)[2].trace
         assert trace.rewards.size == 32 and draws == [32]
 
     def test_ucbf_sweep_never_runs_a_builder(self, monkeypatch):
@@ -644,7 +691,7 @@ class TestPullSetsOnly:
         assert made.count("ucbf_run.<locals>.build") == 12  # 2 N x 3 reps x 2 policies
         assert built == []
         # The counter sees a build: reading a kept trace's pull order runs it.
-        trace = run_trial(config, plan_sweep(config), 64, 0, keep_trace=True)[0].trace
+        trace = run_trial(config, 64, 0, keep_trace=True)[0].trace
         assert trace.pulled.size == 32 and built == ["ucbf_run.<locals>.build"]
 
 

@@ -37,7 +37,6 @@ from fcab.experiments import (
     derive_seed,
     fit_exponent,
     lower_bound_protocol,
-    plan_sweep,
     run_sweep,
     run_trial,
     sweep_csv_text,
@@ -64,7 +63,7 @@ def small_config(**overrides):
 
 def trial(config, n, policy_id, rep, keep_trace=True):
     """One policy's TrialResult from the (N, rep) task that runs them all."""
-    outcomes = run_trial(config, plan_sweep(config), n, rep, keep_trace)
+    outcomes = run_trial(config, n, rep, keep_trace)
     return outcomes[config.policies.index(policy_id)]
 
 
@@ -92,10 +91,30 @@ class TestConfig:
         fields = dict(policies=("ucbf", "ucbf-cab-k"), n_grid=(4096,), regime=PowerLaw(0.9))
         cfg, twin = small_config(**fields), small_config(**fields)
         t = PowerLaw(0.9).budget_for(4096)
-        assert cfg.cells == {4096: (t, (default_parameters(4096, t / 4096).k,
-                                        policies.cab_parameters(t)))}
-        assert "cells" not in repr(cfg)
+        ks = (default_parameters(4096, t / 4096).k, policies.cab_parameters(t))
+        assert cfg.cells == {4096: (t, ks, default_parameters(4096, t / 4096).delta,
+                                    compute_threshold_M(cfg.mean_function, t / 4096))}
+        assert sorted(cfg.quadrature) == sorted(ks)
+        assert "cells=" not in repr(cfg) and "quadrature=" not in repr(cfg)
+        # Bin-means arrays would make == ambiguous and the config unhashable.
         assert cfg == twin and hash(cfg) == hash(twin)
+
+    @pytest.mark.parametrize("fields", [
+        dict(mean_function=Sinusoid(0.3, 1.0, 0.5, dim=2), k_rule=KRule("explicit", 10_000)),
+        dict(policies=("ucbf", "thompson")),
+    ], ids=["bin-cap", "unknown-policy"])
+    def test_rejected_config_derives_no_threshold_or_bin_means(self, monkeypatch, fields):
+        # Every error is reported before any threshold or bin-means work starts.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(experiments, "compute_threshold_M", counted)
+        monkeypatch.setattr(analysis, "bin_means_quadrature", counted)
+        with pytest.raises(ConfigError):
+            small_config(**fields)
+        assert calls == []
 
     def test_cab_budget_error_comes_with_the_others(self):
         # N = 30 at p = 0.2 gives T = 6, short of the cab rule's 8.
@@ -251,8 +270,8 @@ class TestSweep:
 
     def test_plan_is_built_before_the_fork(self, monkeypatch):
         # M depends on (mean, p) and the quadrature bin means on (mean, K):
-        # this process computes each once, before it forks the workers, so
-        # counters set here see every call.
+        # the config computes each once when it is built, in this process,
+        # before any worker forks, so counters set here see every call.
         thresholds, bin_means = [], []
         threshold, quadrature = PiecewiseLinear.threshold, analysis.bin_means_quadrature
 
@@ -284,9 +303,9 @@ class TestSweep:
         calls = []
         run = experiments.run_trial
 
-        def counted(config, plan, n, rep, keep_trace=True):
+        def counted(config, n, rep, keep_trace=True):
             calls.append((n, rep))
-            return run(config, plan, n, rep, keep_trace)
+            return run(config, n, rep, keep_trace)
 
         monkeypatch.setattr(experiments, "run_trial", counted)
         cfg = small_config()
@@ -410,9 +429,9 @@ class TestSweep:
 
 
 class TestPlan:
-    """``plan_sweep(config)[n]`` holds what every (N, rep) task at N reads.
-    Under the power law at alpha = 0.9 the default and the cab K differ at
-    each of these N, so every entry has two K."""
+    """``config.cells[n]`` and ``config.quadrature`` hold what every (N,
+    rep) task at N reads.  Under the power law at alpha = 0.9 the default
+    and the cab K differ at each of these N, so every entry has two K."""
 
     @staticmethod
     def config(**overrides):
@@ -425,10 +444,8 @@ class TestPlan:
     @pytest.mark.parametrize("mode", ["quadrature", "empirical"])
     def test_entry_holds_what_the_rules_give(self, mode):
         cfg = self.config(bin_means_mode=mode)
-        plan = plan_sweep(cfg)
-        assert list(plan) == list(cfg.n_grid)
-        for n, (t, ks, delta, threshold_M, bin_means) in plan.items():
-            assert (t, ks) == cfg.cells[n]
+        assert list(cfg.cells) == list(cfg.n_grid)
+        for n, (t, ks, delta, threshold_M) in cfg.cells.items():
             assert t == cfg.regime.budget_for(n)
             assert ks == tuple(choose_k(policy_id, cfg.k_rule, n, t, cfg.dim)
                                for policy_id in cfg.policies)
@@ -436,16 +453,16 @@ class TestPlan:
             assert delta == default_parameters(n, t / n, cfg.dim).delta
             assert threshold_M == compute_threshold_M(cfg.mean_function, t / n)
             if mode == "empirical":
-                assert bin_means == {}
+                assert cfg.quadrature == {}
                 continue
             for k in ks:
                 expected = analysis.bin_means_quadrature(
                     cfg.mean_function, policies.build_partition(grid_arms(n), k))
-                np.testing.assert_array_equal(bin_means[k], expected)
-                assert not bin_means[k].flags.writeable
+                np.testing.assert_array_equal(cfg.quadrature[k], expected)
+                assert not cfg.quadrature[k].flags.writeable
 
     def test_each_k_is_chosen_once_per_sweep(self, monkeypatch):
-        # The config derives each (N, policy) K once; the plan and the tasks read it.
+        # The config derives each (N, policy) K once; the tasks read it.
         calls = collections.Counter()
 
         def counted(policy_id, k_rule, n, t, dim):
@@ -458,10 +475,9 @@ class TestPlan:
         assert calls == {(p, n): 1 for p in cfg.policies for n in cfg.n_grid}
 
     def test_run_trial_derives_nothing(self, monkeypatch):
-        # Once the plan is built, a task computes none of what it holds.
+        # Once the config is built, a task computes none of what it holds.
         cfg = self.config(n_grid=(4096, 8192))
-        plan = plan_sweep(cfg)
-        before = [run_trial(cfg, plan, n, 0) for n in cfg.n_grid]
+        before = [run_trial(cfg, n, 0) for n in cfg.n_grid]
 
         def derived(*args, **kwargs):
             raise AssertionError("derived in a task")
@@ -472,7 +488,7 @@ class TestPlan:
         monkeypatch.setattr(experiments, "compute_threshold_M", derived)
         monkeypatch.setattr(analysis, "bin_means_quadrature", derived)
         for n, expected in zip(cfg.n_grid, before):
-            outcomes = run_trial(cfg, plan, n, 0)
+            outcomes = run_trial(cfg, n, 0)
             assert all(isinstance(outcome, TrialResult) for outcome in outcomes), outcomes
             assert [r.decomposition for r in outcomes] == [r.decomposition for r in expected]
 
@@ -535,16 +551,15 @@ class TestSharedSetUp:
     @staticmethod
     def peak_bytes_per_arm(policy_ids):
         """What one trial of these policies holds at once at N = 2^16, per
-        arm, traced by tracemalloc once the sweep's plan is built and a
-        first trial has run."""
+        arm, traced by tracemalloc once the config is built and a first
+        trial has run."""
         n = 2**16
         cfg = small_config(policies=policy_ids, n_grid=(n,), replications=2,
                            mean_function=Sinusoid(0.35, 1.15, 0.5))
-        plan = plan_sweep(cfg)
-        run_trial(cfg, plan, n, 0, keep_trace=False)
+        run_trial(cfg, n, 0, keep_trace=False)
         tracemalloc.start()
         try:
-            run_trial(cfg, plan, n, 1, keep_trace=False)
+            run_trial(cfg, n, 1, keep_trace=False)
             return tracemalloc.get_traced_memory()[1] / n
         finally:
             tracemalloc.stop()
@@ -578,14 +593,13 @@ class TestSharedSetUp:
     def test_set_up_error_is_every_outcome(self, monkeypatch):
         # run_trial returns a set-up error as every policy's outcome; it never raises it.
         cfg = small_config(n_grid=(64,))
-        plan = plan_sweep(cfg)
 
         def failing(arms, k):
             raise ValueError(f"bin count {k} exceeds the supported maximum")
 
         monkeypatch.setattr(policies, "build_partition", failing)
-        k = plan[64][1][0]
-        assert run_trial(cfg, plan, 64, 0) == (
+        k = cfg.cells[64][1][0]
+        assert run_trial(cfg, 64, 0) == (
             [f"ValueError: bin count {k} exceeds the supported maximum"] * len(cfg.policies))
 
 
@@ -613,6 +627,19 @@ class TestFitExponent:
             fit_exponent([(10, 1.0), (100, 2.0)])
         with pytest.raises(ValueError):
             fit_exponent([(10, 1.0), (100, -2.0), (1000, 3.0)])
+
+    def test_rejects_a_single_t(self):
+        with pytest.raises(ValueError, match="two distinct T"):
+            fit_exponent([(100, 1.0), (100, 2.0), (100, 3.0)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("column", ["t", "regret"])
+    def test_rejects_non_finite_points(self, capfd, bad, column):
+        pts = [(10, 1.0), (100, 2.0), (1000, 3.0)]
+        pts[1] = (bad, 2.0) if column == "t" else (100, bad)
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponent(pts)
+        assert capfd.readouterr().err == ""  # no LAPACK complaint reaches stderr
 
 
 class TestLowerBoundProtocol:
@@ -687,7 +714,7 @@ class TestPolicyRegistry:
         # N = 512 gives the default and the cab K the same value, 2, so
         # oracle_discrete runs once, as the shared reference.
         cfg = small_config(policies=tuple(policies.POLICIES), n_grid=(512,))
-        run_trial(cfg, plan_sweep(cfg), 512, 0)
+        run_trial(cfg, 512, 0)
         assert calls == collections.Counter(self.RUNNERS.values())
         for policy_id, spec in policies.POLICIES.items():
             kw = dict(pair=make_lower_bound_pair(0.5, 0.5, 0.3, 2000), policy_id=policy_id,

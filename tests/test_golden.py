@@ -106,11 +106,10 @@ def _plateau_pulls(tmp_path) -> bytes:
     """Every policy's trace of the plateau trial (N = 300, rep 0), each
     after a line naming the policy, as ``policies.write_trace_jsonl``
     writes it.  N = 300 lies outside ``plateau.json``'s grid, so the
-    trial's plan comes from the config with that grid."""
+    trial runs on the config with that grid."""
     config = dataclasses.replace(parse_config(str(GOLDEN / "plateau.json")), n_grid=(300,))
     out = b""
-    for result in experiments.run_trial(config, experiments.plan_sweep(config), 300, 0,
-                                        keep_trace=True):
+    for result in experiments.run_trial(config, 300, 0, keep_trace=True):
         path = tmp_path / f"{result.policy_id}.jsonl"
         partition = policies.build_partition(grid_arms(300), result.diagnostics.k_per_axis)
         policies.write_trace_jsonl(result.trace, path, partition)
