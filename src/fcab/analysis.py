@@ -147,12 +147,21 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
         s_phi = float(np.compress(in_phi, means).sum())
     missed, extra = pulled > in_phi, in_phi > pulled  # for bools, a > b is a & ~b
 
-    # np.compress picks the masked means in ascending arm order, as means[mask] does.
-    r_opt = float(np.sum(np.compress(missed > boundary, means) - m_thresh))
-    r_boundary = float(np.sum(np.compress(missed & boundary, means) - m_thresh)) + float(
-        np.sum(m_thresh - np.compress(extra & boundary, means))
-    )
-    r_subopt = float(np.sum(m_thresh - np.compress(extra > boundary, means)))
+    # np.compress copies the masked means in ascending arm order, as
+    # means[mask] does, so M is subtracted from that copy in place.
+    def above(mask):  # sum of m - M over the masked arms
+        x = np.compress(mask, means)
+        x -= m_thresh
+        return float(np.sum(x))
+
+    def below(mask):  # sum of M - m over the masked arms
+        x = np.compress(mask, means)
+        np.subtract(m_thresh, x, out=x)
+        return float(np.sum(x))
+
+    r_opt = above(missed > boundary)
+    r_boundary = above(missed & boundary) + below(extra & boundary)
+    r_subopt = below(extra > boundary)
 
     s_star = instance.top_mean_sum()
 

@@ -20,7 +20,7 @@ import bisect
 import inspect
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -195,10 +195,10 @@ class ArmSet:
         return self.covariates.shape[1]
 
 
-# The largest N * dim a config may ask for.  A trial holds about 102 bytes
-# per arm at dim 1 and 141 at dim 3 (peak RSS over N = 2^18..2^20 with all
-# five policies at p = 0.5; 45 at dim 1 at T = 0.5 N^0.67, 49 without
-# UCBF, the lower-bound protocol about 80), so at most about 25 GiB.  Past
+# The largest N * dim a config may ask for.  A trial holds about 88 bytes
+# per arm at dim 1 and 126 at dim 3 (peak RSS over N = 2^18..2^20 with all
+# five policies at p = 0.5; 40 at dim 1 at T = 0.5 N^0.67, 32 without
+# UCBF, the lower-bound protocol about 80), so at most about 22 GiB.  Past
 # the cap a trial could only fail to allocate, or worse.
 MAX_ARM_COORDINATES = 2**28
 
@@ -577,16 +577,19 @@ def compute_threshold_M(f: MeanFunction, p: float, resolution=None) -> float:
 class Instance:
     """A fully-specified budgeted bandit problem, checked on construction.
 
-    ``p = T / N`` and ``true_means``, the mean at every covariate, are set
-    on construction; the threshold M, which depends on the mean and p
-    alone, is not kept.  ``star_order`` is the greedy oracle's pull set
-    (the T arms with the largest true means, ties to the lower arm index)
-    in ascending arm index, computed lazily by selection and reused by the
-    oracle policy and the regret computations; the same selection gives
-    ``cut_mean``, the T-th largest mean.
+    The arms are a constructor argument only: ``p = T / N`` and
+    ``true_means``, the mean at every covariate, are set from them, and
+    the covariates are not kept (there is no ``Instance.arms``), so a
+    caller that bins the arms keeps its own ``ArmSet``.  The threshold M,
+    which depends on the mean and p alone, is not kept either.
+    ``star_order`` is the greedy oracle's pull set (the T arms with the
+    largest true means, ties to the lower arm index) in ascending arm
+    index.  Its first call makes the selection and keeps its mask,
+    ``star_mask()``, which the oracle policy and the regret computations
+    reuse, and its cut, ``cut_mean``, the T-th largest mean.
     """
 
-    arms: ArmSet
+    arms: InitVar[ArmSet]
     mean: MeanFunction
     rewards: RewardModel
     T: int
@@ -596,38 +599,47 @@ class Instance:
     _cut: Optional[float] = field(default=None, init=False, repr=False)
     _top_sum: Optional[float] = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        if not 0 < self.T <= self.arms.n:
+    def __post_init__(self, arms: ArmSet):
+        if not 0 < self.T <= arms.n:
             raise ValueError("budget must satisfy 0 < T <= N")
-        if self.mean.dim != self.arms.dim:
+        if self.mean.dim != arms.dim:
             raise ValueError("mean function dimension must match the covariates")
-        self.p = self.T / self.arms.n
-        self.true_means = self.mean.evaluate(self.arms.covariates)
+        self.p = self.T / arms.n
+        self.true_means = self.mean.evaluate(arms.covariates)
 
     @property
     def n(self) -> int:
-        return self.arms.n
+        return self.true_means.size
 
     def star_order(self) -> np.ndarray:
         """The T arms with the largest true means, in ascending arm index;
         of the arms whose mean equals the T-th largest, the lowest indices
-        are taken.  O(N): no sort of the means."""
+        are taken.  O(N): no sort of the means.  The first call selects
+        them and keeps the selection's mask; every call reads the indices
+        from that mask."""
         if self._star is None:
-            take, self._cut = _top_mask(self.true_means, self.T)
-            self._star = np.flatnonzero(take)
+            self._star, self._cut = _top_mask(self.true_means, self.T)
+            self._star.setflags(write=False)
+        return np.flatnonzero(self._star)
+
+    def star_mask(self) -> np.ndarray:
+        """The star set as a read-only N-long mask, the one ``star_order``
+        selected (this calls it if it has not run)."""
+        if self._star is None:
+            self.star_order()
         return self._star
 
     def cut_mean(self) -> float:
         """The T-th largest true mean, the least mean of the star set: the
         cut value of ``star_order``'s selection, read without a gather."""
-        self.star_order()
+        self.star_mask()
         return self._cut
 
     def top_mean_sum(self) -> float:
         """Sum of the T largest true means, accumulated in ascending arm
         index order so that identical pull sets reproduce it bitwise."""
         if self._top_sum is None:
-            self._top_sum = float(self.true_means[self.star_order()].sum())
+            self._top_sum = float(np.compress(self.star_mask(), self.true_means).sum())
         return self._top_sum
 
 

@@ -364,12 +364,14 @@ def _map(fn, tasks: list, threads: int) -> list:
 def _work(fn, tasks: list, write_fd: int) -> None:
     """A forked worker's whole life: ``fn`` over ``tasks``, then the
     pickled (True, results) or (False, exception) down ``write_fd``.  It
-    leaves through ``os._exit`` whatever happens, so it never returns into
-    the caller's code, runs no exit handler and flushes no buffer it
-    inherited."""
+    keeps freed memory (``_keep_freed_memory``) before its first task,
+    whoever forked it, and it leaves through ``os._exit`` whatever
+    happens, so it never returns into the caller's code, runs no exit
+    handler and flushes no buffer it inherited."""
     status = 1
     try:
         try:
+            _keep_freed_memory()
             reply = pickle.dumps((True, [fn(t) for t in tasks]))
         except Exception as exc:
             try:
@@ -415,7 +417,9 @@ def run_trial(config: ExperimentConfig, n: int, rep: int, keep_trace: bool = Tru
     the shared set-up is every policy's outcome.  Each distinct K (a
     second one comes only from a ``cab_k`` policy) gets one partition, bin
     means and ``analysis.Baseline``, shared by every policy with that K;
-    the oracle-discrete policy's trace is the baseline's reference run.  A
+    the partitions are built right after the instance, and the covariates
+    are then dropped, before any baseline or policy runs.  The
+    oracle-discrete policy's trace is the baseline's reference run.  A
     trial's ``wall_ms`` is its own run and decomposition time plus an
     equal share of the set-up, which leaves out what the config derived.
     """
@@ -427,8 +431,9 @@ def run_trial(config: ExperimentConfig, n: int, rep: int, keep_trace: bool = Tru
         arms = (grid_arms(n) if config.covariates == GRID
                 else sample_arms_uniform(n, config.dim, _hash64(instance_seed, "arms")))
         instance = Instance(arms, config.mean_function, config.reward_model, t)
-        for k in dict.fromkeys(ks):
-            partition = policies.build_partition(arms, k)
+        partitions = {k: policies.build_partition(arms, k) for k in dict.fromkeys(ks)}
+        del arms  # no run reads the covariates: 8 bytes per arm and coordinate
+        for k, partition in partitions.items():
             bin_means = (config.quadrature[k] if config.bin_means_mode == "quadrature"
                          else analysis.bin_means_empirical(instance, partition))
             shared[k] = partition, analysis.make_baseline(
@@ -654,7 +659,8 @@ def lower_bound_protocol(
     and p, and report how often its regret clears 0.01 * T^(1/3) *
     p^(-1/3), alongside the per-arm KL budget of the pair.  Both members'
     instances, the partition and delta are built once, before any worker
-    is forked, and every trial reads them."""
+    is forked, and every trial reads them; the grid arms are dropped
+    before the fork."""
     if replications < 1:
         raise ValueError("need at least one replication")
     spec = policies.POLICIES.get(policy_id)
@@ -667,6 +673,7 @@ def lower_bound_protocol(
     model = RewardModel("bernoulli")
     instances = [Instance(arms, member, model, t_budget) for member in (pair.m0, pair.m1)]
     partition = policies.build_partition(arms, k)
+    del arms
     delta = policies.default_parameters(n, p, 1).delta
 
     def trial(task):  # forked workers inherit this closure: _map never pickles it

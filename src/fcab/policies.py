@@ -17,9 +17,10 @@ Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
 ranking) and fills the remainder from the first bin that straddles the
 budget.  Regret and its decomposition read only which arms a run pulled
-(``PolicyTrace.arms``, or its ``mask`` where the policy keeps one), so
-every policy hands back its pull set and builds the pull order and
-rewards on first read: a sweep never builds them.
+(``PolicyTrace.arms``, or its ``mask`` where the policy keeps one: both
+oracles do, UCBF and the random baseline do not), so every policy hands
+back its pull set and builds the pull order and rewards on first read: a
+sweep never builds them.
 """
 
 from __future__ import annotations
@@ -175,9 +176,8 @@ class PolicyTrace:
 
     ``mask``, when not None, is the pull set as an N-long mask, which a
     policy that forms one anyway hands over so that regret reads it in
-    place of scattering ``arms`` into a mask of its own; only the
-    discretised oracle does.  ``analysis`` refuses a mask of the wrong
-    length or count."""
+    place of scattering ``arms`` into a mask of its own; the two oracles
+    do.  ``analysis`` refuses a mask of the wrong length or count."""
 
     def __init__(self, arms, build, mask=None):
         self.arms = np.asarray(arms, dtype=np.int64)
@@ -317,7 +317,8 @@ def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, 
 
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Greedy oracle: pulls the T arms with the largest true means, in
-    decreasing-mean order with ties broken by ascending arm index."""
+    decreasing-mean order with ties broken by ascending arm index.  The
+    trace keeps the star set's mask, the instance's own."""
 
     def order(star):
         # The star set is in ascending index, so a stable sort breaks ties by index.
@@ -325,7 +326,8 @@ def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
 
     reward_rng, _ = _run_streams(seed)
     star = instance.star_order()
-    return PolicyTrace(star, _order_then_draw(instance, reward_rng, star, order))
+    return PolicyTrace(star, _order_then_draw(instance, reward_rng, star, order),
+                       instance.star_mask())
 
 
 def oracle_discrete(

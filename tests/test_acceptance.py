@@ -96,13 +96,9 @@ def test_criterion_01_decomposition_identities():
         n = int(rng.integers(50, 5001))
         k = int(rng.integers(1, 9))
         t = int(round(float(rng.uniform(0.2, 0.8)) * n))
-        inst = Instance(
-            sample_arms_uniform(n, 1, 10_000 + i),
-            random_piecewise(rng, int(rng.integers(2, 7))),
-            BERN,
-            max(t, 1),
-        )
-        part = build_partition(inst.arms, k)
+        arms = sample_arms_uniform(n, 1, 10_000 + i)
+        inst = Instance(arms, random_piecewise(rng, int(rng.integers(2, 7))), BERN, max(t, 1))
+        part = build_partition(arms, k)
         policy = cycle[i % 4]
         baseline = make_baseline(inst, part, bin_means_quadrature(inst.mean, part),
                                  compute_threshold_M(inst.mean, inst.p),
@@ -131,9 +127,10 @@ def test_criterion_02_oracle_and_degenerate():
         rng = np.random.default_rng(seed)
         mean = random_piecewise(rng, 3)
         uniform = Instance(sample_arms_uniform(n, 1, seed), mean, BERN, n)
-        grid = Instance(grid_arms(n), mean, BERN, n)
+        grid_set = grid_arms(n)
+        grid = Instance(grid_set, mean, BERN, n)
         # full budget: every policy must pull every arm
-        part = build_partition(grid.arms, 2 + (seed % 2))
+        part = build_partition(grid_set, 2 + (seed % 2))
         bm = bin_means_quadrature(mean, part)
         assert regret_total(grid, ucbf_run(grid, part, 0.01, seed)) == 0.0
         assert regret_total(uniform, oracle_star(uniform, seed)) == 0.0

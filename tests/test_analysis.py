@@ -98,15 +98,17 @@ class TestBinMean:
 
     def test_empirical_bin_means(self):
         cov = np.array([[0.1], [0.3], [0.6], [0.9]])
-        inst = Instance(ArmSet(cov), identity(), BERN, 2)
-        part = build_partition(inst.arms, 2)
+        arms = ArmSet(cov)
+        inst = Instance(arms, identity(), BERN, 2)
+        part = build_partition(arms, 2)
         means = bin_means_empirical(inst, part)
         np.testing.assert_allclose(means, [0.2, 0.75])
 
     def test_empirical_empty_bin_reports_zero(self):
         cov = np.array([[0.1], [0.2], [0.3]])
-        inst = Instance(ArmSet(cov), identity(), BERN, 2)
-        part = build_partition(inst.arms, 2)
+        arms = ArmSet(cov)
+        inst = Instance(arms, identity(), BERN, 2)
+        part = build_partition(arms, 2)
         means = bin_means_empirical(inst, part)
         assert means[1] == 0.0
 
@@ -209,13 +211,9 @@ class TestRegretTotal:
     def test_nonnegative_across_policies(self):
         rng = np.random.default_rng(4)
         for seed in range(30):
-            inst = Instance(
-                sample_arms_uniform(80, 1, seed),
-                random_piecewise(rng),
-                BERN,
-                40,
-            )
-            part = build_partition(inst.arms, 4)
+            arms = sample_arms_uniform(80, 1, seed)
+            inst = Instance(arms, random_piecewise(rng), BERN, 40)
+            part = build_partition(arms, 4)
             for trace in (
                 baseline_random(inst, seed),
                 ucbf_run(inst, part, 0.01, seed),
@@ -230,9 +228,9 @@ EXPECTATION_ARMS = {
 }
 
 
-def _expectation_instance(arms: str) -> Instance:
+def _expectation_instance(arms: str) -> tuple[Instance, ArmSet]:
     a = EXPECTATION_ARMS[arms](4096)
-    return Instance(a, Sinusoid(0.35, 1.15, dim=a.dim), BERN, FixedP(0.3).budget_for(4096))
+    return Instance(a, Sinusoid(0.35, 1.15, dim=a.dim), BERN, FixedP(0.3).budget_for(4096)), a
 
 
 def _z(values, expected) -> float:
@@ -278,7 +276,7 @@ class TestExpectedRegret:
     @pytest.mark.parametrize("arms", EXPECTATION_ARMS)
     def test_random(self, arms):
         # Each arm is pulled with chance T / N.
-        inst = _expectation_instance(arms)
+        inst, arm_set = _expectation_instance(arms)
         expected = inst.top_mean_sum() - inst.T / inst.n * float(inst.true_means.sum())
         traces = [baseline_random(inst, seed) for seed in self.SEEDS]
         regrets = [regret_total(inst, trace) for trace in traces]
@@ -286,7 +284,7 @@ class TestExpectedRegret:
         # Against the reference, a top arm is missed with chance 1 - T/N, a
         # worse arm pulled with chance T/N, and an arm of B missed with
         # chance q (1 - T/N) or pulled instead with chance (1 - q) T/N.
-        part = build_partition(inst.arms, cab_parameters(inst.T))  # f_hat > 0 on each instance
+        part = build_partition(arm_set, cab_parameters(inst.T))  # f_hat > 0 on each instance
         means = bin_means_quadrature(inst.mean, part)
         _, _, top, boundary, low, q = _bin_classes(inst, part, means)
         m, m_thresh, p = inst.true_means, compute_threshold_M(inst.mean, inst.p), inst.p
@@ -307,10 +305,10 @@ class TestExpectedRegret:
     def test_oracle_discrete(self, arms, k_rule, bin_means):
         # The f_hat best bins are pulled whole, and the rest of the budget
         # uniformly from the boundary bin.
-        inst = _expectation_instance(arms)
-        k = (default_parameters(inst.n, inst.p, inst.arms.dim).k if k_rule == "paper_default"
+        inst, arm_set = _expectation_instance(arms)
+        k = (default_parameters(inst.n, inst.p, arm_set.dim).k if k_rule == "paper_default"
              else cab_parameters(inst.T))
-        part = build_partition(inst.arms, k)
+        part = build_partition(arm_set, k)
         means = (bin_means_quadrature(inst.mean, part) if bin_means == "quadrature"
                  else bin_means_empirical(inst, part))
         order, f_hat, top, boundary, _, q = _bin_classes(inst, part, means)
@@ -332,8 +330,9 @@ def _decompose_for(inst, part, means, trace, seed=0):
 
 class TestDecomposition:
     def test_discrete_trace_has_zero_learning_cost(self):
-        inst = Instance(grid_arms(60), identity(), BERN, 30)
-        part = build_partition(inst.arms, 4)
+        arms = grid_arms(60)
+        inst = Instance(arms, identity(), BERN, 30)
+        part = build_partition(arms, 4)
         baseline = make_baseline(inst, part, bin_means_quadrature(identity(), part),
                                  compute_threshold_M(inst.mean, inst.p), 3)
         dec = regret_decompose(inst, baseline, baseline.reference)
@@ -342,8 +341,9 @@ class TestDecomposition:
         assert dec.r_opt == dec.r_subopt == dec.r_boundary == 0.0
 
     def test_star_trace_flips_sign(self):
-        inst = Instance(grid_arms(60), identity(), BERN, 30)
-        part = build_partition(inst.arms, 4)
+        arms = grid_arms(60)
+        inst = Instance(arms, identity(), BERN, 30)
+        part = build_partition(arms, 4)
         bm = bin_means_quadrature(identity(), part)
         star = oracle_star(inst, 1)
         dec, _ = _decompose_for(inst, part, bm, star)
@@ -352,10 +352,9 @@ class TestDecomposition:
 
     def test_identities_on_reference_instance(self):
         rng = np.random.default_rng(7)
-        inst = Instance(
-            sample_arms_uniform(60, 1, 7), random_piecewise(rng), BERN, 30
-        )
-        part = build_partition(inst.arms, 4)
+        arms = sample_arms_uniform(60, 1, 7)
+        inst = Instance(arms, random_piecewise(rng), BERN, 30)
+        part = build_partition(arms, 4)
         bm = bin_means_quadrature(inst.mean, part)
         trace = ucbf_run(inst, part, 0.01, seed=7)
         dec, disc = _decompose_for(inst, part, bm, trace, seed=70)
@@ -373,13 +372,9 @@ class TestDecomposition:
             n = int(rng.integers(50, 400))
             t = int(rng.integers(5, n - 8))
             k = int(rng.integers(1, 8))
-            inst = Instance(
-                sample_arms_uniform(n, 1, 1000 + i),
-                random_piecewise(rng),
-                BERN,
-                t,
-            )
-            part = build_partition(inst.arms, k)
+            arms = sample_arms_uniform(n, 1, 1000 + i)
+            inst = Instance(arms, random_piecewise(rng), BERN, t)
+            part = build_partition(arms, k)
             bm = bin_means_quadrature(inst.mean, part)
             pid = policies_cycle[i % 4]
             if pid == "ucbf":
@@ -396,8 +391,9 @@ class TestDecomposition:
             assert dec.r_total >= 0.0
 
     def test_empirical_bin_means_also_satisfy_identities(self):
-        inst = Instance(sample_arms_uniform(150, 1, 2), identity(), BERN, 70)
-        part = build_partition(inst.arms, 5)
+        arms = sample_arms_uniform(150, 1, 2)
+        inst = Instance(arms, identity(), BERN, 70)
+        part = build_partition(arms, 5)
         bm = bin_means_empirical(inst, part)
         trace = ucbf_run(inst, part, 0.01, seed=5)
         dec, _ = _decompose_for(inst, part, bm, trace, seed=50)
@@ -408,8 +404,9 @@ class TestDecomposition:
         # Monotone mean on grid arms with the budget cutting exactly at a
         # bin edge: optimal bins hold only above-threshold arms and
         # suboptimal bins only below-threshold arms.
-        inst = Instance(grid_arms(100), identity(), BERN, 40)
-        part = build_partition(inst.arms, 5)
+        arms = grid_arms(100)
+        inst = Instance(arms, identity(), BERN, 40)
+        part = build_partition(arms, 5)
         bm = bin_means_quadrature(identity(), part)
         order, f_hat = rank_bins(part, bm, inst.T)
         ordered_means = np.asarray(bm)[order]
@@ -538,8 +535,8 @@ MASK_MEANS = {
 
 
 class TestTraceMasks:
-    """A trace that carries its pull mask (the discretised oracle's) gives
-    the floats of the index-only path, ``PolicyTrace(trace.arms, None)``,
+    """A trace that carries its pull mask (either oracle's) gives the
+    floats of the index-only path, ``PolicyTrace(trace.arms, None)``,
     which scatters the pull set into a mask of its own."""
 
     @settings(max_examples=120, deadline=None)
@@ -577,9 +574,31 @@ class TestTraceMasks:
                 inst, baseline, plain)
         assert baseline.pulled is baseline.reference.mask
 
+    @pytest.mark.parametrize("kind", sorted(MASK_MEANS))
+    @pytest.mark.parametrize("dim, grid", [(1, True), (1, False), (2, False)])
+    def test_a_star_trace_gives_the_bits_of_the_index_only_path(self, kind, dim, grid):
+        dim = 1 if kind == "plateau" else dim
+        arms = grid_arms(3000) if grid else sample_arms_uniform(3000, dim, 6)
+        mean = MASK_MEANS[kind](dim)
+        inst = Instance(arms, mean, BERN, 1100)
+        part = build_partition(arms, 5)
+        baseline = make_baseline(inst, part, bin_means_quadrature(mean, part),
+                                 compute_threshold_M(mean, inst.p), 6)
+        trace = oracle_star(inst, 6)
+        plain = PolicyTrace(trace.arms, None)
+
+        def bits(decomposition):
+            return np.array(dataclasses.astuple(decomposition)).view(np.int64).tolist()
+
+        assert trace.mask is not None
+        assert regret_total(inst, trace) == regret_total(inst, plain) == 0.0
+        assert bits(regret_decompose(inst, baseline, trace)) == bits(
+            regret_decompose(inst, baseline, plain))
+
     def test_a_mask_of_the_wrong_length_or_count_is_refused(self, monkeypatch):
-        inst = Instance(grid_arms(4), identity(), BERN, 2)
-        part = build_partition(inst.arms, 2)
+        arms = grid_arms(4)
+        inst = Instance(arms, identity(), BERN, 2)
+        part = build_partition(arms, 2)
         bm = bin_means_quadrature(identity(), part)
         m = compute_threshold_M(inst.mean, inst.p)
         baseline = make_baseline(inst, part, bm, m, 0)
@@ -613,8 +632,9 @@ class TestPullSetsOnly:
 
     def test_builders_never_run(self, monkeypatch):
         plateau = PiecewiseLinear((0.0, 0.3, 0.7, 1.0), (0.2, 0.8, 0.8, 0.3))
-        inst = Instance(grid_arms(2**13), plateau, RewardModel("clipped_gaussian", 0.1), 2**12)
-        part = build_partition(inst.arms, 8)
+        arms = grid_arms(2**13)
+        inst = Instance(arms, plateau, RewardModel("clipped_gaussian", 0.1), 2**12)
+        part = build_partition(arms, 8)
         bm = bin_means_quadrature(plateau, part)
         star = oracle_star(inst, 2)
         expected = make_baseline(inst, part, bm, compute_threshold_M(inst.mean, inst.p), 2)
@@ -699,8 +719,9 @@ class TestDiagnostics:
     def test_grid_occupancy_deviation(self):
         # Arms at i/N with half-open bins put each boundary arm j*N/K into
         # the upper bin, so even K | N leaves a +-1 edge deviation.
-        inst = Instance(grid_arms(100), identity(), BERN, 50)
-        part = build_partition(inst.arms, 4)
+        arms = grid_arms(100)
+        inst = Instance(arms, identity(), BERN, 50)
+        part = build_partition(arms, 4)
         np.testing.assert_array_equal(part.counts, [24, 25, 25, 26])
         bm = bin_means_quadrature(identity(), part)
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
@@ -710,16 +731,18 @@ class TestDiagnostics:
 
     def test_exact_equipartition_with_midpoint_covariates(self):
         cov = ((np.arange(100) + 0.5) / 100).reshape(-1, 1)
-        inst = Instance(ArmSet(cov), identity(), BERN, 50)
-        part = build_partition(inst.arms, 4)
+        arms = ArmSet(cov)
+        inst = Instance(arms, identity(), BERN, 50)
+        part = build_partition(arms, 4)
         _, f_hat = rank_bins(part, bin_means_quadrature(identity(), part), inst.T)
         report = diagnostics(inst, part, f_hat, compute_threshold_M(inst.mean, inst.p))
         assert report.max_count_dev == 0.0
         assert report.count_dev_scaled == 0.0
 
     def test_m_hat_is_budget_order_statistic(self):
-        inst = Instance(grid_arms(4), identity(), BERN, 2)
-        part = build_partition(inst.arms, 2)
+        arms = grid_arms(4)
+        inst = Instance(arms, identity(), BERN, 2)
+        part = build_partition(arms, 2)
         bm = bin_means_quadrature(identity(), part)
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
                              compute_threshold_M(inst.mean, inst.p))
@@ -738,14 +761,15 @@ class TestDiagnostics:
             arms, mean = grid_arms(3000), Constant(0.5) if case == "constant" else PLATEAU
         for t_budget in (1, 7, arms.n // 3, arms.n // 2, arms.n):
             inst = Instance(arms, mean, BERN, t_budget)
-            part = build_partition(inst.arms, 5)
+            part = build_partition(arms, 5)
             report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1],
                                  compute_threshold_M(inst.mean, inst.p))
             assert report.m_hat == float(inst.true_means[inst.star_order()].min())
 
     def test_constant_mean_has_no_lipschitz_scale(self):
-        inst = Instance(grid_arms(50), Constant(0.5), BERN, 25)
-        part = build_partition(inst.arms, 5)
+        arms = grid_arms(50)
+        inst = Instance(arms, Constant(0.5), BERN, 25)
+        part = build_partition(arms, 5)
         report = diagnostics(inst, part, rank_bins(part, [0.5] * 5, inst.T)[1],
                              compute_threshold_M(inst.mean, inst.p))
         assert report.m_hat_gap_scaled is None
@@ -753,8 +777,9 @@ class TestDiagnostics:
     def test_json_round_trip(self):
         import json
 
-        inst = Instance(grid_arms(50), identity(), BERN, 25)
-        part = build_partition(inst.arms, 5)
+        arms = grid_arms(50)
+        inst = Instance(arms, identity(), BERN, 25)
+        part = build_partition(arms, 5)
         bm = bin_means_quadrature(identity(), part)
         report = diagnostics(inst, part, rank_bins(part, bm, inst.T)[1],
                              compute_threshold_M(inst.mean, inst.p))

@@ -1,8 +1,10 @@
+import gc
 import inspect
 import itertools
 import json
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -721,6 +723,26 @@ class TestInstances:
     def test_constructor_takes_the_problem_only(self):
         assert list(inspect.signature(Instance).parameters) == ["arms", "mean", "rewards", "T"]
 
+    def test_keeps_no_covariates(self):
+        # The arms are read on construction and not kept: a caller that
+        # bins them keeps its own ArmSet.
+        arms = sample_arms_uniform(64, 2, 3)
+        covariates = weakref.ref(arms.covariates)
+        inst = Instance(arms, Sinusoid(dim=2), RewardModel("bernoulli"), 10)
+        arms = weakref.ref(arms)
+        gc.collect()
+        assert arms() is None and covariates() is None
+        assert not hasattr(inst, "arms")
+        assert (inst.n, inst.p) == (64, 10 / 64)
+
+    def test_star_mask_is_the_kept_selection(self):
+        inst = Instance(grid_arms(50), Constant(0.5), RewardModel("bernoulli"), 20)
+        mask = inst.star_mask()
+        assert mask is inst.star_mask() and mask.dtype == bool and mask.size == 50
+        assert not mask.flags.writeable
+        np.testing.assert_array_equal(inst.star_order(), np.arange(20))
+        np.testing.assert_array_equal(np.flatnonzero(mask), inst.star_order())
+
     def test_star_order_ties_break_by_index(self):
         arms = grid_arms(4)
         inst = Instance(arms, Constant(0.5), RewardModel("bernoulli"), 2)
@@ -752,7 +774,7 @@ class TestInstances:
         np.testing.assert_array_equal(inst.star_order(), np.sort(prefix))
         np.testing.assert_array_equal(oracle_star(inst, 0).pulled, prefix)
         # One bin holds every arm, so the budget empties no bin: f_hat = 0.
-        report = diagnostics(inst, build_partition(inst.arms, 1), 0,
+        report = diagnostics(inst, build_partition(arms, 1), 0,
                              compute_threshold_M(inst.mean, inst.p))
         assert report.m_hat == means[prefix[-1]]
         assert inst.top_mean_sum() == float(means[np.sort(prefix)].sum())

@@ -565,18 +565,21 @@ class TestSharedSetUp:
             tracemalloc.stop()
 
     def test_oracle_trial_peak_memory_per_arm(self):
-        # Tooling guard: about 40 bytes per arm (42 while the baseline built
-        # a second mask of the reference's pull set, 43 while it kept four
-        # class masks, 58 while every partition sorted its arms by bin and
-        # kept int64 bin ids).
-        assert self.peak_bytes_per_arm(self.ORACLES) < 50
+        # Tooling guard: about 30 bytes per arm (40 while the instance kept
+        # its covariates and the star set as int64 indices, 42 while the
+        # baseline built a second mask of the reference's pull set, 43
+        # while it kept four class masks, 58 while every partition sorted
+        # its arms by bin and kept int64 bin ids).
+        assert self.peak_bytes_per_arm(self.ORACLES) < 36
 
     def test_ucbf_trial_peak_memory_per_arm(self):
-        # About 64 bytes per arm; 66 while the baseline built a second mask
-        # of the reference's pull set, 67 while it kept four class masks,
-        # 71 while the run kept its 8-byte sort by bin to its end, 75 while
-        # the partition kept it for the trial's lifetime.
-        assert self.peak_bytes_per_arm(("ucbf",)) < 73
+        # About 55 bytes per arm; 64 while the instance kept its
+        # covariates and the star set as int64 indices, 66 while the
+        # baseline built a second mask of the reference's pull set, 67
+        # while it kept four class masks, 71 while the run kept its 8-byte
+        # sort by bin to its end, 75 while the partition kept it for the
+        # trial's lifetime.
+        assert self.peak_bytes_per_arm(("ucbf",)) < 62
 
     def test_set_up_error_fails_every_cell(self, monkeypatch):
         # The partition is built before any policy runs.
@@ -640,6 +643,44 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="finite"):
             fit_exponent(pts)
         assert capfd.readouterr().err == ""  # no LAPACK complaint reaches stderr
+
+
+class TestStarOrderIsCalled:
+    """The benchmark traces ``Instance.star_order`` as a layer of every
+    workload, so every instance's selection goes through it, even where
+    no policy reads the star set."""
+
+    @staticmethod
+    def record(monkeypatch):
+        built, selected = [], []
+        star_order = Instance.star_order
+
+        class Recorded(Instance):
+            def __post_init__(self, arms):
+                super().__post_init__(arms)
+                built.append(self)
+
+        def counted(self):
+            selected.append(self)
+            return star_order(self)
+
+        monkeypatch.setattr(Instance, "star_order", counted)
+        monkeypatch.setattr(experiments, "Instance", Recorded)
+        return built, selected
+
+    def test_in_a_ucbf_only_sweep_trial(self, monkeypatch):
+        built, selected = self.record(monkeypatch)
+        cfg = small_config(policies=("ucbf",), n_grid=(512,))
+        assert isinstance(run_trial(cfg, 512, 0)[0], TrialResult)
+        assert len(built) == 1
+        assert {id(i) for i in selected} == {id(i) for i in built}
+
+    def test_in_the_lower_bound_protocol_at_one_worker(self, monkeypatch):
+        built, selected = self.record(monkeypatch)
+        lower_bound_protocol(make_lower_bound_pair(0.5, 0.5, 0.3, 2000),
+                             policy_id="ucbf", replications=2, master_seed=4, threads=1)
+        assert len(built) == 2
+        assert {id(i) for i in selected} == {id(i) for i in built}
 
 
 class TestLowerBoundProtocol:
@@ -898,6 +939,14 @@ class TestWorkerPool:
         assert [(p, n) for p, n, _ in result.errors] == [("ucbf", 60), ("ucbf", 64)]
         assert [(r.policy_id, r.n) for r in result.rows] == [("oracle-star", 60),
                                                                ("oracle-star", 64)]
+
+    def test_workers_keep_freed_memory_whoever_forked_them(self, monkeypatch):
+        # A library caller of run_sweep or lower_bound_protocol never calls
+        # _keep_freed_memory; each forked worker does, before its tasks.
+        kept = []
+        monkeypatch.setattr(experiments, "_keep_freed_memory", lambda: kept.append(True))
+        assert experiments._map(lambda task: kept == [True], [0, 1], 2) == [True, True]
+        assert kept == []
 
     def test_workers_keep_freed_memory(self):
         # Set before the fork, glibc's thresholds hold in every worker.

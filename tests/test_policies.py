@@ -295,7 +295,7 @@ class TestUcbfRun:
         # bin, so the two-per-bin layout needs explicit covariates.)
         arms = ArmSet(np.array([[0.2], [0.4], [0.6], [0.8]]))
         inst = Instance(arms, identity(), BERN, 2)
-        part = build_partition(inst.arms, 2)
+        part = build_partition(arms, 2)
         np.testing.assert_array_equal(part.counts, [2, 2])
         trace = ucbf_run(inst, part, 0.1, seed=5)
         assert len(trace) == 2
@@ -317,8 +317,9 @@ class TestUcbfRun:
         assert bins[5] == 1
 
     def test_all_pulls_distinct(self):
-        inst = Instance(sample_arms_uniform(200, 1, 8), identity(), BERN, 120)
-        part = build_partition(inst.arms, 5)
+        arms = sample_arms_uniform(200, 1, 8)
+        inst = Instance(arms, identity(), BERN, 120)
+        part = build_partition(arms, 5)
         trace = ucbf_run(inst, part, 0.01, seed=3)
         assert len(np.unique(trace.pulled)) == inst.T
 
@@ -337,23 +338,26 @@ class TestUcbfRun:
     def test_equal_indices_prefer_lower_bin(self):
         # Deterministic unit rewards keep both bins at identical indices;
         # the strict comparison sends the first post-init pull to bin 0.
-        inst = Instance(grid_arms(8), Constant(1.0), BERN, 4)
-        part = build_partition(inst.arms, 2)
+        arms = grid_arms(8)
+        inst = Instance(arms, Constant(1.0), BERN, 4)
+        part = build_partition(arms, 2)
         trace = ucbf_run(inst, part, 0.1, seed=9)
         bins = part.assignment[trace.pulled]
         assert bins[2] == 0
 
     def test_determinism(self):
-        inst = Instance(sample_arms_uniform(300, 1, 5), identity(), BERN, 150)
-        part = build_partition(inst.arms, 6)
+        arms = sample_arms_uniform(300, 1, 5)
+        inst = Instance(arms, identity(), BERN, 150)
+        part = build_partition(arms, 6)
         a = ucbf_run(inst, part, 0.01, seed=77)
         b = ucbf_run(inst, part, 0.01, seed=77)
         np.testing.assert_array_equal(a.pulled, b.pulled)
         np.testing.assert_array_equal(a.rewards, b.rewards)
 
     def test_bin_exhaustion_matches_last_pull(self):
-        inst = Instance(grid_arms(12), identity(), BERN, 12)
-        part = build_partition(inst.arms, 3)
+        arms = grid_arms(12)
+        inst = Instance(arms, identity(), BERN, 12)
+        part = build_partition(arms, 3)
         trace = ucbf_run(inst, part, 0.01, seed=2)
         # each bin's pull count equals its arm count when T = N
         for b in range(part.bin_count):
@@ -377,10 +381,9 @@ class TestUcbfRun:
         # loop on the same stream layout that recomputes every index through
         # ucbf_index each step must produce bit-identical traces.
         for seed in range(6):
-            inst = Instance(
-                sample_arms_uniform(120, 1, 40 + seed), identity(), BERN, 70
-            )
-            part = build_partition(inst.arms, 4)
+            arms = sample_arms_uniform(120, 1, 40 + seed)
+            inst = Instance(arms, identity(), BERN, 70)
+            part = build_partition(arms, 4)
             fast = ucbf_run(inst, part, 0.01, seed=seed)
             pulled, rewards = reference_ucbf(inst, part, 0.01, seed)
             np.testing.assert_array_equal(fast.pulled, pulled)
@@ -426,8 +429,9 @@ class TestUcbfRun:
         # Two-sample chi-square over all C(6,3)=20 subsets, 1e4 seeds each.
         from itertools import combinations
 
-        inst = Instance(grid_arms(6), identity(), BERN, 3)
-        part = build_partition(inst.arms, 1)
+        arms = grid_arms(6)
+        inst = Instance(arms, identity(), BERN, 3)
+        part = build_partition(arms, 1)
         subsets = {frozenset(c): i for i, c in enumerate(combinations(range(6), 3))}
         counts = np.zeros((2, 20))
         for seed in range(10**4):
@@ -459,6 +463,17 @@ class TestOracles:
         trace = oracle_star(inst, seed=0)
         assert set(trace.pulled.tolist()) == set(range(7))
 
+    @pytest.mark.parametrize("mean", [Sinusoid(0.35, 1.15, 0.5), Constant(0.5)])
+    def test_star_trace_mask_is_its_arms_scattered(self, mean):
+        # The greedy oracle hands over the instance's star mask, so regret
+        # scatters nothing for it.
+        inst = Instance(sample_arms_uniform(1000, 1, 4), mean, BERN, 300)
+        trace = oracle_star(inst, seed=0)
+        scattered = np.zeros(inst.n, dtype=bool)
+        scattered[trace.arms] = True
+        np.testing.assert_array_equal(trace.mask, scattered)
+        assert trace.mask is inst.star_mask()
+
     @pytest.mark.parametrize(
         "arms, mean, ties",
         [
@@ -486,8 +501,9 @@ class TestOracles:
     def _three_bin_instance(self, t):
         # two arms per bin at K=3, keeping covariates off the bin edges
         cov = np.array([[0.1], [0.2], [0.4], [0.5], [0.7], [0.8]])
-        inst = Instance(ArmSet(cov), identity(), BERN, t)
-        part = build_partition(inst.arms, 3)
+        arms = ArmSet(cov)
+        inst = Instance(arms, identity(), BERN, t)
+        part = build_partition(arms, 3)
         np.testing.assert_array_equal(part.counts, [2, 2, 2])
         return inst, part
 
@@ -522,8 +538,9 @@ class TestOracles:
     def test_discrete_boundary_fill_is_uniform(self):
         # Grid arms at K = 4: bin 2 (10 arms) ranks first and is emptied;
         # bin 0 (9 arms) ranks second and fills the remaining 3 pulls.
-        inst = Instance(grid_arms(40), identity(), BERN, 13)
-        part = build_partition(inst.arms, 4)
+        arms = grid_arms(40)
+        inst = Instance(arms, identity(), BERN, 13)
+        part = build_partition(arms, 4)
         emptied, boundary = bin_arms(part, 2), bin_arms(part, 0)
         remainder = inst.T - emptied.size
         picks = np.zeros(inst.n, dtype=np.int64)
@@ -699,8 +716,9 @@ class TestDeferredTraces:
         # The oracles' builders hold the instance and the reward generator;
         # the first read builds both arrays, and then a kept trace pins only
         # its own arrays.
-        inst = Instance(grid_arms(64), identity(), BERN, 20)
-        part = build_partition(inst.arms, 4)
+        arms = grid_arms(64)
+        inst = Instance(arms, identity(), BERN, 20)
+        part = build_partition(arms, 4)
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 5), oracle_discrete(inst, part, *ranking, seed=5)]
         alive = weakref.ref(inst)
@@ -763,8 +781,9 @@ class TestPullBoundedDraws:
 
         # Bins of five and seven arms and T = 3: each bin's sample is
         # truncated, and the forced initial pulls take each bin's first draw.
-        inst = Instance(grid_arms(12), identity(), BERN, 3)
-        part = build_partition(inst.arms, 2)
+        arms = grid_arms(12)
+        inst = Instance(arms, identity(), BERN, 3)
+        part = build_partition(arms, 2)
         np.testing.assert_array_equal(part.counts, [5, 7])
         first = np.zeros((2, 12))
         for seed in range(6000):
@@ -780,8 +799,9 @@ class TestPullBoundedDraws:
         # rewards per alive bin, random at most T.
         n = 2**12
         t = round(0.5 * n**0.7)
-        inst = Instance(sample_arms_uniform(n, 1, 3), Sinusoid(0.35, 1.15, 0.5), BERN, t)
-        part = build_partition(inst.arms, default_parameters(n, t / n).k)
+        arms = sample_arms_uniform(n, 1, 3)
+        inst = Instance(arms, Sinusoid(0.35, 1.15, 0.5), BERN, t)
+        part = build_partition(arms, default_parameters(n, t / n).k)
         sizes = []
         sample = RewardModel.sample
 
@@ -811,8 +831,9 @@ class TestTraces:
     def test_jsonl_records(self, tmp_path):
         import json
 
-        inst = Instance(grid_arms(8), identity(), BERN, 4)
-        part = build_partition(inst.arms, 2)
+        arms = grid_arms(8)
+        inst = Instance(arms, identity(), BERN, 4)
+        part = build_partition(arms, 2)
         trace = ucbf_run(inst, part, 0.01, seed=6)
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(trace, path, part)
