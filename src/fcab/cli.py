@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "validate":
             s.add_argument("--seed", type=int, default=None, help="master seed override")
             s.add_argument("--threads", type=_nonnegative_int, default=1,
-                           help="worker processes (0 = all cores)")
+                           help="worker processes (0 = one per CPU this process may run on)")
         s.set_defaults(handler=fn)
     return parser
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import math
 import os
 import pickle
+import resource
 import signal
 import time
 from dataclasses import astuple, dataclass, field
@@ -284,6 +286,8 @@ def derive_seed(master_seed: int, n: int, policy_id: str, rep: int) -> int:
 # Processes
 # ---------------------------------------------------------------------------
 
+log = logging.getLogger("fcab")
+
 # glibc's <malloc.h> parameter numbers.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -310,30 +314,44 @@ def _keep_freed_memory() -> bool:
     return bool(mmap_set and trim_set)
 
 
-def _map(fn, tasks: list, threads: int) -> list:
+def _map(fn, tasks: list, threads: int, costs: Optional[list] = None) -> list:
     """``fn`` over ``tasks``, results in task order: on ``threads`` forked
-    worker processes (0: one per core), never more than there are tasks,
-    or in this process for one worker, one task or a platform without
-    ``os.fork``.
+    worker processes (0: one per CPU this process may run on), never more
+    than there are tasks, or in this process for one worker, one task or a
+    platform without ``os.fork``.
 
-    Of W workers, worker w runs tasks w, w + W, w + 2W, ... and sends its
-    results, or the exception it raised, down its own pipe; this process
-    only waits.  Every worker is reaped before this returns or raises, and
-    killed first if this process fails.  A worker that exits without
-    sending anything raises RuntimeError with its exit status."""
-    workers = min(threads or os.cpu_count() or 1, len(tasks))
+    Tasks are dealt in decreasing ``costs`` (default: all equal), each to
+    the worker with the least cost dealt so far; ties go to the lower task
+    index and then to the lower worker, so equal costs deal worker w of W
+    tasks w, w + W, w + 2W, ....  Each worker runs its tasks in the order
+    dealt.  Every task's result depends on the task alone, so the results,
+    and every output built from them, are the same for any thread count.
+
+    Each worker first moves itself to its own CPU (``_place``), so that
+    the workers run side by side from their first task rather than
+    sharing this process's CPU until the kernel rebalances them; short
+    runs gain most from this.  It sends its results, or the exception it
+    raised, down its own pipe, with what it spent, which is logged as one
+    ``fcab`` info line per worker; this process only waits.  Every worker
+    is reaped before this returns or raises, and killed first if this
+    process fails.  A worker that exits without sending anything raises
+    RuntimeError with its exit status."""
+    cpus = _cpus()
+    workers = min(threads or len(cpus) or os.cpu_count() or 1, len(tasks))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
+    costs = [1] * len(tasks) if costs is None else costs
+    shares = _deal(costs, workers)
     children = []  # (pid, read end of its pipe)
     replies = []
     statuses = []
     try:
-        for w in range(workers):
+        for w, share in enumerate(shares):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, tasks[w::workers], write_fd)
+                    _work(fn, [tasks[i] for i in share], write_fd, w, cpus)
                 children.append((pid, read_fd))
             except BaseException:
                 os.close(read_fd)
@@ -350,29 +368,79 @@ def _map(fn, tasks: list, threads: int) -> list:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
     results = [None] * len(tasks)
-    for w, (reply, status) in enumerate(zip(replies, statuses)):
+    for w, (share, (pid, _), reply, status) in enumerate(zip(shares, children, replies, statuses)):
         if not reply:
             raise RuntimeError(f"worker process exited with status "
                                f"{os.waitstatus_to_exitcode(status)} and sent no result")
         sent, value = pickle.loads(reply)
         if not sent:
             raise value
-        results[w::workers] = value
+        values, cpu, busy_s, minflt = value
+        for i, result in zip(share, values):
+            results[i] = result
+        log.info("worker %d pid=%d cpu=%s tasks=%d cost=%s busy_s=%.3f minflt=%d",
+                 w, pid, cpu, len(share), sum(costs[i] for i in share), busy_s, minflt)
     return results
 
 
-def _work(fn, tasks: list, write_fd: int) -> None:
-    """A forked worker's whole life: ``fn`` over ``tasks``, then the
-    pickled (True, results) or (False, exception) down ``write_fd``.  It
-    keeps freed memory (``_keep_freed_memory``) before its first task,
-    whoever forked it, and it leaves through ``os._exit`` whatever
-    happens, so it never returns into the caller's code, runs no exit
-    handler and flushes no buffer it inherited."""
+def _cpus() -> list:
+    """The CPUs this process may run on, ascending; empty where the
+    platform cannot say."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return []
+
+
+def _deal(costs: list, workers: int) -> list:
+    """Each worker's task indices, in the order dealt: tasks in decreasing
+    cost, lower index first among equals, each to the worker with the
+    least cost so far, the lower worker among equals."""
+    loads = [0] * workers
+    shares = [[] for _ in range(workers)]
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return shares
+
+
+def _place(w: int, cpus: list) -> Optional[int]:
+    """Move this process, worker ``w``, to CPU ``cpus[w % len(cpus)]``,
+    then let it run on all of ``cpus`` again, so that it starts apart
+    from its siblings and the kernel can still move it later.  Returns the
+    CPU, or None where there is one CPU, no ``os.sched_setaffinity`` or
+    the kernel refused: placement only helps, so nothing else depends on
+    it."""
+    if len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = cpus[w % len(cpus)]
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return None
+    return cpu
+
+
+def _work(fn, tasks: list, write_fd: int, w: int, cpus: list) -> None:
+    """Worker ``w``'s whole life: it places itself among ``cpus``
+    (``_place``) and keeps freed memory (``_keep_freed_memory``), whoever
+    forked it, before its first task; it runs ``fn`` over ``tasks`` and
+    sends the pickled (True, (results, CPU placed on, user + system
+    seconds, minor faults)) or (False, exception) down ``write_fd``.  It
+    leaves through ``os._exit`` whatever happens, so it never returns into
+    the caller's code, runs no exit handler and flushes no buffer it
+    inherited."""
     status = 1
     try:
         try:
+            cpu = _place(w, cpus)
             _keep_freed_memory()
-            reply = pickle.dumps((True, [fn(t) for t in tasks]))
+            results = [fn(t) for t in tasks]
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            reply = pickle.dumps((True, (results, cpu, usage.ru_utime + usage.ru_stime,
+                                         usage.ru_minflt)))
         except Exception as exc:
             try:
                 reply = pickle.dumps((False, exc))
@@ -528,14 +596,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """All (policy, N) cells with `replications` trials each: one
     ``run_trial`` call per (N, rep) task, looked up on the module so that a
     wrapper set there sees every task.  Tasks run in any order, on
-    ``threads`` forked worker processes when that is more than one, and
-    aggregate the same way."""
+    ``threads`` forked worker processes when that is more than one, dealt
+    by N as their cost, and aggregate the same way."""
 
     def task(n_rep):  # forked workers inherit this closure: _map never pickles it
         return run_trial(config, *n_rep, keep_trace=False)
 
     tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
-    outcomes = _map(task, tasks, threads)
+    outcomes = _map(task, tasks, threads, costs=[n for n, _ in tasks])
     rows, errors, done = [], [], []
     for i, n in enumerate(config.n_grid):
         # Outcomes come in task order: N's replications are one slice.

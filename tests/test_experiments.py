@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import logging
 import math
 import os
 import pickle
@@ -790,6 +791,10 @@ def _task_and_pid(task):
     return task, os.getpid()
 
 
+def _refuse_affinity(pid, mask):
+    raise OSError(22, "Invalid argument")
+
+
 def _assert_no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -802,7 +807,9 @@ class TestWorkerPool:
     )
     def test_no_more_workers_than_tasks(self, monkeypatch, threads, n_tasks, sizes):
         # sizes: the number of forked workers, if any; else the tasks run here.
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # threads=0 counts the CPUs this process may run on; a worker asked
+        # to move to a CPU this machine lacks is refused and runs anyway.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         out = experiments._map(_task_and_pid, list(range(n_tasks)), threads)
         assert [task for task, _ in out] == list(range(n_tasks))
         pids = {pid for _, pid in out}
@@ -811,6 +818,96 @@ class TestWorkerPool:
         else:
             assert pids == {os.getpid()}
         _assert_no_children_left()
+
+    @pytest.mark.parametrize("n_tasks, size", [(3, 3), (20, 8)])
+    def test_without_affinity_threads_0_counts_every_cpu(self, monkeypatch, n_tasks, size):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        out = experiments._map(_task_and_pid, list(range(n_tasks)), 0)
+        assert [task for task, _ in out] == list(range(n_tasks))
+        assert len({pid for _, pid in out}) == size
+        _assert_no_children_left()
+
+    def test_worker_w_starts_on_cpu_w_then_may_run_on_all(self, monkeypatch):
+        # Worker w of 4 runs tasks w and w + 4; each returns the affinity
+        # calls its worker made before its first task.
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, mask: calls.append((pid, set(mask))), raising=False)
+        out = experiments._map(lambda task: (task, list(calls)), list(range(8)), 4)
+        assert [task for task, _ in out] == list(range(8))
+        for task, made in out:
+            assert made == [(0, {[0, 1, 5][task % 4 % 3]}), (0, {0, 1, 5})]
+        assert calls == []
+        _assert_no_children_left()
+
+    @pytest.mark.parametrize("cpus, setaffinity", [
+        ({0, 1}, None),  # no os.sched_setaffinity
+        ({0, 1}, _refuse_affinity),
+        ({3}, _refuse_affinity),  # one CPU: nothing to place, so never called
+    ])
+    def test_placement_is_best_effort(self, monkeypatch, cpus, setaffinity):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if setaffinity is None:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+        out = experiments._map(_task_and_pid, list(range(5)), 2)
+        assert [task for task, _ in out] == list(range(5))
+        assert len({pid for _, pid in out}) == 2
+        _assert_no_children_left()
+
+    def test_tasks_are_dealt_longest_first_to_the_least_loaded(self):
+        # Greedy by hand: 1, 3 and 6 open the three workers; 4 joins 6 (7),
+        # 5 joins 1 (9, the lower worker of a tie), 0 joins 3, 7 joins 6 and
+        # 2 joins 3: every worker ends at 13.  Each runs its share in that
+        # order, and the results still come back in task order.
+        costs = [3, 9, 1, 9, 4, 4, 7, 2]
+        out = experiments._map(lambda task: (task, os.getpid(), time.perf_counter_ns()),
+                               list(range(8)), 3, costs=costs)
+        assert [task for task, _, _ in out] == list(range(8))
+        by_pid = collections.defaultdict(list)
+        for task, pid, _ in sorted(out, key=lambda t: t[2]):
+            by_pid[pid].append(task)
+        assert sorted(by_pid.values()) == [[1, 5], [3, 0, 2], [6, 4, 7]]
+        _assert_no_children_left()
+
+    def test_sweep_deals_its_tasks_by_n(self, tmp_path, monkeypatch):
+        # N = 64, 128 at 3 replications on 2 workers: the 128s go 0, 1, 0
+        # and the 64s 1, 1, 0, where round robin would split tasks by parity.
+        log = tmp_path / "tasks"
+        run = experiments.run_trial
+
+        def logging_run(config, n, rep, keep_trace=True):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {n} {rep}\n")
+            return run(config, n, rep, keep_trace)
+
+        monkeypatch.setattr(experiments, "run_trial", logging_run)
+        run_sweep(small_config(), threads=2)
+        by_pid = collections.defaultdict(list)
+        for line in log.read_text().splitlines():
+            pid, n, rep = line.split()
+            by_pid[pid].append((int(n), int(rep)))
+        assert sorted(by_pid.values()) == [[(128, 0), (128, 2), (64, 2)],
+                                           [(128, 1), (64, 0), (64, 1)]]
+
+    def test_each_worker_logs_what_it_spent(self, caplog):
+        # Costs 1..5 on two workers: worker 0 gets tasks 4, 1, 0 (cost 8)
+        # and worker 1 gets tasks 3, 2 (cost 7).
+        with caplog.at_level(logging.INFO, logger="fcab"):
+            out = experiments._map(_task_and_pid, list(range(5)), 2, costs=[1, 2, 3, 4, 5])
+        lines = [r.getMessage() for r in caplog.records if r.name == "fcab"]
+        assert len(lines) == 2
+        for w, (line, (task, pid), tasks, cost) in enumerate(
+                zip(lines, (out[4], out[3]), (3, 2), (8, 7))):
+            fields = dict(item.split("=") for item in line.split()[2:])
+            assert line.startswith(f"worker {w} ")
+            assert fields["pid"] == str(pid)
+            assert fields["cpu"] in {str(c) for c in experiments._cpus()} | {"None"}
+            assert (fields["tasks"], fields["cost"]) == (str(tasks), str(cost))
+            assert float(fields["busy_s"]) >= 0 and int(fields["minflt"]) > 0
 
     @pytest.mark.parametrize("n_tasks", [6, 20, 31, 32, 200])
     def test_worker_w_runs_every_wth_task(self, n_tasks):

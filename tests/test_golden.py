@@ -33,7 +33,7 @@ WRITES = {"sweep": "sweep.csv", "simulate": "trials.jsonl", "lowerbound": "lb_re
           "validate": "validation.json"}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize(
     "command, config, golden",
     [
