@@ -85,25 +85,14 @@ def rank_bins(partition, bin_means, t_budget: int) -> tuple[np.ndarray, int]:
 
 
 def _pull_mask(instance: Instance, trace) -> np.ndarray:
-    """The arms a trace pulled, as a mask; it must pull T distinct arms.
-    That is the trace's own ``mask`` when it has one, which must be N long
-    and hold T arms; otherwise ``arms`` scattered into a new mask.  Reads
+    """The trace's pull mask, which must be N long and hold T arms.  Reads
     the pull set alone, so it never runs the trace's builder."""
-    arms = trace.arms
-    if arms.size != instance.T:
-        raise ValueError(f"trace length {arms.size} != budget {instance.T}")
-    if trace.mask is not None:
-        mask = trace.mask
-        if mask.size != instance.n:
-            raise ValueError(f"trace mask length {mask.size} != arm count {instance.n}")
-        held = np.count_nonzero(mask)
-        if held != instance.T:
-            raise ValueError(f"trace mask holds {held} arms != budget {instance.T}")
-        return mask
-    mask = np.zeros(instance.n, dtype=bool)
-    mask[arms] = True
-    if np.count_nonzero(mask) != arms.size:
-        raise ValueError("trace contains duplicate arm indices")
+    mask = trace.mask
+    if mask.size != instance.n:
+        raise ValueError(f"trace mask length {mask.size} != arm count {instance.n}")
+    held = np.count_nonzero(mask)
+    if held != instance.T:
+        raise ValueError(f"trace mask holds {held} arms != budget {instance.T}")
     return mask
 
 
@@ -135,11 +124,11 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
     reference run in ``baseline``, which must come from the same instance:
     the arms the reference pulled and the trace missed, and those the trace
     pulled instead, each split at the boundary bin.  For the reference
-    itself, the baseline's pull mask and pulled-mean sum serve, so no trace
-    has either computed twice."""
+    itself, the baseline's pulled-mean sum serves, so no trace has it
+    computed twice."""
     means = instance.true_means
     m_thresh = baseline.report.threshold_M
-    pulled, boundary = baseline.pulled, baseline.boundary
+    pulled, boundary = baseline.reference.mask, baseline.boundary
     if trace is baseline.reference:
         in_phi, s_phi = pulled, baseline.s_phid
     else:
@@ -184,8 +173,8 @@ def regret_decompose(instance: Instance, baseline: Baseline, trace) -> RegretDec
 class DiagnosticsReport:
     """Runtime quantities tracked against their concentration scales.
 
-    ``m_hat_gap_scaled`` is |M_hat - M| * K / L (None when no Lipschitz
-    constant is declared), ``count_dev_scaled`` is
+    ``m_hat_gap_scaled`` is |M_hat - M| * K / L (None when L is 0: a
+    ``Constant`` or a flat piecewise-linear mean), ``count_dev_scaled`` is
     max_k |N_k - N/K^dim| * 2 K^dim / N; both hover at or below 1 when the
     corresponding concentration events hold.
     """
@@ -239,15 +228,13 @@ def diagnostics(instance: Instance, partition, f_hat: int, threshold_M) -> Diagn
 @dataclass(frozen=True)
 class Baseline:
     """The discretised oracle's reference run at one (N, rep, K) and what
-    every policy's decomposition reads from it: its pulled-mean sum, the
-    mask of the arms it pulled (``pulled``), the mask of the boundary
-    bin's arms (``boundary``), and the diagnostics report.  ``pulled`` is
-    the reference trace's own mask, and ``pulled`` and ``s_phid`` are
-    computed once here: the reference's decomposition reads them too."""
+    every policy's decomposition reads from it: the reference's pull mask
+    (its own ``mask``) and pulled-mean sum, the mask of the boundary bin's
+    arms (``boundary``), and the diagnostics report.  ``s_phid`` is
+    computed once here: the reference's decomposition reads it too."""
 
     reference: policies.PolicyTrace
     s_phid: float
-    pulled: np.ndarray
     boundary: np.ndarray
     report: DiagnosticsReport
 
@@ -257,12 +244,12 @@ def make_baseline(instance: Instance, partition, bin_means, threshold_M, seed: i
     ``seed``, under the ranking ``rank_bins`` gives ``bin_means``, with
     its report at the threshold ``threshold_M``.  That run pulls every arm
     of the f_hat best bins, at least one arm of the boundary bin
-    ``order[f_hat]`` and nothing else: the best bins' arms are those
-    ``pulled`` outside ``boundary``."""
+    ``order[f_hat]`` and nothing else: the best bins' arms are those the
+    reference pulled outside ``boundary``."""
     order, f_hat = rank_bins(partition, bin_means, instance.T)
     reference = policies.oracle_discrete(instance, partition, order, f_hat, seed)
     pulled = _pull_mask(instance, reference)
     # A Python int keeps the narrow bin ids from being widened.
     boundary = partition.assignment == int(order[f_hat])
-    return Baseline(reference, float(np.compress(pulled, instance.true_means).sum()), pulled,
+    return Baseline(reference, float(np.compress(pulled, instance.true_means).sum()),
                     boundary, diagnostics(instance, partition, f_hat, threshold_M))

@@ -579,7 +579,7 @@ class Instance:
 
     The arms are a constructor argument only: ``p = T / N`` and
     ``true_means``, the mean at every covariate, are set from them, and
-    the covariates are not kept (there is no ``Instance.arms``), so a
+    the covariates are not kept (an instance has no arms attribute), so a
     caller that bins the arms keeps its own ``ArmSet``.  The threshold M,
     which depends on the mean and p alone, is not kept either.
     ``star_order`` is the greedy oracle's pull set (the T arms with the

@@ -16,11 +16,10 @@ stable sort, with no per-pull loop (see ``ucbf_run``).
 Oracle baselines: the greedy oracle pulls arms in decreasing true-mean
 order; the discretised oracle empties the best bins (by a supplied
 ranking) and fills the remainder from the first bin that straddles the
-budget.  Regret and its decomposition read only which arms a run pulled
-(``PolicyTrace.arms``, or its ``mask`` where the policy keeps one: both
-oracles do, UCBF and the random baseline do not), so every policy hands
-back its pull set and builds the pull order and rewards on first read: a
-sweep never builds them.
+budget.  Regret and its decomposition read only which arms a run pulled,
+so every policy hands back its pull set as an N-long mask
+(``PolicyTrace.mask``) and builds the pull order and rewards on first
+read: a sweep never builds them.
 """
 
 from __future__ import annotations
@@ -167,21 +166,16 @@ def _bonus(n_k, t_budget: int, delta: float):
 
 
 class PolicyTrace:
-    """Record of one run: ``arms``, the pull set in whatever order the
-    policy has it; ``pulled``, those arms in pull order; ``rewards``, what
-    each pull paid.  ``build()`` returns ``(pulled, rewards)``; it runs on
-    the first read of either, and the trace then drops it.  ``len`` builds
-    nothing, and pickling builds both.  Regret reads only the pull set, so
-    a sweep builds neither.
+    """Record of one run: ``mask``, the pull set as an N-long bool mask;
+    ``pulled``, those arms in pull order; ``rewards``, what each pull
+    paid.  ``build()`` returns ``(pulled, rewards)``; it runs on the first
+    read of either, and the trace then drops it.  ``len`` builds nothing,
+    and pickling builds both.  Regret reads only the mask, so a sweep
+    builds neither; ``analysis`` refuses a mask of the wrong length or
+    count."""
 
-    ``mask``, when not None, is the pull set as an N-long mask, which a
-    policy that forms one anyway hands over so that regret reads it in
-    place of scattering ``arms`` into a mask of its own; the two oracles
-    do.  ``analysis`` refuses a mask of the wrong length or count."""
-
-    def __init__(self, arms, build, mask=None):
-        self.arms = np.asarray(arms, dtype=np.int64)
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
+    def __init__(self, mask, build):
+        self.mask = np.asarray(mask, dtype=bool)
         self._build = build
 
     @functools.cached_property
@@ -198,7 +192,7 @@ class PolicyTrace:
         return self._arrays[1]
 
     def __len__(self) -> int:
-        return self.arms.size
+        return int(np.count_nonzero(self.mask))
 
     def __getstate__(self):
         self._arrays  # builds both arrays and drops the builder
@@ -300,16 +294,23 @@ def ucbf_run(
         order = np.argsort(-keys, kind="stable")[:t_budget]
         return stream[order], rewards[order]
 
-    return PolicyTrace(stream[_top_mask(keys, t_budget)[0]], build)
+    return PolicyTrace(_scatter(instance.n, stream[_top_mask(keys, t_budget)[0]]), build)
 
 
-def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, order=None):
+def _scatter(n: int, arms: np.ndarray) -> np.ndarray:
+    """The N-long mask of a pull set given by its arm indices."""
+    mask = np.zeros(n, dtype=bool)
+    mask[arms] = True
+    return mask
+
+
+def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, order):
     """A trace builder for the oracles and the random baseline: the pull
-    order ``order(arms)`` (``arms`` itself when None), then one reward per
-    pull from the run's own reward generator."""
+    order ``order()``, then one reward per pull from the run's own reward
+    generator."""
 
     def build():
-        pulled = arms if order is None else order(arms)
+        pulled = order()
         return pulled, instance.rewards.sample(instance.true_means[pulled], reward_rng)
 
     return build
@@ -318,16 +319,16 @@ def _order_then_draw(instance: Instance, reward_rng: np.random.Generator, arms, 
 def oracle_star(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Greedy oracle: pulls the T arms with the largest true means, in
     decreasing-mean order with ties broken by ascending arm index.  The
-    trace keeps the star set's mask, the instance's own."""
+    trace's mask is the instance's own star mask."""
+    star = instance.star_mask()
 
-    def order(star):
-        # The star set is in ascending index, so a stable sort breaks ties by index.
-        return star[np.argsort(-instance.true_means[star], kind="stable")]
+    def order():
+        # The star set in ascending index, so a stable sort breaks ties by index.
+        arms = np.flatnonzero(star)
+        return arms[np.argsort(-instance.true_means[arms], kind="stable")]
 
     reward_rng, _ = _run_streams(seed)
-    star = instance.star_order()
-    return PolicyTrace(star, _order_then_draw(instance, reward_rng, star, order),
-                       instance.star_mask())
+    return PolicyTrace(star, _order_then_draw(instance, reward_rng, order))
 
 
 def oracle_discrete(
@@ -340,41 +341,37 @@ def oracle_discrete(
     """Discretised oracle: empties the first ``f_hat`` bins of the ranking
     ``order`` (``analysis.rank_bins``), then fills the remaining budget,
     at least one pull by the definition of f_hat, uniformly at random from
-    the next bin.  The pull set is the arms of the emptied bins in
-    ascending arm order, then the draws; the pulls take the emptied bins
-    in ranking order, each bin's arms in ascending order, then the draws.
-    It finds the arms by bin id, so it never groups the arms by bin.  The
-    trace keeps the pull set's mask: the emptied bins' mask, from which
-    it finds their arms, with the draws set."""
+    the next bin.  The pulls take the emptied bins in ranking order, each
+    bin's arms in ascending order, then the draws.  It finds the arms by
+    bin id, so it never groups the arms by bin: the pull set's mask is the
+    emptied bins' mask with the draws set, and the pull order rebuilds the
+    emptied bins' arms from the ranking."""
     if partition.n_arms != instance.n:
         raise ValueError("partition was not built from this instance's arms")
     assignment = partition.assignment
     rank = np.empty(partition.bin_count, assignment.dtype)
     rank[order] = np.arange(partition.bin_count)
     mask = rank.take(assignment) < f_hat
-    top = np.flatnonzero(mask)
+    n_top = int(partition.counts[order[:f_hat]].sum())
     reward_rng, s_select = _run_streams(seed)
     pool = np.flatnonzero(assignment == int(order[f_hat]))
-    drawn = np.random.default_rng(s_select).choice(pool, instance.T - top.size, replace=False)
+    drawn = np.random.default_rng(s_select).choice(pool, instance.T - n_top, replace=False)
     mask[drawn] = True
-    arms = np.concatenate((top, drawn))
-    n_top = top.size
 
-    # The pull order reads the emptied bins' arms back from the pull set,
-    # so the trace's builder keeps no second copy of them.
-    def by_rank(arms):
-        head = arms[:n_top]
-        head = head[np.argsort(rank.take(assignment.take(head)), kind="stable")]
-        return np.concatenate((head, arms[n_top:]))
+    def by_rank():
+        ranks = rank.take(assignment)
+        top = np.flatnonzero(ranks < f_hat)
+        return np.concatenate((top[np.argsort(ranks.take(top), kind="stable")], drawn))
 
-    return PolicyTrace(arms, _order_then_draw(instance, reward_rng, arms, by_rank), mask)
+    return PolicyTrace(mask, _order_then_draw(instance, reward_rng, by_rank))
 
 
 def baseline_random(instance: Instance, seed: int = 0) -> PolicyTrace:
     """Uniformly random size-T subset, pulled in random order."""
     reward_rng, _ = _run_streams(seed)
     pulled = reward_rng.choice(instance.n, instance.T, replace=False)
-    return PolicyTrace(pulled, _order_then_draw(instance, reward_rng, pulled))
+    return PolicyTrace(_scatter(instance.n, pulled),
+                       _order_then_draw(instance, reward_rng, lambda: pulled))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fcab import policies
 from fcab.analysis import (
+    RegretDecomposition,
     bin_means_empirical,
     bin_means_quadrature,
     diagnostics,
@@ -57,6 +58,13 @@ def random_piecewise(rng, pieces=4):
         knots = np.concatenate(([0.0], knots, [1.0]))
     values = rng.random(pieces + 1)
     return PiecewiseLinear(tuple(knots), tuple(values))
+
+
+def trace_of(n, arms, build=None):
+    """A trace that pulled ``arms`` of ``n``: its mask is the arms scattered."""
+    mask = np.zeros(n, dtype=bool)
+    mask[arms] = True
+    return PolicyTrace(mask, build)
 
 
 def bin_mean(f, lo, hi):
@@ -182,7 +190,7 @@ class TestFHat:
 class TestRegretTotal:
     def test_small_grid(self):
         inst = Instance(grid_arms(4), identity(), BERN, 2)
-        trace = PolicyTrace(np.array([0, 3]), None)
+        trace = trace_of(4, [0, 3])
         # top means 1.0 + 0.75 against pulled 0.25 + 1.0
         assert regret_total(inst, trace) == pytest.approx(0.5, abs=1e-12)
 
@@ -200,13 +208,8 @@ class TestRegretTotal:
 
     def test_wrong_length(self):
         inst = Instance(grid_arms(4), identity(), BERN, 2)
-        with pytest.raises(ValueError):
-            regret_total(inst, PolicyTrace(np.array([0]), None))
-
-    def test_duplicates_detected(self):
-        inst = Instance(grid_arms(4), identity(), BERN, 2)
-        with pytest.raises(ValueError):
-            regret_total(inst, PolicyTrace(np.array([3, 3]), None))
+        with pytest.raises(ValueError, match="trace mask holds 1 arms != budget 2"):
+            regret_total(inst, trace_of(4, [0]))
 
     def test_nonnegative_across_policies(self):
         rng = np.random.default_rng(4)
@@ -479,7 +482,7 @@ class TestExactKernels:
                 assert f_hat == 0 or t_budget != small
                 for trace in (
                     reference if spec.run is None else spec.run(inst, part, default.delta, 21),
-                    PolicyTrace(drawn, lambda: (drawn, None)),
+                    trace_of(inst.n, drawn, lambda: (drawn, None)),
                 ):
                     dec = regret_decompose(inst, baseline, trace)
                     expected = _indexed_regret(inst, part, order, f_hat, reference, trace)
@@ -516,11 +519,11 @@ class TestBaselineMasks:
         rank[order] = np.arange(part.bin_count)
         arm_rank = rank[part.assignment]
         boundary = arm_rank == f_hat
+        pulled = baseline.reference.mask
         np.testing.assert_array_equal(baseline.boundary, boundary)
-        np.testing.assert_array_equal(baseline.pulled[~boundary], arm_rank[~boundary] < f_hat)
-        np.testing.assert_array_equal(np.flatnonzero(baseline.pulled),
-                                      np.sort(baseline.reference.arms))
-        assert np.any(baseline.pulled & boundary)
+        np.testing.assert_array_equal(pulled[~boundary], arm_rank[~boundary] < f_hat)
+        np.testing.assert_array_equal(np.flatnonzero(pulled), np.sort(baseline.reference.pulled))
+        assert np.any(pulled & boundary)
 
 
 # The mean of tests/golden/plateau.json: two ramps around a plateau, so
@@ -535,9 +538,9 @@ MASK_MEANS = {
 
 
 class TestTraceMasks:
-    """A trace that carries its pull mask (either oracle's) gives the
-    floats of the index-only path, ``PolicyTrace(trace.arms, None)``,
-    which scatters the pull set into a mask of its own."""
+    """An oracle's trace, which hands over a mask it forms anyway, gives
+    the floats of the index-only path: ``_indexed_regret`` over its pull
+    order, which scatters the pulled arms into a mask of its own."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -562,17 +565,15 @@ class TestTraceMasks:
         part = build_partition(arms, k)
         bm = bin_means_quadrature(mean, part)
         baseline = make_baseline(inst, part, bm, compute_threshold_M(mean, inst.p), seed)
+        ranking = rank_bins(part, bm, inst.T)
         # The baseline's own reference, whose decomposition reads the
-        # baseline's mask and sum, and another run of the same oracle.
-        other = oracle_discrete(inst, part, *rank_bins(part, bm, inst.T), seed=seed + 1)
+        # baseline's sum, and another run of the same oracle.
+        other = oracle_discrete(inst, part, *ranking, seed=seed + 1)
         for trace in (baseline.reference, other):
-            assert trace.mask is not None
-            np.testing.assert_array_equal(np.flatnonzero(trace.mask), np.sort(trace.arms))
-            plain = PolicyTrace(trace.arms, None)
-            assert regret_total(inst, trace) == regret_total(inst, plain)
-            assert regret_decompose(inst, baseline, trace) == regret_decompose(
-                inst, baseline, plain)
-        assert baseline.pulled is baseline.reference.mask
+            np.testing.assert_array_equal(np.flatnonzero(trace.mask), np.sort(trace.pulled))
+            plain = _indexed_regret(inst, part, *ranking, baseline.reference, trace)
+            assert regret_total(inst, trace) == plain["r_total"]
+            assert dataclasses.asdict(regret_decompose(inst, baseline, trace)) == plain
 
     @pytest.mark.parametrize("kind", sorted(MASK_MEANS))
     @pytest.mark.parametrize("dim, grid", [(1, True), (1, False), (2, False)])
@@ -582,18 +583,19 @@ class TestTraceMasks:
         mean = MASK_MEANS[kind](dim)
         inst = Instance(arms, mean, BERN, 1100)
         part = build_partition(arms, 5)
-        baseline = make_baseline(inst, part, bin_means_quadrature(mean, part),
-                                 compute_threshold_M(mean, inst.p), 6)
+        bm = bin_means_quadrature(mean, part)
+        baseline = make_baseline(inst, part, bm, compute_threshold_M(mean, inst.p), 6)
         trace = oracle_star(inst, 6)
-        plain = PolicyTrace(trace.arms, None)
+        plain = RegretDecomposition(**_indexed_regret(
+            inst, part, *rank_bins(part, bm, inst.T), baseline.reference, trace))
 
         def bits(decomposition):
             return np.array(dataclasses.astuple(decomposition)).view(np.int64).tolist()
 
-        assert trace.mask is not None
-        assert regret_total(inst, trace) == regret_total(inst, plain) == 0.0
-        assert bits(regret_decompose(inst, baseline, trace)) == bits(
-            regret_decompose(inst, baseline, plain))
+        assert trace.mask is inst.star_mask()
+        s_pulled = float(inst.true_means[np.sort(trace.pulled)].sum())
+        assert regret_total(inst, trace) == inst.top_mean_sum() - s_pulled == 0.0
+        assert bits(regret_decompose(inst, baseline, trace)) == bits(plain)
 
     def test_a_mask_of_the_wrong_length_or_count_is_refused(self, monkeypatch):
         arms = grid_arms(4)
@@ -602,27 +604,20 @@ class TestTraceMasks:
         bm = bin_means_quadrature(identity(), part)
         m = compute_threshold_M(inst.mean, inst.p)
         baseline = make_baseline(inst, part, bm, m, 0)
-        arms, right = np.array([2, 3]), np.array([False, False, True, True])
-        assert regret_total(inst, PolicyTrace(arms, None, right)) == 0.0
-        for mask, message in (
-            ([False, False, True, True, False], "trace mask length 5 != arm count 4"),
-            ([False, True, True, True], "trace mask holds 3 arms != budget 2"),
-            ([False, False, False, True], "trace mask holds 1 arms != budget 2"),
+        assert regret_total(inst, trace_of(4, [2, 3])) == 0.0
+        for trace, message in (
+            (trace_of(5, [2, 3]), "trace mask length 5 != arm count 4"),
+            (trace_of(4, [1, 2, 3]), "trace mask holds 3 arms != budget 2"),
+            (trace_of(4, [3]), "trace mask holds 1 arms != budget 2"),
         ):
-            trace = PolicyTrace(arms, None, np.array(mask))
             with pytest.raises(ValueError, match=message):
                 regret_total(inst, trace)
             with pytest.raises(ValueError, match=message):
                 regret_decompose(inst, baseline, trace)
-            # A reference run with such a mask fails its baseline, as a
-            # reference of the wrong length does.
+            # A reference run with such a mask fails its baseline.
             monkeypatch.setattr(policies, "oracle_discrete", lambda *args, t=trace: t)
             with pytest.raises(ValueError, match=message):
                 make_baseline(inst, part, bm, m, 0)
-        monkeypatch.setattr(policies, "oracle_discrete",
-                            lambda *args: PolicyTrace(arms[:1], None, right))
-        with pytest.raises(ValueError, match="trace length 1 != budget 2"):
-            make_baseline(inst, part, bm, m, 0)
 
 
 class TestPullSetsOnly:
@@ -645,7 +640,7 @@ class TestPullSetsOnly:
             def builder():
                 raise AssertionError("a trace's builder ran")
 
-            return PolicyTrace(trace.arms, builder)
+            return PolicyTrace(trace.mask, builder)
 
         lazy_star, lazy_reference, lazy_ucbf = unbuilt(star), unbuilt(reference), unbuilt(ucbf)
         assert len(lazy_star) == len(lazy_reference) == len(lazy_ucbf) == inst.T
@@ -690,13 +685,13 @@ class TestPullSetsOnly:
         made, built = [], []
         init = PolicyTrace.__init__
 
-        def tracked(self, arms, build, mask=None):
+        def tracked(self, mask, build):
             def counted():
                 built.append(build.__qualname__)
                 return build()
 
             made.append(build.__qualname__)
-            init(self, arms, counted, mask)
+            init(self, mask, counted)
 
         monkeypatch.setattr(PolicyTrace, "__init__", tracked)
         config = ExperimentConfig(

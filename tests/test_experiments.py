@@ -566,7 +566,9 @@ class TestSharedSetUp:
             tracemalloc.stop()
 
     def test_oracle_trial_peak_memory_per_arm(self):
-        # Tooling guard: about 30 bytes per arm (40 while the instance kept
+        # Tooling guard: about 25 bytes per arm (30 while the random
+        # baseline and the discretised oracle also handed over their pull
+        # sets as int64 indices, 40 while the instance kept
         # its covariates and the star set as int64 indices, 42 while the
         # baseline built a second mask of the reference's pull set, 43
         # while it kept four class masks, 58 while every partition sorted
@@ -574,7 +576,8 @@ class TestSharedSetUp:
         assert self.peak_bytes_per_arm(self.ORACLES) < 36
 
     def test_ucbf_trial_peak_memory_per_arm(self):
-        # About 55 bytes per arm; 64 while the instance kept its
+        # About 47 bytes per arm; 55 while the run handed over its pull
+        # set as int64 indices, 64 while the instance kept its
         # covariates and the star set as int64 indices, 66 while the
         # baseline built a second mask of the reference's pull set, 67
         # while it kept four class masks, 71 while the run kept its 8-byte

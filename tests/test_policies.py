@@ -470,7 +470,7 @@ class TestOracles:
         inst = Instance(sample_arms_uniform(1000, 1, 4), mean, BERN, 300)
         trace = oracle_star(inst, seed=0)
         scattered = np.zeros(inst.n, dtype=bool)
-        scattered[trace.arms] = True
+        scattered[trace.pulled] = True
         np.testing.assert_array_equal(trace.mask, scattered)
         assert trace.mask is inst.star_mask()
 
@@ -621,10 +621,10 @@ def eager_ucbf(inst, part, delta, seed):
 
 def assert_matches_eager(run, expected):
     """Both read orders of a fresh trace give the eager arrays,
-    and its pull set holds the same arms."""
+    and its pull mask holds the same arms."""
     pulled, obs = expected
     rewards_first, pulled_first = run(), run()
-    np.testing.assert_array_equal(np.sort(pulled_first.arms), np.sort(pulled))
+    np.testing.assert_array_equal(np.flatnonzero(pulled_first.mask), np.sort(pulled))
     np.testing.assert_array_equal(rewards_first.rewards, obs)
     np.testing.assert_array_equal(rewards_first.pulled, pulled)
     np.testing.assert_array_equal(pulled_first.pulled, pulled)
@@ -669,7 +669,7 @@ class TestDeferredTraces:
         trace = oracle_discrete(inst, part, *ranking, seed=seed)
         pulled, rewards = trace.pulled, trace.rewards
         expected_pulled, expected_rewards = eager_discrete(inst, part, *ranking, seed)
-        np.testing.assert_array_equal(np.sort(trace.arms), np.sort(expected_pulled))
+        np.testing.assert_array_equal(np.flatnonzero(trace.mask), np.sort(expected_pulled))
         np.testing.assert_array_equal(pulled, expected_pulled)
         np.testing.assert_array_equal(rewards, expected_rewards)
 
@@ -702,10 +702,11 @@ class TestDeferredTraces:
         ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
         traces = [oracle_star(inst, 1), oracle_discrete(inst, part, *ranking, seed=1),
                   ucbf_run(inst, part, 0.01, 1), baseline_random(inst, 1),
-                  PolicyTrace([2, 0], lambda: (np.array([2, 0]), np.array([0.5, 1.0])))]
+                  PolicyTrace([True, False, True],
+                              lambda: (np.array([2, 0]), np.array([0.5, 1.0])))]
         for trace in traces:
             copy = pickle.loads(pickle.dumps(trace))
-            for name in ("arms", "pulled", "rewards"):
+            for name in ("mask", "pulled", "rewards"):
                 np.testing.assert_array_equal(getattr(copy, name), getattr(trace, name))
         pulled, obs, _ = eager_ucbf(inst, part, 0.01, 1)
         copy = pickle.loads(pickle.dumps(ucbf_run(inst, part, 0.01, 1)))
@@ -768,7 +769,7 @@ class TestPullBoundedDraws:
         included, first = np.zeros(10), np.zeros(10)
         for seed in range(5000):
             trace = baseline_random(inst, seed=seed)
-            included[trace.arms] += 1
+            included += trace.mask
             first[trace.pulled[0]] += 1
         # Inclusions of distinct arms are negatively correlated, so the
         # multinomial chi-square is conservative for them.
@@ -842,3 +843,35 @@ class TestTraces:
         for r in records:
             assert r["bin"] == int(part.assignment[r["arm"]])
             assert 0.0 <= r["reward"] <= 1.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        dim=st.integers(1, 2),
+        k=st.integers(1, 8),
+        kind=st.sampled_from(["sinusoid", "plateau", "constant"]),
+        grid=st.booleans(),
+        budget=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_policy_hands_over_its_pull_set_as_a_mask(
+        self, n, dim, k, kind, grid, budget, seed
+    ):
+        # The plateau and grid arms are one-dimensional; UCBF's budget
+        # stays within the arms its alive bins hold.
+        dim = 1 if kind == "plateau" or grid else dim
+        arms = grid_arms(n) if grid else sample_arms_uniform(n, dim, seed)
+        mean = {"sinusoid": Sinusoid(0.35, 1.15, 0.5, dim=dim),
+                "plateau": AT_SCALE[1][1], "constant": Constant(0.5, dim)}[kind]
+        part = build_partition(arms, k)
+        reachable = int(part.counts[alive_bins(part)].sum())
+        assume(reachable > 0)
+        inst = Instance(arms, mean, BERN, max(1, min(round(budget * n), reachable)))
+        ranking = rank_bins(part, bin_means_empirical(inst, part), inst.T)
+        for trace in (ucbf_run(inst, part, 0.01, seed), oracle_star(inst, seed),
+                      oracle_discrete(inst, part, *ranking, seed=seed),
+                      baseline_random(inst, seed)):
+            mask = trace.mask
+            assert mask.ndim == 1 and mask.dtype == bool and mask.size == n
+            assert np.count_nonzero(mask) == len(trace) == inst.T
+            np.testing.assert_array_equal(np.flatnonzero(mask), np.sort(trace.pulled))
