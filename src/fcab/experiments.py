@@ -327,17 +327,13 @@ def _map(fn, tasks: list, threads: int, costs: Optional[list] = None) -> list:
     dealt.  Every task's result depends on the task alone, so the results,
     and every output built from them, are the same for any thread count.
 
-    Each worker first moves itself to its own CPU (``_place``), so that
-    the workers run side by side from their first task rather than
-    sharing this process's CPU until the kernel rebalances them; short
-    runs gain most from this.  It sends its results, or the exception it
-    raised, down its own pipe, with what it spent, which is logged as one
-    ``fcab`` info line per worker; this process only waits.  Every worker
-    is reaped before this returns or raises, and killed first if this
-    process fails.  A worker that exits without sending anything raises
-    RuntimeError with its exit status."""
-    cpus = _cpus()
-    workers = min(threads or len(cpus) or os.cpu_count() or 1, len(tasks))
+    Each worker runs where the kernel puts it.  It sends its results, or
+    the exception it raised, down its own pipe, with what it spent, which
+    is logged as one ``fcab`` info line per worker; this process only
+    waits.  Every worker is reaped before this returns or raises, and
+    killed first if this process fails.  A worker that exits without
+    sending anything raises RuntimeError with its exit status."""
+    workers = min(threads or _cpu_count(), len(tasks))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
     costs = [1] * len(tasks) if costs is None else costs
@@ -351,7 +347,7 @@ def _map(fn, tasks: list, threads: int, costs: Optional[list] = None) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, [tasks[i] for i in share], write_fd, w, cpus)
+                    _work(fn, [tasks[i] for i in share], write_fd)
                 children.append((pid, read_fd))
             except BaseException:
                 os.close(read_fd)
@@ -375,21 +371,20 @@ def _map(fn, tasks: list, threads: int, costs: Optional[list] = None) -> list:
         sent, value = pickle.loads(reply)
         if not sent:
             raise value
-        values, cpu, busy_s, minflt = value
+        values, busy_s, minflt = value
         for i, result in zip(share, values):
             results[i] = result
-        log.info("worker %d pid=%d cpu=%s tasks=%d cost=%s busy_s=%.3f minflt=%d",
-                 w, pid, cpu, len(share), sum(costs[i] for i in share), busy_s, minflt)
+        log.info("worker %d pid=%d tasks=%d cost=%s busy_s=%.3f minflt=%d",
+                 w, pid, len(share), sum(costs[i] for i in share), busy_s, minflt)
     return results
 
 
-def _cpus() -> list:
-    """The CPUs this process may run on, ascending; empty where the
-    platform cannot say."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        return []
+def _cpu_count() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform can say, else every CPU, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _deal(costs: list, workers: int) -> list:
@@ -405,41 +400,21 @@ def _deal(costs: list, workers: int) -> list:
     return shares
 
 
-def _place(w: int, cpus: list) -> Optional[int]:
-    """Move this process, worker ``w``, to CPU ``cpus[w % len(cpus)]``,
-    then let it run on all of ``cpus`` again, so that it starts apart
-    from its siblings and the kernel can still move it later.  Returns the
-    CPU, or None where there is one CPU, no ``os.sched_setaffinity`` or
-    the kernel refused: placement only helps, so nothing else depends on
-    it."""
-    if len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
-        return None
-    cpu = cpus[w % len(cpus)]
-    try:
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return None
-    return cpu
-
-
-def _work(fn, tasks: list, write_fd: int, w: int, cpus: list) -> None:
-    """Worker ``w``'s whole life: it places itself among ``cpus``
-    (``_place``) and keeps freed memory (``_keep_freed_memory``), whoever
-    forked it, before its first task; it runs ``fn`` over ``tasks`` and
-    sends the pickled (True, (results, CPU placed on, user + system
-    seconds, minor faults)) or (False, exception) down ``write_fd``.  It
-    leaves through ``os._exit`` whatever happens, so it never returns into
-    the caller's code, runs no exit handler and flushes no buffer it
-    inherited."""
+def _work(fn, tasks: list, write_fd: int) -> None:
+    """A forked worker's whole life: it keeps freed memory
+    (``_keep_freed_memory``), whoever forked it, before its first task; it
+    runs ``fn`` over ``tasks`` and sends the pickled (True, (results, user
+    + system seconds, minor faults)) or (False, exception) down
+    ``write_fd``.  It leaves through ``os._exit`` whatever happens, so it
+    never returns into the caller's code, runs no exit handler and flushes
+    no buffer it inherited."""
     status = 1
     try:
         try:
-            cpu = _place(w, cpus)
             _keep_freed_memory()
             results = [fn(t) for t in tasks]
             usage = resource.getrusage(resource.RUSAGE_SELF)
-            reply = pickle.dumps((True, (results, cpu, usage.ru_utime + usage.ru_stime,
+            reply = pickle.dumps((True, (results, usage.ru_utime + usage.ru_stime,
                                          usage.ru_minflt)))
         except Exception as exc:
             try:

@@ -794,10 +794,6 @@ def _task_and_pid(task):
     return task, os.getpid()
 
 
-def _refuse_affinity(pid, mask):
-    raise OSError(22, "Invalid argument")
-
-
 def _assert_no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -810,8 +806,7 @@ class TestWorkerPool:
     )
     def test_no_more_workers_than_tasks(self, monkeypatch, threads, n_tasks, sizes):
         # sizes: the number of forked workers, if any; else the tasks run here.
-        # threads=0 counts the CPUs this process may run on; a worker asked
-        # to move to a CPU this machine lacks is refused and runs anyway.
+        # threads=0 counts the CPUs this process may run on.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         out = experiments._map(_task_and_pid, list(range(n_tasks)), threads)
         assert [task for task, _ in out] == list(range(n_tasks))
@@ -831,34 +826,15 @@ class TestWorkerPool:
         assert len({pid for _, pid in out}) == size
         _assert_no_children_left()
 
-    def test_worker_w_starts_on_cpu_w_then_may_run_on_all(self, monkeypatch):
-        # Worker w of 4 runs tasks w and w + 4; each returns the affinity
-        # calls its worker made before its first task.
+    def test_workers_start_where_the_kernel_puts_them(self, monkeypatch):
+        # Each task returns the affinity calls its worker made before it.
         calls = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 1}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity",
                             lambda pid, mask: calls.append((pid, set(mask))), raising=False)
         out = experiments._map(lambda task: (task, list(calls)), list(range(8)), 4)
-        assert [task for task, _ in out] == list(range(8))
-        for task, made in out:
-            assert made == [(0, {[0, 1, 5][task % 4 % 3]}), (0, {0, 1, 5})]
+        assert out == [(task, []) for task in range(8)]
         assert calls == []
-        _assert_no_children_left()
-
-    @pytest.mark.parametrize("cpus, setaffinity", [
-        ({0, 1}, None),  # no os.sched_setaffinity
-        ({0, 1}, _refuse_affinity),
-        ({3}, _refuse_affinity),  # one CPU: nothing to place, so never called
-    ])
-    def test_placement_is_best_effort(self, monkeypatch, cpus, setaffinity):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        if setaffinity is None:
-            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
-        out = experiments._map(_task_and_pid, list(range(5)), 2)
-        assert [task for task, _ in out] == list(range(5))
-        assert len({pid for _, pid in out}) == 2
         _assert_no_children_left()
 
     def test_tasks_are_dealt_longest_first_to_the_least_loaded(self):
@@ -907,8 +883,8 @@ class TestWorkerPool:
                 zip(lines, (out[4], out[3]), (3, 2), (8, 7))):
             fields = dict(item.split("=") for item in line.split()[2:])
             assert line.startswith(f"worker {w} ")
+            assert fields.keys() == {"pid", "tasks", "cost", "busy_s", "minflt"}
             assert fields["pid"] == str(pid)
-            assert fields["cpu"] in {str(c) for c in experiments._cpus()} | {"None"}
             assert (fields["tasks"], fields["cost"]) == (str(tasks), str(cost))
             assert float(fields["busy_s"]) >= 0 and int(fields["minflt"]) > 0
 
